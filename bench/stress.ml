@@ -1,7 +1,7 @@
 (* Large-kernel throughput stress: raw engine speed on a wide, deep
    grid of Id cells (the maximally-pipelined shape the paper's balancing
    produces), measured as firings per wall-second and output tokens per
-   wall-second for each engine in both firing-rule modes.
+   wall-second: T1 on the graph engine, T3 on the machine engine.
 
    This is deliberately a separate executable from bench/main.exe: the
    main harness must stay byte-deterministic across hosts and worker
@@ -91,21 +91,19 @@ let measure ~id ~title ~predicted ~factor ~run =
 let out_tokens outputs =
   List.fold_left (fun acc (_, arrivals) -> acc + List.length arrivals) 0 outputs
 
-let sim_run ~width ~depth ~len ~compiled () =
+let sim_run ~width ~depth ~len () =
   let g = grid ~width ~depth in
   let inputs = [ ("in", List.init len (fun i -> Value.Int i)) ] in
-  let cfg = Run_config.(default |> with_compiled compiled) in
-  let r = Sim.Engine.run_cfg cfg g ~inputs in
+  let r = Sim.Engine.run_cfg Run_config.default g ~inputs in
   ( Graph.node_count g,
     Array.fold_left ( + ) 0 r.Sim.Engine.fire_counts,
     out_tokens r.Sim.Engine.outputs,
     r.Sim.Engine.quiescent )
 
-let machine_run ~width ~depth ~len ~compiled () =
+let machine_run ~width ~depth ~len () =
   let g = grid ~width ~depth in
   let inputs = [ ("in", List.init len (fun i -> Value.Int i)) ] in
-  let cfg = Run_config.with_compiled compiled ME.default_config in
-  let r = ME.run_cfg cfg ~arch:Machine.Arch.default g ~inputs in
+  let r = ME.run_cfg ME.default_config ~arch:Machine.Arch.default g ~inputs in
   ( Graph.node_count g,
     r.ME.stats.ME.dispatches,
     out_tokens r.ME.outputs,
@@ -119,24 +117,14 @@ let measurements ~quick =
   let t1 =
     measure ~id:"T1" ~title:"sim interpreted" ~predicted:sim_baseline
       ~factor:5.0
-      ~run:(sim_run ~width:sw ~depth:sd ~len:sl ~compiled:false)
-  in
-  let t2 =
-    measure ~id:"T2" ~title:"sim compiled" ~predicted:sim_baseline
-      ~factor:2.0
-      ~run:(sim_run ~width:sw ~depth:sd ~len:sl ~compiled:true)
+      ~run:(sim_run ~width:sw ~depth:sd ~len:sl)
   in
   let t3 =
     measure ~id:"T3" ~title:"machine interpreted"
       ~predicted:machine_baseline ~factor:0.5
-      ~run:(machine_run ~width:mw ~depth:md ~len:ml ~compiled:false)
+      ~run:(machine_run ~width:mw ~depth:md ~len:ml)
   in
-  let t4 =
-    measure ~id:"T4" ~title:"machine compiled" ~predicted:machine_baseline
-      ~factor:0.5
-      ~run:(machine_run ~width:mw ~depth:md ~len:ml ~compiled:true)
-  in
-  [ t1; t2; t3; t4 ]
+  [ t1; t3 ]
 
 let entry_of m =
   Obs.Bench_json.entry ~predicted:m.ms_predicted ~measured:(rate m)

@@ -17,31 +17,38 @@
    deterministic, so the same master seed yields the same verdicts and
    the same minimal repros whatever the worker count.
 
-   With --serve every scenario's protected faulted run is additionally
-   replayed through a live in-process dfserve instance, and the served
-   response must reproduce the standalone run byte for byte: same
-   output digest, same end time, same stall report.  That closes the
-   loop between the fault harness and the service path under real
-   client concurrency.
+   With a service flag every scenario's protected faulted run is
+   additionally replayed through live dfserve processes, and the served
+   response must reproduce the standalone run byte for byte: same output
+   digest, same end time, same stall report.  The four flags are presets
+   of one driver: N real dfserve members, a killer that SIGKILLs and
+   restarts a seeded member at seeded counts of submitted scenarios, and
+   a replay through the failover client.
 
-   With --serve-kill the server is a real dfserve process with a
-   write-ahead journal, and a killer thread SIGKILLs it at seeded
-   points mid-soak and restarts it against the same journal.  Every
-   scenario is submitted under an idempotency key through the
-   resilient retrying client, so requests that die with the server are
-   reissued and may be answered from the journal or resumed from a
-   preemption checkpoint — and must still match the standalone run
-   byte for byte.  That is the crash-safety proof: no kill point may
-   change a single served bit.
+     --serve            one journal-less server, never killed: the fault
+                        harness against the service path under real
+                        client concurrency
+     --serve-kill       one server with a write-ahead journal, restarted
+                        against it after each kill; every scenario
+                        carries an idempotency key, so a request that
+                        dies with the server is reissued and answered
+                        from the journal or resumed from a preemption
+                        checkpoint
+     --serve-cluster N  N journaled members behind rendezvous routing;
+                        restarted members compact their journals, and a
+                        seeded third of the scenarios are force-migrated
+                        live between members mid-run
+     --serve-wipe N     N members replicating their journals to each
+                        other; each kill also deletes the victim's whole
+                        journal directory, so the restarted member must
+                        rebuild from its peers' replicas
 
-   With --serve-cluster N the server is a federation of N real dfserve
-   processes, each with its own journal, and the killer SIGKILLs and
-   restarts random members mid-soak.  Scenarios route through the
-   rendezvous-hashing failover client; about a third of them are
-   additionally force-migrated live from their home member to the next
-   replica mid-run.  Whatever members die, restart, compact their
-   journals or hand jobs to each other, every answer must still match
-   its standalone run byte for byte.
+   Whatever members die, restart, compact, lose their disks or hand jobs
+   to each other, every answer must match its standalone run byte for
+   byte, and stdout is identical whatever the worker count.  --kills N
+   sets the number of kill/restart cycles of the last three presets; a
+   soak that ends with fewer fails.  Every preset needs bin/dfserve.exe
+   built next to chaos.exe.
 
    Examples:
      chaos --runs 40 --seed 1
@@ -49,7 +56,8 @@
      chaos --kernel tridiag --runs 20
      chaos --runs 40 --serve
      chaos --runs 50 --serve-kill --kills 4
-     chaos --runs 30 --serve-cluster 3 --kills 5 *)
+     chaos --runs 30 --serve-cluster 3 --kills 5
+     chaos --runs 30 --serve-wipe 3 --kills 4 *)
 
 module PC = Compiler.Program_compile
 module D = Compiler.Driver
@@ -128,7 +136,7 @@ let outcome_ok (o : FD.outcome) =
   && not (stall_unexpected o.FD.faulted_stall)
   && o.FD.clean_digest = o.FD.faulted_digest
 
-(* --- replay through a live server ------------------------------------ *)
+(* --- replay through live dfserve members ------------------------------ *)
 
 (* The same protected faulted run as a simulate request.
    Fault_plan.to_string round-trips %.17g-exactly and the server
@@ -169,150 +177,81 @@ let replay_compare resp (o : FD.outcome) =
         | Some sr -> Fault.Stall_report.to_string sr
         | None -> "-")
 
-let serve_replay ~socket ~recovery subject (spec : FP.spec) (o : FD.outcome) =
-  let run = replay_run ~recovery subject spec in
-  let conn = Serve.Client.connect socket in
-  Fun.protect
-    ~finally:(fun () -> Serve.Client.close conn)
-    (fun () ->
-      replay_compare (Serve.Client.rpc conn (Serve.Protocol.Simulate run)) o)
+(* One driver serves all four service flags; each flag selects one of
+   these presets. *)
+type preset = {
+  flag : string;  (** the selecting option, named in messages *)
+  members : int;
+  journal : bool;  (** each member keeps a write-ahead journal *)
+  wipe : bool;
+      (** members replicate their journals to each other, and each kill
+          also deletes the victim's whole journal directory *)
+  slice : int;  (** dfserve --slice *)
+  retain : int option;  (** dfserve --journal-retain: restarts compact *)
+  attempts : int;  (** retrying-client attempts per member *)
+  seed_slot : int;  (** hash slot of each scenario's retry jitter seed *)
+  deadline : float;  (** per-request deadline, seconds *)
+  idem : string option;  (** idempotency-key prefix *)
+  migrate : bool;  (** force-migrate a seeded third of the scenarios *)
+  kills : int;  (** kill/restart cycles *)
+  cycle : string;  (** what stderr calls one cycle *)
+  verdict : string;  (** the closing clause of the summary line *)
+}
 
-(* The kill-and-restart path: the request carries an idempotency key
-   and goes through the resilient client, because the server process
-   may be SIGKILLed at any point — before admission, mid-run, or after
-   journaling the result but before the response reaches us.  Whatever
-   the kill points, the answer that finally arrives (fresh run, resume
-   from a journaled checkpoint, or the recorded response) must still be
-   bit-identical to the standalone run. *)
-let serve_kill_replay ~socket ~master ~index ~recovery subject (spec : FP.spec)
-    (o : FD.outcome) =
-  let run =
-    replay_run ~idem:(Printf.sprintf "ck-%d-%d" master index) ~recovery
-      subject spec
+let preset_of_flags ~serve ~serve_kill ~serve_cluster ~serve_wipe ~kills =
+  if kills < 0 then failwith "--kills must be >= 0";
+  let base =
+    { flag = "--serve"; members = 1; journal = false; wipe = false;
+      slice = 5000; retain = None; attempts = 80; seed_slot = 77;
+      deadline = 60.0; idem = None; migrate = false; kills = 0; cycle = "";
+      verdict = "served replays bit-identical to standalone" }
   in
-  let retry =
-    { Serve.Client.attempts = 80;
-      base_delay = 0.05;
-      max_delay = 0.5;
-      retry_seed = Prng.int_of_hash (Prng.mix master [ index; 77 ]) 1_000_000 }
+  let kill =
+    { base with
+      flag = "--serve-kill"; journal = true; slice = 500; idem = Some "ck";
+      kills; cycle = "server kill/restart";
+      verdict = base.verdict ^ " across server kills" }
   in
-  let resp, _attempts =
-    Serve.Client.resilient_rpc ~deadline:60.0 ~retry ~addr:socket
-      (Serve.Protocol.Simulate run)
+  let cluster n =
+    if n < 2 then failwith "--serve-cluster needs at least 2 members";
+    { kill with
+      flag = "--serve-cluster"; members = n; slice = 200; retain = Some 64;
+      attempts = 40; seed_slot = 78; idem = Some "cc"; migrate = true;
+      verdict = base.verdict ^ " across member kills and live migrations" }
   in
-  replay_compare resp o
+  let wipe n =
+    if n < 2 then
+      failwith "--serve-wipe needs at least 2 members (replicas live on peers)";
+    { (cluster n) with
+      flag = "--serve-wipe"; wipe = true; attempts = 60; seed_slot = 79;
+      deadline = 90.0; idem = Some "cw"; migrate = false;
+      cycle = "member wipe/restart";
+      verdict =
+        base.verdict
+        ^ " across member disk wipes (journals rebuilt from peer replicas)" }
+  in
+  match (serve, serve_kill, serve_cluster, serve_wipe) with
+  | false, false, None, None -> None
+  | true, false, None, None -> Some base
+  | false, true, None, None -> Some kill
+  | false, false, Some n, None -> Some (cluster n)
+  | false, false, None, Some n -> Some (wipe n)
+  | _ ->
+    failwith
+      "--serve, --serve-kill, --serve-cluster and --serve-wipe are exclusive"
 
-(* The federated path.  Most scenarios route through the failover
-   client: rendezvous order, dead members skipped, the idempotency key
-   keeping the walk exactly-once.  A seeded third are force-migrated:
-   submitted fire-and-forget at their home member (keyed jobs survive
-   the closed connection), then moved live to the next replica — the
-   migration driver converges from every state the job can be in,
-   including the source being freshly SIGKILLed.  Nothing printed here
-   depends on which member answered or which path delivered: stdout
-   must be identical whatever the worker count. *)
-let serve_cluster_replay ~sockets ~master ~index ~recovery subject
-    (spec : FP.spec) (o : FD.outcome) =
-  let module SP = Serve.Protocol in
-  let run =
-    replay_run ~idem:(Printf.sprintf "cc-%d-%d" master index) ~recovery
-      subject spec
-  in
-  let retry =
-    { Serve.Client.attempts = 40;
-      base_delay = 0.05;
-      max_delay = 0.5;
-      retry_seed = Prng.int_of_hash (Prng.mix master [ index; 78 ]) 1_000_000 }
-  in
-  let members = Array.to_list sockets in
-  let key =
-    Serve.Cluster.routing_key
-      (SP.Kernel { name = subject.kernel.K.name; size = subject.size })
-  in
-  let resp =
-    if Prng.int_of_hash (Prng.mix master [ index; 88 ]) 3 = 0 then (
-      match Serve.Cluster.rendezvous_order ~key members with
-      | src :: dst :: _ ->
-        (try
-           let conn = Serve.Client.connect ~retries:10 src in
-           ignore (Serve.Client.send conn (SP.Simulate run));
-           Unix.sleepf 0.05;
-           Serve.Client.close conn
-         with _ -> ());
-        fst
-          (Serve.Cluster.migrate ~deadline:60.0 ~retry ~source:src
-             ~target:dst run)
-      | _ -> assert false (* --serve-cluster enforces >= 2 members *))
-    else
-      let t = Serve.Cluster.create ~deadline:60.0 ~retry members in
-      fst (Serve.Cluster.submit t ~key (SP.Simulate run))
-  in
-  replay_compare resp o
-
-(* The disk-loss path.  Every scenario routes through the failover
-   client against a replicated cluster whose members keep losing whole
-   journal directories; idempotency keys plus journal replication make
-   the walk exactly-once even when the member that admitted a job has
-   since been wiped — the record lives on in a peer's segment, and the
-   restarted member rebuilds from it before serving. *)
-let serve_wipe_replay ~sockets ~master ~index ~recovery subject
-    (spec : FP.spec) (o : FD.outcome) =
-  let module SP = Serve.Protocol in
-  let run =
-    replay_run ~idem:(Printf.sprintf "cw-%d-%d" master index) ~recovery
-      subject spec
-  in
-  let retry =
-    { Serve.Client.attempts = 60;
-      base_delay = 0.05;
-      max_delay = 0.5;
-      retry_seed = Prng.int_of_hash (Prng.mix master [ index; 79 ]) 1_000_000 }
-  in
-  let key =
-    Serve.Cluster.routing_key
-      (SP.Kernel { name = subject.kernel.K.name; size = subject.size })
-  in
-  let t =
-    Serve.Cluster.create ~deadline:90.0 ~retry (Array.to_list sockets)
-  in
-  let resp = fst (Serve.Cluster.submit t ~key (SP.Simulate run)) in
-  replay_compare resp o
-
-(* --- a real server process we can murder ----------------------------- *)
+(* --- real server processes we can murder ----------------------------- *)
 
 (* dfserve.exe lives next to chaos.exe in the dune build tree and in an
    installed prefix alike *)
-let dfserve_exe () =
+let dfserve_exe flag =
   let exe =
     Filename.concat (Filename.dirname Sys.executable_name) "dfserve.exe"
   in
   if Sys.file_exists exe then exe
   else
     failwith
-      (Printf.sprintf "--serve-kill: %s not found (build bin/dfserve.exe)" exe)
-
-let spawn_server ?retain ?cluster ~exe ~socket ~journal ~max_pending ~slice
-    () =
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close null)
-    (fun () ->
-      Unix.create_process exe
-        (Array.concat
-           [ [| exe; "--socket"; socket; "--journal"; journal; "--workers";
-                "2"; "--slice"; string_of_int slice; "--max-pending";
-                string_of_int max_pending; "--idle-timeout"; "0" |];
-             (match retain with
-             | Some n -> [| "--journal-retain"; string_of_int n |]
-             | None -> [||]);
-             (* replicated member: journal records stream to peers, so
-                the wipe killer can destroy this member's disk *)
-             (match cluster with
-             | Some file ->
-               [| "--cluster"; "@" ^ file; "--self"; socket; "--replicas";
-                  "2" |]
-             | None -> [||]) ])
-        Unix.stdin null null)
+      (Printf.sprintf "%s: %s not found (build bin/dfserve.exe)" flag exe)
 
 let rec rm_rf path =
   match Sys.is_directory path with
@@ -322,133 +261,221 @@ let rec rm_rf path =
   | false -> ( try Sys.remove path with Sys_error _ -> ())
   | exception Sys_error _ -> ()
 
-type managed = {
-  mutable pid : int;
-  lock : Mutex.t;
-  mutable kills_done : int;
-  stop : bool Atomic.t;
+type fleet = {
+  preset : preset;
+  exe : string;
+  sockets : string array;
+  jdirs : string array;
+      (** one journal directory per member: its WAL plus the replica
+          segments it keeps for peers, so a wipe is one sweep *)
+  members_file : string;  (** the member list replicating members read *)
+  max_pending : int;
+  pids : int array;
 }
 
-(* seeded sleep, SIGKILL, reap, restart against the same journal — the
-   kill points land wherever the soak happens to be *)
-let killer ~(managed : managed) ~exe ~socket ~journal ~max_pending ~master
-    ~kills () =
-  let interruptible_sleep s =
-    let steps = max 1 (int_of_float (s /. 0.02)) in
-    let rec go i =
-      if i < steps && not (Atomic.get managed.stop) then begin
-        Unix.sleepf 0.02;
-        go (i + 1)
-      end
-    in
-    go 0
+let spawn f i =
+  let p = f.preset in
+  let args =
+    [ "--socket"; f.sockets.(i); "--workers"; "2"; "--slice";
+      string_of_int p.slice; "--max-pending"; string_of_int f.max_pending;
+      "--idle-timeout"; "0" ]
+    @ (if p.journal then
+         [ "--journal"; Filename.concat f.jdirs.(i) "self.wal" ]
+       else [])
+    @ (match p.retain with
+      | Some n -> [ "--journal-retain"; string_of_int n ]
+      | None -> [])
+    @
+    if p.wipe then
+      [ "--cluster"; "@" ^ f.members_file; "--self"; f.sockets.(i);
+        "--replicas"; "2" ]
+    else []
   in
-  let rec cycle k =
-    if k <= kills && not (Atomic.get managed.stop) then begin
-      let pause =
-        0.08 +. (Prng.float_of_hash (Prng.mix master [ 9000; k ]) *. 0.3)
-      in
-      interruptible_sleep pause;
-      if not (Atomic.get managed.stop) then begin
-        Mutex.lock managed.lock;
-        (try Unix.kill managed.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] managed.pid)
-         with Unix.Unix_error _ -> ());
-        managed.pid <-
-          spawn_server ~exe ~socket ~journal ~max_pending ~slice:500 ();
-        managed.kills_done <- k;
-        Mutex.unlock managed.lock;
-        cycle (k + 1)
-      end
-    end
-  in
-  cycle 1
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close null)
+    (fun () ->
+      f.pids.(i) <-
+        Unix.create_process f.exe
+          (Array.of_list (f.exe :: args))
+          Unix.stdin null null)
 
-(* the federated variant: N real members, each with its own journal,
-   and the killer murders a seeded-random member per cycle.  Restarted
-   members compact their journal on the way up, so the soak exercises
-   compaction under live traffic too. *)
-let cluster_killer ~(members : managed array) ~exe ~sockets ~journals
-    ~max_pending ~master ~kills () =
-  let stop () = Atomic.get members.(0).stop in
-  let interruptible_sleep s =
-    let steps = max 1 (int_of_float (s /. 0.02)) in
-    let rec go i =
-      if i < steps && not (stop ()) then begin
-        Unix.sleepf 0.02;
-        go (i + 1)
-      end
-    in
-    go 0
+let start preset ~runs =
+  let exe = dfserve_exe preset.flag in
+  let tmp = Filename.get_temp_dir_name () in
+  let name suffix =
+    Filename.concat tmp (Printf.sprintf "chaos-serve-%d%s" (Unix.getpid ()) suffix)
   in
-  let n = Array.length members in
-  let rec cycle k =
-    if k <= kills && not (stop ()) then begin
-      let pause =
-        0.08 +. (Prng.float_of_hash (Prng.mix master [ 9100; k ]) *. 0.3)
-      in
-      interruptible_sleep pause;
-      if not (stop ()) then begin
-        let i = Prng.int_of_hash (Prng.mix master [ 9200; k ]) n in
-        let m = members.(i) in
-        Mutex.lock m.lock;
-        (try Unix.kill m.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] m.pid) with Unix.Unix_error _ -> ());
-        m.pid <-
-          spawn_server ~retain:64 ~exe ~socket:sockets.(i)
-            ~journal:journals.(i) ~max_pending ~slice:200 ();
-        m.kills_done <- m.kills_done + 1;
-        Mutex.unlock m.lock;
-        cycle (k + 1)
-      end
-    end
+  let member i ext = name (Printf.sprintf "-%d.%s" i ext) in
+  let f =
+    { preset;
+      exe;
+      sockets = Array.init preset.members (fun i -> member i "sock");
+      jdirs = Array.init preset.members (fun i -> member i "jdir");
+      members_file = name ".members";
+      max_pending = runs + 8;
+      pids = Array.make preset.members 0 }
   in
-  cycle 1
+  Array.iter
+    (fun d ->
+      rm_rf d;
+      Unix.mkdir d 0o755)
+    f.jdirs;
+  let oc = open_out f.members_file in
+  Array.iter (fun s -> output_string oc (s ^ "\n")) f.sockets;
+  close_out oc;
+  Array.iteri (fun i _ -> spawn f i) f.pids;
+  f
 
-(* the disk-loss variant: SIGKILL a seeded-random member AND delete its
-   whole journal directory (WAL + the replica segments it held for
-   peers) before restarting it.  The restarted member comes up with no
-   disk state at all and must rebuild its dedup window and pending jobs
-   from its peers' replicas — the recovery path the replication layer
-   exists for. *)
-let wipe_killer ~(members : managed array) ~exe ~sockets ~journals ~jdirs
-    ~cluster ~max_pending ~master ~kills () =
-  let stop () = Atomic.get members.(0).stop in
-  let interruptible_sleep s =
-    let steps = max 1 (int_of_float (s /. 0.02)) in
-    let rec go i =
-      if i < steps && not (stop ()) then begin
-        Unix.sleepf 0.02;
-        go (i + 1)
-      end
-    in
-    go 0
-  in
-  let n = Array.length members in
-  let rec cycle k =
-    if k <= kills && not (stop ()) then begin
-      let pause =
-        0.15 +. (Prng.float_of_hash (Prng.mix master [ 9300; k ]) *. 0.4)
+let reap pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+
+let stop f =
+  Array.iteri
+    (fun i pid ->
+      let down =
+        match
+          Serve.Client.oneshot ~retries:10 f.sockets.(i)
+            Serve.Protocol.Shutdown
+        with
+        | Ok _ -> true
+        | Error _ | (exception _) -> false
       in
-      interruptible_sleep pause;
-      if not (stop ()) then begin
-        let i = Prng.int_of_hash (Prng.mix master [ 9400; k ]) n in
-        let m = members.(i) in
-        Mutex.lock m.lock;
-        (try Unix.kill m.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] m.pid) with Unix.Unix_error _ -> ());
-        rm_rf jdirs.(i);
-        (try Unix.mkdir jdirs.(i) 0o755 with Unix.Unix_error _ -> ());
-        m.pid <-
-          spawn_server ~retain:64 ~cluster ~exe ~socket:sockets.(i)
-            ~journal:journals.(i) ~max_pending ~slice:200 ();
-        m.kills_done <- m.kills_done + 1;
-        Mutex.unlock m.lock;
-        cycle (k + 1)
-      end
-    end
+      if not down then (
+        try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      reap pid)
+    f.pids;
+  Array.iter rm_rf f.jdirs;
+  try Sys.remove f.members_file with Sys_error _ -> ()
+
+(* Kill/restart cycles ride on soak progress, not on wall-clock time:
+   cycle [k] fires once submission number [points.(k)] has gone out, and
+   no later submission leaves until it has.  Every cycle therefore lands
+   while the soak is running, however fast its scenarios are. *)
+type schedule = {
+  points : int array;  (** ascending submission counts *)
+  mutable submitted : int;
+  mutable cycles : int;  (** cycles completed *)
+  mutable stopped : bool;
+  lock : Mutex.t;
+  cond : Condition.t;
+}
+
+let schedule ~master ~runs ~kills =
+  let points =
+    Array.init kills (fun k ->
+        Prng.int_of_hash (Prng.mix master [ 9000; k ]) (max 1 (runs - 1)))
   in
-  cycle 1
+  Array.sort compare points;
+  { points; submitted = 0; cycles = 0; stopped = false;
+    lock = Mutex.create (); cond = Condition.create () }
+
+let locked s f =
+  Mutex.lock s.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
+
+(* releases both sides: the killer stops waiting for points the soak
+   will never reach, and no scenario waits on a killer that is gone *)
+let halt s =
+  locked s (fun () ->
+      s.stopped <- true;
+      Condition.broadcast s.cond)
+
+(* a scenario checks in here right before it submits *)
+let check_in s =
+  locked s (fun () ->
+      while
+        (not s.stopped)
+        && s.cycles < Array.length s.points
+        && s.points.(s.cycles) < s.submitted
+      do
+        Condition.wait s.cond s.lock
+      done;
+      s.submitted <- s.submitted + 1;
+      Condition.broadcast s.cond)
+
+(* SIGKILL a seeded member, reap it, wipe its disk if the preset says
+   so, and restart it against whatever is left.  Restarted members
+   compact their journals (with a retention window) or rebuild them from
+   peer replicas (after a wipe) on the way up. *)
+let killer f s ~master () =
+  Fun.protect ~finally:(fun () -> halt s) (fun () ->
+      Array.iteri
+        (fun k point ->
+          let due =
+            locked s (fun () ->
+                while (not s.stopped) && s.submitted <= point do
+                  Condition.wait s.cond s.lock
+                done;
+                s.submitted > point)
+          in
+          if due then begin
+            let i =
+              Prng.int_of_hash (Prng.mix master [ 9200; k ]) f.preset.members
+            in
+            (try Unix.kill f.pids.(i) Sys.sigkill with Unix.Unix_error _ -> ());
+            reap f.pids.(i);
+            if f.preset.wipe then begin
+              rm_rf f.jdirs.(i);
+              try Unix.mkdir f.jdirs.(i) 0o755 with Unix.Unix_error _ -> ()
+            end;
+            spawn f i;
+            locked s (fun () ->
+                s.cycles <- k + 1;
+                Condition.broadcast s.cond)
+          end)
+        s.points)
+
+(* Most scenarios route through the failover client: rendezvous order,
+   dead members skipped, the idempotency key keeping the walk
+   exactly-once whatever members die, restart or lose their disks.  With
+   [migrate] a seeded third are instead submitted fire-and-forget at
+   their home member (keyed jobs survive the closed connection) and
+   moved live to the next replica — the migration driver converges from
+   every state the job can be in, including the source being freshly
+   SIGKILLed.  Nothing printed here depends on which member answered or
+   which path delivered: stdout must be identical whatever the worker
+   count. *)
+let replay f s ~master ~recovery index subject (spec : FP.spec)
+    (o : FD.outcome) =
+  let module SP = Serve.Protocol in
+  let p = f.preset in
+  let run =
+    replay_run
+      ?idem:(Option.map (fun pre -> Printf.sprintf "%s-%d-%d" pre master index) p.idem)
+      ~recovery subject spec
+  in
+  let retry =
+    { Serve.Client.attempts = p.attempts;
+      base_delay = 0.05;
+      max_delay = 0.5;
+      retry_seed =
+        Prng.int_of_hash (Prng.mix master [ index; p.seed_slot ]) 1_000_000 }
+  in
+  let members = Array.to_list f.sockets in
+  let key =
+    Serve.Cluster.routing_key
+      (SP.Kernel { name = subject.kernel.K.name; size = subject.size })
+  in
+  check_in s;
+  let resp =
+    match Serve.Cluster.rendezvous_order ~key members with
+    | src :: dst :: _
+      when p.migrate && Prng.int_of_hash (Prng.mix master [ index; 88 ]) 3 = 0
+      ->
+      (try
+         let conn = Serve.Client.connect ~retries:10 src in
+         ignore (Serve.Client.send conn (SP.Simulate run));
+         Unix.sleepf 0.05;
+         Serve.Client.close conn
+       with _ -> ());
+      fst
+        (Serve.Cluster.migrate ~deadline:p.deadline ~retry ~source:src
+           ~target:dst run)
+    | _ ->
+      let t = Serve.Cluster.create ~deadline:p.deadline ~retry members in
+      fst (Serve.Cluster.submit t ~key (SP.Simulate run))
+  in
+  replay_compare resp o
 
 (* --- shrinking a failure -------------------------------------------- *)
 
@@ -555,29 +582,17 @@ let dump_failure ~dir ~recovery ~index subject ~original
 
 (* one scenario, start to finish; the report goes into [buf] so the
    soak can fan out across domains and still print in index order *)
-let run_scenario ~master ~size ~waves ~recovery ~dir ~kernels ~serve ~buf
+let run_scenario ~master ~size ~waves ~recovery ~dir ~kernels ~replay ~buf
     index =
   let spec = gen_spec ~master ~index ~n_pe:Machine.Arch.default.Machine.Arch.n_pe in
   let kernel = pick_kernel ~master ~index kernels in
   let subject = compile_subject kernel ~size ~waves in
   let o = check ~recovery subject spec in
   let serve_failures =
-    match serve with
-    | `Off -> []
-    | `Inproc socket -> (
-      try serve_replay ~socket ~recovery subject spec o
-      with e ->
-        [ Printf.sprintf "served replay died: %s" (Printexc.to_string e) ])
-    | `Kill socket -> (
-      try serve_kill_replay ~socket ~master ~index ~recovery subject spec o
-      with e ->
-        [ Printf.sprintf "served replay died: %s" (Printexc.to_string e) ])
-    | `Cluster sockets -> (
-      try serve_cluster_replay ~sockets ~master ~index ~recovery subject spec o
-      with e ->
-        [ Printf.sprintf "served replay died: %s" (Printexc.to_string e) ])
-    | `Wipe sockets -> (
-      try serve_wipe_replay ~sockets ~master ~index ~recovery subject spec o
+    match replay with
+    | None -> []
+    | Some replay -> (
+      try replay index subject spec o
       with e ->
         [ Printf.sprintf "served replay died: %s" (Printexc.to_string e) ])
   in
@@ -627,8 +642,11 @@ let run_scenario ~master ~size ~waves ~recovery ~dir ~kernels ~serve ~buf
     false
   end
 
-let main runs master size waves dir kernel_filter recover jobs serve_mode
+let main runs master size waves dir kernel_filter recover jobs serve
     serve_kill serve_cluster serve_wipe kills =
+  (* a member killed mid-write must be an EPIPE for the retrying
+     client, not a kill of the whole soak *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let recovery =
     match Runspec.recovery_of_string (Option.value recover ~default:"") with
     | Ok p -> p
@@ -640,220 +658,42 @@ let main runs master size waves dir kernel_filter recover jobs serve_mode
     | Ok ks -> ks
     | Error e -> failwith (Printf.sprintf "--kernel: %s" e)
   in
-  if
-    (if serve_mode then 1 else 0)
-    + (if serve_kill then 1 else 0)
-    + (if serve_cluster <> None then 1 else 0)
-    + (if serve_wipe <> None then 1 else 0)
-    > 1
-  then
-    failwith
-      "--serve, --serve-kill, --serve-cluster and --serve-wipe are exclusive";
-  (match serve_cluster with
-  | Some n when n < 2 -> failwith "--serve-cluster needs at least 2 members"
-  | _ -> ());
-  (match serve_wipe with
-  | Some n when n < 2 ->
-    failwith "--serve-wipe needs at least 2 members (replicas live on peers)"
-  | _ -> ());
-  let jobs = match jobs with Some j -> j | None -> Exec.Pool.default_jobs () in
-  (* --serve: a live dfserve instance every scenario replays through;
-     scenario workers double as concurrent clients.  --serve-kill: the
-     same, but the server is a real process with a journal, and a
-     killer thread SIGKILLs and restarts it mid-soak. *)
-  let serve, stop_server, kill_report =
-    if serve_kill then begin
-      let exe = dfserve_exe () in
-      let tmp = Filename.get_temp_dir_name () in
-      let socket =
-        Filename.concat tmp
-          (Printf.sprintf "chaos-kill-%d.sock" (Unix.getpid ()))
-      in
-      let journal =
-        Filename.concat tmp
-          (Printf.sprintf "chaos-kill-%d.journal" (Unix.getpid ()))
-      in
-      (try Sys.remove journal with Sys_error _ -> ());
-      let max_pending = runs + 8 in
-      let managed =
-        { pid = spawn_server ~exe ~socket ~journal ~max_pending ~slice:500 ();
-          lock = Mutex.create ();
-          kills_done = 0;
-          stop = Atomic.make false }
-      in
-      let kd =
-        Domain.spawn
-          (killer ~managed ~exe ~socket ~journal ~max_pending ~master ~kills)
-      in
-      ( `Kill socket,
-        (fun () ->
-          Atomic.set managed.stop true;
-          Domain.join kd;
-          (try
-             let conn = Serve.Client.connect socket in
-             ignore (Serve.Client.rpc conn Serve.Protocol.Shutdown);
-             Serve.Client.close conn
-           with _ -> ());
-          (try ignore (Unix.waitpid [] managed.pid)
-           with Unix.Unix_error _ ->
-             (try Unix.kill managed.pid Sys.sigkill
-              with Unix.Unix_error _ -> ());
-             (try ignore (Unix.waitpid [] managed.pid)
-              with Unix.Unix_error _ -> ()));
-          try Sys.remove journal with Sys_error _ -> ()),
-        fun () -> managed.kills_done )
-    end
-    else if serve_cluster <> None then begin
-      let n = Option.get serve_cluster in
-      let exe = dfserve_exe () in
-      let tmp = Filename.get_temp_dir_name () in
-      let name i ext =
-        Filename.concat tmp
-          (Printf.sprintf "chaos-cluster-%d-%d.%s" (Unix.getpid ()) i ext)
-      in
-      let sockets = Array.init n (fun i -> name i "sock") in
-      let journals = Array.init n (fun i -> name i "journal") in
-      Array.iter
-        (fun j -> try Sys.remove j with Sys_error _ -> ())
-        journals;
-      let max_pending = runs + 8 in
-      (* one shared stop flag across the member records *)
-      let stop = Atomic.make false in
-      let members =
-        Array.init n (fun i ->
-            { pid =
-                spawn_server ~retain:64 ~exe ~socket:sockets.(i)
-                  ~journal:journals.(i) ~max_pending ~slice:200 ();
-              lock = Mutex.create ();
-              kills_done = 0;
-              stop })
-      in
-      let kd =
-        Domain.spawn
-          (cluster_killer ~members ~exe ~sockets ~journals ~max_pending
-             ~master ~kills)
-      in
-      ( `Cluster sockets,
-        (fun () ->
-          Atomic.set stop true;
-          Domain.join kd;
-          Array.iteri
-            (fun i m ->
-              let down =
-                try
-                  let conn = Serve.Client.connect ~retries:10 sockets.(i) in
-                  ignore (Serve.Client.rpc conn Serve.Protocol.Shutdown);
-                  Serve.Client.close conn;
-                  true
-                with _ -> false
-              in
-              if not down then (
-                try Unix.kill m.pid Sys.sigkill with Unix.Unix_error _ -> ());
-              try ignore (Unix.waitpid [] m.pid) with Unix.Unix_error _ -> ())
-            members;
-          Array.iter
-            (fun j -> try Sys.remove j with Sys_error _ -> ())
-            journals),
-        fun () -> Array.fold_left (fun a m -> a + m.kills_done) 0 members )
-    end
-    else if serve_wipe <> None then begin
-      let n = Option.get serve_wipe in
-      let exe = dfserve_exe () in
-      let tmp = Filename.get_temp_dir_name () in
-      let name i ext =
-        Filename.concat tmp
-          (Printf.sprintf "chaos-wipe-%d-%d.%s" (Unix.getpid ()) i ext)
-      in
-      let sockets = Array.init n (fun i -> name i "sock") in
-      (* each member owns a whole journal directory — WAL plus the
-         replica segments it keeps for peers — so the wipe killer can
-         destroy everything the member ever persisted in one sweep *)
-      let jdirs = Array.init n (fun i -> name i "jdir") in
-      let journals =
-        Array.map (fun d -> Filename.concat d "self.wal") jdirs
-      in
-      let members_file =
-        Filename.concat tmp
-          (Printf.sprintf "chaos-wipe-%d.members" (Unix.getpid ()))
-      in
-      Array.iter rm_rf jdirs;
-      Array.iter (fun d -> Unix.mkdir d 0o755) jdirs;
-      let oc = open_out members_file in
-      Array.iter (fun s -> output_string oc (s ^ "\n")) sockets;
-      close_out oc;
-      let max_pending = runs + 8 in
-      let stop = Atomic.make false in
-      let members =
-        Array.init n (fun i ->
-            { pid =
-                spawn_server ~retain:64 ~cluster:members_file ~exe
-                  ~socket:sockets.(i) ~journal:journals.(i) ~max_pending
-                  ~slice:200 ();
-              lock = Mutex.create ();
-              kills_done = 0;
-              stop })
-      in
-      let kd =
-        Domain.spawn
-          (wipe_killer ~members ~exe ~sockets ~journals ~jdirs
-             ~cluster:members_file ~max_pending ~master ~kills)
-      in
-      ( `Wipe sockets,
-        (fun () ->
-          Atomic.set stop true;
-          Domain.join kd;
-          Array.iteri
-            (fun i m ->
-              let down =
-                try
-                  let conn = Serve.Client.connect ~retries:10 sockets.(i) in
-                  ignore (Serve.Client.rpc conn Serve.Protocol.Shutdown);
-                  Serve.Client.close conn;
-                  true
-                with _ -> false
-              in
-              if not down then (
-                try Unix.kill m.pid Sys.sigkill with Unix.Unix_error _ -> ());
-              try ignore (Unix.waitpid [] m.pid) with Unix.Unix_error _ -> ())
-            members;
-          Array.iter rm_rf jdirs;
-          (try Sys.remove members_file with Sys_error _ -> ())),
-        fun () -> Array.fold_left (fun a m -> a + m.kills_done) 0 members )
-    end
-    else if serve_mode then begin
-      let socket =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "chaos-serve-%d.sock" (Unix.getpid ()))
-      in
-      let config =
-        { (Serve.Server.default_config ~socket_path:socket) with
-          Serve.Server.workers = 2;
-          max_pending = runs + 8 }
-      in
-      let server = Serve.Server.create config in
-      let domain = Domain.spawn (fun () -> Serve.Server.serve server) in
-      ( `Inproc socket,
-        (fun () ->
-          (try
-             let conn = Serve.Client.connect socket in
-             ignore (Serve.Client.rpc conn Serve.Protocol.Shutdown);
-             Serve.Client.close conn
-           with _ -> ());
-          Domain.join domain),
-        fun () -> 0 )
-    end
-    else (`Off, (fun () -> ()), fun () -> 0)
+  let preset =
+    preset_of_flags ~serve ~serve_kill ~serve_cluster ~serve_wipe ~kills
   in
+  let jobs = match jobs with Some j -> j | None -> Exec.Pool.default_jobs () in
+  (* the service presets: live dfserve members every scenario replays
+     through (scenario workers double as concurrent clients), and a
+     killer domain running the preset's kill/restart cycles *)
+  let replay, teardown =
+    match preset with
+    | None -> (None, fun () -> 0)
+    | Some p ->
+      let f = start p ~runs in
+      let s = schedule ~master ~runs ~kills:p.kills in
+      let kd = Domain.spawn (killer f s ~master) in
+      ( Some (replay f s ~master ~recovery),
+        fun () ->
+          halt s;
+          (try Domain.join kd
+           with e ->
+             Printf.eprintf "chaos: killer died: %s\n" (Printexc.to_string e));
+          stop f;
+          s.cycles )
+  in
+  let cycles = ref 0 in
   let indices = List.init runs Fun.id in
   let results, elapsed =
     Exec.Pool.timed (fun () ->
-        Fun.protect ~finally:stop_server (fun () ->
+        Fun.protect
+          ~finally:(fun () -> cycles := teardown ())
+          (fun () ->
             Exec.Pool.map_result ~jobs
               (fun index ->
                 let buf = Buffer.create 256 in
                 let ok =
                   run_scenario ~master ~size ~waves ~recovery ~dir ~kernels
-                    ~serve ~buf index
+                    ~replay ~buf index
                 in
                 (Buffer.contents buf, ok))
               indices))
@@ -869,40 +709,32 @@ let main runs master size waves dir kernel_filter recover jobs serve_mode
         incr failures;
         Printf.printf "FAIL #%03d raised %s\n" index e.Exec.Pool.message)
     indices results;
+  let kills = match preset with Some p -> p.kills | None -> 0 in
   Printf.eprintf "chaos: %d scenarios in %.2fs (%d worker%s%s)\n" runs elapsed
     jobs
     (if jobs = 1 then "" else "s")
-    (if serve_kill || serve_cluster <> None then
-       Printf.sprintf ", %d server kill/restart cycles" (kill_report ())
-     else if serve_wipe <> None then
-       Printf.sprintf ", %d member wipe/restart cycles" (kill_report ())
-     else "");
-  if !failures = 0 then begin
+    (match preset with
+    | Some p when p.kills > 0 -> Printf.sprintf ", %d %s cycles" !cycles p.cycle
+    | _ -> "");
+  if !failures > 0 then
+    `Error
+      (false, Printf.sprintf "%d of %d chaos scenarios failed" !failures runs)
+  else if !cycles < kills then
+    `Error
+      (false, Printf.sprintf "only %d of %d kill/restart cycles ran" !cycles kills)
+  else begin
     Printf.printf
       "all %d chaos scenarios survived: protected runs bit-identical to \
        clean%s\n"
       runs
-      (if serve_wipe <> None then
-         ", served replays bit-identical to standalone across member disk \
-          wipes (journals rebuilt from peer replicas)"
-       else if serve_cluster <> None then
-         ", served replays bit-identical to standalone across member kills \
-          and live migrations"
-       else if serve_kill then
-         ", served replays bit-identical to standalone across server kills"
-       else if serve_mode then
-         ", served replays bit-identical to standalone"
-       else "");
+      (match preset with Some p -> ", " ^ p.verdict | None -> "");
     `Ok ()
   end
-  else
-    `Error
-      (false, Printf.sprintf "%d of %d chaos scenarios failed" !failures runs)
 
-let main_safe runs master size waves dir kernel recover jobs serve_mode
-    serve_kill serve_cluster serve_wipe kills =
+let main_safe runs master size waves dir kernel recover jobs serve serve_kill
+    serve_cluster serve_wipe kills =
   try
-    main runs master size waves dir kernel recover jobs serve_mode serve_kill
+    main runs master size waves dir kernel recover jobs serve serve_kill
       serve_cluster serve_wipe kills
   with Failure msg -> `Error (false, msg)
 
@@ -953,15 +785,16 @@ let cmd =
     Arg.(value & flag
          & info [ "serve" ]
              ~doc:"additionally replay every scenario's protected faulted \
-                   run through a live in-process dfserve and require the \
-                   served response to reproduce the standalone run byte \
-                   for byte (digest, end time, stall report)")
+                   run through a live dfserve process (journal-less, never \
+                   killed) and require the served response to reproduce \
+                   the standalone run byte for byte (digest, end time, \
+                   stall report)")
   in
   let serve_kill =
     Arg.(value & flag
          & info [ "serve-kill" ]
-             ~doc:"like --serve, but the server is a real dfserve process \
-                   with a write-ahead journal, SIGKILLed and restarted at \
+             ~doc:"like --serve, but the server keeps a write-ahead \
+                   journal and is SIGKILLed and restarted against it at \
                    seeded points mid-soak; every scenario goes through the \
                    retrying client under an idempotency key and must still \
                    reproduce its standalone run byte for byte")
@@ -992,8 +825,9 @@ let cmd =
     Arg.(value & opt int 3
          & info [ "kills" ] ~docv:"N"
              ~doc:"kill/restart cycles the --serve-kill, --serve-cluster \
-                   or --serve-wipe killer attempts (each at a seeded point \
-                   while the soak is running)")
+                   or --serve-wipe killer performs, each triggered at a \
+                   seeded count of submitted scenarios; the soak fails if \
+                   fewer complete")
   in
   let term =
     Term.(ret (const main_safe $ runs $ seed $ size $ waves $ dir $ kernel

@@ -126,7 +126,7 @@ let synth_wave = Runspec.synth_wave
 
 (* Run a pre-compiled .dfg machine program (no oracle available). *)
 let run_loaded path waves seed report trace_out metrics_out values_out ~fault
-    ~sanitizer ~watchdog ~compile_rules =
+    ~sanitizer ~watchdog =
   let g = Dfg.Text.read_file path in
   let sanitizer = sanitizer g in
   let inputs =
@@ -146,7 +146,7 @@ let run_loaded path waves seed report trace_out metrics_out values_out ~fault
     Run_config.(
       default |> with_record_firings report |> with_tracer tracer
       |> with_fault_opt fault |> with_sanitizer sanitizer
-      |> with_watchdog_opt watchdog |> with_compiled compile_rules)
+      |> with_watchdog_opt watchdog)
   in
   let result = Sim.Engine.run_cfg cfg g ~inputs in
   print_diagnostics ~violations:result.Sim.Engine.violations
@@ -167,7 +167,7 @@ let run_loaded path waves seed report trace_out metrics_out values_out ~fault
 
 let run path waves seed input_files machine pe stored no_check report load
     trace_out metrics_out values_out inject sanitize watchdog recover
-    integrity checkpoint_out restore_from compile_rules =
+    integrity checkpoint_out restore_from =
   try
     let fault, sanitizer, watchdog =
       parse_fault_opts inject sanitize watchdog
@@ -183,7 +183,7 @@ let run path waves seed input_files machine pe stored no_check report load
          simulator (add --machine)";
     if load then
       run_loaded path waves seed report trace_out metrics_out values_out
-        ~fault ~sanitizer ~watchdog ~compile_rules
+        ~fault ~sanitizer ~watchdog
     else begin
     let source = read_file path in
     let prog, compiled = D.compile_source source in
@@ -223,7 +223,7 @@ let run path waves seed input_files machine pe stored no_check report load
           default |> with_max_time ME.default_max_time |> with_tracer tracer
           |> with_fault_opt fault |> with_sanitizer (sanitizer g)
           |> with_watchdog_opt watchdog |> with_recovery_opt recovery
-          |> with_integrity integrity |> with_compiled compile_rules)
+          |> with_integrity integrity)
       in
       let m = ME.create_cfg cfg ~arch g ~inputs:feeds in
       (match restore_from with
@@ -296,7 +296,7 @@ let run path waves seed input_files machine pe stored no_check report load
         Run_config.(
           default |> with_tracer tracer |> with_fault_opt fault
           |> with_sanitizer (sanitizer compiled.PC.cp_graph)
-          |> with_watchdog_opt watchdog |> with_compiled compile_rules)
+          |> with_watchdog_opt watchdog)
       in
       let result = D.run_cfg ~waves cfg compiled ~inputs in
       print_diagnostics ~violations:result.Sim.Engine.violations
@@ -461,19 +461,11 @@ let cmd =
                    --checkpoint before running (machine mode); the resumed \
                    run is bit-identical to the one that saved it")
   in
-  let compile_rules =
-    Arg.(value & flag
-         & info [ "compiled" ]
-             ~doc:"specialize the firing rules into per-cell closures at \
-                   program load instead of interpreting cell records per \
-                   firing; results, stats and timings are bit-identical to \
-                   the interpreted dispatcher")
-  in
   let term =
     Term.(ret (const run $ path $ waves $ seed $ input_files $ machine $ pe
                $ stored $ no_check $ report $ load $ trace_out $ metrics_out
                $ values_out $ inject $ sanitize $ watchdog $ recover
-               $ integrity $ checkpoint_out $ restore_from $ compile_rules))
+               $ integrity $ checkpoint_out $ restore_from))
   in
   Cmd.v
     (Cmd.info "dfsim" ~version:"1.0"

@@ -34,14 +34,13 @@ let run_cfg ?(waves = 1) cfg (cp : Program_compile.compiled) ~inputs =
 
 (* Thin compatibility wrapper over {!run_cfg} — new code should build a
    [Run_config.t] instead of spreading optional arguments. *)
-let run ?waves ?max_time ?record_firings ?trace_window ?tracer ?fault
+let run ?waves ?max_time ?record_firings ?tracer ?fault
     ?sanitizer ?watchdog (cp : Program_compile.compiled) ~inputs =
   let cfg =
     { Run_config.default with
       Run_config.max_time =
         Option.value max_time ~default:Run_config.default.Run_config.max_time;
       record_firings = Option.value record_firings ~default:false;
-      trace_window;
       tracer = Option.value tracer ~default:Obs.Tracer.null;
       fault;
       sanitizer = Option.value sanitizer ~default:Fault.Sanitizer.null;

@@ -34,7 +34,6 @@ val run :
   ?waves:int ->
   ?max_time:int ->
   ?record_firings:bool ->
-  ?trace_window:int * int ->
   ?tracer:Obs.Tracer.t ->
   ?fault:Fault.Fault_plan.t ->
   ?sanitizer:Fault.Sanitizer.t ->

@@ -20,10 +20,8 @@ type t = {
   sanitizer : Fault.Sanitizer.t;
   watchdog : int option;
   record_firings : bool;
-  trace_window : (int * int) option;
   recovery : recovery option;
   integrity : bool;
-  compiled : bool;
 }
 
 let default =
@@ -34,10 +32,8 @@ let default =
     sanitizer = Fault.Sanitizer.null;
     watchdog = None;
     record_firings = false;
-    trace_window = None;
     recovery = None;
     integrity = false;
-    compiled = false;
   }
 
 let with_max_time max_time t = { t with max_time }
@@ -48,8 +44,6 @@ let with_sanitizer sanitizer t = { t with sanitizer }
 let with_watchdog w t = { t with watchdog = Some w }
 let with_watchdog_opt watchdog t = { t with watchdog }
 let with_record_firings record_firings t = { t with record_firings }
-let with_trace_window w t = { t with trace_window = Some w }
 let with_recovery r t = { t with recovery = Some r }
 let with_recovery_opt recovery t = { t with recovery }
 let with_integrity integrity t = { t with integrity }
-let with_compiled compiled t = { t with compiled }

@@ -42,20 +42,12 @@ type t = {
           report; [None] disables the watchdog *)
   record_firings : bool;
       (** graph engine only: keep per-node firing timestamps *)
-  trace_window : (int * int) option;
-      (** graph engine only: restrict tracing to a time window *)
   recovery : recovery option;
       (** machine engine only: checkpoint/retransmission policy *)
   integrity : bool;
       (** machine engine only: verify per-packet {!Integrity} checksums
           on delivery; a detected-corrupt packet is discarded (and, with
           [recovery], healed by retransmission).  Default [false]. *)
-  compiled : bool;
-      (** specialize the graph's firing rules into per-cell closures
-          once at program load instead of interpreting opcodes per
-          firing.  Results are bit-identical to the interpreted mode —
-          both drive the same consume/send helpers — this only trades
-          load-time work for steady-state speed.  Default [false]. *)
 }
 
 val default : t
@@ -73,8 +65,6 @@ val with_sanitizer : Fault.Sanitizer.t -> t -> t
 val with_watchdog : int -> t -> t
 val with_watchdog_opt : int option -> t -> t
 val with_record_firings : bool -> t -> t
-val with_trace_window : int * int -> t -> t
 val with_recovery : recovery -> t -> t
 val with_recovery_opt : recovery option -> t -> t
 val with_integrity : bool -> t -> t
-val with_compiled : bool -> t -> t

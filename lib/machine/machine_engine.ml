@@ -168,15 +168,11 @@ type t = {
   watchdog : int option;
   recovery : recovery option;
   integrity : bool;
-  compiled : bool;
   cells : cell array;
   arena : Arena.t;
   (* per-cell flat lookups precomputed from the arena: the dispatch path
      branches on a bool instead of re-matching the opcode every firing *)
   cell_uses_fu : bool array;
-  (* compiled mode: per-cell firing closures, built lazily on the first
-     [advance] (the closures capture [t] itself); [||] when interpreted *)
-  mutable fire_fn : (unit -> bool) array;
   mutable events : event Df_util.Pqueue.t;
   pes : int array;
   fus : pool;
@@ -438,12 +434,10 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
       watchdog;
       recovery;
       integrity;
-      compiled = cfg.Run_config.compiled;
       cells;
       arena;
       cell_uses_fu =
         Array.init n (fun id -> uses_fu (Graph.node g id).Graph.op);
-      fire_fn = [||];
       events;
       pes = Array.make (max 1 arch.Arch.n_pe) 0;
       fus = pool_create arch.Arch.n_fu;
@@ -757,9 +751,7 @@ let dispatch m cell =
            op = Opcode.name cell.node.Graph.op });
   done_at
 
-(* ---- firing rules, one helper per opcode family; the interpreted
-   dispatcher and the compiled closures both drive these, so the two
-   modes are bit-identical by construction ---- *)
+(* ---- firing rules, one helper per opcode family ---- *)
 
 let all_ready cell =
   let arity = Array.length cell.node.Graph.inputs in
@@ -950,65 +942,6 @@ let try_fire m cell =
     | Input _ -> fire_input m cell
     | Output _ -> fire_output m cell
     | Sink -> fire_sink m cell
-
-(* Compiled mode: the opcode dispatch above runs once per cell at
-   program load; each closure re-checks only its own cell's readiness
-   and drives the same helpers.  [cell.pe] is read at call time, so
-   crash re-hosting and rollback keep working under compiled mode. *)
-let compile_cell m id : unit -> bool =
-  let open Opcode in
-  let cell = m.cells.(id) in
-  let compute value_fn () =
-    if m.pe_dead.(cell.pe) then false
-    else if cell.pending_acks = 0 && all_ready cell then
-      finish_compute m cell (value_fn ())
-    else false
-  in
-  let guarded fire () = if m.pe_dead.(cell.pe) then false else fire m cell in
-  match cell.node.Graph.op with
-  | Id -> compute (fun () -> opnd cell 0)
-  | Arith op ->
-    let f = Opcode.apply_arith op in
-    compute (fun () -> f (opnd cell 0) (opnd cell 1))
-  | Compare op ->
-    let f = Opcode.apply_cmp op in
-    compute (fun () -> f (opnd cell 0) (opnd cell 1))
-  | Logic op ->
-    let f = Opcode.apply_logic op in
-    compute (fun () -> f (opnd cell 0) (opnd cell 1))
-  | Math mf ->
-    let f = Opcode.apply_math mf in
-    compute (fun () -> f (opnd cell 0))
-  | Neg ->
-    compute (fun () ->
-        match opnd cell 0 with
-        | Value.Int i -> Value.Int (-i)
-        | Value.Real f -> Value.Real (-.f)
-        | Value.Bool _ -> invalid_arg "NEG of boolean")
-  | Not -> compute (fun () -> Value.Bool (not (Value.to_bool (opnd cell 0))))
-  | Tgate -> guarded (fun m cell -> fire_gate m cell ~tgate:true)
-  | Fgate -> guarded (fun m cell -> fire_gate m cell ~tgate:false)
-  | Switch -> guarded fire_switch
-  | Merge -> guarded fire_merge
-  | Merge_switch -> guarded fire_merge_switch
-  | Fifo k -> guarded (fun m cell -> fire_fifo m cell k)
-  | Bool_source seq -> guarded (fun m cell -> fire_bool_source m cell seq)
-  | Iota { lo; hi; rep } ->
-    guarded (fun m cell -> fire_iota m cell ~lo ~hi ~rep)
-  | Input _ -> guarded fire_input
-  | Output _ -> guarded fire_output
-  | Sink -> guarded fire_sink
-
-(* Fire one cell through whichever dispatcher this run uses.  The
-   closure table is built lazily on first use: the closures capture the
-   machine itself, which does not exist yet inside [create_cfg]. *)
-let step m id =
-  if m.compiled then begin
-    if Array.length m.fire_fn = 0 then
-      m.fire_fn <- Array.init (Array.length m.cells) (compile_cell m);
-    m.fire_fn.(id) ()
-  end
-  else try_fire m m.cells.(id)
 
 let find_outstanding cell ~dst ~port ~seq =
   List.find_opt
@@ -1234,7 +1167,7 @@ let advance m ~until =
       | None -> ()
       | Some id ->
         m.in_dirty.(id) <- false;
-        if step m id then begin
+        if try_fire m m.cells.(id) then begin
           fired_any := true;
           mark m id
         end;

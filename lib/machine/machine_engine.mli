@@ -32,11 +32,7 @@ open Dfg
     reads the outcome.  {!run_cfg} is the one-shot composition of these.
 
     Static per-cell lookups (destination endpoints, function-unit use)
-    are precomputed through the {!Arena} lowering pass; with
-    [Run_config.compiled] the firing rules are additionally specialized
-    into per-cell closures at load time, bit-identical to the
-    interpreted dispatcher (both drive the same helpers — snapshots,
-    checkpoints and crash re-hosting are unaffected). *)
+    are precomputed through the {!Arena} lowering pass. *)
 
 type stats = {
   dispatches : int;        (** instruction firings (operation packets) *)
@@ -185,8 +181,8 @@ val create_cfg :
   inputs:(string * Value.t list) list ->
   t
 (** Build a machine ready to run; nothing fires until {!advance}.
-    [Run_config.record_firings] and [trace_window] are
-    graph-engine-only and ignored here.  See {!run_cfg} for the
+    [Run_config.record_firings] is graph-engine-only and ignored
+    here.  See {!run_cfg} for the
     semantics of the remaining fields.
     @raise Invalid_argument on invalid graphs, missing inputs, or a
     malformed [recovery] policy. *)
@@ -266,10 +262,6 @@ val run_cfg :
     without [recovery], healed by retransmission with it.  With
     integrity off, corrupted payloads are accepted silently and surface
     only as wrong output values ({!Fault_diff} diagnoses this case).
-
-    [compiled] specializes the firing rules into per-cell closures once
-    at program load; results, stats and timings are bit-identical to
-    the interpreted dispatcher.
     @raise Invalid_argument on invalid graphs or missing inputs *)
 
 val am_fraction : stats -> float

@@ -137,20 +137,26 @@ type recovered = {
 
 let fold entries =
   let tbl = Hashtbl.create 64 in
+  (* checkpoints that arrived before their key's Admit: a member's
+     replica target can switch while its pending admissions are still
+     being re-pushed, so a worker's Progress may reach the new peer
+     first *)
+  let early = Hashtbl.create 8 in
   let order = ref [] in
   List.iter
     (fun e ->
       match e with
       | Admit { idem; request } ->
         if not (Hashtbl.mem tbl idem) then begin
-          Hashtbl.add tbl idem (`Pending (request, None));
+          Hashtbl.add tbl idem (`Pending (request, Hashtbl.find_opt early idem));
           order := idem :: !order
         end
       | Progress { idem; checkpoint } -> (
         match Hashtbl.find_opt tbl idem with
         | Some (`Pending (req, _)) ->
           Hashtbl.replace tbl idem (`Pending (req, Some checkpoint))
-        | _ -> ())
+        | Some (`Done _) -> ()
+        | None -> Hashtbl.replace early idem checkpoint)
       | Done { idem; response; _ } -> (
         match Hashtbl.find_opt tbl idem with
         | Some (`Pending _) -> Hashtbl.replace tbl idem (`Done response)

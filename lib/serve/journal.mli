@@ -73,8 +73,9 @@ type recovered = {
 val fold : entry list -> recovered
 (** Collapse a replayed entry list into the response cache and the
     re-run worklist, both in admission order.  A duplicate [Admit] for
-    an idem key is ignored; a [Progress] for an unknown key is dropped
-    (a checkpoint without its request is useless); a [Done] for an
+    an idem key is ignored; a [Progress] that precedes its key's
+    [Admit] is held and applied when the [Admit] arrives, and dropped if
+    none does (a checkpoint without its request is useless); a [Done] for an
     unknown key still seeds the response cache — that is how a
     {!compact}ed journal (which stores completed work as bare [Done]
     records) survives the {e next} restart's replay.  The same

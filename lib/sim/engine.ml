@@ -44,7 +44,6 @@ external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 let run_cfg (cfg : Run_config.t) g ~inputs =
   let max_time = cfg.Run_config.max_time in
   let record_firings = cfg.Run_config.record_firings in
-  let trace_window = cfg.Run_config.trace_window in
   let tracer = cfg.Run_config.tracer in
   let fault = cfg.Run_config.fault in
   let sanitizer = cfg.Run_config.sanitizer in
@@ -143,11 +142,6 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
              kind = Fault.Violation.kind_name v.Fault.Violation.v_kind;
              detail = v.Fault.Violation.v_detail })
   in
-  let traced t =
-    match trace_window with
-    | Some (t0, t1) -> t >= t0 && t <= t1
-    | None -> false
-  in
   let send id slot value =
     let s = slot_base.!(id) + slot in
     let db = dest_base.!(s) and de = dest_base.!(s + 1) in
@@ -205,10 +199,7 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
       end
     end
   in
-  let trace_window_on = trace_window <> None in
   let record_fire id =
-    if trace_window_on && traced !now then
-      Printf.eprintf "[t=%d] FIRE %s#%d\n" !now labels.(id) id;
     if tracer_on then
       Obs.Tracer.emit tracer
         (Obs.Event.Fire
@@ -217,9 +208,7 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
     fire_counts.!(id) <- fire_counts.!(id) + 1;
     if record_firings then fire_times.(id) <- !now :: fire_times.(id)
   in
-  (* ---- firing rules, one helper per opcode family; the interpreted
-     dispatcher and the compiled closures both call these, so the two
-     modes are bit-identical by construction ---- *)
+  (* ---- firing rules, one helper per opcode family ---- *)
   let fire_compute id b result =
     record_fire id;
     let e = port_base.!(id + 1) in
@@ -432,75 +421,6 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
     | Output _ -> fire_output id
     | Sink -> fire_sink id
   in
-  (* Compiled mode: the opcode match above runs once per cell at load
-     time; each closure re-checks only its own ports and calls the same
-     helpers. *)
-  let compile_cell id : unit -> bool =
-    let open Opcode in
-    let b = port_base.!(id) in
-    match ops.(id) with
-    | Id ->
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) then
-          fire_compute id b pvalue.!(b)
-        else false
-    | Arith op ->
-      let f = Opcode.apply_arith op in
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) && present.!(b + 1) then
-          fire_compute id b (f pvalue.!(b) pvalue.!(b + 1))
-        else false
-    | Compare op ->
-      let f = Opcode.apply_cmp op in
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) && present.!(b + 1) then
-          fire_compute id b (f pvalue.!(b) pvalue.!(b + 1))
-        else false
-    | Logic op ->
-      let f = Opcode.apply_logic op in
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) && present.!(b + 1) then
-          fire_compute id b (f pvalue.!(b) pvalue.!(b + 1))
-        else false
-    | Math m ->
-      let f = Opcode.apply_math m in
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) then
-          fire_compute id b (f pvalue.!(b))
-        else false
-    | Neg ->
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) then
-          fire_compute id b
-            (match pvalue.!(b) with
-            | Value.Int i -> Value.Int (-i)
-            | Value.Real f -> Value.Real (-.f)
-            | Value.Bool _ -> protocol "NEG of a boolean at %s" labels.(id))
-        else false
-    | Not ->
-      fun () ->
-        if pending_acks.!(id) = 0 && present.!(b) then
-          fire_compute id b (Value.Bool (not (Value.to_bool pvalue.!(b))))
-        else false
-    | Tgate -> fun () -> fire_gate id true
-    | Fgate -> fun () -> fire_gate id false
-    | Switch -> fun () -> fire_switch id
-    | Merge -> fun () -> fire_merge id
-    | Merge_switch -> fun () -> fire_merge_switch id
-    | Fifo k -> fun () -> fire_fifo id k
-    | Iota { lo; hi; rep } -> fun () -> fire_iota id lo hi rep
-    | Bool_source seq -> fun () -> fire_bool_source id seq
-    | Input _ -> fun () -> fire_input id
-    | Output _ -> fun () -> fire_output id
-    | Sink -> fun () -> fire_sink id
-  in
-  let step =
-    if cfg.Run_config.compiled then begin
-      let fire_fn = Array.init n compile_cell in
-      fun id -> (fire_fn.!(id)) ()
-    end
-    else try_fire
-  in
   (* ---- dirty set: a preallocated int ring (the in_dirty guard bounds
      occupancy at n) ---- *)
   let dirty = Array.make (max n 1) 0 in
@@ -524,9 +444,6 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
       let p = ev lsr 1 in
       let dst = port_cell.!(p) in
       let value = inflight.!(p) in
-      if trace_window_on && traced !now then
-        Printf.eprintf "[t=%d] DELIVER %s#%d.%d <- %s\n" !now labels.(dst)
-          dst port_sub.(p) (Value.to_string value);
       (if san_on then (
          match
            San.on_deliver sanitizer ~time:!now ~src:port_producer.(p) ~dst
@@ -550,8 +467,6 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
     else begin
       (* ack *)
       let dst = ev lsr 1 in
-      if trace_window_on && traced !now then
-        Printf.eprintf "[t=%d] ACK -> %s#%d\n" !now labels.(dst) dst;
       (if san_on then (
          match San.on_ack sanitizer ~time:!now ~dst with
          | Some v -> emit_violation v
@@ -576,7 +491,7 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
       dirty_head := (let h = !dirty_head + 1 in if h = n then 0 else h);
       decr dirty_len;
       Bytes.unsafe_set in_dirty id '\000';
-      if step id then begin
+      if try_fire id then begin
         fired_any := true;
         (* a FIFO can both emit and accept in sequence; re-check *)
         mark id

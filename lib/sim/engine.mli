@@ -20,10 +20,8 @@
 
     The engine runs on a flat arena (see {!Arena}): the graph is lowered
     once per run into int-indexed arrays, events are bare ints in
-    preallocated buffers, and steady state allocates nothing.  With
-    [Run_config.compiled] the firing rules are additionally specialized
-    into per-cell closures at load time; results are bit-identical to the
-    interpreted dispatcher.  [docs/ENGINE.md] describes the layout. *)
+    preallocated buffers, and steady state allocates nothing.
+    [docs/ENGINE.md] describes the layout. *)
 
 open Dfg
 
@@ -76,10 +74,6 @@ val run_cfg :
     [watchdog] stops the run and files a [No_progress] stall report if
     no cell fires for that many consecutive time units while packets are
     still in flight (set it above any injected delay).
-
-    [compiled] specializes the firing rules into per-cell closures once
-    at program load; results are bit-identical to the interpreted
-    dispatcher (both drive the same consume/send helpers).
 
     [recovery] and [integrity] are machine-engine-only and ignored here.
     @raise Protocol_error on arc-capacity violations (without sanitizer)

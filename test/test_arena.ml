@@ -1,7 +1,6 @@
-(* The flat-arena lowering and the compiled-mode contract: arena
-   numbering invariants, compiled-vs-interpreted bit-identity on every
-   kernel under both engines, snapshot/restore bit-identity across
-   firing-rule modes, and the shared nan/error conventions. *)
+(* The flat-arena lowering: arena numbering invariants, mid-run
+   snapshot/restore bit-identity on the machine engine, and the shared
+   nan/error conventions. *)
 
 open Dfg
 module ME = Machine.Machine_engine
@@ -87,67 +86,7 @@ let test_arena_invariants () =
       done)
     K.all
 
-(* ---------------- compiled == interpreted, bit for bit ------------- *)
-
-let seeds = List.init 10 Fun.id
-
-let run_kernel (k : K.kernel) ~engine ~compiled ~seed =
-  let base =
-    match engine with
-    | Exec.Job.Sim -> Run_config.default
-    | Exec.Job.Machine _ -> ME.default_config
-  in
-  Exec.Job.run
-    (Exec.Job.make
-       ~name:(Printf.sprintf "%s/seed%d" k.K.name seed)
-       ~engine
-       ~config:(Run_config.with_compiled compiled base)
-       (Exec.Job.Source_program
-          {
-            source = k.K.source 6;
-            scalar_inputs = k.K.scalar_inputs;
-            options = None;
-            waves = 2;
-          })
-       ~inputs:(k.K.inputs 6 (Random.State.make [| seed; Hashtbl.hash k.K.name |])))
-
-let check_identical ~label (a : Exec.Outcome.t) (b : Exec.Outcome.t) =
-  checkb (label ^ ": outputs bit-identical") true
-    (a.Exec.Outcome.outputs = b.Exec.Outcome.outputs);
-  checki (label ^ ": end_time") a.Exec.Outcome.end_time
-    b.Exec.Outcome.end_time;
-  checkb (label ^ ": quiescent") a.Exec.Outcome.quiescent
-    b.Exec.Outcome.quiescent;
-  checkb (label ^ ": counters") true
-    (a.Exec.Outcome.counters = b.Exec.Outcome.counters);
-  checki (label ^ ": digest") (Exec.Outcome.digest a) (Exec.Outcome.digest b)
-
-let test_compiled_bit_identity_sim () =
-  List.iter
-    (fun (k : K.kernel) ->
-      List.iter
-        (fun seed ->
-          check_identical
-            ~label:(Printf.sprintf "sim %s seed %d" k.K.name seed)
-            (run_kernel k ~engine:Exec.Job.Sim ~compiled:false ~seed)
-            (run_kernel k ~engine:Exec.Job.Sim ~compiled:true ~seed))
-        seeds)
-    K.all
-
-let test_compiled_bit_identity_machine () =
-  let engine = Exec.Job.Machine Machine.Arch.default in
-  List.iter
-    (fun (k : K.kernel) ->
-      List.iter
-        (fun seed ->
-          check_identical
-            ~label:(Printf.sprintf "machine %s seed %d" k.K.name seed)
-            (run_kernel k ~engine ~compiled:false ~seed)
-            (run_kernel k ~engine ~compiled:true ~seed))
-        seeds)
-    K.all
-
-(* ---------------- snapshot/restore across modes ---------------- *)
+(* ---------------- snapshot/restore ---------------- *)
 
 let machine_result_identical ~label (a : ME.result) (b : ME.result) =
   checkb (label ^ ": outputs") true (a.ME.outputs = b.ME.outputs);
@@ -155,40 +94,42 @@ let machine_result_identical ~label (a : ME.result) (b : ME.result) =
   checkb (label ^ ": stats") true (a.ME.stats = b.ME.stats);
   checkb (label ^ ": quiescent") a.ME.quiescent b.ME.quiescent
 
-let test_snapshot_restore_modes () =
+let test_snapshot_restore () =
   let k = K.find "hydro" in
   let g, inputs = kernel_subject k ~size:10 ~seed:3 in
   let arch = Machine.Arch.default in
-  let cfg compiled = Run_config.with_compiled compiled ME.default_config in
-  let straight = ME.run_cfg (cfg false) ~arch g ~inputs in
-  (* a mid-run snapshot resumes bit-identically in EITHER mode: the
-     snapshot is plain data and the compiled closures carry no state *)
-  List.iter
-    (fun snap_compiled ->
-      let m = ME.create_cfg (cfg snap_compiled) ~arch g ~inputs in
-      ME.advance m ~until:40;
-      checkb "paused mid-run" false (ME.finished m);
-      let sn = ME.snapshot m in
-      List.iter
-        (fun resume_compiled ->
-          let label =
-            Printf.sprintf "snap %b -> resume %b" snap_compiled
-              resume_compiled
-          in
-          let m2 = ME.create_cfg (cfg resume_compiled) ~arch g ~inputs in
-          ME.restore m2 sn;
-          ME.advance m2 ~until:max_int;
-          machine_result_identical ~label straight (ME.result m2))
-        [ false; true ];
-      (* and the paused machine itself finishes identically *)
-      ME.advance m ~until:max_int;
-      machine_result_identical
-        ~label:(Printf.sprintf "paused machine finishes (compiled %b)"
-                  snap_compiled)
-        straight (ME.result m))
-    [ false; true ]
+  let cfg = ME.default_config in
+  let straight = ME.run_cfg cfg ~arch g ~inputs in
+  let m = ME.create_cfg cfg ~arch g ~inputs in
+  ME.advance m ~until:40;
+  checkb "paused mid-run" false (ME.finished m);
+  (* a mid-run snapshot is plain data: a fresh machine restored from it
+     finishes exactly as the uninterrupted run *)
+  let m2 = ME.create_cfg cfg ~arch g ~inputs in
+  ME.restore m2 (ME.snapshot m);
+  ME.advance m2 ~until:max_int;
+  machine_result_identical ~label:"restored machine finishes" straight
+    (ME.result m2);
+  (* and taking the snapshot left the paused machine untouched *)
+  ME.advance m ~until:max_int;
+  machine_result_identical ~label:"paused machine finishes" straight
+    (ME.result m)
 
 (* ---------------- nan and error conventions ---------------- *)
+
+let run_hydro_sim () =
+  let k = K.find "hydro" in
+  Exec.Job.run
+    (Exec.Job.make ~name:"hydro" ~engine:Exec.Job.Sim
+       ~config:Run_config.default
+       (Exec.Job.Source_program
+          {
+            source = k.K.source 6;
+            scalar_inputs = k.K.scalar_inputs;
+            options = None;
+            waves = 2;
+          })
+       ~inputs:(k.K.inputs 6 (Random.State.make [| 0; Hashtbl.hash k.K.name |])))
 
 let test_nan_conventions () =
   checkb "ratio n/0 is nan" true (Float.is_nan (Df_util.Conventions.ratio 3.0 0.0));
@@ -208,14 +149,13 @@ let test_nan_conventions () =
   in
   checkb "am_fraction of an empty run is nan" true
     (Float.is_nan (Exec.Outcome.am_fraction zero));
-  let k = K.find "hydro" in
-  let o = run_kernel k ~engine:Exec.Job.Sim ~compiled:false ~seed:0 in
+  let o = run_hydro_sim () in
   checkb "sim am_fraction is 0 (no array memories)" true
     (Exec.Outcome.am_fraction o.Exec.Outcome.counters = 0.0)
 
 let test_lookup_errors () =
   let k = K.find "hydro" in
-  let o = run_kernel k ~engine:Exec.Job.Sim ~compiled:false ~seed:0 in
+  let o = run_hydro_sim () in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -236,13 +176,8 @@ let suite =
   [
     Alcotest.test_case "arena numbering invariants" `Quick
       test_arena_invariants;
-    Alcotest.test_case "compiled == interpreted (sim, all kernels x seeds)"
-      `Slow test_compiled_bit_identity_sim;
-    Alcotest.test_case
-      "compiled == interpreted (machine, all kernels x seeds)" `Slow
-      test_compiled_bit_identity_machine;
-    Alcotest.test_case "snapshot/restore across firing-rule modes" `Quick
-      test_snapshot_restore_modes;
+    Alcotest.test_case "snapshot resume = straight run" `Quick
+      test_snapshot_restore;
     Alcotest.test_case "nan conventions are shared" `Quick
       test_nan_conventions;
     Alcotest.test_case "lookup error paths name the candidates" `Quick

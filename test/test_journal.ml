@@ -115,6 +115,8 @@ let test_fold () =
     Journal.fold
       [ Journal.Admit { idem = "a"; request = doc 1 };
         Journal.Admit { idem = "b"; request = doc 2 };
+        (* a checkpoint replicated ahead of its admission is held for it *)
+        Journal.Progress { idem = "d"; checkpoint = doc 30 };
         (* duplicate admission: first write wins *)
         Journal.Admit { idem = "a"; request = doc 99 };
         Journal.Progress { idem = "b"; checkpoint = doc 10 };
@@ -125,7 +127,8 @@ let test_fold () =
            for completed work, so it must seed the cache *)
         Journal.Progress { idem = "ghost"; checkpoint = doc 0 };
         Journal.Done { idem = "phantom"; response = doc 0; digest = None };
-        Journal.Admit { idem = "c"; request = doc 4 } ]
+        Journal.Admit { idem = "c"; request = doc 4 };
+        Journal.Admit { idem = "d"; request = doc 5 } ]
   in
   (match r.Journal.completed with
   | [ ("a", ra); ("phantom", rp) ] ->
@@ -135,16 +138,19 @@ let test_fold () =
     Alcotest.failf "completed should hold [a; phantom], got %d entries"
       (List.length cs));
   (match r.Journal.pending with
-  | [ b; c ] ->
+  | [ b; c; d ] ->
     check "b pending first (admission order)" true (b.Journal.p_idem = "b");
     check "b resumes from its latest checkpoint" true
       (b.Journal.p_checkpoint = Some (doc 20));
     check "b's request is the first admission" true
       (b.Journal.p_request = doc 2);
     check "c pending without checkpoint" true
-      (c.Journal.p_idem = "c" && c.Journal.p_checkpoint = None)
+      (c.Journal.p_idem = "c" && c.Journal.p_checkpoint = None);
+    check "d resumes from the checkpoint that preceded its admission" true
+      (d.Journal.p_idem = "d" && d.Journal.p_checkpoint = Some (doc 30))
   | ps ->
-    Alcotest.failf "expected pending [b; c], got %d entries" (List.length ps))
+    Alcotest.failf "expected pending [b; c; d], got %d entries"
+      (List.length ps))
 
 (* --- append/replay through a real file ------------------------------- *)
 
