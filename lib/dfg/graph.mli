@@ -62,9 +62,6 @@ val inputs : t -> (string * int) list
 
 val outputs : t -> (string * int) list
 
-val find_input : t -> string -> int
-(** @raise Not_found *)
-
 val find_output : t -> string -> int
 (** @raise Not_found *)
 

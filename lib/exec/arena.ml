@@ -38,7 +38,8 @@ type t = {
 }
 
 (* Placeholder stored where no real payload exists (plain-arc
-   [port_value] entries and engine value arrays before first write). *)
+   [port_value] entries, and run-state value slots that hold no
+   operand). *)
 let dummy_value = Value.Int 0
 
 let arity a cell = a.port_base.(cell + 1) - a.port_base.(cell)

@@ -5,7 +5,8 @@
     numbered globally and stored contiguously — which is the layout both
     engines' hot loops index into.  The arena is purely static: dynamic
     run state (operand presence, pending acknowledges, FIFO contents)
-    lives in the engines, as parallel arrays of the same dimensions.
+    is a {!Run_state.t}, parallel arrays of the same dimensions that
+    both engines share.
 
     Numbering: cell [c]'s local input port [k] is global port
     [port_base.(c) + k]; its output slot [s] is global slot
@@ -13,8 +14,7 @@
     [dest_port.(dest_base.(s))] through
     [dest_port.(dest_base.(s+1) - 1)], each a global port.
 
-    See [docs/ENGINE.md] for the full layout and the compiled-mode
-    contract built on top of it. *)
+    See [docs/ENGINE.md] for the full layout. *)
 
 open Dfg
 

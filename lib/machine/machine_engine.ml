@@ -27,18 +27,6 @@ type result = {
   recoveries : int;
 }
 
-(* Recovery protocol state: one entry per result packet sent but not yet
-   acknowledged.  The static dataflow discipline guarantees at most one
-   packet is ever outstanding per (consumer, port) channel, so the
-   channel sequence number both orders packets and identifies them. *)
-type out_entry = {
-  o_dst : int;
-  o_port : int;
-  o_seq : int;
-  o_value : Value.t;
-  mutable o_attempts : int;
-}
-
 type event =
   | Deliver of {
       src : int;
@@ -79,29 +67,6 @@ let retry_delay r attempt =
   let rec go d k = if k <= 0 || d >= cap then min d cap else go (d * r.retransmit_backoff) (k - 1) in
   go r.retransmit_after attempt
 
-type cell = {
-  node : Graph.node;
-  operands : Value.t option array;
-  mutable pending_acks : int;
-  mutable queue : Value.t list;
-  mutable queue_len : int;
-  mutable cursor : int;
-  stream : Value.t array;
-  mutable collected : (int * Value.t) list;
-  producer : int array;
-  mutable pe : int;
-  boundary : bool;  (* produces a completed array value (feeds an Output) *)
-  (* recovery-only protocol state (inert without a recovery policy) *)
-  recv_seq : int array;  (* per port: packets accepted so far *)
-  cons_seq : int array;  (* per port: packets consumed and acknowledged *)
-  mutable outstanding : out_entry list;
-  sent : (int * int, int) Hashtbl.t;  (* (dst, port) -> packets sent *)
-  (* (port, seq) of packets discarded as corrupt and not yet replaced by
-     a clean copy — consulted when a retransmission finally lands so the
-     heal is visible in the trace and counters *)
-  mutable corrupt_pend : (int * int) list;
-}
-
 (* A pipelined server pool: each member accepts one operation per cycle;
    a request entering at [t] starts at the earliest slot of the least
    loaded member. *)
@@ -131,35 +96,40 @@ let uses_fu (op : Opcode.t) =
     true
   | _ -> false
 
-type cell_snapshot = {
-  cs_operands : Value.t option array;
-  cs_pending_acks : int;
-  cs_queue : Value.t list;
-  cs_cursor : int;
-  cs_collected : (int * Value.t) list;
-  cs_pe : int;
-  cs_recv_seq : int array;
-  cs_cons_seq : int array;
-  cs_outstanding : out_entry list;
-  cs_sent : ((int * int) * int) list;  (* sorted by key *)
-  cs_corrupt_pend : (int * int) list;
-}
-
-type snapshot = {
+type 'resume snap = {
   sn_time : int;
   sn_last_progress : int;
-  sn_cells : cell_snapshot array;
+  sn_stats : stats;
+  sn_run : Run_state.t;
+  sn_pe : int array;
+  sn_cons_seq : int array;
+  sn_recv_seq : int array;
+  sn_sent : int array;
+  sn_out_attempts : int array;
+  sn_out_value : Value.t array;
+  sn_corrupt_pend : int array;
   sn_events : (int * event) array;  (* exact heap layout, see Pqueue *)
   sn_pes : int array;
   sn_fus : int array;
   sn_ams : int array;
   sn_pe_dead : bool array;
-  sn_stats : stats;
   sn_sanitizer : San.snapshot option;
+  sn_resume : 'resume;
 }
 
+type state = unit snap
+
+type resume = {
+  rs_crash_done : bool;
+  rs_next_checkpoint : int;
+  rs_checkpoints : int;
+  rs_recoveries : int;
+  rs_rollback : state option;
+}
+
+type snapshot = resume snap
+
 type t = {
-  graph : Graph.t;
   arch : Arch.t;
   max_time : int;
   tracer : Obs.Tracer.t;
@@ -168,11 +138,28 @@ type t = {
   watchdog : int option;
   recovery : recovery option;
   integrity : bool;
-  cells : cell array;
   arena : Arena.t;
+  st : Run_state.t;
   (* per-cell flat lookups precomputed from the arena: the dispatch path
      branches on a bool instead of re-matching the opcode every firing *)
   cell_uses_fu : bool array;
+  boundary : bool array;  (* produces a completed array value (feeds an Output) *)
+  (* Run state only the machine has, flat like [st].  [pe] is per cell,
+     the rest per global port.  The recovery protocol's arrays stay
+     inert without a policy.  At most one packet per port is ever
+     unacknowledged (the producer cannot refire before its
+     acknowledge), so that packet is the port's latest: sequence
+     number [sent - 1]. *)
+  pe : int array;  (* hosting PE *)
+  cons_seq : int array;  (* packets consumed and acknowledged *)
+  recv_seq : int array;  (* packets accepted *)
+  sent : int array;  (* packets the port's producer sent *)
+  out_attempts : int array;  (* resends of the unacknowledged packet, or -1 *)
+  out_value : Value.t array;  (* that packet's payload *)
+  (* sequence number of a packet discarded as corrupt and not yet
+     replaced by a clean copy (-1: none) — consulted when a
+     retransmission lands so the heal is visible in trace and counters *)
+  corrupt_pend : int array;
   mutable events : event Df_util.Pqueue.t;
   pes : int array;
   fus : pool;
@@ -198,7 +185,9 @@ type t = {
   dirty : int Queue.t;
   in_dirty : bool array;
   mutable next_checkpoint : int;
-  mutable last_snapshot : snapshot option;
+  (* the crash rollback target: the last checkpoint, kept only while a
+     crash is still to strike (see [rollback_pending]) *)
+  mutable rollback : state option;
   mutable checkpoints : int;
   mutable recoveries : int;
   mutable quiescent : bool;
@@ -224,111 +213,117 @@ let stats_of m : stats =
 (* snapshot / restore                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let copy_entry e =
-  {
-    o_dst = e.o_dst;
-    o_port = e.o_port;
-    o_seq = e.o_seq;
-    o_value = e.o_value;
-    o_attempts = e.o_attempts;
-  }
-
-let snapshot_cell c =
-  {
-    cs_operands = Array.copy c.operands;
-    cs_pending_acks = c.pending_acks;
-    cs_queue = c.queue;
-    cs_cursor = c.cursor;
-    cs_collected = c.collected;
-    cs_pe = c.pe;
-    cs_recv_seq = Array.copy c.recv_seq;
-    cs_cons_seq = Array.copy c.cons_seq;
-    cs_outstanding = List.map copy_entry c.outstanding;
-    cs_sent =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.sent []
-      |> List.sort compare;
-    cs_corrupt_pend = c.corrupt_pend;
-  }
-
-let snapshot m =
+let state m : state =
   {
     sn_time = m.now;
     sn_last_progress = m.last_progress;
-    sn_cells = Array.map snapshot_cell m.cells;
+    sn_stats = stats_of m;
+    sn_run = Run_state.snapshot m.st;
+    sn_pe = Array.copy m.pe;
+    sn_cons_seq = Array.copy m.cons_seq;
+    sn_recv_seq = Array.copy m.recv_seq;
+    sn_sent = Array.copy m.sent;
+    sn_out_attempts = Array.copy m.out_attempts;
+    (* canonical: payload slots of acknowledged packets are blanked *)
+    sn_out_value =
+      Array.mapi
+        (fun p v -> if m.out_attempts.(p) >= 0 then v else Arena.dummy_value)
+        m.out_value;
+    sn_corrupt_pend = Array.copy m.corrupt_pend;
     sn_events = Df_util.Pqueue.to_array m.events;
     sn_pes = Array.copy m.pes;
     sn_fus = Array.copy m.fus.next_free;
     sn_ams = Array.copy m.ams.next_free;
     sn_pe_dead = Array.copy m.pe_dead;
-    sn_stats = stats_of m;
     sn_sanitizer = San.snapshot m.sanitizer;
+    sn_resume = ();
+  }
+
+(* A rollback target matters only while a crash is still to strike a
+   machine that recovers from it. *)
+let rollback_pending m =
+  m.recovery <> None && (not m.crash_done)
+  && Option.is_some (Option.bind m.fault FP.crash)
+
+let snapshot m : snapshot =
+  {
+    (state m) with
+    sn_resume =
+      {
+        rs_crash_done = m.crash_done;
+        rs_next_checkpoint = m.next_checkpoint;
+        rs_checkpoints = m.checkpoints;
+        rs_recoveries = m.recoveries;
+        rs_rollback = (if rollback_pending m then m.rollback else None);
+      };
   }
 
 let mark_all m =
   Queue.clear m.dirty;
-  Array.fill m.in_dirty 0 (Array.length m.in_dirty) false;
-  for id = 0 to Array.length m.cells - 1 do
+  for id = 0 to m.arena.Arena.n - 1 do
     m.in_dirty.(id) <- true;
     Queue.add id m.dirty
   done
 
-let restore m snap =
-  if Array.length snap.sn_cells <> Array.length m.cells then
-    invalid_arg "Machine_engine.restore: snapshot is for a different graph";
+(* Reinstate machine state: everything a crash rollback rewinds.  The
+   checkpoint clock, the crash flag, the rollback target and the
+   checkpoint/recovery counters are left to the caller. *)
+let restore_state m (s : _ snap) =
   if
-    Array.length snap.sn_pes <> Array.length m.pes
-    || Array.length snap.sn_fus <> Array.length m.fus.next_free
-    || Array.length snap.sn_ams <> Array.length m.ams.next_free
+    Array.length s.sn_pe <> Array.length m.pe
+    || Array.length s.sn_cons_seq <> Array.length m.cons_seq
+  then invalid_arg "Machine_engine.restore: snapshot is for a different graph";
+  if
+    Array.length s.sn_pes <> Array.length m.pes
+    || Array.length s.sn_fus <> Array.length m.fus.next_free
+    || Array.length s.sn_ams <> Array.length m.ams.next_free
   then invalid_arg "Machine_engine.restore: snapshot is for a different arch";
-  m.now <- snap.sn_time;
-  m.last_progress <- snap.sn_last_progress;
-  Array.iteri
-    (fun id cs ->
-      let c = m.cells.(id) in
-      Array.blit cs.cs_operands 0 c.operands 0 (Array.length c.operands);
-      c.pending_acks <- cs.cs_pending_acks;
-      c.queue <- cs.cs_queue;
-      c.queue_len <- List.length cs.cs_queue;
-      c.cursor <- cs.cs_cursor;
-      c.collected <- cs.cs_collected;
-      c.pe <- cs.cs_pe;
-      Array.blit cs.cs_recv_seq 0 c.recv_seq 0 (Array.length c.recv_seq);
-      Array.blit cs.cs_cons_seq 0 c.cons_seq 0 (Array.length c.cons_seq);
-      c.outstanding <- List.map copy_entry cs.cs_outstanding;
-      Hashtbl.reset c.sent;
-      List.iter (fun (k, v) -> Hashtbl.replace c.sent k v) cs.cs_sent;
-      c.corrupt_pend <- cs.cs_corrupt_pend)
-    snap.sn_cells;
-  m.events <- Df_util.Pqueue.of_array snap.sn_events;
+  Run_state.restore m.st s.sn_run;
+  let blit src dst = Array.blit src 0 dst 0 (Array.length dst) in
+  m.now <- s.sn_time;
+  m.last_progress <- s.sn_last_progress;
+  blit s.sn_pe m.pe;
+  blit s.sn_cons_seq m.cons_seq;
+  blit s.sn_recv_seq m.recv_seq;
+  blit s.sn_sent m.sent;
+  blit s.sn_out_attempts m.out_attempts;
+  blit s.sn_out_value m.out_value;
+  blit s.sn_corrupt_pend m.corrupt_pend;
+  m.events <- Df_util.Pqueue.of_array s.sn_events;
   m.live_events <-
     Array.fold_left
       (fun acc (_, ev) ->
         match ev with Retransmit _ -> acc | Deliver _ | Ack _ -> acc + 1)
-      0 snap.sn_events;
-  Array.blit snap.sn_pes 0 m.pes 0 (Array.length m.pes);
-  m.fus.next_free <- Array.copy snap.sn_fus;
-  m.ams.next_free <- Array.copy snap.sn_ams;
-  Array.blit snap.sn_pe_dead 0 m.pe_dead 0 (Array.length m.pe_dead);
-  m.dispatches <- snap.sn_stats.dispatches;
-  m.fu_ops <- snap.sn_stats.fu_ops;
-  m.am_ops <- snap.sn_stats.am_ops;
-  m.result_packets <- snap.sn_stats.result_packets;
-  m.ack_packets <- snap.sn_stats.ack_packets;
-  m.retransmits <- snap.sn_stats.retransmits;
-  m.corruptions <- snap.sn_stats.corruptions;
-  m.corrupt_detected <- snap.sn_stats.corrupt_detected;
-  m.corrupt_healed <- snap.sn_stats.corrupt_healed;
-  Array.blit snap.sn_stats.pe_dispatches 0 m.pe_dispatches 0
-    (Array.length m.pe_dispatches);
-  San.restore m.sanitizer snap.sn_sanitizer;
+      0 s.sn_events;
+  blit s.sn_pes m.pes;
+  m.fus.next_free <- Array.copy s.sn_fus;
+  m.ams.next_free <- Array.copy s.sn_ams;
+  blit s.sn_pe_dead m.pe_dead;
+  let stats = s.sn_stats in
+  m.dispatches <- stats.dispatches;
+  m.fu_ops <- stats.fu_ops;
+  m.am_ops <- stats.am_ops;
+  m.result_packets <- stats.result_packets;
+  m.ack_packets <- stats.ack_packets;
+  m.retransmits <- stats.retransmits;
+  m.corruptions <- stats.corruptions;
+  m.corrupt_detected <- stats.corrupt_detected;
+  m.corrupt_healed <- stats.corrupt_healed;
+  blit stats.pe_dispatches m.pe_dispatches;
+  San.restore m.sanitizer s.sn_sanitizer;
   m.quiescent <- false;
   m.watchdog_tripped <- false;
   m.finished <- false;
-  (match m.recovery with
-  | Some r when r.checkpoint_every > 0 ->
-    m.next_checkpoint <- m.now + r.checkpoint_every
-  | _ -> ());
   mark_all m
+
+let restore m (sn : snapshot) =
+  restore_state m sn;
+  let r = sn.sn_resume in
+  m.crash_done <- r.rs_crash_done;
+  m.next_checkpoint <- r.rs_next_checkpoint;
+  m.checkpoints <- r.rs_checkpoints;
+  m.recoveries <- r.rs_recoveries;
+  m.rollback <- r.rs_rollback
 
 (* ------------------------------------------------------------------ *)
 (* construction                                                       *)
@@ -356,76 +351,21 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
   | Some k when k <= 0 -> invalid_arg "Machine_engine.run: watchdog window <= 0"
   | _ -> ());
   let recovery = Option.map check_recovery recovery in
-  let arena = Arena.build g in
-  let n = Graph.node_count g in
-  let producers = Graph.producers g in
+  let a = Arena.build g in
+  let st = Run_state.create ~who:"Machine_engine.run" a ~inputs in
+  let n = max a.Arena.n 1 and n_ports = max a.Arena.n_ports 1 in
   (* block boundaries: producers feeding an Output cell *)
   let boundary = Array.make n false in
-  Graph.iter_nodes g (fun node ->
-      match node.Graph.op with
-      | Opcode.Output _ -> (
-        match producers.(node.Graph.id).(0) with
-        | [| (src, _) |] -> boundary.(src) <- true
-        | _ -> ())
-      | _ -> ());
-  let cells =
-    Array.init n (fun id ->
-        let node = Graph.node g id in
-        let arity = Array.length node.Graph.inputs in
-        let operands = Array.make arity None in
-        let producer = Array.make arity (-1) in
-        Array.iteri
-          (fun port binding ->
-            (match producers.(id).(port) with
-            | [| (src, _) |] -> producer.(port) <- src
-            | _ -> ());
-            match binding with
-            | Graph.In_arc_init v -> operands.(port) <- Some v
-            | Graph.In_arc | Graph.In_const _ -> ())
-          node.Graph.inputs;
-        let stream =
-          match node.Graph.op with
-          | Opcode.Input name ->
-            Array.of_list
-              (Df_util.Conventions.lookup_feed ~who:"Machine_engine.run"
-                 inputs name)
-          | _ -> [||]
-        in
-        {
-          node;
-          operands;
-          pending_acks = 0;
-          queue = [];
-          queue_len = 0;
-          cursor = 0;
-          stream;
-          collected = [];
-          producer;
-          pe = id mod max 1 arch.Arch.n_pe;
-          boundary = boundary.(id);
-          recv_seq = Array.make arity 0;
-          cons_seq = Array.make arity 0;
-          outstanding = [];
-          sent = Hashtbl.create 4;
-          corrupt_pend = [];
-        })
-  in
-  Array.iter
-    (fun cell ->
-      Array.iteri
-        (fun port binding ->
-          match binding with
-          | Graph.In_arc_init _ ->
-            let src = cell.producer.(port) in
-            if src >= 0 then
-              cells.(src).pending_acks <- cells.(src).pending_acks + 1
-          | Graph.In_arc | Graph.In_const _ -> ())
-        cell.node.Graph.inputs)
-    cells;
-  let events : event Df_util.Pqueue.t = Df_util.Pqueue.create () in
+  for id = 0 to a.Arena.n - 1 do
+    match a.Arena.ops.(id) with
+    | Opcode.Output _ ->
+      let src = a.Arena.port_producer.(a.Arena.port_base.(id)) in
+      if src >= 0 then boundary.(src) <- true
+    | _ -> ()
+  done;
+  let n_pe = max 1 arch.Arch.n_pe in
   let m =
     {
-      graph = g;
       arch;
       max_time;
       tracer;
@@ -434,15 +374,22 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
       watchdog;
       recovery;
       integrity;
-      cells;
-      arena;
-      cell_uses_fu =
-        Array.init n (fun id -> uses_fu (Graph.node g id).Graph.op);
-      events;
-      pes = Array.make (max 1 arch.Arch.n_pe) 0;
+      arena = a;
+      st;
+      cell_uses_fu = Array.map uses_fu a.Arena.ops;
+      boundary;
+      pe = Array.init n (fun id -> id mod n_pe);
+      cons_seq = Array.make n_ports 0;
+      recv_seq = Array.make n_ports 0;
+      sent = Array.make n_ports 0;
+      out_attempts = Array.make n_ports (-1);
+      out_value = Array.make n_ports Arena.dummy_value;
+      corrupt_pend = Array.make n_ports (-1);
+      events = Df_util.Pqueue.create ();
+      pes = Array.make n_pe 0;
       fus = pool_create arch.Arch.n_fu;
       ams = pool_create arch.Arch.n_am;
-      pe_dead = Array.make (max 1 arch.Arch.n_pe) false;
+      pe_dead = Array.make n_pe false;
       crash_done = false;
       dispatches = 0;
       fu_ops = 0;
@@ -453,14 +400,14 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
       corruptions = 0;
       corrupt_detected = 0;
       corrupt_healed = 0;
-      pe_dispatches = Array.make (max 1 arch.Arch.n_pe) 0;
+      pe_dispatches = Array.make n_pe 0;
       now = 0;
       last_progress = 0;
       live_events = 0;
       dirty = Queue.create ();
       in_dirty = Array.make n false;
       next_checkpoint = max_int;
-      last_snapshot = None;
+      rollback = None;
       checkpoints = 0;
       recoveries = 0;
       quiescent = false;
@@ -474,37 +421,25 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
     (* Program-load tokens are logically packets the producer already
        sent: give each a protocol entry and a retransmission timer so a
        lost acknowledge for an initial token is recoverable too. *)
-    Array.iter
-      (fun cell ->
-        Array.iteri
-          (fun port binding ->
-            match binding with
-            | Graph.In_arc_init v ->
-              let src = cell.producer.(port) in
-              cell.recv_seq.(port) <- 1;
-              if src >= 0 then begin
-                let p = cells.(src) in
-                p.outstanding <-
-                  {
-                    o_dst = cell.node.Graph.id;
-                    o_port = port;
-                    o_seq = 0;
-                    o_value = v;
-                    o_attempts = 0;
-                  }
-                  :: p.outstanding;
-                Hashtbl.replace p.sent (cell.node.Graph.id, port) 1;
-                Df_util.Pqueue.push events r.retransmit_after
-                  (Retransmit
-                     { src; dst = cell.node.Graph.id; port; seq = 0 })
-              end
-            | Graph.In_arc | Graph.In_const _ -> ())
-          cell.node.Graph.inputs)
-      cells;
+    for p = 0 to a.Arena.n_ports - 1 do
+      if a.Arena.port_kind.(p) = Arena.kind_init then begin
+        m.recv_seq.(p) <- 1;
+        let src = a.Arena.port_producer.(p) in
+        if src >= 0 then begin
+          m.sent.(p) <- 1;
+          m.out_attempts.(p) <- 0;
+          m.out_value.(p) <- a.Arena.port_value.(p);
+          Df_util.Pqueue.push m.events r.retransmit_after
+            (Retransmit
+               { src; dst = a.Arena.port_cell.(p); port = a.Arena.port_sub.(p);
+                 seq = 0 })
+        end
+      end
+    done;
     if r.checkpoint_every > 0 then m.next_checkpoint <- r.checkpoint_every;
     (* the implicit t=0 checkpoint: a crash before the first periodic
        checkpoint rolls back to program load *)
-    m.last_snapshot <- Some (snapshot m));
+    if rollback_pending m then m.rollback <- Some (state m));
   mark_all m;
   m
 
@@ -516,14 +451,14 @@ let emit_fault m kind ~src ~dst ~extra =
   if Obs.Tracer.enabled m.tracer then
     Obs.Tracer.emit m.tracer
       (Obs.Event.Fault_injected
-         { time = m.now; track = m.cells.(dst).pe; kind; src; dst; extra })
+         { time = m.now; track = m.pe.(dst); kind; src; dst; extra })
 
 let emit_violation m (v : Fault.Violation.t) =
   if Obs.Tracer.enabled m.tracer then
     Obs.Tracer.emit m.tracer
       (Obs.Event.Violation
          { time = v.Fault.Violation.v_time;
-           track = m.cells.(v.Fault.Violation.v_node).pe;
+           track = m.pe.(v.Fault.Violation.v_node);
            node = v.Fault.Violation.v_node;
            label = v.Fault.Violation.v_label;
            kind = Fault.Violation.kind_name v.Fault.Violation.v_kind;
@@ -577,7 +512,7 @@ let deliver_packet m ~src ~dst ~port ~seq ~value ~base =
           if Obs.Tracer.enabled m.tracer then
             Obs.Tracer.emit m.tracer
               (Obs.Event.Corrupt_injected
-                 { time = base; track = m.cells.(dst).pe; src; dst; port;
+                 { time = base; track = m.pe.(dst); src; dst; port;
                    was = Value.to_string value;
                    became = Value.to_string corrupted });
           corrupted)
@@ -586,7 +521,7 @@ let deliver_packet m ~src ~dst ~port ~seq ~value ~base =
     if Obs.Tracer.enabled m.tracer then
       Obs.Tracer.emit m.tracer
         (Obs.Event.Deliver
-           { time = deliver_at; track = m.cells.(dst).pe; src; dst; port;
+           { time = deliver_at; track = m.pe.(dst); src; dst; port;
              value = Value.to_string value })
   end;
   deliver_at
@@ -594,8 +529,7 @@ let deliver_packet m ~src ~dst ~port ~seq ~value ~base =
 (* Fire a cell: PE dispatch, optional FU execution, then packet
    delivery through RN or AM depending on the policy and whether the
    producer is a block boundary. *)
-let send m cell slot value ~ready_at =
-  let src = cell.node.Graph.id in
+let send m src slot value ~ready_at =
   let a = m.arena in
   let s = a.Arena.slot_base.(src) + slot in
   let db = a.Arena.dest_base.(s) and de = a.Arena.dest_base.(s + 1) in
@@ -612,7 +546,7 @@ let send m cell slot value ~ready_at =
     in
     let base =
       match m.arch.Arch.array_policy with
-      | Arch.Stored when cell.boundary -> (
+      | Arch.Stored when m.boundary.(src) -> (
         match a.Arena.ops.(ep_node) with
         | Opcode.Output _ ->
           (* final results are stored once *)
@@ -629,18 +563,10 @@ let send m cell slot value ~ready_at =
       match m.recovery with
       | None -> 0
       | Some r ->
-        let key = (ep_node, ep_port) in
-        let seq = Option.value ~default:0 (Hashtbl.find_opt cell.sent key) in
-        Hashtbl.replace cell.sent key (seq + 1);
-        cell.outstanding <-
-          {
-            o_dst = ep_node;
-            o_port = ep_port;
-            o_seq = seq;
-            o_value = value;
-            o_attempts = 0;
-          }
-          :: cell.outstanding;
+        let seq = m.sent.(gp) in
+        m.sent.(gp) <- seq + 1;
+        m.out_attempts.(gp) <- 0;
+        m.out_value.(gp) <- value;
         schedule m
           (ready_at + r.retransmit_after)
           (Retransmit { src; dst = ep_node; port = ep_port; seq });
@@ -664,7 +590,8 @@ let send m cell slot value ~ready_at =
     | _ -> ()
   done;
   San.on_send m.sanitizer ~time:ready_at ~node:src ~count:(de - db);
-  cell.pending_acks <- cell.pending_acks + (de - db)
+  m.st.Run_state.pending_acks.(src) <-
+    m.st.Run_state.pending_acks.(src) + (de - db)
 
 (* Send (or resend) an acknowledge for the packet [seq] consumed on
    [from.port], subject to ack faults. *)
@@ -692,52 +619,45 @@ let send_ack m ~from_node ~from_port ~seq ~dst ~acked_at =
     if Obs.Tracer.enabled m.tracer then
       Obs.Tracer.emit m.tracer
         (Obs.Event.Ack
-           { time = at; track = m.cells.(dst).pe; src = from_node; dst })
+           { time = at; track = m.pe.(dst); src = from_node; dst })
   end
 
-let consume m cell port ~acked_at =
-  match cell.node.Graph.inputs.(port) with
-  | Graph.In_const _ -> ()
-  | Graph.In_arc | Graph.In_arc_init _ ->
-    (match
-       San.on_consume m.sanitizer ~time:m.now ~node:cell.node.Graph.id ~port
-     with
+(* Empty global port [p] and acknowledge its producer. *)
+let consume m p ~acked_at =
+  let a = m.arena in
+  if a.Arena.port_kind.(p) <> Arena.kind_const then begin
+    let id = a.Arena.port_cell.(p) and port = a.Arena.port_sub.(p) in
+    (match San.on_consume m.sanitizer ~time:m.now ~node:id ~port with
     | Some v -> emit_violation m v
     | None -> ());
-    cell.operands.(port) <- None;
-    let src = cell.producer.(port) in
+    m.st.Run_state.present.(p) <- false;
+    let src = a.Arena.port_producer.(p) in
     if src >= 0 then begin
-      let seq = cell.cons_seq.(port) in
-      cell.cons_seq.(port) <- seq + 1;
-      send_ack m ~from_node:cell.node.Graph.id ~from_port:port ~seq ~dst:src
-        ~acked_at
+      let seq = m.cons_seq.(p) in
+      m.cons_seq.(p) <- seq + 1;
+      send_ack m ~from_node:id ~from_port:port ~seq ~dst:src ~acked_at
     end
+  end
 
-let ready cell port =
-  match cell.node.Graph.inputs.(port) with
-  | Graph.In_const v -> Some v
-  | Graph.In_arc | Graph.In_arc_init _ -> cell.operands.(port)
-
-let dispatch m cell =
+let dispatch m id =
+  let pe = m.pe.(id) in
   m.dispatches <- m.dispatches + 1;
-  m.pe_dispatches.(cell.pe) <- m.pe_dispatches.(cell.pe) + 1;
+  m.pe_dispatches.(pe) <- m.pe_dispatches.(pe) + 1;
   let stall =
     match m.fault with
     | None -> 0
-    | Some f -> FP.pe_stall f ~pe:cell.pe ~time:m.now
+    | Some f -> FP.pe_stall f ~pe ~time:m.now
   in
-  if stall > 0 then
-    emit_fault m "pe-stall" ~src:cell.node.Graph.id ~dst:cell.node.Graph.id
-      ~extra:stall;
-  let start = pe_start m.pes cell.pe (m.now + stall) in
+  if stall > 0 then emit_fault m "pe-stall" ~src:id ~dst:id ~extra:stall;
+  let start = pe_start m.pes pe (m.now + stall) in
   let done_at =
-    if m.cell_uses_fu.(cell.node.Graph.id) then begin
+    if m.cell_uses_fu.(id) then begin
       m.fu_ops <- m.fu_ops + 1;
       let fu_latency =
         m.arch.Arch.fu_latency
         + (match m.fault with
           | None -> 0
-          | Some f -> FP.fu_extra f ~node:cell.node.Graph.id ~time:start)
+          | Some f -> FP.fu_extra f ~node:id ~time:start)
       in
       pool_start m.fus (start + 1) + fu_latency
     end
@@ -746,217 +666,203 @@ let dispatch m cell =
   if Obs.Tracer.enabled m.tracer then
     Obs.Tracer.emit m.tracer
       (Obs.Event.Fire
-         { time = start; dur = max 1 (done_at - start); track = cell.pe;
-           node = cell.node.Graph.id; label = cell.node.Graph.label;
-           op = Opcode.name cell.node.Graph.op });
+         { time = start; dur = max 1 (done_at - start); track = pe; node = id;
+           label = m.arena.Arena.labels.(id);
+           op = Opcode.name m.arena.Arena.ops.(id) });
   done_at
 
-(* ---- firing rules, one helper per opcode family ---- *)
+(* ---- firing rules, one helper per opcode family; [b] is the cell's
+   first global port ---- *)
 
-let all_ready cell =
-  let arity = Array.length cell.node.Graph.inputs in
-  let rec go p = p >= arity || (ready cell p <> None && go (p + 1)) in
-  go 0
-
-let opnd cell port = Option.get (ready cell port)
-
-let finish_compute m cell value =
-  let done_at = dispatch m cell in
-  Array.iteri
-    (fun port _ -> consume m cell port ~acked_at:done_at)
-    cell.node.Graph.inputs;
-  send m cell 0 value ~ready_at:done_at;
+let finish_compute m id b value =
+  let done_at = dispatch m id in
+  for p = b to m.arena.Arena.port_base.(id + 1) - 1 do
+    consume m p ~acked_at:done_at
+  done;
+  send m id 0 value ~ready_at:done_at;
   true
 
-let fire_gate m cell ~tgate =
-  if cell.pending_acks = 0 && all_ready cell then begin
-    let ctl = Value.to_bool (opnd cell 0) in
-    let data = opnd cell 1 in
+let fire_gate m id b ~tgate =
+  let present = m.st.Run_state.present and v = m.st.Run_state.value in
+  if present.(b) && present.(b + 1) then begin
+    let ctl = Value.to_bool v.(b) in
+    let data = v.(b + 1) in
     let pass = if tgate then ctl else not ctl in
-    let done_at = dispatch m cell in
-    consume m cell 0 ~acked_at:done_at;
-    consume m cell 1 ~acked_at:done_at;
-    if pass then send m cell 0 data ~ready_at:done_at;
+    let done_at = dispatch m id in
+    consume m b ~acked_at:done_at;
+    consume m (b + 1) ~acked_at:done_at;
+    if pass then send m id 0 data ~ready_at:done_at;
     true
   end
   else false
 
-let fire_switch m cell =
-  if cell.pending_acks = 0 && all_ready cell then begin
-    let ctl = Value.to_bool (opnd cell 0) in
-    let data = opnd cell 1 in
-    let done_at = dispatch m cell in
-    consume m cell 0 ~acked_at:done_at;
-    consume m cell 1 ~acked_at:done_at;
-    send m cell (if ctl then 0 else 1) data ~ready_at:done_at;
+let fire_switch m id b =
+  let present = m.st.Run_state.present and v = m.st.Run_state.value in
+  if present.(b) && present.(b + 1) then begin
+    let ctl = Value.to_bool v.(b) in
+    let data = v.(b + 1) in
+    let done_at = dispatch m id in
+    consume m b ~acked_at:done_at;
+    consume m (b + 1) ~acked_at:done_at;
+    send m id (if ctl then 0 else 1) data ~ready_at:done_at;
     true
   end
   else false
 
-let fire_merge m cell =
-  if cell.pending_acks = 0 then begin
-    match ready cell 0 with
-    | None -> false
-    | Some ctl -> (
-      let sel = if Value.to_bool ctl then 1 else 2 in
-      match ready cell sel with
-      | None -> false
-      | Some data ->
-        let done_at = dispatch m cell in
-        consume m cell 0 ~acked_at:done_at;
-        consume m cell sel ~acked_at:done_at;
-        send m cell 0 data ~ready_at:done_at;
-        true)
+let fire_merge m id b =
+  let present = m.st.Run_state.present and v = m.st.Run_state.value in
+  if present.(b) then begin
+    let sel = if Value.to_bool v.(b) then 1 else 2 in
+    if present.(b + sel) then begin
+      let data = v.(b + sel) in
+      let done_at = dispatch m id in
+      consume m b ~acked_at:done_at;
+      consume m (b + sel) ~acked_at:done_at;
+      send m id 0 data ~ready_at:done_at;
+      true
+    end
+    else false
   end
   else false
 
-let fire_merge_switch m cell =
-  if cell.pending_acks = 0 then begin
-    match (ready cell 0, ready cell 3) with
-    | Some ctl, Some d -> (
-      let sel = if Value.to_bool ctl then 1 else 2 in
-      match ready cell sel with
-      | None -> false
-      | Some data ->
-        let done_at = dispatch m cell in
-        consume m cell 0 ~acked_at:done_at;
-        consume m cell sel ~acked_at:done_at;
-        consume m cell 3 ~acked_at:done_at;
-        send m cell 0 data ~ready_at:done_at;
-        if Value.to_bool d then send m cell 1 data ~ready_at:done_at;
-        true)
-    | _ -> false
+let fire_merge_switch m id b =
+  let present = m.st.Run_state.present and v = m.st.Run_state.value in
+  if present.(b) && present.(b + 3) then begin
+    let sel = if Value.to_bool v.(b) then 1 else 2 in
+    if present.(b + sel) then begin
+      let data = v.(b + sel) in
+      let d = Value.to_bool v.(b + 3) in
+      let done_at = dispatch m id in
+      consume m b ~acked_at:done_at;
+      consume m (b + sel) ~acked_at:done_at;
+      consume m (b + 3) ~acked_at:done_at;
+      send m id 0 data ~ready_at:done_at;
+      if d then send m id 1 data ~ready_at:done_at;
+      true
+    end
+    else false
   end
   else false
 
-let fire_fifo m cell k =
+let fire_fifo m id b k ~acks_clear =
+  let st = m.st in
+  let buf = st.Run_state.fifo_buf.(id) in
   let progressed = ref false in
-  if cell.pending_acks = 0 && cell.queue_len > 0 then begin
-    match cell.queue with
-    | v :: rest ->
-      cell.queue <- rest;
-      cell.queue_len <- cell.queue_len - 1;
-      let done_at = dispatch m cell in
-      send m cell 0 v ~ready_at:done_at;
-      progressed := true
-    | [] -> assert false
-  end;
-  (match cell.operands.(0) with
-  | Some v when cell.queue_len < k ->
-    cell.queue <- cell.queue @ [ v ];
-    cell.queue_len <- cell.queue_len + 1;
-    consume m cell 0 ~acked_at:m.now;
+  if acks_clear && st.Run_state.fifo_len.(id) > 0 then begin
+    let h = st.Run_state.fifo_head.(id) in
+    let v = buf.(h) in
+    st.Run_state.fifo_head.(id) <-
+      (if h + 1 = Array.length buf then 0 else h + 1);
+    st.Run_state.fifo_len.(id) <- st.Run_state.fifo_len.(id) - 1;
+    let done_at = dispatch m id in
+    send m id 0 v ~ready_at:done_at;
     progressed := true
-  | _ -> ());
+  end;
+  if st.Run_state.present.(b) && st.Run_state.fifo_len.(id) < k then begin
+    let tail = st.Run_state.fifo_head.(id) + st.Run_state.fifo_len.(id) in
+    let tail =
+      if tail >= Array.length buf then tail - Array.length buf else tail
+    in
+    buf.(tail) <- st.Run_state.value.(b);
+    st.Run_state.fifo_len.(id) <- st.Run_state.fifo_len.(id) + 1;
+    consume m b ~acked_at:m.now;
+    progressed := true
+  end;
   !progressed
 
-let fire_bool_source m cell seq =
-  if cell.pending_acks = 0 then begin
-    match Ctlseq.nth seq cell.cursor with
-    | None -> false
-    | Some b ->
-      cell.cursor <- cell.cursor + 1;
-      let done_at = dispatch m cell in
-      send m cell 0 (Value.Bool b) ~ready_at:done_at;
-      true
-  end
-  else false
+(* Emit the next packet of a generator ([Input], [Iota], [Bool_source]). *)
+let fire_source m id v =
+  m.st.Run_state.cursor.(id) <- m.st.Run_state.cursor.(id) + 1;
+  let done_at = dispatch m id in
+  send m id 0 v ~ready_at:done_at;
+  true
 
-let fire_iota m cell ~lo ~hi ~rep =
-  if cell.pending_acks = 0 then begin
-    let span = hi - lo + 1 in
-    let v = lo + (cell.cursor / rep mod span) in
-    cell.cursor <- cell.cursor + 1;
-    let done_at = dispatch m cell in
-    send m cell 0 (Value.Int v) ~ready_at:done_at;
-    true
-  end
-  else false
-
-let fire_input m cell =
-  if cell.pending_acks = 0 && cell.cursor < Array.length cell.stream
-  then begin
-    let v = cell.stream.(cell.cursor) in
-    cell.cursor <- cell.cursor + 1;
-    let done_at = dispatch m cell in
-    send m cell 0 v ~ready_at:done_at;
-    true
-  end
-  else false
-
-let fire_output m cell =
-  match cell.operands.(0) with
-  | Some v ->
-    cell.collected <- (m.now, v) :: cell.collected;
-    (match
-       San.on_output m.sanitizer ~time:m.now ~node:cell.node.Graph.id
-     with
+let fire_output m id b =
+  let st = m.st in
+  if st.Run_state.present.(b) then begin
+    st.Run_state.collected.(id) <-
+      (m.now, st.Run_state.value.(b)) :: st.Run_state.collected.(id);
+    (match San.on_output m.sanitizer ~time:m.now ~node:id with
     | Some viol -> emit_violation m viol
     | None -> ());
-    let done_at = dispatch m cell in
-    consume m cell 0 ~acked_at:done_at;
+    let done_at = dispatch m id in
+    consume m b ~acked_at:done_at;
     true
-  | None -> false
+  end
+  else false
 
-let fire_sink m cell =
-  match cell.operands.(0) with
-  | Some _ ->
-    let done_at = dispatch m cell in
-    consume m cell 0 ~acked_at:done_at;
+let fire_sink m id b =
+  if m.st.Run_state.present.(b) then begin
+    let done_at = dispatch m id in
+    consume m b ~acked_at:done_at;
     true
-  | None -> false
+  end
+  else false
 
-let try_fire m cell =
+let try_fire m id =
   let open Opcode in
-  if m.pe_dead.(cell.pe) then false
+  if m.pe_dead.(m.pe.(id)) then false
   else
-    let node = cell.node in
-    match node.Graph.op with
-    | Id | Arith _ | Compare _ | Logic _ | Neg | Not | Math _ ->
-      if cell.pending_acks = 0 && all_ready cell then
-        let value =
-          match node.Graph.op with
-          | Id -> opnd cell 0
-          | Arith op -> Opcode.apply_arith op (opnd cell 0) (opnd cell 1)
-          | Compare op -> Opcode.apply_cmp op (opnd cell 0) (opnd cell 1)
-          | Logic op -> Opcode.apply_logic op (opnd cell 0) (opnd cell 1)
-          | Math mf -> Opcode.apply_math mf (opnd cell 0)
-          | Neg -> (
-            match opnd cell 0 with
-            | Value.Int i -> Value.Int (-i)
-            | Value.Real f -> Value.Real (-.f)
-            | Value.Bool _ -> invalid_arg "NEG of boolean")
-          | Not -> Value.Bool (not (Value.to_bool (opnd cell 0)))
-          | _ -> assert false
-        in
-        finish_compute m cell value
-      else false
-    | Tgate -> fire_gate m cell ~tgate:true
-    | Fgate -> fire_gate m cell ~tgate:false
-    | Switch -> fire_switch m cell
-    | Merge -> fire_merge m cell
-    | Merge_switch -> fire_merge_switch m cell
-    | Fifo k -> fire_fifo m cell k
-    | Bool_source seq -> fire_bool_source m cell seq
-    | Iota { lo; hi; rep } -> fire_iota m cell ~lo ~hi ~rep
-    | Input _ -> fire_input m cell
-    | Output _ -> fire_output m cell
-    | Sink -> fire_sink m cell
+    let st = m.st in
+    let present = st.Run_state.present and v = st.Run_state.value in
+    let acks_clear = st.Run_state.pending_acks.(id) = 0 in
+    let b = m.arena.Arena.port_base.(id) in
+    match m.arena.Arena.ops.(id) with
+    | Id -> acks_clear && present.(b) && finish_compute m id b v.(b)
+    | Arith op ->
+      acks_clear && present.(b) && present.(b + 1)
+      && finish_compute m id b (Opcode.apply_arith op v.(b) v.(b + 1))
+    | Compare op ->
+      acks_clear && present.(b) && present.(b + 1)
+      && finish_compute m id b (Opcode.apply_cmp op v.(b) v.(b + 1))
+    | Logic op ->
+      acks_clear && present.(b) && present.(b + 1)
+      && finish_compute m id b (Opcode.apply_logic op v.(b) v.(b + 1))
+    | Math mf ->
+      acks_clear && present.(b)
+      && finish_compute m id b (Opcode.apply_math mf v.(b))
+    | Neg ->
+      acks_clear && present.(b)
+      && finish_compute m id b
+           (match v.(b) with
+           | Value.Int i -> Value.Int (-i)
+           | Value.Real f -> Value.Real (-.f)
+           | Value.Bool _ -> invalid_arg "NEG of boolean")
+    | Not ->
+      acks_clear && present.(b)
+      && finish_compute m id b (Value.Bool (not (Value.to_bool v.(b))))
+    | Tgate -> acks_clear && fire_gate m id b ~tgate:true
+    | Fgate -> acks_clear && fire_gate m id b ~tgate:false
+    | Switch -> acks_clear && fire_switch m id b
+    | Merge -> acks_clear && fire_merge m id b
+    | Merge_switch -> acks_clear && fire_merge_switch m id b
+    | Fifo k -> fire_fifo m id b k ~acks_clear
+    | Bool_source seq -> (
+      acks_clear
+      &&
+      match Ctlseq.nth seq st.Run_state.cursor.(id) with
+      | None -> false
+      | Some bit -> fire_source m id (Value.Bool bit))
+    | Iota { lo; hi; rep } ->
+      acks_clear
+      && fire_source m id
+           (Value.Int (lo + (st.Run_state.cursor.(id) / rep mod (hi - lo + 1))))
+    | Input _ ->
+      let stream = st.Run_state.stream.(id) and i = st.Run_state.cursor.(id) in
+      acks_clear && i < Array.length stream && fire_source m id stream.(i)
+    | Output _ -> fire_output m id b
+    | Sink -> fire_sink m id b
 
-let find_outstanding cell ~dst ~port ~seq =
-  List.find_opt
-    (fun e -> e.o_dst = dst && e.o_port = port && e.o_seq = seq)
-    cell.outstanding
+(* The recovery protocol's view of global port [p]: is the packet
+   [seq] still unacknowledged, and is it resident (accepted but not yet
+   consumed) at its consumer? *)
+let outstanding m p ~seq = m.out_attempts.(p) >= 0 && m.sent.(p) - 1 = seq
 
-let remove_outstanding cell ~dst ~port ~seq =
-  cell.outstanding <-
-    List.filter
-      (fun e -> not (e.o_dst = dst && e.o_port = port && e.o_seq = seq))
-      cell.outstanding
+let resident m p ~seq = m.recv_seq.(p) > seq && m.cons_seq.(p) <= seq
 
 let apply_event m = function
   | Deliver { src; dst; port; seq; value; crc } -> (
-    let cell = m.cells.(dst) in
+    let p = m.arena.Arena.port_base.(dst) + port in
     if m.integrity && not (Integrity.verify_value value crc) then begin
       (* checksum mismatch: the payload was corrupted in flight.  Discard
          the packet — from here on it behaves exactly like a drop, so
@@ -964,81 +870,80 @@ let apply_event m = function
          through watchdog/conservation), while with recovery the
          producer's retransmission timer resends a clean copy. *)
       m.corrupt_detected <- m.corrupt_detected + 1;
-      if
-        m.recovery <> None && seq >= cell.recv_seq.(port)
-        && not (List.mem (port, seq) cell.corrupt_pend)
-      then cell.corrupt_pend <- (port, seq) :: cell.corrupt_pend;
+      if m.recovery <> None && seq >= m.recv_seq.(p) then
+        m.corrupt_pend.(p) <- seq;
       if Obs.Tracer.enabled m.tracer then
         Obs.Tracer.emit m.tracer
           (Obs.Event.Corrupt_detected
-             { time = m.now; track = cell.pe; src; dst; port; seq })
+             { time = m.now; track = m.pe.(dst); src; dst; port; seq })
     end
     else
       match m.recovery with
-      | Some _ when seq < cell.recv_seq.(port) ->
+      | Some _ when seq < m.recv_seq.(p) ->
         (* stale duplicate (retransmission of a packet already accepted,
            or a network dup).  If the original was already consumed, its
            acknowledge may have been the casualty — acknowledge again; if
            it is still resident, stay silent: the pending acknowledge
            will go out at consume time. *)
-        if seq < cell.cons_seq.(port) then
+        if seq < m.cons_seq.(p) then
           send_ack m ~from_node:dst ~from_port:port ~seq ~dst:src
             ~acked_at:m.now
       | _ ->
         (match San.on_deliver m.sanitizer ~time:m.now ~src ~dst ~port with
         | Some v -> emit_violation m v (* drop: engine state is untrustworthy *)
-        | None -> (
+        | None ->
           if m.recovery <> None then begin
-            cell.recv_seq.(port) <- seq + 1;
-            if List.mem (port, seq) cell.corrupt_pend then begin
-              cell.corrupt_pend <-
-                List.filter (fun ps -> ps <> (port, seq)) cell.corrupt_pend;
+            m.recv_seq.(p) <- seq + 1;
+            if m.corrupt_pend.(p) = seq then begin
+              m.corrupt_pend.(p) <- -1;
               m.corrupt_healed <- m.corrupt_healed + 1;
               if Obs.Tracer.enabled m.tracer then
                 Obs.Tracer.emit m.tracer
                   (Obs.Event.Corrupt_healed
-                     { time = m.now; track = cell.pe; src; dst; port; seq })
+                     { time = m.now; track = m.pe.(dst); src; dst; port; seq })
             end
           end;
-          match cell.operands.(port) with
-          | Some _ ->
+          if m.st.Run_state.present.(p) then begin
             if not (San.enabled m.sanitizer) then
               invalid_arg
                 (Printf.sprintf "machine: arc capacity violated at %s#%d.%d"
-                   cell.node.Graph.label dst port)
-          | None -> cell.operands.(port) <- Some value));
+                   m.arena.Arena.labels.(dst) dst port)
+          end
+          else begin
+            m.st.Run_state.present.(p) <- true;
+            m.st.Run_state.value.(p) <- value
+          end);
         mark m dst)
   | Ack { dst; from_node; from_port; seq } -> (
-    let cell = m.cells.(dst) in
+    let acked () =
+      match San.on_ack m.sanitizer ~time:m.now ~dst with
+      | Some v -> emit_violation m v
+      | None ->
+        m.st.Run_state.pending_acks.(dst) <-
+          m.st.Run_state.pending_acks.(dst) - 1
+    in
     match m.recovery with
     | None ->
-      (match San.on_ack m.sanitizer ~time:m.now ~dst with
-      | Some v -> emit_violation m v
-      | None -> cell.pending_acks <- cell.pending_acks - 1);
+      acked ();
       mark m dst
-    | Some _ -> (
+    | Some _ ->
       (* acknowledges are idempotent under recovery: only the first one
          for a given packet frees the producer *)
-      match find_outstanding cell ~dst:from_node ~port:from_port ~seq with
-      | None -> ()
-      | Some _ ->
-        remove_outstanding cell ~dst:from_node ~port:from_port ~seq;
-        (match San.on_ack m.sanitizer ~time:m.now ~dst with
-        | Some v -> emit_violation m v
-        | None -> cell.pending_acks <- cell.pending_acks - 1);
-        mark m dst))
+      let p = m.arena.Arena.port_base.(from_node) + from_port in
+      if outstanding m p ~seq then begin
+        m.out_attempts.(p) <- -1;
+        acked ();
+        mark m dst
+      end)
   | Retransmit { src; dst; port; seq } -> (
     match m.recovery with
     | None -> ()
-    | Some r -> (
-      let cell = m.cells.(src) in
-      match find_outstanding cell ~dst ~port ~seq with
-      | None -> ()  (* acknowledged in the meantime *)
-      | Some e ->
-        let consumer = m.cells.(dst) in
-        if
-          consumer.recv_seq.(port) > seq && consumer.cons_seq.(port) <= seq
-        then
+    | Some r ->
+      let p = m.arena.Arena.port_base.(dst) + port in
+      (* nothing to do once the packet was acknowledged *)
+      if outstanding m p ~seq then begin
+        let attempts = m.out_attempts.(p) in
+        if resident m p ~seq then
           (* The packet is resident, unconsumed, at the consumer: a
              resend could only be deduplicated, and the acknowledge is
              not due until the consumer fires.  Hold the timer without
@@ -1048,22 +953,23 @@ let apply_event m = function
              a receipt status piggybacked on the routing network; the
              simulator reads the consumer's store directly.) *)
           schedule m
-            (m.now + retry_delay r e.o_attempts)
+            (m.now + retry_delay r attempts)
             (Retransmit { src; dst; port; seq })
-        else if e.o_attempts < r.max_retransmits then begin
-          e.o_attempts <- e.o_attempts + 1;
+        else if attempts < r.max_retransmits then begin
+          let attempts = attempts + 1 in
+          m.out_attempts.(p) <- attempts;
           m.retransmits <- m.retransmits + 1;
           m.result_packets <- m.result_packets + 1;
           if Obs.Tracer.enabled m.tracer then
             Obs.Tracer.emit m.tracer
               (Obs.Event.Retransmit
-                 { time = m.now; track = cell.pe; src; dst; port;
-                   attempt = e.o_attempts });
+                 { time = m.now; track = m.pe.(src); src; dst; port;
+                   attempt = attempts });
           ignore
-            (deliver_packet m ~src ~dst ~port ~seq ~value:e.o_value
+            (deliver_packet m ~src ~dst ~port ~seq ~value:m.out_value.(p)
                ~base:(m.now + m.arch.Arch.rn_latency));
           schedule m
-            (m.now + retry_delay r e.o_attempts)
+            (m.now + retry_delay r attempts)
             (Retransmit { src; dst; port; seq });
           (* an active resend is protocol liveness, not silence: the
              no-progress watchdog must not fire while the backoff chain
@@ -1073,11 +979,9 @@ let apply_event m = function
           m.last_progress <- m.now
         end
         (* else: retries exhausted — the channel is declared lost and the
-           wedge surfaces as a stall / conservation violation *)))
+           wedge surfaces as a stall / conservation violation *)
+      end)
 
-(* Drop timer events whose packet has been acknowledged: they carry no
-   work, and letting them advance the clock would make a clean drain
-   look like a watchdog stall. *)
 (* True when every unacknowledged packet in the system is already
    resident, unconsumed, at its consumer.  Resending any of them can
    only produce duplicates that the sequence check silently drops, and
@@ -1089,25 +993,27 @@ let apply_event m = function
    token parks on an arc forever, and without this test its timer would
    keep the event queue alive until the watchdog misfired.) *)
 let only_futile_outstanding m =
-  Array.for_all
-    (fun cell ->
-      List.for_all
-        (fun e ->
-          let c = m.cells.(e.o_dst) in
-          c.recv_seq.(e.o_port) > e.o_seq && c.cons_seq.(e.o_port) <= e.o_seq)
-        cell.outstanding)
-    m.cells
+  let futile = ref true in
+  Array.iteri
+    (fun p attempts ->
+      if attempts >= 0 && not (resident m p ~seq:(m.sent.(p) - 1)) then
+        futile := false)
+    m.out_attempts;
+  !futile
 
+(* Drop timer events whose packet has been acknowledged: they carry no
+   work, and letting them advance the clock would make a clean drain
+   look like a watchdog stall. *)
 let rec skip_stale_retransmits m =
   match Df_util.Pqueue.peek m.events with
-  | Some (_, Retransmit { src; dst; port; seq })
-    when find_outstanding m.cells.(src) ~dst ~port ~seq = None ->
+  | Some (_, Retransmit { dst; port; seq; _ })
+    when not (outstanding m (m.arena.Arena.port_base.(dst) + port) ~seq) ->
     Df_util.Pqueue.drop_min m.events;
     skip_stale_retransmits m
   | _ -> ()
 
 let take_checkpoint m =
-  m.last_snapshot <- Some (snapshot m);
+  if rollback_pending m then m.rollback <- Some (state m);
   m.checkpoints <- m.checkpoints + 1;
   if Obs.Tracer.enabled m.tracer then
     Obs.Tracer.emit m.tracer
@@ -1128,28 +1034,29 @@ let do_crash m pe crash_at =
       (* fail-stop with no recovery: the PE's cells are gone for good;
          the run wedges and the stall report names the dead PE *)
       m.pe_dead.(pe) <- true
-    | Some _ ->
+    | Some r ->
       (* quiesce-and-rollback: surviving PEs discard the post-checkpoint
          timeline (cheap in a simulator, a barrier on hardware), the
          dead PE's cells are re-hosted, and the machine replays.  The
          acknowledge discipline makes the replay safe: output values are
          a function of the checkpoint state alone. *)
       let snap =
-        match m.last_snapshot with
+        match m.rollback with
         | Some s -> s
-        | None -> assert false (* taken at create when recovery is on *)
+        | None -> assert false (* kept from create while a crash is pending *)
       in
-      restore m snap;
+      restore_state m snap;
+      if r.checkpoint_every > 0 then
+        m.next_checkpoint <- m.now + r.checkpoint_every;
       m.pe_dead.(pe) <- true;
       let alive p = not m.pe_dead.(p) in
       let remapped = ref 0 in
-      Array.iter
-        (fun c ->
-          if m.pe_dead.(c.pe) then begin
-            c.pe <- Arch.place m.arch ~alive c.node.Graph.id;
-            incr remapped
-          end)
-        m.cells;
+      for id = 0 to m.arena.Arena.n - 1 do
+        if m.pe_dead.(m.pe.(id)) then begin
+          m.pe.(id) <- Arch.place m.arch ~alive id;
+          incr remapped
+        end
+      done;
       m.recoveries <- m.recoveries + 1;
       if Obs.Tracer.enabled m.tracer then
         Obs.Tracer.emit m.tracer
@@ -1167,7 +1074,7 @@ let advance m ~until =
       | None -> ()
       | Some id ->
         m.in_dirty.(id) <- false;
-        if try_fire m m.cells.(id) then begin
+        if try_fire m id then begin
           fired_any := true;
           mark m id
         end;
@@ -1252,97 +1159,32 @@ let advance m ~until =
 
 let finished m = m.finished
 
-let build_stall m reason =
-  let blocked = ref [] in
-  let edges = ref [] in
-  Array.iter
-    (fun cell ->
-      let id = cell.node.Graph.id in
-      let held = ref [] and missing = ref [] in
-      Array.iteri
-        (fun port binding ->
-          match binding with
-          | Graph.In_const _ -> ()
-          | Graph.In_arc | Graph.In_arc_init _ -> (
-            match cell.operands.(port) with
-            | Some v -> held := (port, Value.to_string v) :: !held
-            | None ->
-              missing := port :: !missing;
-              let src = cell.producer.(port) in
-              if src >= 0 then edges := (id, src) :: !edges))
-        cell.node.Graph.inputs;
-      let held = List.rev !held and missing = List.rev !missing in
-      if cell.pending_acks > 0 then
-        Array.iter
-          (List.iter (fun { Graph.ep_node; ep_port } ->
-               if
-                 m.cells.(ep_node).operands.(ep_port) <> None
-                 && m.cells.(ep_node).producer.(ep_port) = id
-               then edges := (id, ep_node) :: !edges))
-          cell.node.Graph.dests;
-      let pending_inputs =
-        match cell.node.Graph.op with
-        | Opcode.Input _ -> Array.length cell.stream - cell.cursor
-        | _ -> 0
-      in
-      if
-        held <> [] || cell.queue_len > 0 || pending_inputs > 0
-        || cell.pending_acks > 0
-      then begin
-        let b =
-          {
-            SR.b_node = id;
-            b_label = cell.node.Graph.label;
-            b_op = Opcode.name cell.node.Graph.op;
-            b_missing = missing;
-            b_held = held;
-            b_pending_acks = cell.pending_acks;
-            b_queue_len = cell.queue_len;
-            b_pending_inputs = pending_inputs;
-          }
-        in
-        if Obs.Tracer.enabled m.tracer then
-          Obs.Tracer.emit m.tracer
-            (Obs.Event.Stall
-               { time = m.now; track = cell.pe; node = id;
-                 label = cell.node.Graph.label;
-                 reason = SR.blocked_line b });
-        blocked := b :: !blocked
-      end)
-    m.cells;
-  let dead_pes =
-    let out = ref [] in
-    Array.iteri (fun pe dead -> if dead then out := pe :: !out) m.pe_dead;
-    List.rev !out
-  in
-  match List.rev !blocked with
-  | [] -> None
-  | blocked ->
-    Some (SR.make ~dead_pes ~time:m.now ~reason ~blocked ~edges:!edges ())
-
 let result m =
-  let outputs =
-    List.map
-      (fun (name, id) -> (name, List.rev m.cells.(id).collected))
-      (Graph.outputs m.graph)
-  in
+  let a = m.arena in
   if
     m.finished && m.quiescent
     && San.enabled m.sanitizer
     && not (San.tripped m.sanitizer)
   then
     List.iter (emit_violation m)
-      (San.on_quiescence m.sanitizer ~time:m.now
-         ~held:(fun node port -> m.cells.(node).operands.(port) <> None));
+      (San.on_quiescence m.sanitizer ~time:m.now ~held:(Run_state.held a m.st));
+  let build_stall reason =
+    let dead_pes =
+      List.filter (Array.get m.pe_dead)
+        (List.init (Array.length m.pe_dead) Fun.id)
+    in
+    Run_state.stall ~dead_pes m.tracer ~track:(Array.get m.pe) a m.st
+      ~time:m.now ~reason
+  in
   let stall =
     if not m.finished then None
     else if San.tripped m.sanitizer then None
-    else if m.watchdog_tripped then build_stall m SR.No_progress
-    else if m.quiescent then build_stall m SR.Deadlock
-    else build_stall m SR.Max_time_exhausted
+    else if m.watchdog_tripped then build_stall SR.No_progress
+    else if m.quiescent then build_stall SR.Deadlock
+    else build_stall SR.Max_time_exhausted
   in
   {
-    outputs;
+    outputs = Run_state.outputs a m.st;
     stats = stats_of m;
     end_time = m.now;
     quiescent = m.quiescent;
@@ -1371,12 +1213,3 @@ let stream result name =
 let output_values result name = List.map snd (stream result name)
 
 let output_times result name = List.map fst (stream result name)
-
-let engine arch : (module Engine_intf.ENGINE with type result = result) =
-  (module struct
-    type nonrec result = result
-
-    let run cfg g ~inputs = run_cfg cfg ~arch g ~inputs
-    let output_values = output_values
-    let output_times = output_times
-  end)

@@ -31,8 +31,12 @@ open Dfg
     {!restore} capture and reinstate its complete state, and {!result}
     reads the outcome.  {!run_cfg} is the one-shot composition of these.
 
-    Static per-cell lookups (destination endpoints, function-unit use)
-    are precomputed through the {!Arena} lowering pass. *)
+    It runs on the {!Arena} lowering and keeps the run state both
+    engines share in the {!Run_state} layout: operand slots per port,
+    owed acknowledges per cell, FIFO rings, input cursors.  What only
+    the machine has — the hosting PE per cell and the recovery
+    protocol's sequence numbers per port — lives in flat side arrays
+    beside it. *)
 
 type stats = {
   dispatches : int;        (** instruction firings (operation packets) *)
@@ -75,11 +79,12 @@ type result = {
     The static dataflow discipline makes checkpoint/restart unusually
     clean: every arc holds at most one token, every in-flight packet is
     either a result awaiting an acknowledge or the acknowledge itself,
-    and the machine state is a finite set of cell registers plus the
-    event queue.  A snapshot of those is a {e consistent global
-    checkpoint} by construction — there is no uncheckpointed channel
-    state to chase (the Chandy–Lamport problem does not arise because
-    the simulator quiesces the current instant before snapshotting).
+    and the machine state is a finite set of per-port operand slots and
+    per-cell counters plus the event queue.  A snapshot of those is a
+    {e consistent global checkpoint} by construction — there is no
+    uncheckpointed channel state to chase (the Chandy–Lamport problem
+    does not arise because the simulator quiesces the current instant
+    before snapshotting).
 
     The recovery policy adds two mechanisms:
 
@@ -91,10 +96,13 @@ type result = {
       exactly-once effect.
     - {e checkpoint/rollback}: on a [Pe_crash] fault the machine rolls
       back to the last checkpoint, marks the PE dead, re-hosts its cells
-      onto survivors ({!Arch.place}), and replays.  Replay is
-      deterministic: fault decisions are pure functions of (seed, time,
-      endpoints), so the recovered run re-derives the same perturbations
-      and the outputs equal a crash-free run. *)
+      onto survivors ({!Arch.place}), and replays.  The rollback
+      reinstates machine state only (a {!state}): the checkpoint and
+      recovery counters, the crash flag and the rollback target are
+      kept, and the checkpoint clock restarts at the rollback time.
+      Replay is deterministic: fault decisions are pure functions of
+      (seed, time, endpoints), so the recovered run re-derives the same
+      perturbations and the outputs equal a crash-free run. *)
 
 type recovery = Run_config.recovery = {
   checkpoint_every : int;
@@ -114,28 +122,6 @@ val default_recovery : recovery
 type t
 (** A machine in progress. *)
 
-type cell_snapshot = {
-  cs_operands : Value.t option array;
-  cs_pending_acks : int;
-  cs_queue : Value.t list;
-  cs_cursor : int;
-  cs_collected : (int * Value.t) list;
-  cs_pe : int;
-  cs_recv_seq : int array;
-  cs_cons_seq : int array;
-  cs_outstanding : out_entry list;
-  cs_sent : ((int * int) * int) list;
-  cs_corrupt_pend : (int * int) list;
-}
-
-and out_entry = {
-  o_dst : int;
-  o_port : int;
-  o_seq : int;
-  o_value : Value.t;
-  mutable o_attempts : int;
-}
-
 type event =
   | Deliver of {
       src : int;
@@ -148,10 +134,32 @@ type event =
   | Ack of { dst : int; from_node : int; from_port : int; seq : int }
   | Retransmit of { src : int; dst : int; port : int; seq : int }
 
-type snapshot = {
+(** {1 Snapshots}
+
+    A snapshot copies the whole run state: the {!Run_state} layout the
+    graph engine shares, plus flat arrays for what only the machine
+    has, the event queue, resource pools and counters.  Per-port arrays
+    are indexed by the {!Arena}'s global port numbers. *)
+
+type 'resume snap = {
   sn_time : int;
   sn_last_progress : int;
-  sn_cells : cell_snapshot array;
+  sn_stats : stats;
+  sn_run : Run_state.t;  (** canonical form, see {!Run_state.snapshot} *)
+  sn_pe : int array;  (** per cell: hosting processing element *)
+  sn_cons_seq : int array;  (** per port: packets consumed *)
+  sn_recv_seq : int array;  (** per port: packets accepted (recovery) *)
+  sn_sent : int array;  (** per port: packets its producer sent (recovery) *)
+  sn_out_attempts : int array;
+      (** per port: resends of its one unacknowledged packet — sequence
+          [sent - 1] — or [-1] when none awaits an acknowledge
+          (recovery) *)
+  sn_out_value : Value.t array;
+      (** per port: that packet's payload; {!Arena.dummy_value} when
+          none *)
+  sn_corrupt_pend : int array;
+      (** per port: sequence number of a packet discarded as corrupt and
+          not yet healed, or [-1] *)
   sn_events : (int * event) array;
       (** exact heap layout ({!Df_util.Pqueue.to_array}) — equal-time pop
           order affects resource-pool allocation, so bit-identical resume
@@ -160,11 +168,29 @@ type snapshot = {
   sn_fus : int array;
   sn_ams : int array;
   sn_pe_dead : bool array;
-  sn_stats : stats;
   sn_sanitizer : Fault.Sanitizer.snapshot option;
+  sn_resume : 'resume;
 }
-(** Complete, self-contained machine state: plain data, no closures.
-    [Recover.Checkpoint] serializes it. *)
+
+type state = unit snap
+(** Machine state only: what a crash rollback reinstates. *)
+
+type resume = {
+  rs_crash_done : bool;  (** the planned PE crash has struck *)
+  rs_next_checkpoint : int;  (** time of the next periodic checkpoint *)
+  rs_checkpoints : int;
+  rs_recoveries : int;
+  rs_rollback : state option;
+      (** the crash rollback target, carried only while a crash is still
+          to strike a recovering machine *)
+}
+(** What a resumed run needs beyond machine state to continue exactly
+    as the saved one would have. *)
+
+type snapshot = resume snap
+(** Complete, self-contained run state: plain data, no closures.
+    [Recover.Checkpoint] serializes it.  A rollback target is a
+    {!state}, so snapshots never nest. *)
 
 val default_max_time : int
 (** 30_000_000 — the machine model's default time budget (larger than
@@ -184,8 +210,8 @@ val create_cfg :
     [Run_config.record_firings] is graph-engine-only and ignored
     here.  See {!run_cfg} for the
     semantics of the remaining fields.
-    @raise Invalid_argument on invalid graphs, missing inputs, or a
-    malformed [recovery] policy. *)
+    @raise Invalid_argument on invalid graphs, missing or unknown input
+    streams, or a malformed [recovery] policy. *)
 
 val advance : t -> until:int -> unit
 (** Run the event loop, stopping when the machine {!finished} (clean
@@ -196,13 +222,17 @@ val advance : t -> until:int -> unit
 val finished : t -> bool
 
 val snapshot : t -> snapshot
-(** Deep-copy the complete machine state.  Meaningful at any pause
-    point; the copy is unaffected by further running. *)
+(** Deep-copy the complete run state, including the crash flag, the
+    checkpoint clock, the checkpoint and recovery counters and the
+    rollback target.  Meaningful at any pause point; the copy is
+    unaffected by further running. *)
 
 val restore : t -> snapshot -> unit
-(** Reinstate a snapshot taken from a machine with the same graph and
-    arch; the machine then resumes bit-identically to the run the
-    snapshot was taken from (same outputs, timestamps, and stats).
+(** Reinstate a snapshot taken from a machine with the same graph, arch
+    and configuration; the machine then resumes bit-identically to the
+    run the snapshot was taken from (same outputs, timestamps, stats,
+    checkpoint and recovery counts) — also when the snapshot was taken
+    before a planned crash, or after one.
     @raise Invalid_argument on a shape mismatch. *)
 
 val result : t -> result
@@ -262,7 +292,8 @@ val run_cfg :
     without [recovery], healed by retransmission with it.  With
     integrity off, corrupted payloads are accepted silently and surface
     only as wrong output values ({!Fault_diff} diagnoses this case).
-    @raise Invalid_argument on invalid graphs or missing inputs *)
+    @raise Invalid_argument on invalid graphs or missing or unknown
+    input streams *)
 
 val am_fraction : stats -> float
 (** Fraction of operation packets that involve the array memories:
@@ -276,7 +307,3 @@ val output_values : result -> string -> Value.t list
 
 val output_times : result -> string -> int list
 (** Arrival times of an output stream; errors as {!output_values}. *)
-
-val engine : Arch.t -> (module Engine_intf.ENGINE with type result = result)
-(** The machine simulator as an {!Engine_intf.ENGINE}, closed over an
-    architecture. *)

@@ -4,10 +4,12 @@ module ME = Machine.Machine_engine
 module San = Fault.Sanitizer
 module V = Fault.Violation
 
-(* 2: Deliver events carry the producer checksum, cells carry the
-   corrupt-pending set, stats gained the corruption counters, and the
-   file grew the [magic] integrity header below. *)
-let version = 2
+(* 3: the run state is stored as flat per-port and per-cell arrays in
+   the engines' shared layout, and the snapshot carries what a resumed
+   crash-faulted run needs: the crash flag, the checkpoint clock, the
+   checkpoint and recovery counters and the rollback target.  (2 added
+   per-packet checksums and the [magic] integrity header.) *)
+let version = 3
 
 (* Hashtbl.hash alone is unusable as a whole-graph digest (it only
    inspects a bounded prefix of the structure); hash each node's small
@@ -37,42 +39,19 @@ let json_of_value = function
     (* %h: hexadecimal float literal — exact, unlike any decimal form *)
     J.Obj [ ("r", J.String (Printf.sprintf "%h" f)) ]
 
-let json_of_value_opt = function None -> J.Null | Some v -> json_of_value v
+let json_of_array f a = J.List (Array.to_list (Array.map f a))
 
-let json_of_int_array a = J.List (Array.to_list (Array.map (fun i -> J.Int i) a))
+let json_of_int_array = json_of_array (fun i -> J.Int i)
 
-let json_of_entry (e : ME.out_entry) =
-  J.Obj
-    [ ("dst", J.Int e.ME.o_dst); ("port", J.Int e.ME.o_port);
-      ("seq", J.Int e.ME.o_seq); ("v", json_of_value e.ME.o_value);
-      ("att", J.Int e.ME.o_attempts) ]
+let json_of_bool b = J.Bool b
 
-let json_of_cell (c : ME.cell_snapshot) =
-  J.Obj
-    [ ("ops",
-       J.List (Array.to_list (Array.map json_of_value_opt c.ME.cs_operands)));
-      ("acks", J.Int c.ME.cs_pending_acks);
-      ("q", J.List (List.map json_of_value c.ME.cs_queue));
-      ("cur", J.Int c.ME.cs_cursor);
-      ("col",
-       J.List
-         (List.map
-            (fun (t, v) -> J.List [ J.Int t; json_of_value v ])
-            c.ME.cs_collected));
-      ("pe", J.Int c.ME.cs_pe);
-      ("recv", json_of_int_array c.ME.cs_recv_seq);
-      ("cons", json_of_int_array c.ME.cs_cons_seq);
-      ("out", J.List (List.map json_of_entry c.ME.cs_outstanding));
-      ("sent",
-       J.List
-         (List.map
-            (fun ((dst, port), n) -> J.List [ J.Int dst; J.Int port; J.Int n ])
-            c.ME.cs_sent));
-      ("cpend",
-       J.List
-         (List.map
-            (fun (port, seq) -> J.List [ J.Int port; J.Int seq ])
-            c.ME.cs_corrupt_pend)) ]
+(* one value per slot, [null] where [full] says the slot is empty *)
+let json_of_slots full values =
+  J.List
+    (Array.to_list
+       (Array.mapi
+          (fun i v -> if full i then json_of_value v else J.Null)
+          values))
 
 let json_of_event (prio, ev) =
   let body =
@@ -113,36 +92,57 @@ let json_of_sanitizer = function
   | None -> J.Null
   | Some (s : San.snapshot) ->
     J.Obj
-      [ ("occ",
-         J.List
-           (Array.to_list
-              (Array.map
-                 (fun row ->
-                   J.List (Array.to_list (Array.map (fun b -> J.Bool b) row)))
-                 s.San.sn_occupied)));
+      [ ("occ", json_of_array (json_of_array json_of_bool) s.San.sn_occupied);
         ("owed", json_of_int_array s.San.sn_owed);
         ("last", json_of_int_array s.San.sn_last_out);
         ("viol", J.List (List.map json_of_violation s.San.sn_violations));
         ("count", J.Int s.San.sn_count);
         ("tripped", J.Bool s.San.sn_tripped) ]
 
+let state_fields (s : _ ME.snap) =
+  let r = s.ME.sn_run in
+  [ ("time", J.Int s.ME.sn_time);
+    ("last_progress", J.Int s.ME.sn_last_progress);
+    ("ops", json_of_slots (Array.get r.Run_state.present) r.Run_state.value);
+    ("acks", json_of_int_array r.Run_state.pending_acks);
+    ("cur", json_of_int_array r.Run_state.cursor);
+    ("fifo", json_of_array (json_of_array json_of_value) r.Run_state.fifo_buf);
+    ("col",
+     json_of_array
+       (fun pkts ->
+         J.List
+           (List.map (fun (t, v) -> J.List [ J.Int t; json_of_value v ]) pkts))
+       r.Run_state.collected);
+    ("pe", json_of_int_array s.ME.sn_pe);
+    ("cons", json_of_int_array s.ME.sn_cons_seq);
+    ("recv", json_of_int_array s.ME.sn_recv_seq);
+    ("sent", json_of_int_array s.ME.sn_sent);
+    ("att", json_of_int_array s.ME.sn_out_attempts);
+    ("outv",
+     json_of_slots (fun p -> s.ME.sn_out_attempts.(p) >= 0) s.ME.sn_out_value);
+    ("cpend", json_of_int_array s.ME.sn_corrupt_pend);
+    ("events", json_of_array json_of_event s.ME.sn_events);
+    ("pes", json_of_int_array s.ME.sn_pes);
+    ("fus", json_of_int_array s.ME.sn_fus);
+    ("ams", json_of_int_array s.ME.sn_ams);
+    ("pe_dead", json_of_array json_of_bool s.ME.sn_pe_dead);
+    ("stats", json_of_stats s.ME.sn_stats);
+    ("sanitizer", json_of_sanitizer s.ME.sn_sanitizer) ]
+
 let to_json ~graph (sn : ME.snapshot) =
+  let rs = sn.ME.sn_resume in
   J.Obj
-    [ ("version", J.Int version);
-      ("fingerprint", J.Int (graph_fingerprint graph));
-      ("time", J.Int sn.ME.sn_time);
-      ("last_progress", J.Int sn.ME.sn_last_progress);
-      ("cells", J.List (Array.to_list (Array.map json_of_cell sn.ME.sn_cells)));
-      ("events",
-       J.List (Array.to_list (Array.map json_of_event sn.ME.sn_events)));
-      ("pes", json_of_int_array sn.ME.sn_pes);
-      ("fus", json_of_int_array sn.ME.sn_fus);
-      ("ams", json_of_int_array sn.ME.sn_ams);
-      ("pe_dead",
-       J.List
-         (Array.to_list (Array.map (fun b -> J.Bool b) sn.ME.sn_pe_dead)));
-      ("stats", json_of_stats sn.ME.sn_stats);
-      ("sanitizer", json_of_sanitizer sn.ME.sn_sanitizer) ]
+    ((("version", J.Int version)
+     :: ("fingerprint", J.Int (graph_fingerprint graph))
+     :: state_fields sn)
+    @ [ ("crash_done", J.Bool rs.ME.rs_crash_done);
+        ("next_checkpoint", J.Int rs.ME.rs_next_checkpoint);
+        ("checkpoints", J.Int rs.ME.rs_checkpoints);
+        ("recoveries", J.Int rs.ME.rs_recoveries);
+        ("rollback",
+         match rs.ME.rs_rollback with
+         | None -> J.Null
+         | Some st -> J.Obj (state_fields st)) ])
 
 (* ------------------------------------------------------------------ *)
 (* decoding                                                           *)
@@ -167,8 +167,10 @@ let field name j = J.member name j
 
 let int_field name j = get_int name (field name j)
 
-let int_array name j =
-  field name j |> J.get_list |> List.map (get_int name) |> Array.of_list
+let array_field name f j =
+  field name j |> J.get_list |> List.map f |> Array.of_list
+
+let int_array name j = array_field name (get_int name) j
 
 let value_of_json name j =
   match (J.get_int (J.member "i" j), J.get_bool (J.member "b" j),
@@ -182,54 +184,15 @@ let value_of_json name j =
     | None -> fail "%s: bad hex float %S" name s)
   | _ -> fail "%s: expected a value object" name
 
-let value_opt_of_json name = function
-  | J.Null -> None
-  | j -> Some (value_of_json name j)
-
-let entry_of_json j : ME.out_entry =
-  {
-    ME.o_dst = int_field "dst" j;
-    o_port = int_field "port" j;
-    o_seq = int_field "seq" j;
-    o_value = value_of_json "v" (field "v" j);
-    o_attempts = int_field "att" j;
-  }
-
-let cell_of_json j : ME.cell_snapshot =
-  {
-    ME.cs_operands =
-      field "ops" j |> J.get_list
-      |> List.map (value_opt_of_json "ops")
-      |> Array.of_list;
-    cs_pending_acks = int_field "acks" j;
-    cs_queue = field "q" j |> J.get_list |> List.map (value_of_json "q");
-    cs_cursor = int_field "cur" j;
-    cs_collected =
-      field "col" j |> J.get_list
-      |> List.map (fun p ->
-             match J.get_list p with
-             | [ t; v ] -> (get_int "col.time" t, value_of_json "col.value" v)
-             | _ -> fail "col: expected [time, value] pair");
-    cs_pe = int_field "pe" j;
-    cs_recv_seq = int_array "recv" j;
-    cs_cons_seq = int_array "cons" j;
-    cs_outstanding = field "out" j |> J.get_list |> List.map entry_of_json;
-    cs_sent =
-      field "sent" j |> J.get_list
-      |> List.map (fun p ->
-             match J.get_list p with
-             | [ d; p'; n ] ->
-               ((get_int "sent.dst" d, get_int "sent.port" p'),
-                get_int "sent.count" n)
-             | _ -> fail "sent: expected [dst, port, count] triple");
-    cs_corrupt_pend =
-      field "cpend" j |> J.get_list
-      |> List.map (fun p ->
-             match J.get_list p with
-             | [ port; seq ] ->
-               (get_int "cpend.port" port, get_int "cpend.seq" seq)
-             | _ -> fail "cpend: expected [port, seq] pair");
-  }
+(* the inverse of [json_of_slots]: presence and values *)
+let slots_field name j =
+  let slots =
+    array_field name
+      (function J.Null -> None | v -> Some (value_of_json name v))
+      j
+  in
+  ( Array.map Option.is_some slots,
+    Array.map (Option.value ~default:Arena.dummy_value) slots )
 
 let event_of_json j =
   let prio = int_field "at" j in
@@ -290,10 +253,10 @@ let sanitizer_of_json = function
     Some
       {
         San.sn_occupied =
-          field "occ" j |> J.get_list
-          |> List.map (fun row ->
-                 J.get_list row |> List.map (get_bool "occ") |> Array.of_list)
-          |> Array.of_list;
+          array_field "occ"
+            (fun row ->
+              J.get_list row |> List.map (get_bool "occ") |> Array.of_list)
+            j;
         sn_owed = int_array "owed" j;
         sn_last_out = int_array "last" j;
         sn_violations =
@@ -301,6 +264,58 @@ let sanitizer_of_json = function
         sn_count = int_field "count" j;
         sn_tripped = get_bool "tripped" (field "tripped" j);
       }
+
+let state_of_json j : ME.state =
+  let present, value = slots_field "ops" j in
+  let acks = int_array "acks" j in
+  let fifo_buf =
+    array_field "fifo"
+      (fun q ->
+        J.get_list q |> List.map (value_of_json "fifo") |> Array.of_list)
+      j
+  in
+  let collected =
+    array_field "col"
+      (fun pkts ->
+        J.get_list pkts
+        |> List.map (fun p ->
+               match J.get_list p with
+               | [ t; v ] -> (get_int "col.time" t, value_of_json "col.value" v)
+               | _ -> fail "col: expected [time, value] pair"))
+      j
+  in
+  let _, out_value = slots_field "outv" j in
+  {
+    ME.sn_time = int_field "time" j;
+    sn_last_progress = int_field "last_progress" j;
+    sn_stats = stats_of_json (field "stats" j);
+    sn_run =
+      {
+        Run_state.present;
+        value;
+        pending_acks = acks;
+        stream = [||];
+        cursor = int_array "cur" j;
+        fifo_buf;
+        fifo_head = Array.make (Array.length fifo_buf) 0;
+        fifo_len = Array.map Array.length fifo_buf;
+        collected;
+      };
+    sn_pe = int_array "pe" j;
+    sn_cons_seq = int_array "cons" j;
+    sn_recv_seq = int_array "recv" j;
+    sn_sent = int_array "sent" j;
+    sn_out_attempts = int_array "att" j;
+    sn_out_value = out_value;
+    sn_corrupt_pend = int_array "cpend" j;
+    sn_events = array_field "events" event_of_json j;
+    sn_pes = int_array "pes" j;
+    sn_fus = int_array "fus" j;
+    sn_ams = int_array "ams" j;
+    sn_pe_dead = array_field "pe_dead" (get_bool "pe_dead") j;
+    sn_sanitizer = sanitizer_of_json (field "sanitizer" j);
+    sn_resume = ();
+  }
 
 let of_json ~graph j =
   try
@@ -316,23 +331,18 @@ let of_json ~graph j =
         fp here;
     Ok
       {
-        ME.sn_time = int_field "time" j;
-        sn_last_progress = int_field "last_progress" j;
-        sn_cells =
-          field "cells" j |> J.get_list |> List.map cell_of_json
-          |> Array.of_list;
-        sn_events =
-          field "events" j |> J.get_list |> List.map event_of_json
-          |> Array.of_list;
-        sn_pes = int_array "pes" j;
-        sn_fus = int_array "fus" j;
-        sn_ams = int_array "ams" j;
-        sn_pe_dead =
-          field "pe_dead" j |> J.get_list
-          |> List.map (get_bool "pe_dead")
-          |> Array.of_list;
-        sn_stats = stats_of_json (field "stats" j);
-        sn_sanitizer = sanitizer_of_json (field "sanitizer" j);
+        (state_of_json j) with
+        ME.sn_resume =
+          {
+            ME.rs_crash_done = get_bool "crash_done" (field "crash_done" j);
+            rs_next_checkpoint = int_field "next_checkpoint" j;
+            rs_checkpoints = int_field "checkpoints" j;
+            rs_recoveries = int_field "recoveries" j;
+            rs_rollback =
+              (match field "rollback" j with
+              | J.Null -> None
+              | r -> Some (state_of_json r));
+          };
       }
   with Bad msg -> Error msg
 
@@ -348,7 +358,9 @@ let of_json ~graph j =
    The header lets [load] reject truncated and bit-rotted files by
    length and checksum *before* handing bytes to the JSON parser, so
    storage rot surfaces as a structured error, never a parse
-   exception deep inside a resume. *)
+   exception deep inside a resume.  The header names the framing, not
+   the document: a format-3 document still rides a [dfsnap2] header,
+   and its [version] field is what rejects older documents. *)
 let magic = "dfsnap2"
 
 type load_error =

@@ -21,9 +21,11 @@ open Dfg
       byte reaches the JSON parser. *)
 
 val version : int
-(** Current format version (2: per-packet checksums in events, the
-    corrupt-pending set in cells, corruption counters in stats, and the
-    file integrity header). *)
+(** Current format version, 3: the snapshot's flat per-port and
+    per-cell arrays (the run state both engines share plus the
+    machine's side arrays), and the crash flag, checkpoint clock,
+    checkpoint and recovery counters and rollback target a resumed
+    crash-faulted run needs.  The file header is still [dfsnap2]. *)
 
 val graph_fingerprint : Graph.t -> int
 (** Structural digest of a graph (node ids, opcodes, labels, arities,
@@ -36,8 +38,8 @@ val of_json :
   graph:Graph.t ->
   Obs.Json.t ->
   (Machine.Machine_engine.snapshot, string) result
-(** Rejects version mismatches, fingerprint mismatches and malformed
-    documents with a descriptive error. *)
+(** Rejects version mismatches (naming both versions), fingerprint
+    mismatches and malformed documents with a descriptive error. *)
 
 val save : path:string -> graph:Graph.t -> Machine.Machine_engine.snapshot -> unit
 
@@ -53,7 +55,8 @@ type load_error =
       (** payload bytes fail the content checksum (bit rot) *)
   | Malformed of string
       (** checksum passed but the document does not decode: JSON error,
-          version mismatch, or graph-fingerprint mismatch *)
+          version mismatch (an older format such as 2), or
+          graph-fingerprint mismatch *)
 
 val load_error_to_string : load_error -> string
 

@@ -68,44 +68,17 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
   let dest_base = a.Arena.dest_base in
   let dest_port = a.Arena.dest_port in
   (* ---- dynamic state ---- *)
-  let present = Array.make (max a.Arena.n_ports 1) false in
-  let pvalue = Array.make (max a.Arena.n_ports 1) Arena.dummy_value in
+  let st = Run_state.create ~who:"Engine.run" a ~inputs in
+  let present = st.Run_state.present in
+  let pvalue = st.Run_state.value in
+  let pending_acks = st.Run_state.pending_acks in
+  let cursor = st.Run_state.cursor in
+  let stream = st.Run_state.stream in
+  let collected = st.Run_state.collected in
+  let fifo_buf = st.Run_state.fifo_buf in
+  let fifo_head = st.Run_state.fifo_head in
+  let fifo_len = st.Run_state.fifo_len in
   let inflight = Array.make (max a.Arena.n_ports 1) Arena.dummy_value in
-  let pending_acks = Array.make (max n 1) 0 in
-  let cursor = Array.make (max n 1) 0 in
-  let stream = Array.make (max n 1) [||] in
-  let collected : (int * Value.t) list array = Array.make (max n 1) [] in
-  let fifo_buf = Array.make (max n 1) [||] in
-  let fifo_head = Array.make (max n 1) 0 in
-  let fifo_len = Array.make (max n 1) 0 in
-  for p = 0 to a.Arena.n_ports - 1 do
-    if port_kind.(p) <> Arena.kind_arc then begin
-      (* const ports stay present for the whole run; init ports start
-         present and their producer starts owing an acknowledge *)
-      present.(p) <- true;
-      pvalue.(p) <- a.Arena.port_value.(p);
-      if port_kind.(p) = Arena.kind_init && port_producer.(p) >= 0 then
-        pending_acks.(port_producer.(p)) <-
-          pending_acks.(port_producer.(p)) + 1
-    end
-  done;
-  for id = 0 to n - 1 do
-    match ops.(id) with
-    | Opcode.Input name ->
-      stream.(id) <-
-        Array.of_list
-          (Df_util.Conventions.lookup_feed ~who:"Engine.run" inputs name)
-    | Opcode.Fifo k -> fifo_buf.(id) <- Array.make (max k 1) Arena.dummy_value
-    | _ -> ()
-  done;
-  List.iter
-    (fun (name, _) ->
-      match Graph.find_input g name with
-      | (_ : int) -> ()
-      | exception Not_found ->
-        invalid_arg
-          (Printf.sprintf "Engine.run: unknown input stream %s" name))
-    inputs;
   (* ---- events ---- *)
   let cur = ref (Array.make 1024 0) in
   let cur_len = ref 0 in
@@ -539,74 +512,11 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
       end
     end
   done;
-  let outputs =
-    List.map
-      (fun (name, id) -> (name, List.rev collected.(id)))
-      a.Arena.outputs
-  in
   if !quiescent && san_on && not (San.tripped sanitizer) then
     List.iter emit_violation
-      (San.on_quiescence sanitizer ~time:!now
-         ~held:(fun node port ->
-           let p = port_base.(node) + port in
-           port_kind.(p) <> Arena.kind_const && present.(p)));
-  (* Structured stall report: which cells still hold or await something,
-     and the wait-for cycle when one explains the deadlock. *)
+      (San.on_quiescence sanitizer ~time:!now ~held:(Run_state.held a st));
   let build_stall reason =
-    let blocked = ref [] in
-    let edges = ref [] in
-    for id = 0 to n - 1 do
-      let held = ref [] and missing = ref [] in
-      for p = port_base.(id) to port_base.(id + 1) - 1 do
-        if port_kind.(p) <> Arena.kind_const then
-          if present.(p) then
-            held := (port_sub.(p), Value.to_string pvalue.(p)) :: !held
-          else begin
-            missing := port_sub.(p) :: !missing;
-            let src = port_producer.(p) in
-            if src >= 0 then edges := (id, src) :: !edges
-          end
-      done;
-      let held = List.rev !held and missing = List.rev !missing in
-      if pending_acks.(id) > 0 then
-        for d = dest_base.(slot_base.(id)) to dest_base.(slot_base.(id + 1)) - 1
-        do
-          let p = dest_port.(d) in
-          if present.(p) && port_producer.(p) = id then
-            edges := (id, port_cell.(p)) :: !edges
-        done;
-      let pending_inputs =
-        match ops.(id) with
-        | Opcode.Input _ -> Array.length stream.(id) - cursor.(id)
-        | _ -> 0
-      in
-      if
-        held <> [] || fifo_len.(id) > 0 || pending_inputs > 0
-        || pending_acks.(id) > 0
-      then begin
-        let b =
-          {
-            SR.b_node = id;
-            b_label = labels.(id);
-            b_op = Opcode.name ops.(id);
-            b_missing = missing;
-            b_held = held;
-            b_pending_acks = pending_acks.(id);
-            b_queue_len = fifo_len.(id);
-            b_pending_inputs = pending_inputs;
-          }
-        in
-        if tracer_on then
-          Obs.Tracer.emit tracer
-            (Obs.Event.Stall
-               { time = !now; track = id; node = id; label = labels.(id);
-                 reason = SR.blocked_line b });
-        blocked := b :: !blocked
-      end
-    done;
-    match List.rev !blocked with
-    | [] -> None
-    | blocked -> Some (SR.make ~time:!now ~reason ~blocked ~edges:!edges ())
+    Run_state.stall tracer ~track:Fun.id a st ~time:!now ~reason
   in
   let stuck =
     if San.tripped sanitizer then None
@@ -615,7 +525,7 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
     else build_stall SR.Max_time_exhausted
   in
   {
-    outputs;
+    outputs = Run_state.outputs a st;
     fire_counts;
     fire_times;
     end_time = !now;
@@ -630,12 +540,3 @@ let stream result name =
 let output_values result name = List.map snd (stream result name)
 
 let output_times result name = List.map fst (stream result name)
-
-let engine : (module Engine_intf.ENGINE with type result = result) =
-  (module struct
-    type nonrec result = result
-
-    let run = run_cfg
-    let output_values = output_values
-    let output_times = output_times
-  end)

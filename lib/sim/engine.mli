@@ -19,8 +19,9 @@
     program-load time, which is how feedback loops are primed.
 
     The engine runs on a flat arena (see {!Arena}): the graph is lowered
-    once per run into int-indexed arrays, events are bare ints in
-    preallocated buffers, and steady state allocates nothing.
+    once per run into int-indexed arrays, the run state is the
+    {!Run_state} layout the machine engine shares, events are bare ints
+    in preallocated buffers, and steady state allocates nothing.
     [docs/ENGINE.md] describes the layout. *)
 
 open Dfg
@@ -86,6 +87,3 @@ val output_values : result -> string -> Value.t list
 
 val output_times : result -> string -> int list
 (** Arrival times of an output stream; errors as {!output_values}. *)
-
-val engine : (module Engine_intf.ENGINE with type result = result)
-(** This simulator as an {!Engine_intf.ENGINE}. *)

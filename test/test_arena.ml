@@ -166,11 +166,27 @@ let test_lookup_errors () =
   | exception Invalid_argument msg ->
     checkb "names the missing stream" true (contains msg "no output stream nope");
     checkb "lists the produced streams" true (contains msg "run produced"));
-  let g, _ = kernel_subject k ~size:6 ~seed:0 in
-  match Sim.Engine.run_cfg Run_config.default g ~inputs:[] with
+  let g, inputs = kernel_subject k ~size:6 ~seed:0 in
+  (match Sim.Engine.run_cfg Run_config.default g ~inputs:[] with
   | _ -> Alcotest.fail "missing input feed must raise"
   | exception Invalid_argument msg ->
-    checkb "names the missing input" true (contains msg "no packets for input")
+    checkb "names the missing input" true (contains msg "no packets for input"));
+  (* a feed the graph has no input for is rejected by both engines *)
+  let inputs = inputs @ [ ("zzz", [ Value.Int 1 ]) ] in
+  List.iter
+    (fun (engine, run) ->
+      match run () with
+      | () -> Alcotest.failf "%s: unknown input stream must raise" engine
+      | exception Invalid_argument msg ->
+        checkb (engine ^ " names the unknown stream") true
+          (contains msg "unknown input stream zzz"))
+    [ ("graph engine",
+       fun () -> ignore (Sim.Engine.run_cfg Run_config.default g ~inputs));
+      ("machine engine",
+       fun () ->
+         ignore
+           (ME.run_cfg ME.default_config ~arch:Machine.Arch.default g ~inputs))
+    ]
 
 let suite =
   [

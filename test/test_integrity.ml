@@ -370,7 +370,35 @@ let test_checkpoint_rejects_rot () =
       | Error (CP.Malformed _) -> ()
       | Error e ->
         Alcotest.failf "expected Malformed, got %s" (CP.load_error_to_string e)
-      | Ok _ -> Alcotest.fail "garbage document must be rejected"));
+      | Ok _ -> Alcotest.fail "garbage document must be rejected");
+      (* a document of the previous format, under the same header *)
+      let old_payload =
+        let nl = String.index pristine '\n' + 1 in
+        match
+          Obs.Json.of_string
+            (String.sub pristine nl (String.length pristine - nl))
+        with
+        | Obs.Json.Obj fields ->
+          Obs.Json.to_string
+            (Obs.Json.Obj
+               (List.map
+                  (fun (k, v) ->
+                    if k = "version" then (k, Obs.Json.Int 2) else (k, v))
+                  fields))
+          ^ "\n"
+        | _ -> Alcotest.fail "checkpoint document is not an object"
+      in
+      write_all path
+        (Printf.sprintf "dfsnap2 %d %d\n%s" (I.checksum_string old_payload)
+           (String.length old_payload) old_payload);
+      match CP.load ~path ~graph:g with
+      | Error (CP.Malformed e) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "version-2 rejection names the version (%s)" e)
+          true (contains e "version 2")
+      | Error e ->
+        Alcotest.failf "expected Malformed, got %s" (CP.load_error_to_string e)
+      | Ok _ -> Alcotest.fail "a version-2 checkpoint must be rejected");
   match CP.load ~path:"/nonexistent/dfsim-rot.json" ~graph:g with
   | Error (CP.Io _) -> ()
   | Error e -> Alcotest.failf "expected Io, got %s" (CP.load_error_to_string e)

@@ -23,6 +23,7 @@ let () =
       ("integrity", Test_integrity.suite);
       ("exec", Test_exec.suite);
       ("exec.arena", Test_arena.suite);
+      ("engine.behaviour", Test_behaviour.suite);
       ("serve", Test_serve.suite);
       ("serve.journal", Test_journal.suite);
       ("serve.replica", Test_replica.suite);

@@ -362,6 +362,74 @@ let test_generator_tail_quiesces_under_ack_loss () =
           (sr.SR.sr_reason = SR.Deadlock))
     [ 101; 202; 303 ]
 
+(* ---------------- resume = straight run ---------------- *)
+
+let kernel_feeds (k : Kernels.kernel) ~n ~waves =
+  let st = Random.State.make [| Hashtbl.hash k.Kernels.name |] in
+  let _, compiled =
+    Compiler.Driver.compile_source ~scalar_inputs:k.Kernels.scalar_inputs
+      (k.Kernels.source n)
+  in
+  let wave = k.Kernels.inputs n st in
+  ( compiled.Compiler.Program_compile.cp_graph,
+    List.map
+      (fun (name, _) ->
+        (name, List.concat (List.init waves (fun _ -> List.assoc name wave))))
+      compiled.Compiler.Program_compile.cp_inputs )
+
+let test_resume_matrix () =
+  (* a crash-faulted run paused anywhere — before the crash, between
+     crash and rollback target, after recovery — then carried through
+     the JSON codec and resumed must finish exactly as the run that
+     never paused: same outputs and timestamps, stats, checkpoint and
+     recovery counts, stall text *)
+  let arch = Machine.Arch.default in
+  let resumed = ref 0 in
+  List.iter
+    (fun (k : Kernels.kernel) ->
+      let g, inputs = kernel_feeds k ~n:16 ~waves:4 in
+      List.iter
+        (fun (pe, at) ->
+          let cfg =
+            Run_config.(
+              ME.default_config
+              |> with_fault (crash_plan ~seed:1 ~pe ~at FP.none)
+              |> with_recovery ME.default_recovery)
+          in
+          let straight = ME.run_cfg cfg ~arch g ~inputs in
+          List.iter
+            (fun pause ->
+              let m = ME.create_cfg cfg ~arch g ~inputs in
+              ME.advance m ~until:pause;
+              if not (ME.finished m) then begin
+                incr resumed;
+                let doc =
+                  Obs.Json.of_string
+                    (Obs.Json.to_string
+                       (CP.to_json ~graph:g (ME.snapshot m)))
+                in
+                match CP.of_json ~graph:g doc with
+                | Error e -> Alcotest.failf "%s: %s" k.Kernels.name e
+                | Ok sn ->
+                  let r = Recover.resume cfg ~arch g ~inputs sn in
+                  if compare r straight <> 0 then
+                    Alcotest.failf
+                      "%s crash-pe=%d,crash-at=%d paused at %d: resumed run \
+                       ends at %d with %d recoveries, %d dispatches; \
+                       straight run ends at %d with %d recoveries, %d \
+                       dispatches"
+                      k.Kernels.name pe at pause r.ME.end_time
+                      r.ME.recoveries r.ME.stats.ME.dispatches
+                      straight.ME.end_time straight.ME.recoveries
+                      straight.ME.stats.ME.dispatches
+              end)
+            [ 30; 100; 300; 1000 ])
+        [ (0, 40); (1, 120); (2, 250); (3, 600) ])
+    Kernels.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "most runs paused mid-flight (%d)" !resumed)
+    true (!resumed >= 100)
+
 let suite =
   [
     Alcotest.test_case "recovery policy spec" `Quick test_policy_spec;
@@ -387,4 +455,6 @@ let suite =
       test_kernels_crash_differential;
     Alcotest.test_case "generator tail quiesces under ack loss" `Quick
       test_generator_tail_quiesces_under_ack_loss;
+    Alcotest.test_case "crash matrix: resumed run = straight run" `Quick
+      test_resume_matrix;
   ]

@@ -760,6 +760,69 @@ let test_journal_crash_replay () =
                 (stat stats "deduped");
               check_int "nothing left to replay" 0 (stat stats "replayed"))))
 
+(* A journal written by an older build: the pending job's Progress
+   checkpoint is in a format this build cannot read.  Startup must log
+   the rejection and rerun the job from scratch, so the retry still
+   collects the standalone answer bit for bit. *)
+let test_journal_old_checkpoint_reruns () =
+  let journal =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dfserve-test-oldck-%d.wal" (Unix.getpid ()))
+  in
+  (try Sys.remove journal with Sys_error _ -> ());
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
+    (fun () ->
+      let run =
+        { (P.default_run (P.Kernel { name = "hydro"; size = 8 })) with
+          P.waves = 3;
+          engine = `Machine;
+          idem = Some "old-ck" }
+      in
+      let cfg, arch =
+        match Serve.Server.config_of_run run with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "config: %s" e
+      in
+      let graph, inputs, _ =
+        match
+          Serve.Server.subject_of_program run.P.program ~waves:run.P.waves
+        with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "subject: %s" e
+      in
+      let m = ME.create_cfg cfg ~arch graph ~inputs in
+      ME.advance m ~until:60;
+      check "checkpoint taken mid-run" false (ME.finished m);
+      let old_doc =
+        match Recover.Checkpoint.to_json ~graph (ME.snapshot m) with
+        | J.Obj fields ->
+          J.Obj
+            (List.map
+               (fun (k, v) -> if k = "version" then (k, J.Int 2) else (k, v))
+               fields)
+        | _ -> Alcotest.fail "checkpoint document is not an object"
+      in
+      check "this build rejects the old document" true
+        (Result.is_error (Recover.Checkpoint.of_json ~graph old_doc));
+      let jr = Serve.Journal.open_append journal in
+      Serve.Journal.append jr
+        (Serve.Journal.Admit
+           { idem = "old-ck"; request = P.request_to_json ~id:0 (P.Simulate run) });
+      Serve.Journal.append jr
+        (Serve.Journal.Progress { idem = "old-ck"; checkpoint = old_doc });
+      Serve.Journal.close jr;
+      with_server_t ~journal (fun socket _ ->
+          let conn = Serve.Client.connect socket in
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close conn)
+            (fun () ->
+              check_served_identical ~label:"rerun after rejected checkpoint"
+                (Serve.Client.rpc conn (P.Simulate run))
+                (standalone run);
+              let stats = Serve.Client.rpc conn P.Stats in
+              check_int "pending admission replayed" 1 (stat stats "replayed"))))
+
 (* --- federation ------------------------------------------------------- *)
 
 let test_rendezvous_routing () =
@@ -1081,6 +1144,8 @@ let suite =
       test_idempotency_dedup;
     Alcotest.test_case "server: journal survives restart, exactly-once"
       `Quick test_journal_crash_replay;
+    Alcotest.test_case "server: unreadable journaled checkpoint reruns the job"
+      `Quick test_journal_old_checkpoint_reruns;
     Alcotest.test_case "cluster: rendezvous routing is minimal-disruption"
       `Quick test_rendezvous_routing;
     Alcotest.test_case "cluster: backoff schedule deterministic and bounded"
