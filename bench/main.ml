@@ -52,7 +52,7 @@ let print_table ctx table = Buffer.add_string ctx.buf (Table.render table)
 
 let interval_of ?(waves = 10) ?options source inputs output =
   let prog, cp = D.compile_source ?options source in
-  let result = D.run ~waves cp ~inputs in
+  let result = D.run_cfg ~waves Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs;
   (Sim.Metrics.output_interval result output, cp, result)
 
@@ -765,7 +765,7 @@ let x3 ctx =
         D.compile_source ~scalar_inputs:k.Kernels.scalar_inputs
           (k.Kernels.source n)
       in
-      let result = D.run ~waves:8 cp ~inputs in
+      let result = D.run_cfg ~waves:8 Run_config.default cp ~inputs in
       D.check_against_oracle prog cp result ~inputs;
       let got =
         List.map Value.to_real (D.output_wave cp result k.Kernels.output)
@@ -818,7 +818,8 @@ let micro_benchmarks () =
         Test.make ~name:"compile fig3 (m=62)"
           (Staged.stage (fun () -> ignore (D.compile_source source)));
         Test.make ~name:"simulate fig3, 1 wave"
-          (Staged.stage (fun () -> ignore (D.run ~waves:1 compiled ~inputs)));
+          (Staged.stage (fun () ->
+               ignore (D.run_cfg ~waves:1 Run_config.default compiled ~inputs)));
         Test.make ~name:"optimal balance, 211-node DAG"
           (Staged.stage (fun () ->
                ignore (Balance.Balancer.optimal_levels dag)));

@@ -12,10 +12,11 @@
    A failing scenario is not just reported: its 12-parameter spec is
    delta-debugged down to a minimal still-failing plan (Fault.Shrink),
    the wave count and kernel size are narrowed the same way, and the
-   result is printed as a one-line faultcheck command that reproduces
-   the failure exactly.  Scenario generation and shrinking are
-   deterministic, so the same master seed yields the same verdicts and
-   the same minimal repros whatever the worker count.
+   result is printed as a one-line faultcheck command (its plan as one
+   --fault SPEC string) that reproduces the failure exactly.  Scenario
+   generation and shrinking are deterministic, so the same master seed
+   yields the same verdicts and the same minimal repros whatever the
+   worker count.
 
    With a service flag every scenario's protected faulted run is
    additionally replayed through live dfserve processes, and the served
@@ -59,7 +60,6 @@
      chaos --runs 30 --serve-cluster 3 --kills 5
      chaos --runs 30 --serve-wipe 3 --kills 4 *)
 
-module PC = Compiler.Program_compile
 module D = Compiler.Driver
 module K = Kernels
 module FP = Fault.Fault_plan
@@ -106,26 +106,13 @@ let pick_kernel ~master ~index kernels =
 
 (* --- the oracle ------------------------------------------------------ *)
 
-let stall_unexpected = Runspec.stall_unexpected
-
 (* the chaos watchdog starts from a higher floor than faultcheck's: the
    everything-at-once scenarios stack latency sources *)
 let watchdog_for (spec : FP.spec) (recovery : ME.recovery) =
   Runspec.watchdog_for ~base:200 spec (Some recovery)
   + (if spec.FP.stall_prob = 0.0 then 4 * spec.FP.stall_max else 0)
 
-type subject = Runspec.subject = {
-  kernel : K.kernel;
-  size : int;
-  waves : int;
-  compiled : PC.compiled;
-  graph : Dfg.Graph.t;
-  inputs : (string * Dfg.Value.t list) list;
-}
-
-let compile_subject = Runspec.compile_subject
-
-let check ~recovery subject (spec : FP.spec) =
+let check ~recovery (subject : Runspec.subject) (spec : FP.spec) =
   let plan = FP.make spec in
   FD.machine
     ~watchdog:(watchdog_for spec recovery)
@@ -133,7 +120,7 @@ let check ~recovery subject (spec : FP.spec) =
 
 let outcome_ok (o : FD.outcome) =
   o.FD.equal && o.FD.faulted_violations = []
-  && not (stall_unexpected o.FD.faulted_stall)
+  && not (Fault.Stall_report.unexpected o.FD.faulted_stall)
   && o.FD.clean_digest = o.FD.faulted_digest
 
 (* --- replay through live dfserve members ------------------------------ *)
@@ -142,7 +129,8 @@ let outcome_ok (o : FD.outcome) =
    Fault_plan.to_string round-trips %.17g-exactly and the server
    rebuilds the identical Run_config, so the served response must
    reproduce the standalone run byte for byte. *)
-let replay_run ?idem ~recovery subject (spec : FP.spec) =
+let replay_run ?idem ~recovery (subject : Runspec.subject)
+    (spec : FP.spec) =
   let module SP = Serve.Protocol in
   { (SP.default_run
        (SP.Kernel { name = subject.kernel.K.name; size = subject.size }))
@@ -435,8 +423,8 @@ let killer f s ~master () =
    SIGKILLed.  Nothing printed here depends on which member answered or
    which path delivered: stdout must be identical whatever the worker
    count. *)
-let replay f s ~master ~recovery index subject (spec : FP.spec)
-    (o : FD.outcome) =
+let replay f s ~master ~recovery index (subject : Runspec.subject)
+    (spec : FP.spec) (o : FD.outcome) =
   let module SP = Serve.Protocol in
   let p = f.preset in
   let run =
@@ -482,7 +470,7 @@ let replay f s ~master ~recovery index subject (spec : FP.spec)
 (* the spec lattice first (Fault.Shrink), then the subject: fewer
    waves, then a smaller kernel size — each adopted only while the
    minimal spec still fails *)
-let shrink_failure ~recovery subject spec =
+let shrink_failure ~recovery (subject : Runspec.subject) spec =
   let still_fails subject spec =
     not (outcome_ok (check ~recovery subject spec))
   in
@@ -502,25 +490,26 @@ let shrink_failure ~recovery subject spec =
   narrow "waves"
     (List.filter (fun w -> w < s0.waves) [ 1; 2 ])
     (fun waves -> { s0 with waves; inputs = [] } |> fun s ->
-       compile_subject s.kernel ~size:s.size ~waves);
+       Runspec.compile_subject s.kernel ~size:s.size ~waves);
   let s1 = !subject in
   narrow "size"
     (List.filter (fun n -> n < s1.size) [ 4; 8; 16 ])
-    (fun size -> compile_subject s1.kernel ~size ~waves:s1.waves);
+    (fun size -> Runspec.compile_subject s1.kernel ~size ~waves:s1.waves);
   (!subject, r, !attempts)
 
 (* the one-line command that replays the minimal failure exactly *)
-let repro_command ~recovery subject (spec : FP.spec) =
+let repro_command ~recovery (subject : Runspec.subject)
+    (spec : FP.spec) =
   Printf.sprintf
-    "faultcheck --kernel %s --seeds %d --size %d --waves %d --inject '%s' \
+    "faultcheck --kernel %s --seeds %d --size %d --waves %d --fault '%s' \
      --recover %s --integrity --machine"
     subject.kernel.K.name spec.FP.seed subject.size subject.waves
     (FP.to_string spec) (Recover.to_string recovery)
 
 (* --- reporting ------------------------------------------------------- *)
 
-let dump_failure ~dir ~recovery ~index subject ~original
-    (r : Shrink.result) ~attempts (o : FD.outcome) =
+let dump_failure ~dir ~recovery ~index (subject : Runspec.subject)
+    ~original (r : Shrink.result) ~attempts (o : FD.outcome) =
   (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
    with Sys_error _ -> ());
   let path =
@@ -586,7 +575,7 @@ let run_scenario ~master ~size ~waves ~recovery ~dir ~kernels ~replay ~buf
     index =
   let spec = gen_spec ~master ~index ~n_pe:Machine.Arch.default.Machine.Arch.n_pe in
   let kernel = pick_kernel ~master ~index kernels in
-  let subject = compile_subject kernel ~size ~waves in
+  let subject = Runspec.compile_subject kernel ~size ~waves in
   let o = check ~recovery subject spec in
   let serve_failures =
     match replay with
@@ -648,7 +637,7 @@ let main runs master size waves dir kernel_filter recover jobs serve
      client, not a kill of the whole soak *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let recovery =
-    match Runspec.recovery_of_string (Option.value recover ~default:"") with
+    match Recover.of_string (Option.value recover ~default:"") with
     | Ok p -> p
     | Error e ->
       failwith (Printf.sprintf "--recover %s: %s" (Option.get recover) e)

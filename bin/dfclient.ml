@@ -8,7 +8,10 @@
    harvest a restorable checkpoint that dfsim --restore accepts, and
    with --retries rides the resilient retry/backoff path under an
    idempotency key, surviving server restarts.  sweep serves a kernel
-   grid whose JSON matches sweep.exe's output byte for byte.
+   grid whose JSON matches sweep.exe's output byte for byte.  The run
+   flags (--seed --waves --machine --pe --stored --fault --recover
+   --integrity --watchdog --sanitize --values-out --metrics-out) are
+   Run_flags's, shared with dfsim: the same flags name the same run.
 
    With --cluster a,b,c the simulate and stats verbs address a
    federation of dfserve members: simulate routes by rendezvous hash
@@ -56,31 +59,6 @@ let program_of kernel size source input_seed =
     P.Source { source = read_file path; scalars = []; input_seed }
   | None, None -> failwith "simulate/compile need --kernel or --source"
 
-let run_of program waves machine pe stored fault fault_seed recover integrity
-    watchdog max_time sanitize idem =
-  let watchdog =
-    match watchdog with
-    | None -> P.Off
-    | Some "auto" -> P.Auto
-    | Some s -> (
-      match int_of_string_opt s with
-      | Some n -> P.At n
-      | None -> failwith "--watchdog takes a count or 'auto'")
-  in
-  { (P.default_run program) with
-    P.waves;
-    engine = (if machine then `Machine else `Sim);
-    n_pe = pe;
-    stored;
-    fault;
-    fault_seed;
-    recovery = recover;
-    integrity;
-    watchdog;
-    max_time;
-    sanitize;
-    idem }
-
 let require_ok resp =
   if not (P.response_ok resp) then (
     match P.response_error resp with
@@ -125,15 +103,15 @@ let write_metrics_out resp = function
 (* A preempted response carries the checkpoint as JSON; reframe it as
    the dfsnap2 file format so dfsim --restore accepts it.  Decoding it
    against the locally-compiled graph also validates the document. *)
-let write_checkpoint_out program waves resp = function
+let write_checkpoint_out program resp = function
   | None -> ()
   | Some path -> (
     match J.member "checkpoint" resp with
     | J.Null -> failwith "response carries no checkpoint"
     | doc -> (
-      match Serve.Server.subject_of_program program ~waves with
+      match Serve.Server.compile_program program with
       | Error e -> failwith ("recompile for checkpoint: " ^ e)
-      | Ok (graph, _, _) -> (
+      | Ok { Compiler.Program_compile.cp_graph = graph; _ } -> (
         match Recover.Checkpoint.of_json ~graph doc with
         | Error e -> failwith ("checkpoint: " ^ e)
         | Ok snapshot ->
@@ -141,11 +119,11 @@ let write_checkpoint_out program waves resp = function
           Printf.printf "wrote checkpoint %s (t=%d)\n" path
             snapshot.Machine.Machine_engine.sn_time)))
 
-let finish_simulate program waves resp values_out metrics_out checkpoint_out =
+let finish_simulate program resp values_out metrics_out checkpoint_out =
   match P.response_error resp with
   | Some (Some P.Cancelled, _) when checkpoint_out <> None ->
     print_endline "preempted; checkpoint returned";
-    write_checkpoint_out program waves resp checkpoint_out
+    write_checkpoint_out program resp checkpoint_out
   | Some (Some kind, msg) -> raise (Rejected (kind, msg))
   | Some (None, msg) -> failwith ("error: " ^ msg)
   | None ->
@@ -154,9 +132,13 @@ let finish_simulate program waves resp values_out metrics_out checkpoint_out =
     write_metrics_out resp metrics_out
 
 let main verb socket tcp cluster to_addr after timeout retries idem kernel
-    size source input_seed waves machine pe stored fault fault_seed recover
-    integrity watchdog max_time sanitize pes sweep_waves kernels out
-    values_out metrics_out checkpoint_out preempt_after =
+    size source (flags : Run_flags.t) max_time pes sweep_waves kernels out
+    checkpoint_out preempt_after =
+  let values_out = flags.Run_flags.values_out
+  and metrics_out = flags.Run_flags.metrics_out in
+  let run_of program =
+    { (flags.Run_flags.run program) with P.max_time; idem }
+  in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let addr = match tcp with Some hp -> "tcp:" ^ hp | None -> socket in
   let retry =
@@ -164,7 +146,7 @@ let main verb socket tcp cluster to_addr after timeout retries idem kernel
     else Serve.Client.default_retry
   in
   let cluster_of spec =
-    match Serve.Cluster.members_of_spec spec with
+    match Runspec.members_of_string spec with
     | Error e -> failwith ("--cluster " ^ e)
     | Ok members -> Serve.Cluster.create ?deadline:timeout ~retry members
   in
@@ -221,7 +203,7 @@ let main verb socket tcp cluster to_addr after timeout retries idem kernel
         print_endline "server shutting down")
   | "compile" ->
     with_conn (fun conn ->
-        let program = program_of kernel size source input_seed in
+        let program = program_of kernel size source flags.Run_flags.seed in
         let resp = require_ok (Serve.Client.rpc conn (P.Compile program)) in
         Printf.printf "key=%d cache_hit=%b cells=%d\n"
           (Option.value ~default:0 (J.get_int (J.member "key" resp)))
@@ -244,11 +226,8 @@ let main verb socket tcp cluster to_addr after timeout retries idem kernel
           Printf.printf "wrote %s\n" path
         | None -> print_endline (J.to_string grid))
   | "simulate" ->
-    let program = program_of kernel size source input_seed in
-    let run =
-      run_of program waves machine pe stored fault fault_seed recover
-        integrity watchdog max_time sanitize idem
-    in
+    let program = program_of kernel size source flags.Run_flags.seed in
+    let run = run_of program in
     if cluster <> None then begin
       if preempt_after <> None then
         failwith "--preempt-after needs a held connection; drop --cluster";
@@ -260,7 +239,7 @@ let main verb socket tcp cluster to_addr after timeout retries idem kernel
       in
       Printf.printf "served by %s%s\n" served_by
         (if Serve.Cluster.failovers t > 0 then " (after failover)" else "");
-      finish_simulate program waves resp values_out metrics_out
+      finish_simulate program resp values_out metrics_out
         checkpoint_out
     end
     else if retries > 0 then begin
@@ -272,7 +251,7 @@ let main verb socket tcp cluster to_addr after timeout retries idem kernel
       in
       if attempts > 1 then
         Printf.printf "delivered after %d attempts\n" attempts;
-      finish_simulate program waves resp values_out metrics_out
+      finish_simulate program resp values_out metrics_out
         checkpoint_out
     end
     else
@@ -284,7 +263,7 @@ let main verb socket tcp cluster to_addr after timeout retries idem kernel
             Unix.sleepf secs;
             ignore (Serve.Client.send conn (P.Cancel id)));
           let resp = Serve.Client.await conn id in
-          finish_simulate program waves resp values_out metrics_out
+          finish_simulate program resp values_out metrics_out
             checkpoint_out)
   | "migrate" ->
     (* submit at --socket, let it run --after seconds, move it to --to *)
@@ -294,11 +273,8 @@ let main verb socket tcp cluster to_addr after timeout retries idem kernel
       | None -> failwith "migrate needs --to TARGET"
     in
     if idem = None then failwith "migrate needs --idem KEY";
-    let program = program_of kernel size source input_seed in
-    let run =
-      run_of program waves machine pe stored fault fault_seed recover
-        integrity watchdog max_time sanitize idem
-    in
+    let program = program_of kernel size source flags.Run_flags.seed in
+    let run = run_of program in
     with_conn (fun conn ->
         ignore (Serve.Client.send conn (P.Simulate run));
         Unix.sleepf after;
@@ -307,19 +283,17 @@ let main verb socket tcp cluster to_addr after timeout retries idem kernel
             run
         in
         Printf.printf "migration: %s\n" how;
-        finish_simulate program waves resp values_out metrics_out
+        finish_simulate program resp values_out metrics_out
           checkpoint_out)
   | v -> failwith (Printf.sprintf "unknown verb %S" v)
 
 let main_safe verb socket tcp cluster to_addr after timeout retries idem
-    kernel size source input_seed waves machine pe stored fault fault_seed
-    recover integrity watchdog max_time sanitize pes sweep_waves kernels out
-    values_out metrics_out checkpoint_out preempt_after =
+    kernel size source flags max_time pes sweep_waves kernels out
+    checkpoint_out preempt_after =
   try
     main verb socket tcp cluster to_addr after timeout retries idem kernel
-      size source input_seed waves machine pe stored fault fault_seed recover
-      integrity watchdog max_time sanitize pes sweep_waves kernels out
-      values_out metrics_out checkpoint_out preempt_after;
+      size source flags max_time pes sweep_waves kernels out checkpoint_out
+      preempt_after;
     `Ok ()
   with
   | Rejected (kind, msg) ->
@@ -404,56 +378,9 @@ let cmd =
     Arg.(value & opt (some string) None
          & info [ "source" ] ~docv:"FILE" ~doc:"Val source file to run")
   in
-  let input_seed =
-    Arg.(value & opt int 1
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"input-synthesis seed for --source (dfsim's convention)")
-  in
-  let waves =
-    Arg.(value & opt int 1
-         & info [ "waves" ] ~docv:"W" ~doc:"input waves to stream")
-  in
-  let machine =
-    Arg.(value & flag
-         & info [ "machine" ] ~doc:"run on the machine-level simulator")
-  in
-  let pe =
-    Arg.(value & opt (some int) None
-         & info [ "pe" ] ~docv:"N" ~doc:"machine: processing elements")
-  in
-  let stored =
-    Arg.(value & flag
-         & info [ "stored" ] ~doc:"machine: Stored array policy baseline")
-  in
-  let fault =
-    Arg.(value & opt (some string) None
-         & info [ "fault" ] ~docv:"SPEC" ~doc:"fault plan spec string")
-  in
-  let fault_seed =
-    Arg.(value & opt (some int) None
-         & info [ "fault-seed" ] ~docv:"N"
-             ~doc:"override the fault spec's seed")
-  in
-  let recover =
-    Arg.(value & opt ~vopt:(Some "") (some string) None
-         & info [ "recover" ] ~docv:"SPEC"
-             ~doc:"machine: recovery policy (bare flag = defaults)")
-  in
-  let integrity =
-    Arg.(value & flag
-         & info [ "integrity" ] ~doc:"machine: per-packet checksums")
-  in
-  let watchdog =
-    Arg.(value & opt (some string) None
-         & info [ "watchdog" ] ~docv:"T|auto" ~doc:"no-progress watchdog")
-  in
   let max_time =
     Arg.(value & opt (some int) None
          & info [ "max-time" ] ~docv:"T" ~doc:"simulation time budget")
-  in
-  let sanitize =
-    Arg.(value & flag
-         & info [ "sanitize" ] ~doc:"fresh protocol sanitizer for the run")
   in
   let pes =
     Arg.(value & opt (list int) [ 1; 2; 4; 8; 16 ]
@@ -476,17 +403,6 @@ let cmd =
              ~doc:"sweep: write the grid JSON here (byte-identical to \
                    sweep.exe --out for the same grid)")
   in
-  let values_out =
-    Arg.(value & opt (some string) None
-         & info [ "values-out" ] ~docv:"OUT"
-             ~doc:"write output streams as name/time/%h-value lines \
-                   (diffable against dfsim --values-out)")
-  in
-  let metrics_out =
-    Arg.(value & opt (some string) None
-         & info [ "metrics-out" ] ~docv:"OUT"
-             ~doc:"write the response's metrics-registry snapshot as JSON")
-  in
   let checkpoint_out =
     Arg.(value & opt (some string) None
          & info [ "checkpoint-out" ] ~docv:"OUT"
@@ -503,10 +419,8 @@ let cmd =
   let term =
     Term.(ret (const main_safe $ verb $ socket $ tcp $ cluster $ to_addr
                $ after $ timeout $ retries $ idem $ kernel $ size $ source
-               $ input_seed $ waves $ machine $ pe $ stored $ fault
-               $ fault_seed $ recover $ integrity $ watchdog $ max_time
-               $ sanitize $ pes $ sweep_waves $ kernels $ out $ values_out
-               $ metrics_out $ checkpoint_out $ preempt_after))
+               $ Run_flags.term $ max_time $ pes $ sweep_waves $ kernels
+               $ out $ checkpoint_out $ preempt_after))
   in
   Cmd.v
     (Cmd.info "dfclient" ~version:"1.0"

@@ -10,13 +10,16 @@
    a ready-to-paste repro command, and fails the run (CI uploads the
    dumps as artifacts).
 
+   The fault plan is one --fault SPEC string (default delay=0.25), the
+   form dfsim, dfclient and every printed repro use.
+
    Examples:
      faultcheck --seeds 101,202,303 --out fault-reports
-     faultcheck --machine --delay 0.5
-     faultcheck --machine --recover --drop-ack 0.15
-     faultcheck --machine --recover --crash-pe 2 --crash-at 120
-     faultcheck --machine --recover --integrity --corrupt 0.05
-     faultcheck --machine --inject 'seed=7,stall=0.1,corrupt=0.02' --integrity
+     faultcheck --machine --fault delay=0.5
+     faultcheck --machine --recover --fault 'delay=0.25,drop-ack=0.15'
+     faultcheck --machine --recover --fault 'delay=0.1,crash-pe=2,crash-at=120'
+     faultcheck --machine --recover --integrity --fault corrupt=0.05
+     faultcheck --machine --fault 'seed=7,stall=0.1,corrupt=0.02' --integrity
      faultcheck --kernel hydro --seeds 42 *)
 
 module PC = Compiler.Program_compile
@@ -37,46 +40,17 @@ type config = {
   kernel_filter : string option;
 }
 
-(* the exact command line that reruns one failing combination.  Stall
-   and FU/AM-slowdown fields have no dedicated flags, so a spec using
-   them is carried whole via --inject (the canonical Fault_plan string);
-   everything else stays as readable per-field flags. *)
+(* the exact command line that reruns one failing combination *)
 let repro_command cfg ~kernel ~seed =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "faultcheck";
-  Printf.bprintf b " --kernel %s --seeds %d" kernel seed;
-  Printf.bprintf b " --size %d --waves %d" cfg.size cfg.waves;
-  let s = cfg.spec in
-  let flagless =
-    s.FP.stall_prob <> 0.0
-    || s.FP.stall_max <> FP.none.FP.stall_max
-    || s.FP.fu_slow <> 0 || s.FP.am_slow <> 0
-  in
-  if flagless then
-    Printf.bprintf b " --inject '%s'" (FP.to_string { s with FP.seed })
-  else begin
-    if s.FP.delay_prob <> 0.0 then
-      Printf.bprintf b " --delay %g" s.FP.delay_prob;
-    if s.FP.delay_max <> FP.none.FP.delay_max then
-      Printf.bprintf b " --delay-max %d" s.FP.delay_max;
-    if s.FP.dup_prob <> 0.0 then Printf.bprintf b " --dup %g" s.FP.dup_prob;
-    if s.FP.drop_ack_prob <> 0.0 then
-      Printf.bprintf b " --drop-ack %g" s.FP.drop_ack_prob;
-    if s.FP.drop_prob <> 0.0 then Printf.bprintf b " --drop %g" s.FP.drop_prob;
-    if s.FP.corrupt_prob <> 0.0 then
-      Printf.bprintf b " --corrupt %g" s.FP.corrupt_prob;
-    if s.FP.corrupt_ctl_prob <> 0.0 then
-      Printf.bprintf b " --corrupt-ctl %g" s.FP.corrupt_ctl_prob;
-    if s.FP.crash_pe >= 0 then
-      Printf.bprintf b " --crash-pe %d --crash-at %d" s.FP.crash_pe
-        s.FP.crash_at
-  end;
-  (match cfg.recovery with
-  | Some p -> Printf.bprintf b " --recover %s" (Recover.to_string p)
-  | None -> ());
-  if cfg.integrity then Buffer.add_string b " --integrity";
-  if cfg.machine then Buffer.add_string b " --machine";
-  Buffer.contents b
+  Printf.sprintf
+    "faultcheck --kernel %s --seeds %d --size %d --waves %d --fault '%s'%s%s%s"
+    kernel seed cfg.size cfg.waves
+    (FP.to_string { cfg.spec with FP.seed })
+    (match cfg.recovery with
+    | Some p -> " --recover " ^ Recover.to_string p
+    | None -> "")
+    (if cfg.integrity then " --integrity" else "")
+    (if cfg.machine then " --machine" else "")
 
 let dump_failure cfg ~graph ~kernel ~seed ~engine (o : FD.outcome) =
   let dir = cfg.dir in
@@ -122,8 +96,6 @@ let dump_failure cfg ~graph ~kernel ~seed ~engine (o : FD.outcome) =
   | None -> ());
   path
 
-let stall_unexpected = Runspec.stall_unexpected
-
 (* one kernel/seed combination; the report goes into [buf] so the matrix
    can run across domains and still print in submission order *)
 let check_one cfg ~buf ~seed (k : K.kernel) =
@@ -138,7 +110,7 @@ let check_one cfg ~buf ~seed (k : K.kernel) =
     let o = diff () in
     let ok =
       o.FD.equal && o.FD.faulted_violations = []
-      && not (stall_unexpected o.FD.faulted_stall)
+      && not (Fault.Stall_report.unexpected o.FD.faulted_stall)
       && o.FD.clean_digest = o.FD.faulted_digest
     in
     (* the per-run integrity story: bit-flips injected, caught by the
@@ -196,38 +168,21 @@ let check_one cfg ~buf ~seed (k : K.kernel) =
   in
   ok_sim && ok_machine
 
-let main seeds dir kernel_filter size waves prob max_delay dup drop_ack drop
-    corrupt corrupt_ctl crash_pe crash_at inject recover machine integrity
+let main seeds dir kernel_filter size waves fault recover machine integrity
     jobs =
   let recovery =
     match recover with
     | None -> None
     | Some spec -> (
-      match Runspec.recovery_of_string spec with
+      match Recover.of_string spec with
       | Ok p -> Some p
       | Error e -> failwith (Printf.sprintf "--recover %s: %s" spec e))
   in
+  (* each run's seed comes from --seeds, overriding any seed= here *)
   let spec =
-    match inject with
-    | Some s -> (
-      (* --inject carries the whole plan (shrinker output, chaos repro);
-         --seeds still picks the per-run seed, so any seed= in the spec
-         only matters if the default seed list is used unchanged *)
-      match Runspec.fault_spec_of_string s with
-      | Ok spec -> spec
-      | Error e -> failwith (Printf.sprintf "--inject %s: %s" s e))
-    | None ->
-      { FP.none with
-        FP.delay_prob = prob;
-        delay_max = max_delay;
-        dup_prob = dup;
-        drop_ack_prob = drop_ack;
-        drop_prob = drop;
-        corrupt_prob = corrupt;
-        corrupt_ctl_prob = corrupt_ctl;
-        crash_pe;
-        crash_at;
-      }
+    match FP.of_string fault with
+    | Ok spec -> spec
+    | Error e -> failwith (Printf.sprintf "--fault %s: %s" fault e)
   in
   let cfg =
     { dir; size; waves; spec; machine; recovery; integrity; kernel_filter }
@@ -286,12 +241,9 @@ let main seeds dir kernel_filter size waves prob max_delay dup drop_ack drop
     `Error
       (false, Printf.sprintf "%d of %d kernel/seed runs failed" !failures runs)
 
-let main_safe seeds dir kernel size waves prob max_delay dup drop_ack drop
-    corrupt corrupt_ctl crash_pe crash_at inject recover machine integrity
-    jobs =
-  try
-    main seeds dir kernel size waves prob max_delay dup drop_ack drop corrupt
-      corrupt_ctl crash_pe crash_at inject recover machine integrity jobs
+let main_safe seeds dir kernel size waves fault recover machine integrity jobs
+    =
+  try main seeds dir kernel size waves fault recover machine integrity jobs
   with Failure msg -> `Error (false, msg)
 
 let cmd =
@@ -319,58 +271,17 @@ let cmd =
     Arg.(value & opt int 4
          & info [ "waves" ] ~docv:"W" ~doc:"input waves to stream")
   in
-  let prob =
-    Arg.(value & opt float 0.25
-         & info [ "delay" ] ~docv:"P" ~doc:"per-packet delay probability")
-  in
-  let max_delay =
-    Arg.(value & opt int 8
-         & info [ "delay-max" ] ~docv:"N" ~doc:"largest injected delay")
-  in
-  let dup =
-    Arg.(value & opt float 0.0
-         & info [ "dup" ] ~docv:"P"
-             ~doc:"per-packet duplication probability (machine)")
-  in
-  let drop_ack =
-    Arg.(value & opt float 0.0
-         & info [ "drop-ack" ] ~docv:"P"
-             ~doc:"per-acknowledge loss probability (machine)")
-  in
-  let drop =
-    Arg.(value & opt float 0.0
-         & info [ "drop" ] ~docv:"P"
-             ~doc:"per-result-packet loss probability (machine)")
-  in
-  let corrupt =
-    Arg.(value & opt float 0.0
-         & info [ "corrupt" ] ~docv:"P"
-             ~doc:"per-int/real-result-packet payload bit-flip probability \
-                   (machine)")
-  in
-  let corrupt_ctl =
-    Arg.(value & opt float 0.0
-         & info [ "corrupt-ctl" ] ~docv:"P"
-             ~doc:"per-boolean-control-token negation probability (machine)")
-  in
-  let crash_pe =
-    Arg.(value & opt int (-1)
-         & info [ "crash-pe" ] ~docv:"N"
-             ~doc:"fail-stop this processing element (machine; -1 = none)")
-  in
-  let crash_at =
-    Arg.(value & opt int 0
-         & info [ "crash-at" ] ~docv:"T"
-             ~doc:"simulated time of the --crash-pe fail-stop")
-  in
-  let inject =
-    Arg.(value & opt (some string) None
-         & info [ "inject" ] ~docv:"SPEC"
-             ~doc:"full fault plan as a Fault_plan string (e.g. \
-                   'seed=7,stall=0.1,corrupt=0.02'); replaces the \
-                   per-fault flags — this is the form chaos and the \
-                   shrinker print, so minimal repros paste straight back \
-                   ($(b,--seeds) still picks the per-run seed)")
+  let fault =
+    Arg.(value & opt string "delay=0.25"
+         & info [ "fault" ] ~docv:"SPEC"
+             ~doc:"the fault plan, as a Fault_plan string: comma-separated \
+                   key=value over seed, delay, dup, drop-ack, drop, stall, \
+                   corrupt, corrupt-ctl (probabilities), delay-max, \
+                   stall-max, fu-slow, am-slow, crash-at (magnitudes) and \
+                   crash-pe (PE index), e.g. \
+                   'delay=0.1,crash-pe=2,crash-at=120'.  Every repro that \
+                   faultcheck and chaos print uses this form; \
+                   $(b,--seeds) picks the per-run seed")
   in
   let recover =
     Arg.(value & opt ~vopt:(Some "") (some string) None
@@ -400,10 +311,8 @@ let cmd =
                    identical whatever the count")
   in
   let term =
-    Term.(ret (const main_safe $ seeds $ dir $ kernel $ size $ waves $ prob
-               $ max_delay $ dup $ drop_ack $ drop $ corrupt $ corrupt_ctl
-               $ crash_pe $ crash_at $ inject $ recover $ machine $ integrity
-               $ jobs))
+    Term.(ret (const main_safe $ seeds $ dir $ kernel $ size $ waves $ fault
+               $ recover $ machine $ integrity $ jobs))
   in
   Cmd.v
     (Cmd.info "faultcheck" ~version:"1.0"

@@ -62,7 +62,9 @@ let analyze acc expr_src measure =
           match
             let options = { PC.default_options with PC.scheme } in
             let prog, compiled = D.compile_source ~options src in
-            let result = D.run ~waves:8 compiled ~inputs in
+            let result =
+              D.run_cfg ~waves:8 Run_config.default compiled ~inputs
+            in
             D.check_against_oracle prog compiled result ~inputs;
             (Sim.Metrics.output_interval result "X",
              Dfg.Graph.node_count compiled.PC.cp_graph)

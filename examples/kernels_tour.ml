@@ -24,7 +24,7 @@ let () =
       let prog, compiled =
         D.compile_source ~scalar_inputs:k.K.scalar_inputs (k.K.source n)
       in
-      let result = D.run ~waves:8 compiled ~inputs in
+      let result = D.run_cfg ~waves:8 Run_config.default compiled ~inputs in
       D.check_against_oracle prog compiled result ~inputs;
       let got =
         List.map Dfg.Value.to_real (D.output_wave compiled result k.K.output)

@@ -55,7 +55,7 @@ let () =
     (List.assoc "S" compiled.PC.cp_schemes);
   let a = List.init (n + 1) (fun i -> float_of_int (i + 1)) in
   let inputs = [ ("A", D.wave_of_floats a) ] in
-  let result = D.run ~waves:6 compiled ~inputs in
+  let result = D.run_cfg ~waves:6 Run_config.default compiled ~inputs in
   D.check_against_oracle prog compiled result ~inputs;
   Printf.printf "scan interval: %.3f (maximal = 2.0)\n"
     (Sim.Metrics.output_interval result "S");
@@ -73,7 +73,9 @@ let () =
         float_of_int ((i * i) + (j * j)) /. 100.)
   in
   let inputs2 = [ ("G", D.wave_of_floats g) ] in
-  let result2 = D.run ~waves:4 compiled2 ~inputs:inputs2 in
+  let result2 =
+    D.run_cfg ~waves:4 Run_config.default compiled2 ~inputs:inputs2
+  in
   D.check_against_oracle prog2 compiled2 result2 ~inputs:inputs2;
   Printf.printf "2-D Laplacian: %d interior points per wave, interval %.3f\n"
     ((grid - 2) * (grid - 2))

@@ -36,7 +36,7 @@ let () =
   let a = List.init n (fun i -> float_of_int i /. 8.0) in
   let b = List.init n (fun i -> 1.0 +. (float_of_int (i mod 5) /. 10.)) in
   let inputs = [ ("A", D.wave_of_floats a); ("B", D.wave_of_floats b) ] in
-  let result = D.run ~waves:8 compiled ~inputs in
+  let result = D.run_cfg ~waves:8 Run_config.default compiled ~inputs in
 
   (* correctness: the interpreter is the oracle *)
   D.check_against_oracle prog compiled result ~inputs;

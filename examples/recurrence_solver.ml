@@ -52,7 +52,7 @@ let () =
     (fun (label, scheme) ->
       let options = { PC.default_options with PC.scheme } in
       let prog, compiled = D.compile_source ~options source in
-      let result = D.run ~waves:8 compiled ~inputs in
+      let result = D.run_cfg ~waves:8 Run_config.default compiled ~inputs in
       D.check_against_oracle prog compiled result ~inputs;
       let interval = Sim.Metrics.output_interval result "X" in
       Df_util.Table.add_row table

@@ -44,7 +44,8 @@ let () =
   in
   let b = List.init (m + 2) (fun _ -> 1.0) in
   let inputs = [ ("C", D.wave_of_floats c); ("B", D.wave_of_floats b) ] in
-  let result = D.run ~waves:6 ~record_firings:true compiled ~inputs in
+  let cfg = Run_config.(default |> with_record_firings true) in
+  let result = D.run_cfg ~waves:6 cfg compiled ~inputs in
   D.check_against_oracle prog compiled result ~inputs;
   print_endline "outputs match the Val interpreter";
 

@@ -52,7 +52,7 @@ let () =
   let initial_energy = energy !field in
   for step = 1 to steps do
     let inputs = [ ("U", D.wave_of_floats !field) ] in
-    let result = D.run compiled ~inputs in
+    let result = D.run_cfg Run_config.default compiled ~inputs in
     (* checked against the interpreter every 10th step *)
     if step mod 10 = 0 then D.check_against_oracle prog compiled result ~inputs;
     field := List.map Dfg.Value.to_real (D.output_wave compiled result "V")

@@ -72,7 +72,7 @@ let () =
   let inputs =
     [ ("P", D.wave_of_floats (field ())); ("V", D.wave_of_floats (field ())) ]
   in
-  let result = D.run ~waves:6 compiled ~inputs in
+  let result = D.run_cfg ~waves:6 Run_config.default compiled ~inputs in
   D.check_against_oracle prog compiled result ~inputs;
   print_endline "all four block outputs match the Val interpreter";
   Printf.printf "end-to-end initiation interval at W: %.3f\n"

@@ -10,44 +10,26 @@ let compile_source ?options ?scalar_inputs source =
   let pp = C.classify_program prog in
   (prog, Program_compile.compile ?options ?scalar_inputs pp)
 
-let replicate waves xs = List.concat_map (fun _ -> xs) (List.init waves Fun.id)
-
-let run_cfg ?(waves = 1) cfg (cp : Program_compile.compiled) ~inputs =
-  let feeds =
-    List.map
-      (fun (name, shape) ->
-        match List.assoc_opt name inputs with
-        | None ->
+let feeds ?(waves = 1) (cp : Program_compile.compiled) inputs =
+  List.map
+    (fun (name, shape) ->
+      match List.assoc_opt name inputs with
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Driver.feeds: missing input wave for %s" name)
+      | Some wave ->
+        let expected = Program_compile.wave_size shape in
+        if List.length wave <> expected then
           invalid_arg
-            (Printf.sprintf "Driver.run: missing input wave for %s" name)
-        | Some wave ->
-          let expected = Program_compile.wave_size shape in
-          if List.length wave <> expected then
-            invalid_arg
-              (Printf.sprintf
-                 "Driver.run: input %s wave has %d packets, expected %d" name
-                 (List.length wave) expected);
-          (name, replicate waves wave))
-      cp.Program_compile.cp_inputs
-  in
-  Sim.Engine.run_cfg cfg cp.Program_compile.cp_graph ~inputs:feeds
+            (Printf.sprintf
+               "Driver.feeds: input %s wave has %d packets, expected %d" name
+               (List.length wave) expected);
+        (name, List.concat_map (fun _ -> wave) (List.init waves Fun.id)))
+    cp.Program_compile.cp_inputs
 
-(* Thin compatibility wrapper over {!run_cfg} — new code should build a
-   [Run_config.t] instead of spreading optional arguments. *)
-let run ?waves ?max_time ?record_firings ?tracer ?fault
-    ?sanitizer ?watchdog (cp : Program_compile.compiled) ~inputs =
-  let cfg =
-    { Run_config.default with
-      Run_config.max_time =
-        Option.value max_time ~default:Run_config.default.Run_config.max_time;
-      record_firings = Option.value record_firings ~default:false;
-      tracer = Option.value tracer ~default:Obs.Tracer.null;
-      fault;
-      sanitizer = Option.value sanitizer ~default:Fault.Sanitizer.null;
-      watchdog;
-    }
-  in
-  run_cfg ?waves cfg cp ~inputs
+let run_cfg ?waves cfg (cp : Program_compile.compiled) ~inputs =
+  Sim.Engine.run_cfg cfg cp.Program_compile.cp_graph
+    ~inputs:(feeds ?waves cp inputs)
 
 let wave_of_floats xs = List.map (fun f -> Value.Real f) xs
 

@@ -18,31 +18,27 @@ val compile_source :
     @raise Val_lang.Classify.Not_in_class
     @raise Expr_compile.Unsupported *)
 
+val feeds :
+  ?waves:int ->
+  Program_compile.compiled ->
+  (string * Value.t list) list ->
+  (string * Value.t list) list
+(** Full packet streams for the compiled program's array inputs, in
+    [cp_inputs] order: each input's one wave, replayed [waves] times
+    (default 1).  Every run of a compiled program feeds its inputs
+    through here.
+    @raise Invalid_argument on a missing input or a wave whose length is
+    not the input's declared wave size *)
+
 val run_cfg :
   ?waves:int ->
   Run_config.t ->
   Program_compile.compiled ->
   inputs:(string * Value.t list) list ->
   Sim.Engine.result
-(** Simulate the compiled program.  [inputs] gives one wave of packets per
-    array input (its declared wave size); the wave is replayed [waves]
-    times (default 1).  The configuration record is forwarded to
-    {!Sim.Engine.run_cfg}.
+(** Simulate the compiled program on the inputs' {!feeds}.  The
+    configuration record is forwarded to {!Sim.Engine.run_cfg}.
     @raise Invalid_argument on missing inputs or wrong wave sizes *)
-
-val run :
-  ?waves:int ->
-  ?max_time:int ->
-  ?record_firings:bool ->
-  ?tracer:Obs.Tracer.t ->
-  ?fault:Fault.Fault_plan.t ->
-  ?sanitizer:Fault.Sanitizer.t ->
-  ?watchdog:int ->
-  Program_compile.compiled ->
-  inputs:(string * Value.t list) list ->
-  Sim.Engine.result
-(** Deprecated spelling of {!run_cfg}: the optional arguments are packed
-    into a {!Run_config.t} and forwarded. *)
 
 val wave_of_floats : float list -> Value.t list
 

@@ -1,17 +1,9 @@
 open Dfg
-module PC = Compiler.Program_compile
 module ME = Machine.Machine_engine
 
 type engine = Sim | Machine of Machine.Arch.t
 
-type program =
-  | Graph_program of Graph.t
-  | Source_program of {
-      source : string;
-      scalar_inputs : (string * Value.t) list;
-      options : PC.options option;
-      waves : int;
-    }
+type program = Graph_program of Graph.t
 
 type t = {
   name : string;
@@ -26,45 +18,21 @@ let make ?(name = "job") ?(engine = Sim) ?(config = Run_config.default)
     ?(sanitize = false) program ~inputs =
   { name; engine; program; inputs; config; sanitize }
 
-let replicate waves xs = List.concat_map (fun _ -> xs) (List.init waves Fun.id)
-
-(* Resolve the program to a graph plus full packet streams. *)
-let materialize job =
-  match job.program with
-  | Graph_program g -> (g, job.inputs)
-  | Source_program { source; scalar_inputs; options; waves } ->
-    let _, compiled = Compiler.Driver.compile_source ?options ~scalar_inputs source in
-    let feeds =
-      List.map
-        (fun (name, shape) ->
-          match List.assoc_opt name job.inputs with
-          | None ->
-            invalid_arg
-              (Printf.sprintf "Job.run %s: missing input wave for %s"
-                 job.name name)
-          | Some wave ->
-            let expected = PC.wave_size shape in
-            if List.length wave <> expected then
-              invalid_arg
-                (Printf.sprintf
-                   "Job.run %s: input %s wave has %d packets, expected %d"
-                   job.name name (List.length wave) expected);
-            (name, replicate waves wave))
-        compiled.PC.cp_inputs
-    in
-    (compiled.PC.cp_graph, feeds)
+let run_config job =
+  let (Graph_program g) = job.program in
+  if job.sanitize then
+    Run_config.with_sanitizer (Fault.Sanitizer.create g) job.config
+  else job.config
 
 let run job =
-  let g, inputs = materialize job in
-  let cfg =
-    if job.sanitize then
-      Run_config.with_sanitizer (Fault.Sanitizer.create g) job.config
-    else job.config
-  in
+  let (Graph_program g) = job.program in
+  let cfg = run_config job in
   match job.engine with
-  | Sim -> Outcome.of_sim ~name:job.name (Sim.Engine.run_cfg cfg g ~inputs)
+  | Sim ->
+    Outcome.of_sim ~name:job.name (Sim.Engine.run_cfg cfg g ~inputs:job.inputs)
   | Machine arch ->
-    Outcome.of_machine ~name:job.name (ME.run_cfg cfg ~arch g ~inputs)
+    Outcome.of_machine ~name:job.name
+      (ME.run_cfg cfg ~arch g ~inputs:job.inputs)
 
 let run_all ?jobs ts = Pool.map_result ?jobs run ts
 

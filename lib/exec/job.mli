@@ -1,10 +1,10 @@
 (** A simulation run as data.
 
-    A [Job.t] names everything one run needs — the program (Val source
-    to compile, or an already-built graph), the engine and architecture,
-    the input waves, and a {!Run_config.t} for faults, recovery and the
-    rest — so experiment sweeps can be built as lists and handed to
-    {!Pool} (or {!run_all}) without capturing 9-argument closures.
+    A [Job.t] names everything one run needs — the compiled graph, the
+    engine and architecture, the input streams, and a {!Run_config.t}
+    for faults, recovery and the rest — so experiment sweeps can be
+    built as lists and handed to {!Pool} (or {!run_all}) without
+    capturing 9-argument closures.
 
     Stateful observers: tracers and sanitizers must not be shared
     between concurrently-running jobs, so a job carries [sanitize :
@@ -21,20 +21,13 @@ type engine =
 type program =
   | Graph_program of Graph.t
       (** run this graph as-is; [inputs] must cover its Input cells *)
-  | Source_program of {
-      source : string;  (** Val source text, compiled in the worker *)
-      scalar_inputs : (string * Value.t) list;
-      options : Compiler.Program_compile.options option;
-      waves : int;  (** input waves are replicated this many times *)
-    }
 
 type t = {
   name : string;  (** label for reports and error messages *)
   engine : engine;
   program : program;
   inputs : (string * Value.t list) list;
-      (** one wave per array input for [Source_program] (replicated
-          [waves] times); full packet streams for [Graph_program] *)
+      (** full packet streams, e.g. from {!Compiler.Driver.feeds} *)
   config : Run_config.t;
   sanitize : bool;  (** build a fresh sanitizer for this run *)
 }
@@ -50,11 +43,16 @@ val make :
 (** Defaults: [engine = Sim], [config = Run_config.default],
     [sanitize = false], [name = "job"]. *)
 
+val run_config : t -> Run_config.t
+(** The configuration one run of the job uses: [config], plus a fresh
+    sanitizer over the graph when [sanitize] is set.  Callers that
+    drive an engine themselves (a resumable machine run) start from
+    this. *)
+
 val run : t -> Outcome.t
-(** Execute one job in the calling domain (compile if needed, run,
+(** Execute one job in the calling domain (run on {!run_config},
     collect into the engine-independent {!Outcome.t}).
-    @raise Invalid_argument etc. as the underlying engines and compiler
-    do. *)
+    @raise Invalid_argument etc. as the underlying engines do. *)
 
 val run_all : ?jobs:int -> t list -> (Outcome.t, Pool.error) result list
 (** {!Pool.map_result} over {!run}: domain-parallel, results in

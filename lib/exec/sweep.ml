@@ -1,5 +1,4 @@
 module K = Kernels
-module ME = Machine.Machine_engine
 module PC = Compiler.Program_compile
 module J = Obs.Json
 
@@ -32,51 +31,29 @@ let grid ~kernels ~pes ~waves ~size =
     kernels
 
 let run_cell { kernel = k; n_pe; waves; size } =
-  (* kernel inputs are seeded from the kernel name, as faultcheck does,
-     so every cell of one kernel's sweep sees the same data *)
-  let st = Random.State.make [| Hashtbl.hash k.K.name |] in
-  let job =
-    Job.make ~name:(Printf.sprintf "%s/pe%d/w%d" k.K.name n_pe waves)
-      ~engine:
-        (Job.Machine { Machine.Arch.default with Machine.Arch.n_pe })
-      (Job.Source_program
-         {
-           source = k.K.source size;
-           scalar_inputs = k.K.scalar_inputs;
-           options = None;
-           waves;
-         })
-      ~inputs:(k.K.inputs size st)
+  let _, compiled =
+    Compiler.Driver.compile_source ~scalar_inputs:k.K.scalar_inputs
+      (k.K.source size)
   in
-  let o = Job.run job in
+  let g = compiled.PC.cp_graph in
+  let o =
+    Job.run
+      (Job.make ~name:(Printf.sprintf "%s/pe%d/w%d" k.K.name n_pe waves)
+         ~engine:(Job.Machine { Machine.Arch.default with Machine.Arch.n_pe })
+         (Job.Graph_program g)
+         ~inputs:
+           (Compiler.Driver.feeds ~waves compiled (K.seeded_inputs k size)))
+  in
   let c = o.Outcome.counters in
   let times = Job.output_times o k.K.output in
   let outputs = List.length times in
   let interval = Sim.Metrics.initiation_interval times in
-  let cells =
-    match job.Job.program with
-    | Job.Graph_program g -> Dfg.Graph.node_count g
-    | Job.Source_program _ ->
-      (* recompile is cheap relative to the run; keeps run_cell a pure
-         function of the cell *)
-      let _, compiled =
-        Compiler.Driver.compile_source ~scalar_inputs:k.K.scalar_inputs
-          (k.K.source size)
-      in
-      Dfg.Graph.node_count compiled.PC.cp_graph
-  in
-  let stall_unexpected =
-    match o.Outcome.stall with
-    | None -> false
-    | Some sr ->
-      sr.Fault.Stall_report.sr_reason <> Fault.Stall_report.Deadlock
-  in
   {
     r_kernel = k.K.name;
     r_pe = n_pe;
     r_waves = waves;
     r_size = size;
-    r_cells = cells;
+    r_cells = Dfg.Graph.node_count g;
     r_end_time = o.Outcome.end_time;
     r_outputs = outputs;
     r_interval = interval;
@@ -88,7 +65,8 @@ let run_cell { kernel = k; n_pe; waves; size } =
     r_am_ops = c.Outcome.am_ops;
     r_am_fraction = Outcome.am_fraction c;
     r_ok =
-      o.Outcome.quiescent && (not stall_unexpected)
+      o.Outcome.quiescent
+      && (not (Fault.Stall_report.unexpected o.Outcome.stall))
       && o.Outcome.violations = [];
   }
 

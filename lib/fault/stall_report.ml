@@ -19,6 +19,10 @@ type t = {
   sr_dead_pes : int list;
 }
 
+let unexpected = function
+  | None -> false
+  | Some sr -> sr.sr_reason <> Deadlock
+
 let reason_name = function
   | Deadlock -> "deadlock"
   | No_progress -> "no-progress"

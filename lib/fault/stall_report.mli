@@ -46,6 +46,11 @@ val make :
     tokens.  [make] finds a cycle reachable from the blocked set.
     [dead_pes] (default none) records unrecovered PE crashes. *)
 
+val unexpected : t option -> bool
+(** Whether a run's stall is a finding.  A [Deadlock] report at
+    quiescence is the normal end state of a primed feedback loop;
+    anything else (watchdog, max_time) is not. *)
+
 val reason_name : reason -> string
 
 val blocked_line : blocked -> string

@@ -12,6 +12,9 @@ type kernel = {
   predicted_interval : int -> float;
 }
 
+let seeded_inputs k size =
+  k.inputs size (Random.State.make [| Hashtbl.hash k.name |])
+
 let floats inputs name =
   List.map Value.to_real (List.assoc name inputs)
 

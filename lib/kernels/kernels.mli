@@ -33,5 +33,11 @@ val all : kernel list
 val find : string -> kernel
 (** @raise Not_found *)
 
+val seeded_inputs : kernel -> int -> (string * Value.t list) list
+(** [seeded_inputs k size]: one input wave per array input, drawn by
+    [k.inputs size] from a PRNG seeded by the kernel's name.  Every
+    builder of the same (kernel, size) pair gets bit-identical waves,
+    which is what lets a served kernel run equal a standalone one. *)
+
 val floats : (string * Value.t list) list -> string -> float list
 (** Extract an input wave as floats. *)

@@ -4,31 +4,10 @@ module PC = Compiler.Program_compile
 module ME = Machine.Machine_engine
 module K = Kernels
 
-(* ---------------- spec parsing ---------------- *)
-
-let fault_spec_of_string = FP.of_string
-
-let fault_plan_of_string s =
-  match FP.of_string s with
-  | Error _ as e -> e
-  | Ok spec -> (
-    match FP.make spec with
-    | plan -> Ok plan
-    | exception Invalid_argument msg -> Error msg)
-
-let recovery_of_string = Recover.of_string
-
 (* ---------------- kernel subjects ---------------- *)
 
-let replicate waves xs = List.concat_map (fun _ -> xs) (List.init waves Fun.id)
-
-let feeds (compiled : PC.compiled) ~waves kernel_inputs =
-  List.map
-    (fun (name, _shape) ->
-      match List.assoc_opt name kernel_inputs with
-      | Some wave -> (name, replicate waves wave)
-      | None -> failwith (Printf.sprintf "kernel input %s missing" name))
-    compiled.PC.cp_inputs
+let feeds compiled ~waves kernel_inputs =
+  Compiler.Driver.feeds ~waves compiled kernel_inputs
 
 type subject = {
   kernel : K.kernel;
@@ -40,12 +19,11 @@ type subject = {
 }
 
 let compile_subject (k : K.kernel) ~size ~waves =
-  let st = Random.State.make [| Hashtbl.hash k.K.name |] in
   let _, compiled =
     Compiler.Driver.compile_source ~scalar_inputs:k.K.scalar_inputs
       (k.K.source size)
   in
-  let inputs = feeds compiled ~waves (k.K.inputs size st) in
+  let inputs = Compiler.Driver.feeds ~waves compiled (K.seeded_inputs k size) in
   { kernel = k; size; waves; compiled; graph = compiled.PC.cp_graph; inputs }
 
 let kernels_matching = function
@@ -60,10 +38,6 @@ let kernels_matching = function
     | ks -> Ok ks)
 
 (* ---------------- run hygiene ---------------- *)
-
-let stall_unexpected = function
-  | None -> false
-  | Some sr -> sr.Fault.Stall_report.sr_reason <> Fault.Stall_report.Deadlock
 
 (* the watchdog must sit above every injected latency source — routing
    delays, PE stall windows, FU/AM slowdowns — and above the full
@@ -86,9 +60,6 @@ let synth_wave ~seed ~elt ~size name =
       | Val_lang.Ast.Tbool -> Value.Bool (Random.State.bool st))
 
 (* ---------------- result rendering ---------------- *)
-
-let sim_registry = Exec.Outcome.metrics_of_sim
-let machine_registry = Exec.Outcome.metrics_of_machine
 
 let value_text = function
   | Value.Int i -> string_of_int i

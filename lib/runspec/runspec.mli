@@ -1,42 +1,24 @@
 open Dfg
 
-(** Shared run-specification layer for the CLIs and the service.
+(** Shared run-specification toolbox for the CLIs and the service.
 
-    Every front end that names a run — [dfsim], [faultcheck], [chaos],
-    and the [dfserve] request decoder — needs the same small toolbox:
-    parse a fault plan or recovery policy from its string spec, pick
-    kernels by name, compile a kernel into a runnable subject, size a
-    watchdog above every injected latency source, synthesize
-    deterministic input waves, and turn engine results into metrics
-    registries.  Before this module each binary carried its own copy;
-    the service made a fourth copy untenable. *)
-
-(** {1 Spec parsing} *)
-
-val fault_plan_of_string : string -> (Fault.Fault_plan.t, string) result
-(** {!Fault.Fault_plan.of_string} followed by [make]: both parse errors
-    and out-of-range probabilities come back as [Error]. *)
-
-val fault_spec_of_string : string -> (Fault.Fault_plan.spec, string) result
-(** The raw spec, when the caller still needs to override fields
-    (e.g. the per-run seed) before [make]. *)
-
-val recovery_of_string : string -> (Recover.policy, string) result
-(** {!Recover.of_string}; [""] is the default policy. *)
+    A run itself is described by one record, [Serve.Protocol.run], and
+    resolved into an [Exec.Job.t] by one function,
+    [Serve.Server.job_of_run].  This module holds what the front ends
+    need around that: kernel subjects for the differential harnesses
+    ([faultcheck], [chaos]), kernel lookup by name, the watchdog sizing
+    rule, deterministic input synthesis for Val source, the diffable
+    output-value dump, and transport endpoint parsing. *)
 
 (** {1 Kernel subjects} *)
-
-val replicate : int -> 'a list -> 'a list
-(** [replicate waves xs]: the wave repeated, as one flat packet list. *)
 
 val feeds :
   Compiler.Program_compile.compiled ->
   waves:int ->
   (string * Value.t list) list ->
   (string * Value.t list) list
-(** Full packet streams for a compiled program's array inputs: one wave
-    per input from the association list, replicated [waves] times.
-    @raise Failure when an input is missing from the list. *)
+(** {!Compiler.Driver.feeds} with [waves] labelled (the benchmark in
+    [perfbench/] calls this spelling). *)
 
 type subject = {
   kernel : Kernels.kernel;
@@ -46,11 +28,10 @@ type subject = {
   graph : Graph.t;  (** [compiled.cp_graph] *)
   inputs : (string * Value.t list) list;  (** full packet streams *)
 }
-(** A kernel compiled and fed: everything a differential or a service
-    request needs to run it.  Construction is deterministic — the input
-    waves are drawn from a PRNG seeded by the kernel's name, so every
-    builder of the same (kernel, size, waves) triple gets bit-identical
-    streams. *)
+(** A kernel compiled and fed: everything a differential needs to run
+    it.  Construction is deterministic — the input waves are
+    {!Kernels.seeded_inputs} — so every builder of the same (kernel,
+    size, waves) triple gets bit-identical streams. *)
 
 val compile_subject : Kernels.kernel -> size:int -> waves:int -> subject
 
@@ -58,11 +39,6 @@ val kernels_matching : string option -> (Kernels.kernel list, string) result
 (** All kernels, or the one named; [Error] lists the known names. *)
 
 (** {1 Run hygiene} *)
-
-val stall_unexpected : Fault.Stall_report.t option -> bool
-(** A [Deadlock] report at quiescence is the normal end state of a
-    primed feedback loop; anything else (watchdog, max_time) is a
-    finding. *)
 
 val watchdog_for :
   ?base:int ->
@@ -82,15 +58,10 @@ val synth_wave :
 
 (** {1 Result rendering} *)
 
-val sim_registry : Sim.Engine.result -> Obs.Metrics_registry.t
-(** {!Exec.Outcome.metrics_of_sim}: run metrics of a graph-level result
-    (firings, stuck cells, violations, end time, per-output packet
-    counts and intervals, cell-utilization histogram). *)
-
-val machine_registry : Machine.Machine_engine.result -> Obs.Metrics_registry.t
-(** {!Exec.Outcome.metrics_of_machine}: run metrics of a machine-level
-    result (dispatches, FU/AM ops, packet and retransmit counters,
-    per-PE dispatches, AM fraction, per-output packet counts). *)
+val value_text : Value.t -> string
+(** A packet value as text: ints and booleans plainly, reals in
+    bit-exact [%h] form.  The dfserve cache key hashes scalar bindings
+    in this form, and {!write_values} writes it. *)
 
 val write_values : path:string -> (string * (int * Value.t) list) list -> unit
 (** Dump output streams as diffable text: one [name\ttime\tvalue] line

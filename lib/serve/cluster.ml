@@ -37,8 +37,6 @@ type t = {
   mutable failovers : int;
 }
 
-let members_of_spec = Runspec.members_of_string
-
 let create ?(deadline = 30.0) ?(retry = Client.default_retry) addrs =
   if addrs = [] then invalid_arg "Cluster.create: no members";
   { members =

@@ -41,12 +41,6 @@ val health_to_string : health -> string
 
 type t
 
-val members_of_spec : string -> (string list, string) result
-(** Parse a [--cluster] argument: either a comma-separated address
-    list or [@FILE] naming a file with one address per line ([#]
-    comments and blank lines ignored).  Alias of
-    {!Runspec.members_of_string}. *)
-
 val create : ?deadline:float -> ?retry:Client.retry -> string list -> t
 (** A cluster handle over the given member addresses (Unix-socket
     paths or [host:port]).  [deadline] (default 30 s) and [retry]

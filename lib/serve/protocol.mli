@@ -19,9 +19,10 @@ open Dfg
 
 type program =
   | Kernel of { name : string; size : int }
-      (** a built-in kernel subject; input waves are drawn exactly as
-          {!Runspec.compile_subject} draws them, so a served run is
-          bit-comparable to any standalone run of the same triple *)
+      (** a built-in kernel subject; input waves are
+          {!Kernels.seeded_inputs}, as every standalone builder draws
+          them, so a served run is bit-comparable to any standalone run
+          of the same triple *)
   | Source of {
       source : string;  (** Val source text *)
       scalars : (string * Value.t) list;

@@ -61,18 +61,8 @@ let scenario ~seed ~client ~index =
 (* The standalone reference: the exact Exec.Job the server claims to be
    bit-identical to. *)
 let standalone (r : P.run) =
-  match (Server.config_of_run r, Server.subject_of_program r.P.program ~waves:r.P.waves) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok (cfg, arch), Ok (graph, inputs, name) ->
-    let engine =
-      match r.P.engine with
-      | `Sim -> Exec.Job.Sim
-      | `Machine -> Exec.Job.Machine arch
-    in
-    Ok
-      (Exec.Job.run
-         (Exec.Job.make ~name ~engine ~config:cfg ~sanitize:r.P.sanitize
-            (Exec.Job.Graph_program graph) ~inputs))
+  Result.bind (Server.compile_program r.P.program) (Server.job_of_run r)
+  |> Result.map Exec.Job.run
 
 (* Fields that must agree bit for bit between the served response and
    the standalone outcome.  cache_hit/key are server-side and excluded;

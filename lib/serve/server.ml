@@ -49,11 +49,6 @@ let default_config ~socket_path =
 
 (* ---------------- request resolution ---------------- *)
 
-let value_text = function
-  | Value.Int i -> string_of_int i
-  | Value.Bool b -> if b then "true" else "false"
-  | Value.Real r -> Printf.sprintf "%h" r
-
 (* The cache key: an FNV-1a checksum of the canonical source text plus
    scalar bindings.  A kernel request and a source request carrying the
    same generated text share an entry. *)
@@ -61,7 +56,7 @@ let cache_key source scalars =
   Integrity.checksum_string
     (source ^ "\x00"
     ^ String.concat ";"
-        (List.map (fun (n, v) -> n ^ "=" ^ value_text v) scalars))
+        (List.map (fun (n, v) -> n ^ "=" ^ Runspec.value_text v) scalars))
 
 let source_of_program = function
   | P.Kernel { name; size } ->
@@ -76,51 +71,48 @@ let program_key program =
   let source, scalars = source_of_program program in
   cache_key source scalars
 
-let inputs_of_program program ~waves (compiled : PC.compiled) =
+let unknown_kernel name =
+  Printf.sprintf "unknown kernel %s (have: %s)" name
+    (String.concat ", " (List.map (fun k -> k.K.name) K.all))
+
+let compile_program program =
+  match source_of_program program with
+  | exception Not_found -> (
+    match program with
+    | P.Kernel { name; _ } -> Error (unknown_kernel name)
+    | P.Source _ -> Error "unreachable")
+  | source, scalars -> (
+    match Compiler.Driver.compile_source ~scalar_inputs:scalars source with
+    | _, compiled -> Ok compiled
+    | exception e -> Error (Printexc.to_string e))
+
+(* one wave per array input: a kernel's name-seeded draw, or waves
+   synthesized from the request's seed for Val source *)
+let input_waves program (compiled : PC.compiled) =
   match program with
-  | P.Kernel { name; size } ->
-    (* the deterministic draw every builder of this triple uses *)
-    let k = K.find name in
-    let st = Random.State.make [| Hashtbl.hash k.K.name |] in
-    Runspec.feeds compiled ~waves (k.K.inputs size st)
+  | P.Kernel { name; size } -> (
+    match K.find name with
+    | k -> K.seeded_inputs k size
+    | exception Not_found -> invalid_arg (unknown_kernel name))
   | P.Source { input_seed; _ } ->
-    Runspec.feeds compiled ~waves
-      (List.map
-         (fun (name, shape) ->
-           ( name,
-             Runspec.synth_wave ~seed:input_seed
-               ~elt:shape.Val_lang.Classify.sh_elt
-               ~size:(PC.wave_size shape) name ))
-         compiled.PC.cp_inputs)
+    List.map
+      (fun (name, shape) ->
+        ( name,
+          Runspec.synth_wave ~seed:input_seed
+            ~elt:shape.Val_lang.Classify.sh_elt ~size:(PC.wave_size shape)
+            name ))
+      compiled.PC.cp_inputs
 
 let program_name = function
   | P.Kernel { name; size } -> Printf.sprintf "%s[%d]" name size
   | P.Source _ -> "source"
-
-let subject_of_program program ~waves =
-  match source_of_program program with
-  | exception Not_found -> (
-    match program with
-    | P.Kernel { name; _ } ->
-      Error
-        (Printf.sprintf "unknown kernel %s (have: %s)" name
-           (String.concat ", " (List.map (fun k -> k.K.name) K.all)))
-    | P.Source _ -> Error "unreachable")
-  | source, scalars -> (
-    match Compiler.Driver.compile_source ~scalar_inputs:scalars source with
-    | _, compiled ->
-      Ok
-        ( compiled.PC.cp_graph,
-          inputs_of_program program ~waves compiled,
-          program_name program )
-    | exception e -> Error (Printexc.to_string e))
 
 let config_of_run (r : P.run) =
   let fault =
     match r.fault with
     | None -> Ok None
     | Some s -> (
-      match Runspec.fault_spec_of_string s with
+      match FP.of_string s with
       | Error e -> Error e
       | Ok spec -> (
         let spec =
@@ -135,50 +127,73 @@ let config_of_run (r : P.run) =
   let recovery =
     match r.recovery with
     | None -> Ok None
-    | Some s -> Result.map Option.some (Runspec.recovery_of_string s)
+    | Some s -> Result.map Option.some (Recover.of_string s)
   in
   match (fault, recovery) with
   | Error e, _ -> Error ("fault: " ^ e)
   | _, Error e -> Error ("recovery: " ^ e)
-  | Ok fault, Ok recovery -> (
+  | Ok fault, Ok recovery ->
     let watchdog =
       match r.P.watchdog with
-      | P.Off -> Ok None
-      | P.At n -> Ok (Some n)
-      | P.Auto -> (
-        match
-          (fault, Runspec.fault_spec_of_string "")
-        with
-        | Some (spec, _), _ | None, Ok spec ->
-          Ok (Some (Runspec.watchdog_for spec recovery))
-        | None, Error _ -> Error "watchdog=auto needs a fault spec")
+      | P.Off -> None
+      | P.At n -> Some n
+      | P.Auto ->
+        let spec = match fault with Some (spec, _) -> spec | None -> FP.none in
+        Some (Runspec.watchdog_for spec recovery)
     in
-    match watchdog with
-    | Error e -> Error e
-    | Ok watchdog ->
-      let max_time =
-        match (r.P.max_time, r.P.engine) with
-        | Some t, _ -> t
-        | None, `Machine -> ME.default_max_time
-        | None, `Sim -> Run_config.default.Run_config.max_time
-      in
-      let cfg =
-        Run_config.(
-          default |> with_max_time max_time
-          |> with_fault_opt (Option.map snd fault)
-          |> with_recovery_opt recovery
-          |> with_integrity r.P.integrity
-          |> with_watchdog_opt watchdog)
-      in
-      let arch =
-        { Machine.Arch.default with
-          Machine.Arch.n_pe =
-            Option.value r.P.n_pe ~default:Machine.Arch.default.Machine.Arch.n_pe;
-          array_policy =
-            (if r.P.stored then Machine.Arch.Stored else Machine.Arch.Streamed);
-        }
-      in
-      Ok (cfg, arch))
+    let max_time =
+      match (r.P.max_time, r.P.engine) with
+      | Some t, _ -> t
+      | None, `Machine -> ME.default_max_time
+      | None, `Sim -> Run_config.default.Run_config.max_time
+    in
+    let cfg =
+      Run_config.(
+        default |> with_max_time max_time
+        |> with_fault_opt (Option.map snd fault)
+        |> with_recovery_opt recovery
+        |> with_integrity r.P.integrity
+        |> with_watchdog_opt watchdog)
+    in
+    let arch =
+      { Machine.Arch.default with
+        Machine.Arch.n_pe =
+          Option.value r.P.n_pe ~default:Machine.Arch.default.Machine.Arch.n_pe;
+        array_policy =
+          (if r.P.stored then Machine.Arch.Stored else Machine.Arch.Streamed);
+      }
+    in
+    Ok (cfg, arch)
+
+let job_of_run (r : P.run) (compiled : PC.compiled) =
+  match config_of_run r with
+  | Error _ as e -> e
+  | Ok (config, arch) -> (
+    match
+      Compiler.Driver.feeds ~waves:r.P.waves compiled
+        (input_waves r.P.program compiled)
+    with
+    | exception Invalid_argument e -> Error e
+    | inputs ->
+      Ok
+        (Exec.Job.make ~name:(program_name r.P.program)
+           ~engine:
+             (match r.P.engine with
+             | `Sim -> Exec.Job.Sim
+             | `Machine -> Exec.Job.Machine arch)
+           ~config ~sanitize:r.P.sanitize
+           (Exec.Job.Graph_program compiled.PC.cp_graph)
+           ~inputs))
+
+let subject_of_program program ~waves =
+  match compile_program program with
+  | Error _ as e -> e
+  | Ok compiled ->
+    Result.map
+      (fun (job : Exec.Job.t) ->
+        let (Exec.Job.Graph_program graph) = job.Exec.Job.program in
+        (graph, job.Exec.Job.inputs, job.Exec.Job.name))
+      (job_of_run { (P.default_run program) with P.waves } compiled)
 
 (* ---------------- jobs ---------------- *)
 
@@ -387,24 +402,18 @@ let compile_cached t program =
    resumable engine so a cancel can preempt at a slice boundary;
    [progress] journals each slice's checkpoint, [restore] resumes a
    journal-replayed job from its last recorded checkpoint. *)
-let make_work ~engine ~arch ~run_cfg ~sanitize ~slice ~graph ~inputs ~name
-    ~hit ~key ~progress ~restore =
+let make_work ~slice (job : Exec.Job.t) ~hit ~key ~progress ~restore =
  fun ~cancel ->
   try
-    match engine with
-    | `Sim ->
-      R_ok
-        (P.outcome_fields ~cache_hit:hit ~key
-           (Exec.Job.run
-              (Exec.Job.make ~name ~engine:Exec.Job.Sim ~config:run_cfg
-                 ~sanitize (Exec.Job.Graph_program graph) ~inputs)))
-    | `Machine ->
-      let cfg =
-        if sanitize then
-          Run_config.with_sanitizer (Fault.Sanitizer.create graph) run_cfg
-        else run_cfg
+    match job.Exec.Job.engine with
+    | Exec.Job.Sim ->
+      R_ok (P.outcome_fields ~cache_hit:hit ~key (Exec.Job.run job))
+    | Exec.Job.Machine arch ->
+      let (Exec.Job.Graph_program graph) = job.Exec.Job.program in
+      let m =
+        ME.create_cfg (Exec.Job.run_config job) ~arch graph
+          ~inputs:job.Exec.Job.inputs
       in
-      let m = ME.create_cfg cfg ~arch graph ~inputs in
       let start =
         match restore with
         | None -> slice
@@ -420,7 +429,8 @@ let make_work ~engine ~arch ~run_cfg ~sanitize ~slice ~graph ~inputs ~name
           if ME.finished m then
             R_ok
               (P.outcome_fields ~cache_hit:hit ~key
-                 (Exec.Outcome.of_machine ~name (ME.result m)))
+                 (Exec.Outcome.of_machine ~name:job.Exec.Job.name
+                    (ME.result m)))
           else begin
             (match progress with Some f -> f (ckpt ()) | None -> ());
             go (until + slice)
@@ -617,9 +627,10 @@ let handle_simulate t c id (r : P.run) =
       send_json t c (P.error ~id P.Overloaded (overloaded t))
     end
     else (
+      (* a malformed run is rejected before it touches the cache *)
       match config_of_run r with
       | Error e -> send_json t c (P.error ~id P.Bad_request e)
-      | Ok (run_cfg, arch) -> (
+      | Ok _ -> (
         match compile_cached t r.P.program with
         | exception Not_found ->
           send_json t c
@@ -631,7 +642,6 @@ let handle_simulate t c id (r : P.run) =
         | exception e ->
           send_json t c (P.error ~id P.Compile_error (Printexc.to_string e))
         | key, compiled, hit -> (
-          let graph = compiled.PC.cp_graph in
           let restore_ok =
             (* a migrated-in job: restore the shipped checkpoint and
                resume the slice stream instead of starting over *)
@@ -640,17 +650,16 @@ let handle_simulate t c id (r : P.run) =
             | Some _ when r.P.engine <> `Machine ->
               Error "restore: machine engine only"
             | Some ck -> (
-              match Recover.Checkpoint.of_json ~graph ck with
+              match
+                Recover.Checkpoint.of_json ~graph:compiled.PC.cp_graph ck
+              with
               | Ok sn -> Ok (Some sn)
               | Error e -> Error ("restore: " ^ e))
           in
-          match restore_ok with
-          | Error e -> send_json t c (P.error ~id P.Bad_request e)
-          | Ok restore ->
-            let inputs =
-              inputs_of_program r.P.program ~waves:r.P.waves compiled
-            in
-            let name = program_name r.P.program in
+          match (restore_ok, job_of_run r compiled) with
+          | Error e, _ | _, Error e ->
+            send_json t c (P.error ~id P.Bad_request e)
+          | Ok restore, Ok run_job ->
             let progress =
               match (r.P.idem, t.journal) with
               | Some idem, Some _ ->
@@ -673,9 +682,8 @@ let handle_simulate t c id (r : P.run) =
                 jrequest = Some request;
                 jmigrate = None;
                 jwork =
-                  make_work ~engine:r.P.engine ~arch ~run_cfg
-                    ~sanitize:r.P.sanitize ~slice:t.cfg.slice ~graph ~inputs
-                    ~name ~hit ~key ~progress ~restore }
+                  make_work ~slice:t.cfg.slice run_job ~hit ~key ~progress
+                    ~restore }
             in
             (* WAL discipline: the admission is durable — locally and,
                in a replicated cluster, on the quorum peers — before
@@ -1003,17 +1011,13 @@ let replay_recovered t (rcv : Journal.recovered) =
       | Error e -> skip e
       | exception e -> skip (Printexc.to_string e)
       | Ok (_, P.Simulate r) -> (
-        match config_of_run r with
-        | Error e -> skip e
-        | Ok (run_cfg, arch) -> (
-          match compile_cached t r.P.program with
-          | exception e -> skip (Printexc.to_string e)
-          | key, compiled, hit ->
+        match compile_cached t r.P.program with
+        | exception e -> skip (Printexc.to_string e)
+        | key, compiled, hit -> (
+          match job_of_run r compiled with
+          | Error e -> skip e
+          | Ok run_job ->
             let graph = compiled.PC.cp_graph in
-            let inputs =
-              inputs_of_program r.P.program ~waves:r.P.waves compiled
-            in
-            let name = program_name r.P.program in
             let checkpoint_doc =
               match (r.P.engine, p.Journal.p_checkpoint) with
               | `Machine, Some ck -> Some ck
@@ -1065,9 +1069,8 @@ let replay_recovered t (rcv : Journal.recovered) =
                 jrequest = Some request;
                 jmigrate = None;
                 jwork =
-                  make_work ~engine:r.P.engine ~arch ~run_cfg
-                    ~sanitize:r.P.sanitize ~slice:t.cfg.slice ~graph ~inputs
-                    ~name ~hit ~key ~progress ~restore }
+                  make_work ~slice:t.cfg.slice run_job ~hit ~key ~progress
+                    ~restore }
             in
             Hashtbl.replace t.idem p.Journal.p_idem (I_pending job);
             Queue.add job t.rqueue;

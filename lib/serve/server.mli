@@ -36,9 +36,9 @@
     record) and incomplete admissions are re-run — machine jobs
     resuming from their last recorded checkpoint.
 
-    {b Bit-identity}: the server compiles through the cache and then
-    runs the request exactly as {!Exec.Job.run} would run the
-    equivalent [Graph_program] job — graph-engine jobs literally call
+    {b Bit-identity}: the server compiles through the cache, resolves
+    the request with {!job_of_run} and runs that job exactly as
+    {!Exec.Job.run} would — graph-engine jobs literally call
     [Exec.Job.run]; machine jobs run the same configuration through the
     resumable {!Machine.Machine_engine} in bounded [slice]-length
     steps, which the engine guarantees is bit-identical to a one-shot
@@ -135,24 +135,49 @@ val request_reload : t -> unit
 
 val config_of_run :
   Protocol.run -> (Run_config.t * Machine.Arch.t, string) result
-(** The exact engine configuration the server builds for a simulate
-    request (fault plan, recovery policy, integrity, watchdog,
-    max-time; the sanitizer is {e not} included — it is created fresh
-    per run, as {!Exec.Job} does).  Exposed so clients and tests can
-    construct the standalone {!Exec.Job} a served response must be
-    bit-identical to.  Machine requests default [max_time] to
-    {!Machine.Machine_engine.default_max_time}, matching
-    {!Fault_diff.machine}. *)
+(** The engine configuration of a simulate request (fault plan,
+    recovery policy, integrity, watchdog, max-time) and its machine
+    architecture; the sanitizer is {e not} included — it is created
+    fresh per run, as {!Exec.Job} does.  Machine requests default
+    [max_time] to {!Machine.Machine_engine.default_max_time}, matching
+    {!Fault_diff.machine}.  [Error] names the bad fault or recovery
+    spec. *)
+
+val job_of_run :
+  Protocol.run ->
+  Compiler.Program_compile.compiled ->
+  (Exec.Job.t, string) result
+(** The one resolver from a request to a runnable job: {!config_of_run}
+    plus the program's inputs — a kernel's {!Kernels.seeded_inputs},
+    or waves synthesized with {!Runspec.synth_wave} from a source
+    program's [input_seed] — fed through {!Compiler.Driver.feeds}.
+    [compiled] must be the request's program compiled.  The server's
+    admission and journal-replay paths, the selftest and [dfsim] all
+    build their jobs here, so a served run and a standalone run of the
+    same request are the same job. *)
+
+val input_waves :
+  Protocol.program ->
+  Compiler.Program_compile.compiled ->
+  (string * Dfg.Value.t list) list
+(** One wave per array input of the compiled program, as {!job_of_run}
+    feeds them.
+    @raise Invalid_argument for a kernel name the library does not
+    know. *)
+
+val compile_program :
+  Protocol.program -> (Compiler.Program_compile.compiled, string) result
+(** Compile a request's program without the cache.  [Error] names an
+    unknown kernel or the compile failure. *)
 
 val subject_of_program :
   Protocol.program ->
   waves:int ->
   (Dfg.Graph.t * (string * Dfg.Value.t list) list * string, string) result
-(** Compile (uncached) and feed a request's program: the graph, the
-    full packet streams, and the job name.  Kernel programs reproduce
-    {!Runspec.compile_subject}'s deterministic input draw; source
-    programs synthesize inputs with {!Runspec.synth_wave}.  This is the
-    reference a served run is compared against. *)
+(** {!compile_program}, then the graph, full packet streams and name of
+    the {!job_of_run} job of a default run of [waves] waves (the form
+    the benchmark in [perfbench/] builds its standalone references
+    from). *)
 
 val program_key : Protocol.program -> int
 (** The compiled-program cache key of a request's program — an FNV-1a

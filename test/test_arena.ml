@@ -119,17 +119,17 @@ let test_snapshot_restore () =
 
 let run_hydro_sim () =
   let k = K.find "hydro" in
+  let _, compiled =
+    Compiler.Driver.compile_source ~scalar_inputs:k.K.scalar_inputs
+      (k.K.source 6)
+  in
   Exec.Job.run
     (Exec.Job.make ~name:"hydro" ~engine:Exec.Job.Sim
        ~config:Run_config.default
-       (Exec.Job.Source_program
-          {
-            source = k.K.source 6;
-            scalar_inputs = k.K.scalar_inputs;
-            options = None;
-            waves = 2;
-          })
-       ~inputs:(k.K.inputs 6 (Random.State.make [| 0; Hashtbl.hash k.K.name |])))
+       (Exec.Job.Graph_program compiled.Compiler.Program_compile.cp_graph)
+       ~inputs:
+         (Compiler.Driver.feeds ~waves:2 compiled
+            (k.K.inputs 6 (Random.State.make [| 0; Hashtbl.hash k.K.name |]))))
 
 let test_nan_conventions () =
   checkb "ratio n/0 is nan" true (Float.is_nan (Df_util.Conventions.ratio 3.0 0.0));

@@ -39,7 +39,7 @@ let run_distance ~distance ~m ~waves =
   in
   let inputs = [ ("A", wave ()); ("B", wave ()) ] in
   let prog, cp = compile ~distance m in
-  let result = D.run ~waves cp ~inputs in
+  let result = D.run_cfg ~waves Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs;
   (cp, result)
 

@@ -23,7 +23,7 @@ let check_floats msg expected got =
 
 let compile_run ?options ?(waves = 4) source inputs =
   let prog, cp = D.compile_source ?options source in
-  let result = D.run ~waves cp ~inputs in
+  let result = D.run_cfg ~waves Run_config.default cp ~inputs in
   Alcotest.(check bool) "simulation quiescent" true result.Sim.Engine.quiescent;
   (* free-running control/index sources legitimately hold tokens after the
      inputs exhaust, so [stuck] is not asserted empty here; completeness of
@@ -301,7 +301,7 @@ let test_example2_companion () =
   Alcotest.(check (option string))
     "auto picks the companion scheme" (Some "for-iter/companion")
     (List.assoc_opt "X" cp.PC.cp_schemes);
-  let result = D.run ~waves:4 cp ~inputs in
+  let result = D.run_cfg ~waves:4 Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs;
   check_floats "values"
     (reals (example2_oracle ~m a b))
@@ -366,7 +366,7 @@ X : array[real] :=
   Alcotest.(check (option string))
     "falls back to Todd" (Some "for-iter/todd")
     (List.assoc_opt "X" cp.PC.cp_schemes);
-  let result = D.run ~waves:3 cp ~inputs in
+  let result = D.run_cfg ~waves:3 Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs;
   let x = Array.make m 0. in
   for i = 1 to m - 1 do
@@ -406,7 +406,7 @@ X : array[real] :=
   Alcotest.(check (option string))
     "falls back to Todd" (Some "for-iter/todd")
     (List.assoc_opt "X" cp.PC.cp_schemes);
-  let result = D.run ~waves:3 cp ~inputs in
+  let result = D.run_cfg ~waves:3 Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs;
   let x = Array.make m 0. in
   for i = 1 to m - 1 do
@@ -539,7 +539,7 @@ let test_unbalanced_still_correct () =
   let inputs = [ ("C", reals c); ("B", reals b) ] in
   let options = { PC.default_options with PC.balance = `None } in
   let prog, cp = D.compile_source ~options (example1_source m) in
-  let result = D.run ~waves:2 cp ~inputs in
+  let result = D.run_cfg ~waves:2 Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs
 
 let test_macro_expanded_program () =
@@ -555,7 +555,7 @@ let test_macro_expanded_program () =
       | Opcode.Bool_source _ | Opcode.Iota _ | Opcode.Fifo _ ->
         Alcotest.failf "abstract node %s survived expansion" n.Graph.label
       | _ -> ());
-  let result = D.run ~waves:3 cp ~inputs in
+  let result = D.run_cfg ~waves:3 Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs
 
 (* ------------------------------------------------------------------ *)

@@ -16,7 +16,7 @@ let wave () = D.wave_of_floats (List.init 8 (fun i -> float_of_int i))
 
 let test_missing_input_rejected () =
   let _, cp = D.compile_source source in
-  match D.run cp ~inputs:[] with
+  match D.run_cfg Run_config.default cp ~inputs:[] with
   | _ -> Alcotest.fail "expected missing-input error"
   | exception Invalid_argument msg ->
     Alcotest.(check bool) "names the input" true
@@ -24,7 +24,9 @@ let test_missing_input_rejected () =
 
 let test_wrong_wave_size_rejected () =
   let _, cp = D.compile_source source in
-  match D.run cp ~inputs:[ ("B", D.wave_of_floats [ 1.; 2. ]) ] with
+  match
+    D.run_cfg Run_config.default cp ~inputs:[ ("B", D.wave_of_floats [ 1.; 2. ]) ]
+  with
   | _ -> Alcotest.fail "expected wave-size error"
   | exception Invalid_argument _ -> ()
 
@@ -45,7 +47,7 @@ A : array[real] := forall i in [0, n] construct q * B[i] endall;
     D.compile_source ~scalar_inputs:[ ("q", Value.Real 3.0) ] src
   in
   let inputs = [ ("B", D.wave_of_floats [ 1.; 2.; 3.; 4. ]); ("q", [ Value.Real 3.0 ]) ] in
-  let result = D.run cp ~inputs in
+  let result = D.run_cfg Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs;
   Alcotest.(check (list (float 1e-12))) "scaled" [ 3.; 6.; 9.; 12. ]
     (List.map Value.to_real (D.output_wave cp result "A"))
@@ -54,7 +56,7 @@ let test_mismatch_detected () =
   (* run with one input, compare the oracle against another: the checker
      must notice *)
   let prog, cp = D.compile_source source in
-  let result = D.run cp ~inputs:[ ("B", wave ()) ] in
+  let result = D.run_cfg Run_config.default cp ~inputs:[ ("B", wave ()) ] in
   let other = [ ("B", D.wave_of_floats (List.init 8 (fun i -> float_of_int (i + 1)))) ] in
   match D.check_against_oracle prog cp result ~inputs:other with
   | () -> Alcotest.fail "expected Mismatch"
@@ -74,7 +76,7 @@ C : array[real] := forall i in [0, n] construct A[i] + 1. endall;
   Alcotest.(check int) "only the final block exposed" 1
     (List.length cp.PC.cp_outputs);
   let inputs = [ ("B", wave ()) ] in
-  let result = D.run cp ~inputs in
+  let result = D.run_cfg Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs
 
 let test_unused_input_tolerated () =
@@ -89,7 +91,7 @@ A : array[real] := forall i in [0, n] construct B[i] endall;
   in
   let prog, cp = D.compile_source src in
   let inputs = [ ("B", wave ()); ("Z", wave ()) ] in
-  let result = D.run ~waves:2 cp ~inputs in
+  let result = D.run_cfg ~waves:2 Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs
 
 let suite =

@@ -29,15 +29,12 @@ let fingerprint (r : (Exec.Outcome.t, Exec.Pool.error) result) =
 let kernel_jobs engine =
   List.map
     (fun (k : K.kernel) ->
-      let st = Random.State.make [| Hashtbl.hash k.K.name |] in
+      let _, compiled =
+        D.compile_source ~scalar_inputs:k.K.scalar_inputs (k.K.source 12)
+      in
       Exec.Job.make ~name:k.K.name ~engine
-        (Exec.Job.Source_program
-           { source = k.K.source 12;
-             scalar_inputs = k.K.scalar_inputs;
-             options = None;
-             waves = 2;
-           })
-        ~inputs:(k.K.inputs 12 st))
+        (Exec.Job.Graph_program compiled.Compiler.Program_compile.cp_graph)
+        ~inputs:(D.feeds ~waves:2 compiled (K.seeded_inputs k 12)))
     K.all
 
 (* 1. merged results of the full kernel suite are bit-identical at any
@@ -135,21 +132,23 @@ let test_crash_isolation () =
   | _ -> Alcotest.fail "Pool.map swallowed the failure"
   | exception Exec.Pool.Job_failed e ->
     check Alcotest.int "first failure wins" 3 e.Exec.Pool.index);
-  (* the same isolation through Job.run_all: a job naming a missing
-     input fails alone *)
+  (* the same isolation through Job.run_all: a job fed an input stream
+     its graph does not have fails alone *)
   let k = List.hd K.all in
   let st = Random.State.make [| 7 |] in
+  let _, compiled =
+    D.compile_source ~scalar_inputs:k.K.scalar_inputs (k.K.source 8)
+  in
   let good =
     Exec.Job.make ~name:"good"
-      (Exec.Job.Source_program
-         { source = k.K.source 8;
-           scalar_inputs = k.K.scalar_inputs;
-           options = None;
-           waves = 1;
-         })
-      ~inputs:(k.K.inputs 8 st)
+      (Exec.Job.Graph_program compiled.Compiler.Program_compile.cp_graph)
+      ~inputs:(D.feeds compiled (k.K.inputs 8 st))
   in
-  let bad = { good with Exec.Job.name = "bad"; inputs = [] } in
+  let bad =
+    { good with
+      Exec.Job.name = "bad";
+      inputs = ("no_such_input", []) :: good.Exec.Job.inputs }
+  in
   (match Exec.Job.run_all ~jobs:2 [ good; bad; good ] with
   | [ Ok _; Error _; Ok _ ] -> ()
   | rs ->

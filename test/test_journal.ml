@@ -447,16 +447,7 @@ let test_checkpoint_prefix_resume () =
       P.waves = 3;
       engine = `Machine }
   in
-  let cfg, arch =
-    match Serve.Server.config_of_run run with
-    | Ok c -> c
-    | Error e -> Alcotest.failf "config: %s" e
-  in
-  let graph, inputs, _ =
-    match Serve.Server.subject_of_program run.P.program ~waves:run.P.waves with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "subject: %s" e
-  in
+  let cfg, arch, graph, inputs = Test_serve.machine_parts run in
   let oneshot = ME.run_cfg cfg ~arch graph ~inputs in
   let slice = 50 in
   let m = ME.create_cfg cfg ~arch graph ~inputs in

@@ -20,7 +20,7 @@ let check_kernel ?(n = 48) (k : K.kernel) () =
   Alcotest.(check int)
     "block count" k.K.blocks
     (List.length compiled.Compiler.Program_compile.cp_schemes);
-  let result = D.run ~waves:6 compiled ~inputs in
+  let result = D.run_cfg ~waves:6 Run_config.default compiled ~inputs in
   (* oracle 1: the Val interpreter *)
   D.check_against_oracle prog compiled result ~inputs;
   (* oracle 2: independent OCaml reference *)
@@ -64,7 +64,7 @@ let test_kernels_macro_expanded () =
             Alcotest.failf "%s: abstract cell %s survived expansion"
               k.K.name nd.Graph.label
           | _ -> ());
-      let result = D.run ~waves:2 compiled ~inputs in
+      let result = D.run_cfg ~waves:2 Run_config.default compiled ~inputs in
       D.check_against_oracle prog compiled result ~inputs)
     K.all
 

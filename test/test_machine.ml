@@ -60,7 +60,7 @@ let test_matches_ideal_engine () =
   let cp = compiled_fig3 m in
   let st = Random.State.make [| 42 |] in
   let inputs = wave m st in
-  let ideal = D.run ~waves:2 cp ~inputs in
+  let ideal = D.run_cfg ~waves:2 Run_config.default cp ~inputs in
   List.iter
     (fun policy ->
       let arch = { Arch.default with Arch.array_policy = policy } in

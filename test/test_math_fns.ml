@@ -65,7 +65,7 @@ W : array[real] :=
   let u = wave () and v = wave () in
   let inputs = [ ("U", D.wave_of_floats u); ("V", D.wave_of_floats v) ] in
   let prog, cp = D.compile_source src in
-  let result = D.run ~waves:6 cp ~inputs in
+  let result = D.run_cfg ~waves:6 Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs;
   let expected =
     List.map2 (fun a b -> sqrt (Float.abs a) /. (exp b +. 1.)) u v

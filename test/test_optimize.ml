@@ -45,7 +45,7 @@ let test_values_preserved () =
   in
   let run cse =
     let prog, cp = compile ~cse m in
-    let result = D.run ~waves:3 cp ~inputs in
+    let result = D.run_cfg ~waves:3 Run_config.default cp ~inputs in
     D.check_against_oracle prog cp result ~inputs;
     ( List.map Value.to_real (D.output_wave cp result "S"),
       List.map Value.to_real (D.output_wave cp result "T") )
@@ -62,7 +62,7 @@ let test_rate_preserved () =
        List.init (m + 2) (fun _ -> Value.Real (Random.State.float st 1.0))) ]
   in
   let _, cp = compile ~cse:true m in
-  let result = D.run ~waves:8 cp ~inputs in
+  let result = D.run_cfg ~waves:8 Run_config.default cp ~inputs in
   let predicted = 2.0 *. float_of_int (m + 2) /. float_of_int m in
   Alcotest.(check (float 0.1)) "still input-limited pipelined" predicted
     (Sim.Metrics.output_interval result "S")
@@ -104,7 +104,7 @@ Y : array[real] :=
     List.init 10 (fun _ -> Value.Real (Random.State.float st 0.8))
   in
   let inputs = [ ("A", wave ()); ("B", wave ()) ] in
-  let result = D.run ~waves:3 cp ~inputs in
+  let result = D.run_cfg ~waves:3 Run_config.default cp ~inputs in
   D.check_against_oracle prog cp result ~inputs;
   Alcotest.(check (list (float 1e-12)))
     "identical loops produce identical streams"

@@ -113,7 +113,7 @@ let prop_compiled_matches_interpreter =
       in
       let inputs = [ ("A", wave ()); ("B", wave ()) ] in
       let prog, compiled = D.compile_source source in
-      let result = D.run ~waves:2 compiled ~inputs in
+      let result = D.run_cfg ~waves:2 Run_config.default compiled ~inputs in
       match D.check_against_oracle prog compiled result ~inputs with
       | () -> true
       | exception D.Mismatch msg -> QCheck.Test.fail_report msg)
@@ -191,7 +191,7 @@ let prop_schemes_agree =
             Compiler.Program_compile.scheme }
         in
         let prog, compiled = D.compile_source ~options source in
-        let result = D.run ~waves:2 compiled ~inputs in
+        let result = D.run_cfg ~waves:2 Run_config.default compiled ~inputs in
         D.check_against_oracle prog compiled result ~inputs;
         List.map Value.to_real (D.output_wave compiled result "X")
       in
@@ -284,7 +284,7 @@ let prop_random_pipe_programs =
       in
       match
         let prog, compiled = D.compile_source source in
-        let result = D.run ~waves:2 compiled ~inputs in
+        let result = D.run_cfg ~waves:2 Run_config.default compiled ~inputs in
         D.check_against_oracle prog compiled result ~inputs
       with
       | () -> true
@@ -355,7 +355,7 @@ H : array[real] := forall i in [1, n-1], j in [1, n-1] construct %s endall;
       in
       match
         let prog, compiled = D.compile_source source in
-        let result = D.run ~waves:2 compiled ~inputs in
+        let result = D.run_cfg ~waves:2 Run_config.default compiled ~inputs in
         D.check_against_oracle prog compiled result ~inputs
       with
       | () -> true

@@ -229,22 +229,28 @@ let raw_read_line ?(timeout = 5.0) ?buf fd =
 
 let stat resp f = Option.value ~default:(-1) (J.get_int (J.member f resp))
 
-(* the standalone run a served response must be bit-identical to *)
-let standalone (r : P.run) =
+(* the standalone job a served response must be bit-identical to *)
+let standalone_job (r : P.run) =
   match
-    (Serve.Server.config_of_run r,
-     Serve.Server.subject_of_program r.P.program ~waves:r.P.waves)
+    Result.bind
+      (Serve.Server.compile_program r.P.program)
+      (Serve.Server.job_of_run r)
   with
-  | Error e, _ | _, Error e -> Alcotest.failf "standalone setup: %s" e
-  | Ok (cfg, arch), Ok (graph, inputs, name) ->
-    let engine =
-      match r.P.engine with
-      | `Sim -> Exec.Job.Sim
-      | `Machine -> Exec.Job.Machine arch
-    in
-    Exec.Job.run
-      (Exec.Job.make ~name ~engine ~config:cfg ~sanitize:r.P.sanitize
-         (Exec.Job.Graph_program graph) ~inputs)
+  | Ok job -> job
+  | Error e -> Alcotest.failf "standalone setup: %s" e
+
+let standalone r = Exec.Job.run (standalone_job r)
+
+(* a standalone machine job's configuration (without the per-run
+   sanitizer), arch, graph and inputs, for tests that drive the
+   resumable engine by hand *)
+let machine_parts (r : P.run) =
+  let job = standalone_job r in
+  let (Exec.Job.Graph_program graph) = job.Exec.Job.program in
+  match job.Exec.Job.engine with
+  | Exec.Job.Machine arch ->
+    (job.Exec.Job.config, arch, graph, job.Exec.Job.inputs)
+  | Exec.Job.Sim -> Alcotest.fail "not a machine run"
 
 let check_served_identical ~label resp expected =
   check (label ^ ": ok response") true (P.response_ok resp);
@@ -404,33 +410,23 @@ let test_cancel_and_preempt () =
           | _ -> Alcotest.fail "preempted job should answer cancelled");
           (* the checkpoint restores and resumes to the exact same
              result an uninterrupted run produces *)
-          match Serve.Server.subject_of_program long.P.program
-                  ~waves:long.P.waves
+          let cfg, arch, graph, inputs = machine_parts long in
+          match
+            Recover.Checkpoint.of_json ~graph (J.member "checkpoint" resp)
           with
-          | Error e -> Alcotest.failf "recompile: %s" e
-          | Ok (graph, inputs, _) -> (
-            match
-              Recover.Checkpoint.of_json ~graph (J.member "checkpoint" resp)
-            with
-            | Error e -> Alcotest.failf "checkpoint decode: %s" e
-            | Ok snapshot ->
-              check "preempted mid-run" true
-                (snapshot.ME.sn_time > 0);
-              let cfg, arch =
-                match Serve.Server.config_of_run long with
-                | Ok c -> c
-                | Error e -> Alcotest.failf "config: %s" e
-              in
-              let m = ME.create_cfg cfg ~arch graph ~inputs in
-              ME.restore m snapshot;
-              ME.advance m ~until:max_int;
-              let resumed = ME.result m in
-              let oneshot = ME.run_cfg cfg ~arch graph ~inputs in
-              check_int "resumed end time = uninterrupted"
-                oneshot.ME.end_time resumed.ME.end_time;
-              check_int "resumed digest = uninterrupted"
-                (Integrity.digest_outputs oneshot.ME.outputs)
-                (Integrity.digest_outputs resumed.ME.outputs))))
+          | Error e -> Alcotest.failf "checkpoint decode: %s" e
+          | Ok snapshot ->
+            check "preempted mid-run" true (snapshot.ME.sn_time > 0);
+            let m = ME.create_cfg cfg ~arch graph ~inputs in
+            ME.restore m snapshot;
+            ME.advance m ~until:max_int;
+            let resumed = ME.result m in
+            let oneshot = ME.run_cfg cfg ~arch graph ~inputs in
+            check_int "resumed end time = uninterrupted"
+              oneshot.ME.end_time resumed.ME.end_time;
+            check_int "resumed digest = uninterrupted"
+              (Integrity.digest_outputs oneshot.ME.outputs)
+              (Integrity.digest_outputs resumed.ME.outputs)))
 
 let test_compile_verb_and_errors () =
   with_server (fun socket ->
@@ -779,18 +775,7 @@ let test_journal_old_checkpoint_reruns () =
           engine = `Machine;
           idem = Some "old-ck" }
       in
-      let cfg, arch =
-        match Serve.Server.config_of_run run with
-        | Ok c -> c
-        | Error e -> Alcotest.failf "config: %s" e
-      in
-      let graph, inputs, _ =
-        match
-          Serve.Server.subject_of_program run.P.program ~waves:run.P.waves
-        with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "subject: %s" e
-      in
+      let cfg, arch, graph, inputs = machine_parts run in
       let m = ME.create_cfg cfg ~arch graph ~inputs in
       ME.advance m ~until:60;
       check "checkpoint taken mid-run" false (ME.finished m);
@@ -851,15 +836,15 @@ let test_rendezvous_routing () =
   check "keys spread across members" true
     (List.length (List.sort_uniq compare winners) >= 2);
   (* member-list parsing: comma form, @file form, rejects *)
-  (match Serve.Cluster.members_of_spec "a.sock,b.sock,c.sock" with
+  (match Runspec.members_of_string "a.sock,b.sock,c.sock" with
   | Ok m ->
     Alcotest.(check (list string)) "comma list"
       [ "a.sock"; "b.sock"; "c.sock" ] m
   | Error e -> Alcotest.failf "comma list: %s" e);
   check "empty spec rejected" true
-    (Result.is_error (Serve.Cluster.members_of_spec ""));
+    (Result.is_error (Runspec.members_of_string ""));
   check "duplicate member rejected" true
-    (Result.is_error (Serve.Cluster.members_of_spec "x.sock,x.sock"));
+    (Result.is_error (Runspec.members_of_string "x.sock,x.sock"));
   let file = Filename.temp_file "members" ".txt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
@@ -867,7 +852,7 @@ let test_rendezvous_routing () =
       let oc = open_out file in
       output_string oc "# the fleet\none.sock\n\ntwo.sock\n";
       close_out oc;
-      match Serve.Cluster.members_of_spec ("@" ^ file) with
+      match Runspec.members_of_string ("@" ^ file) with
       | Ok m ->
         Alcotest.(check (list string)) "@file form (comments, blanks)"
           [ "one.sock"; "two.sock" ] m
@@ -1111,6 +1096,55 @@ let test_soak () =
             (String.concat "\n" fs));
   check "cache saw hits" true (r.Serve.Selftest.cache_hits > 0)
 
+(* job_of_run is the one resolver from a request to a job: a kernel
+   request feeds the streams the differential harnesses' subject feeds,
+   the arch and the auto watchdog land in the job, and bad specs come
+   back as errors *)
+let test_job_of_run () =
+  let subject =
+    Runspec.compile_subject (Kernels.find "hydro") ~size:8 ~waves:3
+  in
+  let compiled = subject.Runspec.compiled in
+  let run =
+    { (P.default_run (P.Kernel { name = "hydro"; size = 8 })) with
+      P.waves = 3;
+      engine = `Machine;
+      n_pe = Some 4;
+      fault = Some "seed=5,delay=0.2";
+      watchdog = P.Auto }
+  in
+  let job_of r =
+    match Serve.Server.job_of_run r compiled with
+    | Ok job -> job
+    | Error e -> Alcotest.failf "job_of_run: %s" e
+  in
+  let job = job_of run in
+  check "kernel streams = the harness subject's" true
+    (job.Exec.Job.inputs = subject.Runspec.inputs);
+  check_string "job name" "hydro[8]" job.Exec.Job.name;
+  (match job.Exec.Job.engine with
+  | Exec.Job.Machine arch -> check_int "pe" 4 arch.Machine.Arch.n_pe
+  | Exec.Job.Sim -> Alcotest.fail "machine request ran on the graph engine");
+  let watchdog r = (job_of r).Exec.Job.config.Run_config.watchdog in
+  let spec =
+    match Fault.Fault_plan.of_string "seed=5,delay=0.2" with
+    | Ok spec -> spec
+    | Error e -> Alcotest.fail e
+  in
+  check "auto watchdog sized over the plan" true
+    (watchdog run = Some (Runspec.watchdog_for spec None));
+  check "auto watchdog without a plan" true
+    (watchdog { run with P.fault = None }
+    = Some (Runspec.watchdog_for Fault.Fault_plan.none None));
+  check "out-of-range fault spec is an error" true
+    (Result.is_error
+       (Serve.Server.job_of_run { run with P.fault = Some "delay=2.0" }
+          compiled));
+  check "bad recovery spec is an error" true
+    (Result.is_error
+       (Serve.Server.job_of_run { run with P.recovery = Some "every=x" }
+          compiled))
+
 let suite =
   [
     Alcotest.test_case "protocol: request wire round-trip" `Quick
@@ -1160,4 +1194,6 @@ let suite =
       `Quick test_migrate_between_servers;
     Alcotest.test_case "server: concurrent soak bit-identical" `Quick
       test_soak;
+    Alcotest.test_case "server: job_of_run resolves a request" `Quick
+      test_job_of_run;
   ]
