@@ -8,7 +8,6 @@ type options = {
   companion_distance : int;
   balance : [ `None | `Naive | `Reduced | `Optimal ];
   expand_macros : bool;
-  expose : [ `All | `Last ];
   cse : bool;
 }
 
@@ -18,7 +17,6 @@ let default_options =
     companion_distance = 2;
     balance = `Optimal;
     expand_macros = false;
-    expose = `All;
     cse = true;
   }
 
@@ -60,11 +58,8 @@ let compile ?(options = default_options) ?(scalar_inputs = [])
       pp.C.pp_array_inputs
   in
   let shifts = Hashtbl.create 64 in
-  let last_block =
-    match List.rev pp.C.pp_blocks with
-    | [] -> invalid_arg "Program_compile: program has no blocks"
-    | b :: _ -> C.block_name b
-  in
+  if pp.C.pp_blocks = [] then
+    invalid_arg "Program_compile: program has no blocks";
   let _, outputs_rev, schemes_rev =
     List.fold_left
       (fun (arrays, outputs, schemes) block ->
@@ -93,19 +88,13 @@ let compile ?(options = default_options) ?(scalar_inputs = [])
             (ctx, out, scheme_used)
         in
         Hashtbl.iter (fun k v -> Hashtbl.replace shifts k v) ctx.E.shifts;
-        let expose =
-          match options.expose with `All -> true | `Last -> name = last_block
-        in
-        if expose then begin
-          let out = Graph.add g (Opcode.Output name) [| Graph.In_arc |] in
-          Graph.connect g ~src:out_node ~dst:out ~port:0
-        end;
+        let out = Graph.add g (Opcode.Output name) [| Graph.In_arc |] in
+        Graph.connect g ~src:out_node ~dst:out ~port:0;
         let arrays =
           (name, (shape, { E.src_node = out_node; src_ranges = shape.C.sh_ranges }))
           :: arrays
         in
-        let outputs = if expose then (name, shape) :: outputs else outputs in
-        (arrays, outputs, (name, scheme_used) :: schemes))
+        (arrays, (name, shape) :: outputs, (name, scheme_used) :: schemes))
       (input_arrays, [], []) pp.C.pp_blocks
   in
   (* drop cells that cannot reach any output (e.g. subgraphs made dead by

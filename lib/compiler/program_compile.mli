@@ -15,8 +15,6 @@ type options = {
   expand_macros : bool;
       (* lower Bool_source/Iota/Fifo to pure instruction cells (default
          false: keep the abstract nodes, which simulate faster) *)
-  expose : [ `All | `Last ];
-      (* create an Output stream per block, or only for the final block *)
   cse : bool;
       (* merge identical cells across blocks before balancing (default
          true); see Dfg.Optimize *)
@@ -26,7 +24,7 @@ val default_options : options
 
 type compiled = {
   cp_graph : Graph.t;
-  cp_outputs : (string * C.array_shape) list;  (* exposed output streams *)
+  cp_outputs : (string * C.array_shape) list;  (* one output stream per block *)
   cp_inputs : (string * C.array_shape) list;   (* array input streams *)
   cp_shifts : (int, int) Hashtbl.t;            (* gate phase shifts *)
   cp_schemes : (string * string) list;         (* block -> mapping used *)

@@ -21,8 +21,6 @@ let predecessors_table g =
       Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare)
     prods
 
-let predecessors g id = (predecessors_table g).(id)
-
 let topological_order g =
   let n = Graph.node_count g in
   let indeg = Array.make n 0 in

@@ -7,9 +7,6 @@
 val successors : Graph.t -> int -> int list
 (** Distinct successor node ids over all output slots. *)
 
-val predecessors : Graph.t -> int -> int list
-(** Distinct producer node ids over all arc ports. *)
-
 val topological_order : Graph.t -> int list option
 (** All node ids in topological order, or [None] if the graph has a
     cycle. *)

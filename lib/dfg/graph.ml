@@ -105,8 +105,6 @@ let outputs g =
       match n.op with Opcode.Output name -> (name, n.id) :: acc | _ -> acc)
   |> List.rev
 
-let find_output g name = List.assoc name (outputs g)
-
 let validate g =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in

@@ -62,9 +62,6 @@ val inputs : t -> (string * int) list
 
 val outputs : t -> (string * int) list
 
-val find_output : t -> string -> int
-(** @raise Not_found *)
-
 val validate : t -> (unit, string list) result
 (** Structural checks: every arc port fed by exactly one producer; every
     output slot has at least one destination; no cell whose ports are all

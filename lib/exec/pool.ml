@@ -2,10 +2,6 @@ type error = { index : int; message : string; backtrace : string }
 
 exception Job_failed of error
 
-let error_to_string e =
-  Printf.sprintf "job %d failed: %s%s" e.index e.message
-    (if e.backtrace = "" then "" else "\n" ^ e.backtrace)
-
 let default_jobs () =
   match Sys.getenv_opt "EXEC_JOBS" with
   | Some s -> (
@@ -230,12 +226,6 @@ let cancel ticket =
   in
   Mutex.unlock ticket.pool.lock;
   removed
-
-let poll ticket =
-  Mutex.lock ticket.pool.lock;
-  let r = match ticket.state with Settled o -> Some o | _ -> None in
-  Mutex.unlock ticket.pool.lock;
-  r
 
 let await ticket =
   Mutex.lock ticket.pool.lock;

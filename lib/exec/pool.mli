@@ -23,8 +23,6 @@ type error = {
 }
 (** One item's failure, isolated: other items still complete. *)
 
-val error_to_string : error -> string
-
 val default_jobs : unit -> int
 (** [EXEC_JOBS] if set to a positive integer, else
     [Domain.recommended_domain_count ()]. *)
@@ -89,9 +87,6 @@ val cancel : 'a ticket -> bool
 (** [true] iff the job was still queued and has been removed — it will
     never run.  [false] once running or settled: a domain mid-job
     cannot be interrupted from outside. *)
-
-val poll : 'a ticket -> 'a outcome option
-(** Non-blocking: [Some] once settled. *)
 
 val await : 'a ticket -> 'a outcome
 (** Block until the job settles. *)

@@ -47,5 +47,3 @@ let digest_outputs outs =
       fnv_offset outs
   in
   finish h
-
-let digest_values vs = finish (List.fold_left add_value fnv_offset vs)

@@ -38,6 +38,3 @@ val digest_outputs : (string * (int * Dfg.Value.t) list) list -> int
     [output_values]-shaped data: a list of [(stream name, (arrival
     time, value) list)].  Stream names and value order matter; arrival
     times are ignored (see above). *)
-
-val digest_values : Dfg.Value.t list -> int
-(** Digest of a bare value sequence. *)

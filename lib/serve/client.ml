@@ -10,10 +10,6 @@ let addr_of_string s =
     | Error e -> invalid_arg ("Client.addr_of_string: " ^ e)
   else Unix_path s
 
-let addr_to_string = function
-  | Unix_path p -> p
-  | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
-
 exception Timeout
 exception Injected of string
 

@@ -22,8 +22,6 @@ val addr_of_string : string -> addr
 (** [tcp:HOST:PORT] (via {!Runspec.hostport_of_string}) or a Unix
     socket path.  @raise Invalid_argument on a malformed [tcp:] form. *)
 
-val addr_to_string : addr -> string
-
 exception Timeout
 (** The connection's [deadline] elapsed while awaiting a response. *)
 

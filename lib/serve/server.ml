@@ -210,27 +210,30 @@ type client = {
   mutable wstart : float;  (* when wbuf last went nonempty / progressed *)
   mutable last_read : float;
   queue : job Queue.t;  (* admitted, not yet dispatched *)
-  mutable running : job list;  (* dispatched, not yet completed *)
-  mutable in_flight : int;
-  mutable waiting : int;  (* dedup waiters registered on other jobs *)
+  mutable waiting : int;  (* answers owed: its entries in jobs' waiter lists *)
   mutable closed : bool;
 }
 
+(* A job is admitted onto a queue, dispatched to a worker and answered
+   once by [deliver]; or, still queued, it leaves unrun ([unqueue]).
+   Everyone owed its outcome waits in [jwaiting]: the owner, idempotent
+   twins and migrate callers alike. *)
 and job = {
-  mutable jc : client option;  (* owning connection, while it lives *)
-  jid : int;
+  jc : client option;  (* owner: whose queue it joins, who may cancel it *)
+  jid : int;  (* the owner's request id *)
   jengine : [ `Sim | `Machine ];
   jidem : string option;
   jverb : string;  (* "simulate" | "sweep" *)
   jcancel : bool Atomic.t;
-  mutable janswered : bool;  (* response already sent (queued cancel) *)
-  mutable jwaiters : (int * int) list;  (* (cid, request id) of retries *)
-  mutable jrequest : J.t option;  (* the admitted request document *)
-  mutable jmigrate : (int * int) option;
-      (* (cid, request id) of a migrate call awaiting this job's
-         checkpoint; set together with jcancel to preempt it *)
+  mutable jwithdrawn : bool;  (* left its queue unrun: a carcass to skip *)
+  mutable jwaiting : waiter list;  (* newest first *)
+  jrequest : J.t option;  (* the admitted request, handed over on migration *)
   jwork : cancel:bool Atomic.t -> job_result;
 }
+
+(* a connection owed a job's outcome under its request id [wid]; a
+   migrate caller is owed the migrate envelope around it *)
+and waiter = { wc : client; wid : int; wmigrate : bool }
 
 and idem_state = I_pending of job | I_done of J.t
 
@@ -298,7 +301,46 @@ let inet_of host =
     | exception Not_found ->
       raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host)))
 
-(* ---------------- response plumbing ---------------- *)
+(* ---------------- the job lifecycle ---------------- *)
+
+let wait_on job c ~id ~migrate =
+  job.jwaiting <- { wc = c; wid = id; wmigrate = migrate } :: job.jwaiting;
+  c.waiting <- c.waiting + 1
+
+(* The one constructor; the owner, if any, is the job's first waiter. *)
+let new_job ~owner ~engine ~idem ~verb ~request jwork =
+  let job =
+    { jc = Option.map fst owner;
+      jid = (match owner with Some (_, id) -> id | None -> 0);
+      jengine = engine;
+      jidem = idem;
+      jverb = verb;
+      jcancel = Atomic.make false;
+      jwithdrawn = false;
+      jwaiting = [];
+      jrequest = request;
+      jwork }
+  in
+  Option.iter (fun (c, id) -> wait_on job c ~id ~migrate:false) owner;
+  job
+
+let owned_by c job = match job.jc with Some o -> o == c | None -> false
+
+let enqueue t queue job =
+  Queue.add job queue;
+  t.queued <- t.queued + 1
+
+(* The one way out for a queued job that leaves without running —
+   cancelled, handed to a migrate caller, dumped by a spent drain budget
+   or dropped with its connection: it stops counting as queued, becomes
+   a carcass the dispatcher skips, and its key is forgotten (a journaled
+   admission stays pending on disk for the next generation to replay).
+   Its waiters are answered by {!withdraw}. *)
+let unqueue t job =
+  job.jwithdrawn <- true;
+  t.queued <- t.queued - 1;
+  Atomic.set job.jcancel true;
+  Option.iter (Hashtbl.remove t.idem) job.jidem
 
 let close_client t c =
   if not c.closed then begin
@@ -309,27 +351,20 @@ let close_client t c =
     (* Queued jobs with an idempotency key were journaled as admitted —
        keep that promise: orphan them onto the replay queue so they
        complete (and their Done is recorded) even though nobody is left
-       to tell.  Keyless queued jobs can never be answered; drop them. *)
+       to tell.  A keyless queued job's only waiter was this connection;
+       it leaves unrun. *)
     Queue.iter
       (fun j ->
-        if not j.janswered then
-          match j.jidem with
-          | Some _ ->
-            j.jc <- None;
-            Queue.add j t.rqueue
-          | None ->
-            j.janswered <- true;
-            t.queued <- t.queued - 1)
+        if not j.jwithdrawn then
+          if j.jidem <> None then Queue.add j t.rqueue else unqueue t j)
       c.queue;
     Queue.clear c.queue;
     (* running keyless jobs are preempted so their workers free up;
-       keyed or watched ones run to completion for the journal/waiters *)
+       keyed ones run to completion for the journal and their twins *)
     List.iter
       (fun j ->
-        j.jc <- None;
-        if j.jidem = None && j.jwaiters = [] then Atomic.set j.jcancel true)
-      c.running;
-    c.running <- [];
+        if owned_by c j && j.jidem = None then Atomic.set j.jcancel true)
+      t.inflight_jobs;
     logf t "client %d disconnected" c.cid
   end
 
@@ -371,16 +406,41 @@ let send_json t c json =
     flush_client t c
   end
 
-let answer_waiters t job make =
+let request_field job =
+  Option.to_list (Option.map (fun req -> ("request", req)) job.jrequest)
+
+(* Every waiter hears the outcome once, in arrival order: [response]
+   under its own request id, or for a migrate caller the migrate
+   envelope — the [checkpoint] and the request to resume it from when
+   the job was preempted, else the final [response].  Each answer
+   settles one of its connection's [waiting]; a closed connection is
+   skipped. *)
+let answer t job ?checkpoint response =
+  let waiters = List.rev job.jwaiting in
+  job.jwaiting <- [];
+  let migrated = ref false in
   List.iter
-    (fun (cid, rid) ->
-      match Hashtbl.find_opt t.clients cid with
-      | Some w when not w.closed ->
-        w.waiting <- w.waiting - 1;
-        send_json t w (make rid)
-      | _ -> ())
-    (List.rev job.jwaiters);
-  job.jwaiters <- []
+    (fun w ->
+      if not w.wc.closed then begin
+        w.wc.waiting <- w.wc.waiting - 1;
+        send_json t w.wc
+          (if not w.wmigrate then P.with_id w.wid response
+           else
+             P.ok ~id:w.wid ~verb:"migrate"
+               (match checkpoint with
+               | Some ck ->
+                 migrated := true;
+                 ("state", J.String "migrated") :: ("checkpoint", ck)
+                 :: request_field job
+               | None ->
+                 [ ("state", J.String "done"); ("response", response) ]))
+      end)
+    waiters;
+  if !migrated then t.n_migrated <- t.n_migrated + 1
+
+let withdraw t job kind msg =
+  unqueue t job;
+  answer t job (P.error ~id:0 kind msg)
 
 (* ---------------- admission and dispatch ---------------- *)
 
@@ -477,11 +537,6 @@ let notify t job result =
 let submit t job =
   t.in_flight <- t.in_flight + 1;
   t.inflight_jobs <- job :: t.inflight_jobs;
-  (match job.jc with
-  | Some c ->
-    c.in_flight <- c.in_flight + 1;
-    c.running <- job :: c.running
-  | None -> ());
   ignore
     (Exec.Pool.submit t.pool (fun () ->
          let result = job.jwork ~cancel:job.jcancel in
@@ -503,14 +558,14 @@ let next_job t =
           let rec pop () =
             match Queue.take_opt c.queue with
             | None -> hunt (k - 1)
-            | Some j when j.janswered -> pop () (* cancelled carcass *)
+            | Some j when j.jwithdrawn -> pop ()
             | Some j -> Some j
           in
           pop ())
   in
   let rec replay () =
     match Queue.take_opt t.rqueue with
-    | Some j when j.janswered -> replay ()
+    | Some j when j.jwithdrawn -> replay ()
     | Some j -> Some j
     | None -> hunt (List.length t.rr)
   in
@@ -524,6 +579,82 @@ let rec dispatch t =
       t.queued <- t.queued - 1;
       submit t job;
       dispatch t
+
+(* A journal the disk betrayed must not take admission down with it:
+   the append failure is counted and logged, and the record still goes
+   out to the replication quorum — local durability degrades, cluster
+   durability holds (and either way the engine's determinism means an
+   idempotent retry recomputes the identical answer). *)
+let journal_append t entry =
+  match t.journal with
+  | None -> ()
+  | Some jr -> (
+    match Journal.append jr entry with
+    | () -> ()
+    | exception Journal.Disk_fault m ->
+      Atomic.incr t.n_jerrors;
+      logf t "journal: %s" m
+    | exception Unix.Unix_error (e, fn, _) ->
+      Atomic.incr t.n_jerrors;
+      logf t "journal: %s: %s" fn (Unix.error_message e)
+    | exception Sys_error m ->
+      Atomic.incr t.n_jerrors;
+      logf t "journal: %s" m)
+
+let journal_and_replicate t entry =
+  journal_append t entry;
+  match t.replica with
+  | None -> ()
+  | Some rep -> ignore (Replica.replicate rep entry)
+
+(* ---------------- the admission core ---------------- *)
+
+let compile_error program = function
+  | Not_found -> (
+    match program with
+    | P.Kernel { name; _ } -> Printf.sprintf "unknown kernel %S" name
+    | P.Source _ -> "compile failed")
+  | e -> Printexc.to_string e
+
+(* Live simulate requests and journal replay admit a job through the
+   same two steps, neither of which knows which caller it serves.
+   [resolve] compiles through the cache, resolves the job and decodes
+   [checkpoint] — the document the job would resume from — against the
+   compiled graph; what an undecodable one means is the caller's call.
+   [admit] journals each slice's checkpoint as the job runs, makes it
+   its key's pending job and puts it on [queue]. *)
+let resolve t (r : P.run) ~checkpoint =
+  match compile_cached t r.P.program with
+  | exception e -> Error (P.Compile_error, compile_error r.P.program e)
+  | key, compiled, hit -> (
+    match job_of_run r compiled with
+    | Error e -> Error (P.Bad_request, e)
+    | Ok job ->
+      let restore =
+        match checkpoint with
+        | None -> Ok None
+        | Some _ when r.P.engine <> `Machine -> Error "machine engine only"
+        | Some ck ->
+          Result.map Option.some
+            (Recover.Checkpoint.of_json ~graph:compiled.PC.cp_graph ck)
+      in
+      Ok (make_work ~slice:t.cfg.slice job ~hit ~key, restore))
+
+let admit t ~owner ~queue ~request (r : P.run) work ~restore =
+  let progress =
+    match (r.P.idem, t.journal) with
+    | Some idem, Some _ ->
+      Some
+        (fun ck ->
+          journal_and_replicate t (Journal.Progress { idem; checkpoint = ck }))
+    | _ -> None
+  in
+  let job =
+    new_job ~owner ~engine:r.P.engine ~idem:r.P.idem ~verb:"simulate"
+      ~request:(Some request) (work ~progress ~restore)
+  in
+  Option.iter (fun k -> Hashtbl.replace t.idem k (I_pending job)) r.P.idem;
+  enqueue t queue job
 
 (* ---------------- verbs ---------------- *)
 
@@ -555,6 +686,8 @@ let stats_fields t =
 
 let handle_compile t c id program =
   match compile_cached t program with
+  | exception e ->
+    send_json t c (P.error ~id P.Compile_error (compile_error program e))
   | key, compiled, hit ->
     send_json t c
       (P.ok ~id ~verb:"compile"
@@ -568,161 +701,75 @@ let handle_compile t c id program =
              J.List
                (List.map (fun (n, _) -> J.String n) compiled.PC.cp_outputs) )
          ])
-  | exception Not_found ->
-    send_json t c
-      (P.error ~id P.Compile_error
-         (match program with
-         | P.Kernel { name; _ } -> Printf.sprintf "unknown kernel %S" name
-         | P.Source _ -> "compile failed"))
-  | exception e ->
-    send_json t c (P.error ~id P.Compile_error (Printexc.to_string e))
 
-let overloaded t =
-  Printf.sprintf "%d jobs pending (max %d)" t.queued t.cfg.max_pending
-
-(* A journal the disk betrayed must not take admission down with it:
-   the append failure is counted and logged, and the record still goes
-   out to the replication quorum — local durability degrades, cluster
-   durability holds (and either way the engine's determinism means an
-   idempotent retry recomputes the identical answer). *)
-let journal_append t entry =
-  match t.journal with
-  | None -> ()
-  | Some jr -> (
-    match Journal.append jr entry with
-    | () -> ()
-    | exception Journal.Disk_fault m ->
-      Atomic.incr t.n_jerrors;
-      logf t "journal: %s" m
-    | exception Unix.Unix_error (e, fn, _) ->
-      Atomic.incr t.n_jerrors;
-      logf t "journal: %s: %s" fn (Unix.error_message e)
-    | exception Sys_error m ->
-      Atomic.incr t.n_jerrors;
-      logf t "journal: %s" m)
-
-let journal_and_replicate t entry =
-  journal_append t entry;
-  match t.replica with
-  | None -> ()
-  | Some rep -> ignore (Replica.replicate rep entry)
+(* Shutdown and a full queue refuse new work before it is resolved;
+   true when [id] has been answered with the refusal. *)
+let refused t c id =
+  let refuse kind msg =
+    send_json t c (P.error ~id kind msg);
+    true
+  in
+  if t.stopping then refuse P.Shutting_down "server shutting down"
+  else if t.queued >= t.cfg.max_pending then begin
+    t.n_rejected <- t.n_rejected + 1;
+    refuse P.Overloaded
+      (Printf.sprintf "%d jobs pending (max %d)" t.queued t.cfg.max_pending)
+  end
+  else false
 
 let handle_simulate t c id (r : P.run) =
-  match r.P.idem with
-  | Some key when Hashtbl.mem t.idem key -> (
+  match Option.bind r.P.idem (Hashtbl.find_opt t.idem) with
+  | Some known -> (
     (* a retry of a request this server (or a predecessor, via the
        journal) already admitted: answer from the record, or ride the
        run still in flight — never run it twice *)
     t.n_deduped <- t.n_deduped + 1;
-    match Hashtbl.find t.idem key with
+    match known with
     | I_done resp -> send_json t c (P.with_id id resp)
-    | I_pending job ->
-      job.jwaiters <- (c.cid, id) :: job.jwaiters;
-      c.waiting <- c.waiting + 1)
-  | _ ->
-    if t.stopping then
-      send_json t c (P.error ~id P.Shutting_down "server shutting down")
-    else if t.queued >= t.cfg.max_pending then begin
-      t.n_rejected <- t.n_rejected + 1;
-      send_json t c (P.error ~id P.Overloaded (overloaded t))
-    end
-    else (
+    | I_pending job -> wait_on job c ~id ~migrate:false)
+  | None -> (
+    if not (refused t c id) then
       (* a malformed run is rejected before it touches the cache *)
       match config_of_run r with
       | Error e -> send_json t c (P.error ~id P.Bad_request e)
       | Ok _ -> (
-        match compile_cached t r.P.program with
-        | exception Not_found ->
-          send_json t c
-            (P.error ~id P.Compile_error
-               (match r.P.program with
-               | P.Kernel { name; _ } ->
-                 Printf.sprintf "unknown kernel %S" name
-               | P.Source _ -> "compile failed"))
-        | exception e ->
-          send_json t c (P.error ~id P.Compile_error (Printexc.to_string e))
-        | key, compiled, hit -> (
-          let restore_ok =
-            (* a migrated-in job: restore the shipped checkpoint and
-               resume the slice stream instead of starting over *)
-            match r.P.restore with
-            | None -> Ok None
-            | Some _ when r.P.engine <> `Machine ->
-              Error "restore: machine engine only"
-            | Some ck -> (
-              match
-                Recover.Checkpoint.of_json ~graph:compiled.PC.cp_graph ck
-              with
-              | Ok sn -> Ok (Some sn)
-              | Error e -> Error ("restore: " ^ e))
-          in
-          match (restore_ok, job_of_run r compiled) with
-          | Error e, _ | _, Error e ->
-            send_json t c (P.error ~id P.Bad_request e)
-          | Ok restore, Ok run_job ->
-            let progress =
-              match (r.P.idem, t.journal) with
-              | Some idem, Some _ ->
-                Some
-                  (fun ck ->
-                    journal_and_replicate t
-                      (Journal.Progress { idem; checkpoint = ck }))
-              | _ -> None
-            in
-            let request = P.request_to_json ~id:0 (P.Simulate r) in
-            let job =
-              { jc = Some c;
-                jid = id;
-                jengine = r.P.engine;
-                jidem = r.P.idem;
-                jverb = "simulate";
-                jcancel = Atomic.make false;
-                janswered = false;
-                jwaiters = [];
-                jrequest = Some request;
-                jmigrate = None;
-                jwork =
-                  make_work ~slice:t.cfg.slice run_job ~hit ~key ~progress
-                    ~restore }
-            in
-            (* WAL discipline: the admission is durable — locally and,
-               in a replicated cluster, on the quorum peers — before
-               the job is queued *)
-            (match r.P.idem with
-            | Some idem ->
-              journal_and_replicate t (Journal.Admit { idem; request })
-            | None -> ());
-            (match r.P.idem with
-            | Some k -> Hashtbl.replace t.idem k (I_pending job)
-            | None -> ());
-            Queue.add job c.queue;
-            t.queued <- t.queued + 1;
-            dispatch t)))
+        (* a migrated-in job restores the shipped checkpoint and
+           resumes the slice stream instead of starting over *)
+        match resolve t r ~checkpoint:r.P.restore with
+        | Error (kind, e) -> send_json t c (P.error ~id kind e)
+        | Ok (_, Error e) ->
+          send_json t c (P.error ~id P.Bad_request ("restore: " ^ e))
+        | Ok (work, Ok restore) ->
+          let request = P.request_to_json ~id:0 (P.Simulate r) in
+          (* WAL discipline: the admission is durable — locally and,
+             in a replicated cluster, on the quorum peers — before
+             the job is queued *)
+          Option.iter
+            (fun idem ->
+              journal_and_replicate t (Journal.Admit { idem; request }))
+            r.P.idem;
+          admit t ~owner:(Some (c, id)) ~queue:c.queue ~request r work
+            ~restore;
+          dispatch t))
 
 let handle_sweep t c id (s : P.sweep) =
-  if t.stopping then
-    send_json t c (P.error ~id P.Shutting_down "server shutting down")
-  else if t.queued >= t.cfg.max_pending then begin
-    t.n_rejected <- t.n_rejected + 1;
-    send_json t c (P.error ~id P.Overloaded (overloaded t))
-  end
-  else
+  if not (refused t c id) then
     let kernels =
       match s.P.sw_kernels with
       | None -> Ok K.all
       | Some names ->
-        let rec resolve acc = function
+        let rec lookup acc = function
           | [] -> Ok (List.rev acc)
           | n :: rest -> (
             match K.find n with
-            | k -> resolve (k :: acc) rest
+            | k -> lookup (k :: acc) rest
             | exception Not_found ->
               Error
                 (Printf.sprintf "unknown kernel %S (have: %s)" n
                    (String.concat ", "
                       (List.map (fun k -> k.K.name) K.all))))
         in
-        resolve [] names
+        lookup [] names
     in
     match kernels with
     | Error e -> send_json t c (P.error ~id P.Bad_request e)
@@ -731,45 +778,29 @@ let handle_sweep t c id (s : P.sweep) =
         Exec.Sweep.grid ~kernels ~pes:s.P.sw_pes ~waves:s.P.sw_waves
           ~size:s.P.sw_size
       in
-      let job =
-        { jc = Some c;
-          jid = id;
-          jengine = `Sim;
-          jidem = None;
-          jverb = "sweep";
-          jcancel = Atomic.make false;
-          janswered = false;
-          jwaiters = [];
-          jrequest = None;
-          jmigrate = None;
-          jwork = make_sweep_work ~cells }
-      in
-      Queue.add job c.queue;
-      t.queued <- t.queued + 1;
+      enqueue t c.queue
+        (new_job ~owner:(Some (c, id)) ~engine:`Sim ~idem:None ~verb:"sweep"
+           ~request:None (make_sweep_work ~cells));
       dispatch t
 
 let handle_cancel t c id target =
   let state =
     (* still queued on this connection? *)
-    let queued = ref None in
-    Queue.iter
-      (fun j -> if j.jid = target && not j.janswered then queued := Some j)
-      c.queue;
-    match !queued with
+    let queued =
+      Queue.fold
+        (fun found j ->
+          if j.jid = target && not j.jwithdrawn then Some j else found)
+        None c.queue
+    in
+    match queued with
     | Some j ->
-      j.janswered <- true;
-      Atomic.set j.jcancel true;
-      t.queued <- t.queued - 1;
       t.n_cancelled <- t.n_cancelled + 1;
-      send_json t c (P.error ~id:j.jid P.Cancelled "cancelled while queued");
-      answer_waiters t j (fun rid ->
-          P.error ~id:rid P.Cancelled "cancelled while queued");
-      (match j.jidem with
-      | Some k -> Hashtbl.remove t.idem k
-      | None -> ());
+      withdraw t j P.Cancelled "cancelled while queued";
       "cancelled"
     | None -> (
-      match List.find_opt (fun j -> j.jid = target) c.running with
+      match
+        List.find_opt (fun j -> owned_by c j && j.jid = target) t.inflight_jobs
+      with
       | Some j ->
         Atomic.set j.jcancel true;
         (match j.jengine with
@@ -801,30 +832,15 @@ let handle_migrate t c id idem =
         (* graph jobs are not sliced; they run to completion here *)
         reply "running" []
       | `Machine ->
-        (* preempt at the next slice boundary; the reply is deferred to
-           deliver, which ships the checkpoint when it arrives *)
-        job.jmigrate <- Some (c.cid, id);
-        c.waiting <- c.waiting + 1;
+        (* preempt at the next slice boundary; deliver answers every
+           migrate caller when the checkpoint arrives *)
+        wait_on job c ~id ~migrate:true;
         Atomic.set job.jcancel true)
     else begin
-      (* still queued: it never ran here, so just hand the request back
-         and forget the key *)
-      job.janswered <- true;
-      Atomic.set job.jcancel true;
-      t.queued <- t.queued - 1;
+      (* still queued: it never ran here, so just hand the request back *)
       t.n_cancelled <- t.n_cancelled + 1;
-      (match job.jc with
-      | Some owner when not owner.closed ->
-        send_json t owner
-          (P.error ~id:job.jid P.Cancelled "migrated while queued")
-      | _ -> ());
-      answer_waiters t job (fun rid ->
-          P.error ~id:rid P.Cancelled "migrated while queued");
-      Hashtbl.remove t.idem idem;
-      reply "queued"
-        (match job.jrequest with
-        | Some req -> [ ("request", req) ]
-        | None -> [])
+      withdraw t job P.Cancelled "migrated while queued";
+      reply "queued" (request_field job)
     end
 
 (* ---------------- shutdown ---------------- *)
@@ -845,31 +861,18 @@ let force_drain t =
     t.forced <- true;
     logf t "drain budget spent: dumping %d queued, preempting %d in flight"
       t.queued t.in_flight;
-    Hashtbl.iter
-      (fun _ c ->
-        Queue.iter
-          (fun j ->
-            if not j.janswered then begin
-              j.janswered <- true;
-              t.queued <- t.queued - 1;
-              send_json t c
-                (P.error ~id:j.jid P.Shutting_down "server shutting down");
-              answer_waiters t j (fun rid ->
-                  P.error ~id:rid P.Shutting_down "server shutting down")
-            end)
-          c.queue;
-        Queue.clear c.queue)
-      t.clients;
     (* dumped journaled admissions stay pending on disk: the next
        server generation replays them *)
-    Queue.iter
-      (fun j ->
-        if not j.janswered then begin
-          j.janswered <- true;
-          t.queued <- t.queued - 1
-        end)
-      t.rqueue;
-    Queue.clear t.rqueue;
+    let dump queue =
+      Queue.iter
+        (fun j ->
+          if not j.jwithdrawn then
+            withdraw t j P.Shutting_down "server shutting down")
+        queue;
+      Queue.clear queue
+    in
+    Hashtbl.iter (fun _ c -> dump c.queue) t.clients;
+    dump t.rqueue;
     List.iter (fun j -> Atomic.set j.jcancel true) t.inflight_jobs
   end
 
@@ -878,11 +881,6 @@ let force_drain t =
 let deliver t (job, result) =
   t.in_flight <- t.in_flight - 1;
   t.inflight_jobs <- List.filter (fun j -> j != job) t.inflight_jobs;
-  (match job.jc with
-  | Some c ->
-    c.in_flight <- c.in_flight - 1;
-    c.running <- List.filter (fun j -> j != job) c.running
-  | None -> ());
   let response =
     match result with
     | R_ok fields ->
@@ -917,39 +915,13 @@ let deliver t (job, result) =
          or the next server generation — runs it again *)
       Hashtbl.remove t.idem idem)
   | None -> ());
-  (* a migrate call was waiting on this job: a preemption checkpoint
-     means the job is leaving (ship checkpoint + request); any final
-     result means it won the race, so the answer itself travels *)
-  (match job.jmigrate with
-  | Some (cid, rid) -> (
-    job.jmigrate <- None;
-    match Hashtbl.find_opt t.clients cid with
-    | Some mc when not mc.closed ->
-      mc.waiting <- mc.waiting - 1;
-      let reply =
-        match result with
-        | R_preempted checkpoint ->
-          t.n_migrated <- t.n_migrated + 1;
-          P.ok ~id:rid ~verb:"migrate"
-            (("state", J.String "migrated")
-             :: ("checkpoint", checkpoint)
-             ::
-             (match job.jrequest with
-             | Some req -> [ ("request", req) ]
-             | None -> []))
-        | R_ok _ | R_error _ ->
-          P.ok ~id:rid ~verb:"migrate"
-            [ ("state", J.String "done"); ("response", response) ]
-      in
-      send_json t mc reply
-    | _ -> ())
-  | None -> ());
-  (match job.jc with
-  | Some c when not (c.closed || job.janswered) ->
-    job.janswered <- true;
-    send_json t c (P.with_id job.jid response)
-  | _ -> ());
-  answer_waiters t job (fun rid -> P.with_id rid response)
+  (* a preemption checkpoint means the job is leaving, so migrate
+     callers get the checkpoint; a final result won the race, and the
+     answer itself travels *)
+  let checkpoint =
+    match result with R_preempted ck -> Some ck | R_ok _ | R_error _ -> None
+  in
+  answer t job ?checkpoint response
 
 (* ---------------- replication verbs ---------------- *)
 
@@ -1004,78 +976,42 @@ let replay_recovered t (rcv : Journal.recovered) =
     rcv.Journal.completed;
   List.iter
     (fun (p : Journal.pending) ->
-      let skip msg =
-        logf t "journal: dropping pending %S: %s" p.Journal.p_idem msg
-      in
+      let idem = p.Journal.p_idem in
+      let skip msg = logf t "journal: dropping pending %S: %s" idem msg in
       match P.request_of_json p.Journal.p_request with
       | Error e -> skip e
       | exception e -> skip (Printexc.to_string e)
       | Ok (_, P.Simulate r) -> (
-        match compile_cached t r.P.program with
-        | exception e -> skip (Printexc.to_string e)
-        | key, compiled, hit -> (
-          match job_of_run r compiled with
-          | Error e -> skip e
-          | Ok run_job ->
-            let graph = compiled.PC.cp_graph in
-            let checkpoint_doc =
-              match (r.P.engine, p.Journal.p_checkpoint) with
-              | `Machine, Some ck -> Some ck
-              | `Machine, None -> r.P.restore
-              | `Sim, _ -> None
-            in
-            let restore =
-              match checkpoint_doc with
-              | Some ck -> (
-                match Recover.Checkpoint.of_json ~graph ck with
-                | Ok sn -> Some sn
-                | Error e ->
-                  logf t "journal: %S checkpoint rejected (%s); rerunning"
-                    p.Journal.p_idem e;
-                  None)
-              | None -> None
-            in
-            (* if this pending job is migrated away before it runs, the
-               request we hand over should carry the furthest
-               checkpoint we hold, so the target resumes instead of
-               recomputing *)
-            let request =
-              match (restore, checkpoint_doc, p.Journal.p_request) with
-              | Some _, Some ck, J.Obj fields ->
+        (* resume from the newest checkpoint held: the last journaled
+           slice, else the one a migrated-in request shipped with *)
+        let checkpoint =
+          match (r.P.engine, p.Journal.p_checkpoint) with
+          | `Machine, Some ck -> Some ck
+          | `Machine, None -> r.P.restore
+          | `Sim, _ -> None
+        in
+        match resolve t r ~checkpoint with
+        | Error (_, e) -> skip e
+        | Ok (work, decoded) ->
+          let restore, request =
+            match (decoded, checkpoint, p.Journal.p_request) with
+            | Ok (Some sn), Some ck, J.Obj fields ->
+              (* if this job is migrated away before it runs, the
+                 request handed over carries the furthest checkpoint we
+                 hold, so the target resumes instead of recomputing *)
+              ( Some sn,
                 J.Obj
                   (("restore", ck)
-                  :: List.filter (fun (k, _) -> k <> "restore") fields)
-              | _ -> p.Journal.p_request
-            in
-            let progress =
-              match t.journal with
-              | Some _ ->
-                Some
-                  (fun ck ->
-                    journal_and_replicate t
-                      (Journal.Progress
-                         { idem = p.Journal.p_idem; checkpoint = ck }))
-              | None -> None
-            in
-            let job =
-              { jc = None;
-                jid = 0;
-                jengine = r.P.engine;
-                jidem = Some p.Journal.p_idem;
-                jverb = "simulate";
-                jcancel = Atomic.make false;
-                janswered = false;
-                jwaiters = [];
-                jrequest = Some request;
-                jmigrate = None;
-                jwork =
-                  make_work ~slice:t.cfg.slice run_job ~hit ~key ~progress
-                    ~restore }
-            in
-            Hashtbl.replace t.idem p.Journal.p_idem (I_pending job);
-            Queue.add job t.rqueue;
-            t.queued <- t.queued + 1;
-            t.n_replayed <- t.n_replayed + 1))
+                  :: List.filter (fun (k, _) -> k <> "restore") fields) )
+            | Ok restore, _, request -> (restore, request)
+            | Error e, _, request ->
+              logf t "journal: %S checkpoint rejected (%s); rerunning" idem e;
+              (None, request)
+          in
+          admit t ~owner:None ~queue:t.rqueue ~request
+            { r with P.idem = Some idem }
+            work ~restore;
+          t.n_replayed <- t.n_replayed + 1)
       | Ok _ -> skip "not a simulate request")
     rcv.Journal.pending
 
@@ -1354,8 +1290,6 @@ let accept_client t lfd =
         wstart = now;
         last_read = now;
         queue = Queue.create ();
-        running = [];
-        in_flight = 0;
         waiting = 0;
         closed = false }
     in
@@ -1363,8 +1297,7 @@ let accept_client t lfd =
     t.rr <- t.rr @ [ cid ];
     logf t "client %d connected" cid
 
-let client_busy (c : client) =
-  c.in_flight > 0 || Queue.length c.queue > 0 || c.waiting > 0
+let client_busy (c : client) = Queue.length c.queue > 0 || c.waiting > 0
 
 (* Reap connections that blew a deadline: idle peers holding no work
    (slowloris protection) and peers that stopped reading their
@@ -1494,7 +1427,15 @@ let serve t =
     | Some p -> ", journal " ^ p
     | None -> "");
   if not (Queue.is_empty t.rqueue) then dispatch t;
-  let finished () = t.stopping && t.in_flight = 0 && t.queued = 0 in
+  (* the last answers — a preempted job's checkpoint can run to
+     megabytes — leave before the sockets close; a peer that stops
+     reading is reaped by the write timeout *)
+  let writing () =
+    Hashtbl.fold (fun _ c w -> w || Buffer.length c.wbuf > 0) t.clients false
+  in
+  let finished () =
+    t.stopping && t.in_flight = 0 && t.queued = 0 && not (writing ())
+  in
   while not (finished ()) do
     if Atomic.exchange t.reload false then do_reload t;
     let now = Unix.gettimeofday () in

@@ -27,6 +27,24 @@
     [write_timeout] are closed.  No hostile connection can crash the
     loop or stall other clients.
 
+    {b Job lifecycle}: every simulate or sweep job is admitted, queued,
+    dispatched and answered once — or, still queued, withdrawn unrun.
+    Live simulate requests and journal replay share one admission core
+    (compile through the cache, {!job_of_run}, decode the checkpoint to
+    resume from, journal each slice's checkpoint, record the key as
+    pending, enqueue); a live request first passes the dedup check and
+    the shutdown/overload refusal.  Everyone owed a job's outcome waits
+    in one list on it: the owner, idempotent twins (retries of its key)
+    and every migrate caller.  One function answers them all — the
+    response under each request id, or the migrate envelope (checkpoint
+    and request when the job was preempted, else the final response) —
+    whether the job finished, was preempted, or left the queue through
+    the one withdraw ([cancel], [migrate] of a queued job, a spent drain
+    budget, or the close of a keyless job's connection), which also
+    forgets its key.  A connection still owed an answer is never reaped
+    as idle, and shutdown closes the sockets only once the last answers
+    are written (or their readers blew [write_timeout]).
+
     {b Durability}: with a [journal_path], every admitted simulate
     request carrying an idempotency key is recorded in a write-ahead
     {!Journal} before it runs, machine jobs append their slice-boundary
@@ -34,7 +52,9 @@
     before it is sent.  On restart the journal seeds the idempotency
     cache (retried completed requests answer bit-identically from the
     record) and incomplete admissions are re-run — machine jobs
-    resuming from their last recorded checkpoint.
+    resuming from their last recorded checkpoint.  A preempted or
+    withdrawn job records nothing, so its admission stays pending for
+    the next generation.
 
     {b Bit-identity}: the server compiles through the cache, resolves
     the request with {!job_of_run} and runs that job exactly as
@@ -117,10 +137,12 @@ val serve : t -> unit
 (** Run the event loop until a [shutdown] request arrives, then drain:
     admission stops (new work is answered [shutting_down]) while
     admitted jobs run to completion; after [drain_timeout] the queue is
-    dumped and running machine jobs are preempted at their next slice.
-    Once every in-flight job has been answered the sockets are closed,
-    the Unix socket file removed, the journal closed and the pool
-    joined. *)
+    dumped (its jobs and their twins answered [shutting_down]) and
+    running machine jobs are preempted at their next slice.  Once every
+    in-flight job has been answered and every answer written — or its
+    reader closed for stalling past [write_timeout] — the sockets are
+    closed, the Unix socket file removed, the journal closed and the
+    pool joined. *)
 
 val run : config -> unit
 (** [serve (create config)]. *)

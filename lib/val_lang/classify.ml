@@ -360,52 +360,6 @@ let classify_foriter ~params ~scalars ~arrays ~name ~elt fi =
 (* Whole programs                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Check that every selection window fits inside the producer's range:
-   A[i+m] for i in [lo, hi] requires A's range to cover [lo+m, hi+m].
-   This whole-range check is deliberately NOT applied during
-   classification: selections inside conditional arms only access the
-   index points their arm executes for (Example 1 reads C[i-1] only in the
-   interior), and the compiler performs the precise per-arm masked check.
-   The function remains available for diagnostics on unconditional code. *)
-let check_windows ~shapes ~index_ranges expr ~where =
-  let rec go = function
-    | Int_lit _ | Real_lit _ | Bool_lit _ | Var _ -> ()
-    | Binop (_, a, b) ->
-      go a;
-      go b
-    | Unop (_, a) -> go a
-    | Select (name, indices) ->
-      (match List.assoc_opt name shapes with
-      | None -> () (* accumulator references are checked elsewhere *)
-      | Some shape ->
-        if List.length indices <> List.length shape.sh_ranges then
-          reject "%s: %s selected with %d subscripts but has %d dimension(s)"
-            where name (List.length indices)
-            (List.length shape.sh_ranges);
-        List.iter2
-          (fun ix (alo, ahi) ->
-            match ix with
-            | Ix_var (v, off) -> (
-              match List.assoc_opt v index_ranges with
-              | None -> ()
-              | Some (lo, hi) ->
-                if lo + off < alo || hi + off > ahi then
-                  reject
-                    "%s: window %s[%s%+d] spans [%d, %d] but %s has range \
-                     [%d, %d]"
-                    where name v off (lo + off) (hi + off) name alo ahi)
-            | Ix_const _ -> ())
-          indices shape.sh_ranges)
-    | Let (defs, body) ->
-      List.iter (fun d -> go d.def_rhs) defs;
-      go body
-    | If (c, t, e) ->
-      go c;
-      go t;
-      go e
-  in
-  go expr
-
 let classify_program_checked prog =
   let pp_params =
     List.fold_left

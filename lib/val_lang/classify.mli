@@ -83,18 +83,6 @@ val array_references : Ast.expr -> (string * int list) list
     of constant subscripts are not included.  Multi-dimensional selections
     contribute their offset vector flattened per dimension. *)
 
-val check_windows :
-  shapes:(string * array_shape) list ->
-  index_ranges:(string * (int * int)) list ->
-  Ast.expr ->
-  where:string ->
-  unit
-(** Whole-range window check: every [A[i+m]] with [i] in its full range
-    must fall inside [A]'s declared range.  Not applied during
-    classification (conditional arms only access their own index points —
-    the compiler performs the precise masked check); available as a
-    diagnostic for unconditional code. @raise Not_in_class *)
-
 val classify_program : Ast.program -> pipe_program
 (** Full pipe-structured check + normalization.  Also verifies that every
     consumed window [A[i+m]], [i] in [lo, hi], fits inside the producer's

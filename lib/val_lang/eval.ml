@@ -62,9 +62,6 @@ let rec pp_value ppf = function
 let varray_of_floats ~lo xs =
   VArray { lo; elts = Array.of_list (List.map (fun f -> VReal f) xs) }
 
-let varray_of_ints ~lo xs =
-  VArray { lo; elts = Array.of_list (List.map (fun i -> VInt i) xs) }
-
 let floats_of_varray = function
   | VArray { elts; _ } -> Array.to_list (Array.map to_real elts)
   | VInt _ | VReal _ | VBool _ | VGrid _ -> errf "expected a 1-D array value"

@@ -27,7 +27,6 @@ val to_real : value -> float
 (** Numeric coercion. @raise Error on non-numeric values. *)
 
 val varray_of_floats : lo:int -> float list -> value
-val varray_of_ints : lo:int -> int list -> value
 val floats_of_varray : value -> float list
 (** @raise Error if the value is not a 1-D numeric array. *)
 

@@ -140,5 +140,4 @@ let pp_program ppf prog =
 
 let to_string pp x = Format.asprintf "%a" pp x
 let expr_to_string = to_string pp_expr
-let block_to_string = to_string pp_block
 let program_to_string = to_string pp_program

@@ -8,5 +8,4 @@ val pp_block : Format.formatter -> Ast.block -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 
 val expr_to_string : Ast.expr -> string
-val block_to_string : Ast.block -> string
 val program_to_string : Ast.program -> string

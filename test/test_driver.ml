@@ -62,23 +62,6 @@ let test_mismatch_detected () =
   | () -> Alcotest.fail "expected Mismatch"
   | exception D.Mismatch _ -> ()
 
-let test_expose_last () =
-  let src =
-    {|
-param n = 7;
-input B : array[real] [0, n];
-A : array[real] := forall i in [0, n] construct 2. * B[i] endall;
-C : array[real] := forall i in [0, n] construct A[i] + 1. endall;
-|}
-  in
-  let options = { PC.default_options with PC.expose = `Last } in
-  let prog, cp = D.compile_source ~options src in
-  Alcotest.(check int) "only the final block exposed" 1
-    (List.length cp.PC.cp_outputs);
-  let inputs = [ ("B", wave ()) ] in
-  let result = D.run_cfg Run_config.default cp ~inputs in
-  D.check_against_oracle prog cp result ~inputs
-
 let test_unused_input_tolerated () =
   (* a declared input no block consumes is still fed and discarded *)
   let src =
@@ -104,7 +87,6 @@ let suite =
       test_missing_scalar_input_rejected;
     Alcotest.test_case "oracle mismatch detected" `Quick
       test_mismatch_detected;
-    Alcotest.test_case "expose only the last block" `Quick test_expose_last;
     Alcotest.test_case "unused input tolerated" `Quick
       test_unused_input_tolerated;
   ]

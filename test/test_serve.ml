@@ -145,7 +145,8 @@ let test_lru () =
 
 (* [f] gets the socket path and the server handle (for tcp_port) *)
 let with_server_t ?(workers = 2) ?(max_pending = 64) ?(slice = 5000) ?tcp
-    ?max_line ?idle_timeout ?journal ?journal_retain ?cache ?name f =
+    ?max_line ?idle_timeout ?drain_timeout ?journal ?journal_retain ?cache
+    ?name f =
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (match name with
@@ -168,14 +169,18 @@ let with_server_t ?(workers = 2) ?(max_pending = 64) ?(slice = 5000) ?tcp
         | None -> base.Serve.Server.idle_timeout);
       cache_capacity =
         Option.value cache ~default:base.Serve.Server.cache_capacity;
+      drain_timeout =
+        Option.value drain_timeout ~default:base.Serve.Server.drain_timeout;
       journal_path = journal;
       journal_retain }
   in
   let server = Serve.Server.create config in
   let domain = Domain.spawn (fun () -> Serve.Server.serve server) in
   let finish () =
+    (* the socket is bound before [serve] starts, so a refused connect
+       means a test already shut the server down *)
     (try
-       let conn = Serve.Client.connect socket in
+       let conn = Serve.Client.connect ~retries:0 socket in
        ignore (Serve.Client.rpc conn P.Shutdown);
        Serve.Client.close conn
      with _ -> ());
@@ -184,8 +189,9 @@ let with_server_t ?(workers = 2) ?(max_pending = 64) ?(slice = 5000) ?tcp
   Fun.protect ~finally:finish (fun () -> f socket server);
   check "socket removed after shutdown" false (Sys.file_exists socket)
 
-let with_server ?workers ?max_pending ?slice f =
-  with_server_t ?workers ?max_pending ?slice (fun socket _ -> f socket)
+let with_server ?workers ?max_pending ?slice ?drain_timeout f =
+  with_server_t ?workers ?max_pending ?slice ?drain_timeout (fun socket _ ->
+      f socket)
 
 (* a raw connection for speaking garbage the typed client refuses to *)
 let raw_connect socket =
@@ -1085,6 +1091,255 @@ let test_migrate_between_servers () =
                   check "target compiled and ran the refugee" true
                     (stat ds "cache_misses" >= 1)))))
 
+(* --- job lifecycle ------------------------------------------------------ *)
+
+(* a machine job still running when the test acts on it: about half a
+   second of hydro at size 32, preemptible at every slice boundary *)
+let long_run ?(waves = 2000) () =
+  { (P.default_run (P.Kernel { name = "hydro"; size = 32 })) with
+    P.waves;
+    engine = `Machine;
+    max_time = Some 100_000_000 }
+
+let keyed idem = { tiny_run with P.idem = Some idem }
+
+let error_kind r =
+  match P.response_error r with Some (kind, _) -> kind | None -> None
+
+let state r = Option.value ~default:"?" (J.get_string (J.member "state" r))
+
+(* a stats round trip: every request [conn] sent before it has been
+   handled (the server reads each connection in order, but interleaves
+   connections as it likes) *)
+let sync conn = ignore (Serve.Client.rpc conn P.Stats)
+
+(* poll [stats] on [conn] until [ready] holds *)
+let settle ?(timeout = 10.0) conn ready =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    let s = Serve.Client.rpc conn P.Stats in
+    if ready s then s
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.failf "stats never settled: %s" (J.to_string s)
+    else begin
+      Unix.sleepf 0.02;
+      go ()
+    end
+  in
+  go ()
+
+let with_conn ?deadline socket f =
+  let conn = Serve.Client.connect ?deadline socket in
+  Fun.protect ~finally:(fun () -> Serve.Client.close conn) (fun () -> f conn)
+
+let test_fair_dispatch () =
+  let journal =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dfserve-test-fair-%d.wal" (Unix.getpid ()))
+  in
+  (try Sys.remove journal with Sys_error _ -> ());
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
+    (fun () ->
+      with_server_t ~workers:1 ~journal ~name:"fair" (fun socket _ ->
+          with_conn socket (fun a ->
+          with_conn socket (fun b ->
+          (* both connections join the rotation, a first, before any job
+             is dispatched *)
+          sync a;
+          sync b;
+          let blocker = Serve.Client.send a (P.Simulate (long_run ())) in
+          let backlog =
+            List.map
+              (fun k -> Serve.Client.send a (P.Simulate (keyed k)))
+              [ "fair-a1"; "fair-a2"; "fair-a3" ]
+          in
+          sync a;
+          let late = Serve.Client.send b (P.Simulate (keyed "fair-b1")) in
+          check_int "backlog and late job queued" 4
+            (stat (Serve.Client.rpc b P.Stats) "queue_depth");
+          check_string "blocker still running" "preempting"
+            (state (Serve.Client.rpc a (P.Cancel blocker)));
+          check "blocker preempted" true
+            (error_kind (Serve.Client.await a blocker) = Some P.Cancelled);
+          List.iter
+            (fun id ->
+              check "backlog job ok" true
+                (P.response_ok (Serve.Client.await a id)))
+            backlog;
+          check "late job ok" true
+            (P.response_ok (Serve.Client.await b late)))));
+      (* with one worker the journal's Done records are the dispatch
+         order *)
+      let done_order =
+        List.filter_map
+          (function Serve.Journal.Done { idem; _ } -> Some idem | _ -> None)
+          (Serve.Journal.replay journal)
+      in
+      Alcotest.(check (list string))
+        "the second client's job runs ahead of the first's backlog"
+        [ "fair-b1"; "fair-a1"; "fair-a2"; "fair-a3" ]
+        done_order)
+
+let test_disconnect_queued () =
+  with_server_t ~workers:1 ~name:"disconnect" (fun socket _ ->
+      with_conn socket (fun a ->
+      let blocker = Serve.Client.send a (P.Simulate (long_run ())) in
+      sync a;
+      let orphan = keyed "disc-k" in
+      let b = Serve.Client.connect socket in
+      ignore (Serve.Client.send b (P.Simulate orphan));
+      ignore (Serve.Client.send b (P.Simulate tiny_run));
+      check_int "both queued behind the blocker" 2
+        (stat (Serve.Client.rpc b P.Stats) "queue_depth");
+      Serve.Client.close b;
+      ignore (settle a (fun s -> stat s "clients" = 1));
+      check_string "blocker still running" "preempting"
+        (state (Serve.Client.rpc a (P.Cancel blocker)));
+      check "blocker preempted" true
+        (error_kind (Serve.Client.await a blocker) = Some P.Cancelled);
+      let s =
+        settle a (fun s -> stat s "queue_depth" = 0 && stat s "in_flight" = 0)
+      in
+      check_int "the keyed job ran, the keyless one did not" 1
+        (stat s "completed");
+      with_conn socket (fun c ->
+      check_served_identical ~label:"retry of the orphaned key"
+        (Serve.Client.rpc c (P.Simulate orphan))
+        (standalone orphan);
+      let s = Serve.Client.rpc c P.Stats in
+      check_int "answered from the record" 1 (stat s "deduped");
+      check_int "not run again" 1 (stat s "completed");
+      check_int "a disconnect drop is no cancellation" 0
+        (stat s "cancelled"))))
+
+let test_drain_budget () =
+  let long = long_run ~waves:3000 () in
+  with_server ~workers:1 ~drain_timeout:0.1 (fun socket ->
+      with_conn socket (fun a ->
+      with_conn socket (fun b ->
+      let running = Serve.Client.send a (P.Simulate long) in
+      let run = keyed "drain-k" in
+      let queued = Serve.Client.send a (P.Simulate run) in
+      let keyless = Serve.Client.send a (P.Simulate tiny_run) in
+      sync a;
+      let twin = Serve.Client.send b (P.Simulate run) in
+      check_int "the twin rides the queued job" 1
+        (stat (Serve.Client.rpc b P.Stats) "deduped");
+      check "shutdown acknowledged" true
+        (P.response_ok (Serve.Client.rpc b P.Shutdown));
+      List.iter
+        (fun (label, conn, id) ->
+          check label true
+            (error_kind (Serve.Client.await conn id) = Some P.Shutting_down))
+        [ ("queued keyed job dumped", a, queued);
+          ("queued keyless job dumped", a, keyless);
+          ("its twin dumped too", b, twin) ];
+      (* the checkpoint runs to megabytes: it must arrive whole *)
+      let resp = Serve.Client.await a running in
+      check "running job preempted" true (error_kind resp = Some P.Cancelled);
+      let cfg, arch, graph, inputs = machine_parts long in
+      (match Recover.Checkpoint.of_json ~graph (J.member "checkpoint" resp) with
+      | Error e -> Alcotest.failf "checkpoint decode: %s" e
+      | Ok snapshot ->
+        check "preempted mid-run" true (snapshot.ME.sn_time > 0);
+        let m = ME.create_cfg cfg ~arch graph ~inputs in
+        ME.restore m snapshot;
+        ME.advance m ~until:max_int;
+        let resumed = ME.result m in
+        let oneshot = ME.run_cfg cfg ~arch graph ~inputs in
+        check_int "resumed end time = uninterrupted" oneshot.ME.end_time
+          resumed.ME.end_time;
+        check_int "resumed digest = uninterrupted"
+          (Integrity.digest_outputs oneshot.ME.outputs)
+          (Integrity.digest_outputs resumed.ME.outputs));
+      (* serve returns: it removes its socket on the way out *)
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Sys.file_exists socket && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.02
+      done;
+      check "serve returned" false (Sys.file_exists socket))))
+
+(* A dumped job's key is forgotten while the drain still waits for the
+   running job: a long slice keeps that job busy for a few hundred
+   milliseconds after the dump. *)
+let test_drain_forgets_dumped_keys () =
+  with_server ~workers:1 ~slice:1_000_000 ~drain_timeout:0.05 (fun socket ->
+      with_conn socket (fun a ->
+      let running = Serve.Client.send a (P.Simulate (long_run ())) in
+      let run = keyed "dumped-k" in
+      let queued = Serve.Client.send a (P.Simulate run) in
+      sync a;
+      check "shutdown acknowledged" true
+        (P.response_ok (Serve.Client.rpc a P.Shutdown));
+      check "queued job dumped" true
+        (error_kind (Serve.Client.await a queued) = Some P.Shutting_down);
+      check_string "a dumped key has nothing to migrate" "not_found"
+        (state (Serve.Client.rpc a (P.Migrate "dumped-k")));
+      check "a retry of the dumped key is refused, not parked" true
+        (error_kind (Serve.Client.rpc a (P.Simulate run))
+        = Some P.Shutting_down);
+      check "running job preempted" true
+        (error_kind (Serve.Client.await a running) = Some P.Cancelled)))
+
+let test_cancel_queued_twin () =
+  with_server_t ~workers:1 ~name:"cancel-twin" (fun socket _ ->
+      with_conn socket (fun a ->
+      with_conn socket (fun b ->
+      let blocker = Serve.Client.send a (P.Simulate (long_run ())) in
+      let run = keyed "cancel-k" in
+      let queued = Serve.Client.send a (P.Simulate run) in
+      sync a;
+      let twin = Serve.Client.send b (P.Simulate run) in
+      check_int "the twin rides the queued job" 1
+        (stat (Serve.Client.rpc b P.Stats) "deduped");
+      check_string "queued job cancelled" "cancelled"
+        (state (Serve.Client.rpc a (P.Cancel queued)));
+      check "owner hears cancelled" true
+        (error_kind (Serve.Client.await a queued) = Some P.Cancelled);
+      check "twin hears cancelled" true
+        (error_kind (Serve.Client.await b twin) = Some P.Cancelled);
+      ignore (Serve.Client.rpc a (P.Cancel blocker));
+      ignore (Serve.Client.await a blocker);
+      (* the key was forgotten: the same request now runs fresh *)
+      check_served_identical ~label:"fresh run under the cancelled key"
+        (Serve.Client.rpc b (P.Simulate run))
+        (standalone run);
+      let s = Serve.Client.rpc b P.Stats in
+      check_int "the fresh run was not deduped" 1 (stat s "deduped");
+      check_int "one cancellation" 1 (stat s "cancelled");
+      check_int "one completion" 1 (stat s "completed"))))
+
+let test_migrate_twice () =
+  (* one slice spans all but the last 3% of the run, so both callers ask
+     while the job is still inside its first slice *)
+  with_server_t ~workers:1 ~slice:1_000_000 ~name:"mig-twice" (fun socket _ ->
+      let run = { (long_run ()) with P.idem = Some "mig-twice" } in
+      with_conn socket (fun owner ->
+      let id = Serve.Client.send owner (P.Simulate run) in
+      Unix.sleepf 0.1;
+      with_conn ~deadline:5.0 socket (fun m1 ->
+      with_conn ~deadline:5.0 socket (fun m2 ->
+      let q1 = Serve.Client.send m1 (P.Migrate "mig-twice") in
+      let q2 = Serve.Client.send m2 (P.Migrate "mig-twice") in
+      let answer label conn q =
+        match Serve.Client.await conn q with
+        | r -> r
+        | exception Serve.Client.Timeout ->
+          Alcotest.failf "%s migrate caller never answered" label
+      in
+      let r1 = answer "first" m1 q1 in
+      let r2 = answer "second" m2 q2 in
+      check_string "first caller" "migrated" (state r1);
+      check_string "second caller" "migrated" (state r2);
+      check_string "one checkpoint for both"
+        (J.to_string (J.member "checkpoint" r1))
+        (J.to_string (J.member "checkpoint" r2));
+      check "owner hears cancelled" true
+        (error_kind (Serve.Client.await owner id) = Some P.Cancelled);
+      check_int "counted as one migration" 1
+        (stat (Serve.Client.rpc owner P.Stats) "migrations")))))
+
 let test_soak () =
   let r =
     Serve.Selftest.run ~clients:2 ~jobs_per_client:3 ~workers:2 ~seed:5 ()
@@ -1196,4 +1451,16 @@ let suite =
       test_soak;
     Alcotest.test_case "server: job_of_run resolves a request" `Quick
       test_job_of_run;
+    Alcotest.test_case "server: fair dispatch overtakes a backlog" `Quick
+      test_fair_dispatch;
+    Alcotest.test_case "server: disconnect keeps keyed queued jobs only"
+      `Quick test_disconnect_queued;
+    Alcotest.test_case "server: spent drain budget dumps and preempts" `Quick
+      test_drain_budget;
+    Alcotest.test_case "server: a dumped key is forgotten mid-drain" `Quick
+      test_drain_forgets_dumped_keys;
+    Alcotest.test_case "server: cancel of a queued key answers its twin"
+      `Quick test_cancel_queued_twin;
+    Alcotest.test_case "server: every migrate caller is answered" `Quick
+      test_migrate_twice;
   ]
