@@ -9,7 +9,6 @@ let no_skip _ _ = false
 
 (* All arcs as (src, slot, dst, port, weight of src under [weight]). *)
 let arcs_of ?(weight = default_weight) ?(skip = no_skip) g =
-  ignore (skip : int -> int -> bool);
   Graph.fold_nodes g ~init:[] ~f:(fun acc n ->
       let w = weight n in
       let _, acc =
@@ -163,13 +162,10 @@ let solve_flow_arcs n arcs =
   let solution = Mincost_flow.min_cost_max_flow net ~source ~sink in
   if solution.Mincost_flow.flow <> !supply_total then
     failwith "Balancer: dual transshipment infeasible (graph bug)";
-  (net, solution, arcs)
-
-let solve_flow ?weight g =
-  solve_flow_arcs (Graph.node_count g) (arcs_of ?weight g)
+  (net, solution)
 
 let optimal_levels_arcs n arcs =
-  let net, _solution, _arcs = solve_flow_arcs n arcs in
+  let net, _solution = solve_flow_arcs n arcs in
   match Mincost_flow.potentials net with
   | None -> failwith "Balancer: negative cycle in optimal residual network"
   | Some pi ->
@@ -178,20 +174,14 @@ let optimal_levels_arcs n arcs =
     Array.map (fun l -> l - lowest) levels
 
 let optimal_levels ?weight g =
-  let net, _solution, _arcs = solve_flow ?weight g in
-  match Mincost_flow.potentials net with
-  | None -> failwith "Balancer: negative cycle in optimal residual network"
-  | Some pi ->
-    let n = Graph.node_count g in
-    let levels = Array.init n (fun v -> -pi.(v)) in
-    let lowest = Array.fold_left min 0 levels in
-    let levels = Array.map (fun l -> l - lowest) levels in
-    if not (is_feasible ?weight g levels) then
-      failwith "Balancer: optimal levels infeasible (duality bug)";
-    levels
+  let levels = optimal_levels_arcs (Graph.node_count g) (arcs_of ?weight g) in
+  if not (is_feasible ?weight g levels) then
+    failwith "Balancer: optimal levels infeasible (duality bug)";
+  levels
 
 let dual_lower_bound ?weight g =
-  let _net, solution, arcs = solve_flow ?weight g in
+  let arcs = arcs_of ?weight g in
+  let _net, solution = solve_flow_arcs (Graph.node_count g) arcs in
   let weight_sum = List.fold_left (fun acc (_, _, _, _, w) -> acc + w) 0 arcs in
   -solution.Mincost_flow.cost - weight_sum
 

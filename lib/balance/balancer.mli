@@ -7,8 +7,11 @@ open Dfg
     [k] for a [Fifo k]).  The {e slack} of an arc is the excess
     [level v - level u - delay u]; inserting a FIFO of that capacity on
     the arc makes every path exactly equal, which is the paper's condition
-    for fully pipelined operation.  All [Input] cells are constrained to a
-    common level so that parallel input streams stay aligned.
+    for fully pipelined operation.  The arcs are the only constraints:
+    [Input] cells get no common level.  {!naive_levels} starts every cell
+    without predecessors at 0, and {!reduce_levels} and {!optimal_levels}
+    move each [Input] as late as its consumers allow, since its stream is
+    paced by its own acknowledges.
 
     Three level-construction algorithms are provided, matching the
     paper's conclusions (1)-(3):

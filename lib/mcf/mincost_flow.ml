@@ -1,145 +1,63 @@
-(* Arcs are stored in a flat array; arc 2i and 2i+1 are a forward/backward
-   residual pair.  User-visible arc ids are the even indices' pair index. *)
-
-type arc = {
-  dst : int;
-  mutable cap : int;  (* remaining residual capacity *)
-  cost : int;
-}
+(* Arcs are stored in flat arrays; arc 2i and 2i+1 are a forward/backward
+   residual pair, and user arc id i names the pair.  The backward arc
+   starts empty, so its residual capacity is the flow on the forward arc,
+   and the source of any arc is the head of its partner. *)
 
 type t = {
   n : int;
-  mutable arcs : arc array;
+  mutable dst : int array;
+  mutable cap : int array;  (* remaining residual capacity *)
+  mutable cost : int array;
   mutable arc_count : int;
-  mutable heads : int list array;  (* node -> arc indices leaving it *)
-  mutable initial_caps : int array;  (* per user arc id *)
-  mutable user_arcs : int;
 }
 
 let create n =
-  {
-    n;
-    arcs = [||];
-    arc_count = 0;
-    heads = Array.make (max n 1) [];
-    initial_caps = [||];
-    user_arcs = 0;
-  }
+  { n; dst = [||]; cap = [||]; cost = [||]; arc_count = 0 }
 
 let node_count t = t.n
 
-let push_arc t a =
-  if Array.length t.arcs = t.arc_count then begin
-    let cap = max 16 (2 * Array.length t.arcs) in
-    let arcs = Array.make cap a in
-    Array.blit t.arcs 0 arcs 0 t.arc_count;
-    t.arcs <- arcs
+let grow a len = Array.append a (Array.make (max 16 len) 0)
+
+let push_arc t ~dst ~cap ~cost =
+  if Array.length t.dst = t.arc_count then begin
+    let len = Array.length t.dst in
+    t.dst <- grow t.dst len;
+    t.cap <- grow t.cap len;
+    t.cost <- grow t.cost len
   end;
-  t.arcs.(t.arc_count) <- a;
-  t.arc_count <- t.arc_count + 1;
-  t.arc_count - 1
+  t.dst.(t.arc_count) <- dst;
+  t.cap.(t.arc_count) <- cap;
+  t.cost.(t.arc_count) <- cost;
+  t.arc_count <- t.arc_count + 1
 
 let add_arc t ~src ~dst ~capacity ~cost =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Mincost_flow.add_arc: endpoint out of range";
   if capacity < 0 then
     invalid_arg "Mincost_flow.add_arc: negative capacity";
-  let fwd = push_arc t { dst; cap = capacity; cost } in
-  let bwd = push_arc t { dst = src; cap = 0; cost = -cost } in
-  assert (bwd = fwd + 1);
-  t.heads.(src) <- fwd :: t.heads.(src);
-  t.heads.(dst) <- bwd :: t.heads.(dst);
-  let id = t.user_arcs in
-  if Array.length t.initial_caps = id then begin
-    let caps = Array.make (max 16 (2 * max 1 id)) 0 in
-    Array.blit t.initial_caps 0 caps 0 id;
-    t.initial_caps <- caps
-  end;
-  t.initial_caps.(id) <- capacity;
-  t.user_arcs <- id + 1;
-  id
+  push_arc t ~dst ~cap:capacity ~cost;
+  push_arc t ~dst:src ~cap:0 ~cost:(-cost);
+  (t.arc_count / 2) - 1
 
 type solution = { flow : int; cost : int }
 
-(* Bellman-Ford over the residual network; returns (dist, pred_arc). *)
-let bellman_ford t ~source =
-  let dist = Array.make t.n max_int in
-  let pred = Array.make t.n (-1) in
-  dist.(source) <- 0;
-  let changed = ref true in
-  let iters = ref 0 in
-  while !changed do
-    changed := false;
-    incr iters;
-    if !iters > t.n + 1 then failwith "Mincost_flow: negative cycle";
-    for u = 0 to t.n - 1 do
-      if dist.(u) < max_int then
-        List.iter
-          (fun ai ->
-            let a = t.arcs.(ai) in
-            if a.cap > 0 && dist.(u) + a.cost < dist.(a.dst) then begin
-              dist.(a.dst) <- dist.(u) + a.cost;
-              pred.(a.dst) <- ai;
-              changed := true
-            end)
-          t.heads.(u)
-    done
-  done;
-  (dist, pred)
-
-(* Source of an arc index: the dst of its residual partner. *)
-let arc_src t ai = t.arcs.(ai lxor 1).dst
-
-let min_cost_max_flow t ~source ~sink =
-  if source = sink then invalid_arg "Mincost_flow: source = sink";
-  let total_flow = ref 0 and total_cost = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let dist, pred = bellman_ford t ~source in
-    if dist.(sink) = max_int then continue := false
-    else begin
-      (* bottleneck along the path *)
-      let rec bottleneck v acc =
-        if v = source then acc
-        else
-          let ai = pred.(v) in
-          bottleneck (arc_src t ai) (min acc t.arcs.(ai).cap)
-      in
-      let delta = bottleneck sink max_int in
-      assert (delta > 0);
-      let rec apply v =
-        if v <> source then begin
-          let ai = pred.(v) in
-          t.arcs.(ai).cap <- t.arcs.(ai).cap - delta;
-          t.arcs.(ai lxor 1).cap <- t.arcs.(ai lxor 1).cap + delta;
-          apply (arc_src t ai)
-        end
-      in
-      apply sink;
-      total_flow := !total_flow + delta;
-      total_cost := !total_cost + (delta * dist.(sink))
-    end
-  done;
-  { flow = !total_flow; cost = !total_cost }
-
 let flow_on t id =
-  if id < 0 || id >= t.user_arcs then
+  if id < 0 || id >= t.arc_count / 2 then
     invalid_arg "Mincost_flow.flow_on: bad arc id";
-  t.initial_caps.(id) - t.arcs.(2 * id).cap
+  t.cap.((2 * id) + 1)
 
+(* Bellman-Ford over the residual network, relaxing the arcs in storage
+   order until nothing moves; false if a pass still moves after [n]. *)
 let bf_relax_all t dist =
   let relax () =
     let changed = ref false in
-    for u = 0 to t.n - 1 do
-      if dist.(u) < max_int then
-        List.iter
-          (fun ai ->
-            let a = t.arcs.(ai) in
-            if a.cap > 0 && dist.(u) + a.cost < dist.(a.dst) then begin
-              dist.(a.dst) <- dist.(u) + a.cost;
-              changed := true
-            end)
-          t.heads.(u)
+    for a = 0 to t.arc_count - 1 do
+      let u = t.dst.(a lxor 1) and v = t.dst.(a) in
+      if t.cap.(a) > 0 && dist.(u) < max_int && dist.(u) + t.cost.(a) < dist.(v)
+      then begin
+        dist.(v) <- dist.(u) + t.cost.(a);
+        changed := true
+      end
     done;
     !changed
   in
@@ -156,3 +74,85 @@ let residual_shortest_distances t ~root =
 let potentials t =
   let dist = Array.make t.n 0 in
   if bf_relax_all t dist then Some dist else None
+
+(* CSR index of the residual arcs by source: the arcs leaving [u] are
+   [adj.(first.(u)) .. adj.(first.(u + 1) - 1)]. *)
+let csr t =
+  let first = Array.make (t.n + 1) 0 in
+  for a = 0 to t.arc_count - 1 do
+    let u = t.dst.(a lxor 1) in
+    first.(u + 1) <- first.(u + 1) + 1
+  done;
+  for u = 1 to t.n do
+    first.(u) <- first.(u) + first.(u - 1)
+  done;
+  let fill = Array.sub first 0 t.n and adj = Array.make t.arc_count 0 in
+  for a = 0 to t.arc_count - 1 do
+    let u = t.dst.(a lxor 1) in
+    adj.(fill.(u)) <- a;
+    fill.(u) <- fill.(u) + 1
+  done;
+  (first, adj)
+
+(* Primal-dual: with potentials [pi] keeping every residual arc's reduced
+   cost [cost + pi(src) - pi(dst)] non-negative, a path of zero-reduced-
+   cost arcs is a shortest path.  Push flow by DFS along such paths until
+   none reaches the sink; then the DFS-reached set is cut off from the
+   sink by arcs of positive reduced cost, and lowering its potentials by
+   the least of them makes at least one admissible.  Augmenting keeps
+   reduced costs non-negative, since a reversed arc had reduced cost 0. *)
+let min_cost_max_flow t ~source ~sink =
+  if source = sink then invalid_arg "Mincost_flow: source = sink";
+  let pi =
+    match potentials t with
+    | Some pi -> pi
+    | None -> failwith "Mincost_flow: negative cycle"
+  in
+  let first, adj = csr t in
+  let reduced a = t.cost.(a) + pi.(t.dst.(a lxor 1)) - pi.(t.dst.(a)) in
+  let seen = Array.make t.n false in
+  let rec push u limit =
+    if u = sink then limit
+    else begin
+      seen.(u) <- true;
+      let pushed = ref 0 and i = ref first.(u) in
+      while !pushed < limit && !i < first.(u + 1) do
+        let a = adj.(!i) in
+        let v = t.dst.(a) in
+        if t.cap.(a) > 0 && (not seen.(v)) && reduced a = 0 then begin
+          let d = push v (min t.cap.(a) (limit - !pushed)) in
+          t.cap.(a) <- t.cap.(a) - d;
+          t.cap.(a lxor 1) <- t.cap.(a lxor 1) + d;
+          pushed := !pushed + d
+        end;
+        incr i
+      done;
+      !pushed
+    end
+  in
+  (* least reduced cost over residual arcs leaving the reached set *)
+  let least_leaving () =
+    let least = ref max_int in
+    for u = 0 to t.n - 1 do
+      if seen.(u) then
+        for i = first.(u) to first.(u + 1) - 1 do
+          let a = adj.(i) in
+          if t.cap.(a) > 0 && not seen.(t.dst.(a)) then
+            least := min !least (reduced a)
+        done
+    done;
+    !least
+  in
+  let rec solve flow cost =
+    Array.fill seen 0 t.n false;
+    let f = push source max_int in
+    if f > 0 then solve (flow + f) (cost + (f * (pi.(sink) - pi.(source))))
+    else
+      let delta = least_leaving () in
+      if delta = max_int then { flow; cost }
+      else begin
+        Array.iteri (fun u s -> if s then pi.(u) <- pi.(u) - delta) seen;
+        solve flow cost
+      end
+  in
+  solve 0 0

@@ -4,9 +4,15 @@
     programming dual of the min-cost flow problem" (Section 8,
     conclusion 3).
 
-    Successive-shortest-paths with node potentials; path search is
-    Bellman-Ford, so negative arc costs are accepted as long as the
-    network has no negative cycle (a DAG-derived network never does). *)
+    Primal-dual: one Bellman-Ford ({!potentials}) gives starting node
+    potentials, so negative arc costs are accepted as long as the network
+    has no negative cycle (a DAG-derived network never does).  Flow is
+    then pushed by depth-first search along arcs of zero reduced cost;
+    when no such path reaches the sink, the potentials of the nodes the
+    search reached are lowered by the least reduced cost leaving them.
+    Each search and each potential update costs O(arcs), so after the
+    starting Bellman-Ford a solve costs arcs x (augmentations + potential
+    updates), an augmentation being one search that pushes flow. *)
 
 type t
 

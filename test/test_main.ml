@@ -8,6 +8,7 @@ let () =
       ("dfg.graph", Test_dfg.suite);
       ("sim.engine", Test_sim.suite);
       ("balance", Test_balance.suite);
+      ("balance.digest", Test_digest.suite);
       ("compiler", Test_compiler.suite);
       ("machine", Test_machine.suite);
       ("dfg.text", Test_serialize.suite);

@@ -422,11 +422,81 @@ let prop_companion_associative =
       let x2, y2 = R.companion_apply a (R.companion_apply b c) in
       Float.abs (x1 -. x2) <= 1e-9 && Float.abs (y1 -. y2) <= 1e-9)
 
+(* Raw min-cost-flow networks from 0 to n-1 in two families: DAGs (arcs
+   oriented low -> high node) with costs -5..5, and any digraph, self
+   loops included, with costs 0..5.  Neither has a negative cycle.
+   Endpoints are drawn modulo n, capacities include 0, and parallel arcs
+   are common at small n; the arc list shrinks like any list. *)
+type family = Dag | General
+
+let arb_network =
+  QCheck.(
+    triple
+      (oneofl
+         ~print:(function Dag -> "dag" | General -> "general")
+         [ Dag; General ])
+      (int_range 2 40)
+      (list_of_size Gen.(0 -- 120)
+         (quad small_nat small_nat (int_range 0 9) (int_range (-5) 5))))
+
+let network_arcs (family, n, raw) =
+  List.filter_map
+    (fun (a, b, capacity, cost) ->
+      let u = a mod n and v = b mod n in
+      match family with
+      | Dag -> if u = v then None else Some (min u v, max u v, capacity, cost)
+      | General -> Some (u, v, capacity, abs cost))
+    raw
+
+(* After a solve the flow must certify itself: bounded and conserved,
+   its cost as reported, no augmenting path left (maximum), and the
+   residual network free of negative cycles (minimum cost). *)
+let prop_mcf_certificate =
+  QCheck.Test.make ~count:200 ~long_factor:50
+    ~name:"min-cost flow certifies its own optimality" arb_network
+    (fun ((_, n, _) as network) ->
+      let module M = Mcf.Mincost_flow in
+      let net = M.create n and source = 0 and sink = n - 1 in
+      let arcs =
+        List.map
+          (fun (u, v, capacity, cost) ->
+            (M.add_arc net ~src:u ~dst:v ~capacity ~cost, u, v, capacity, cost))
+          (network_arcs network)
+      in
+      let s = M.min_cost_max_flow net ~source ~sink in
+      let excess = Array.make n 0 and cost = ref 0 in
+      List.iter
+        (fun (id, u, v, capacity, c) ->
+          let f = M.flow_on net id in
+          if f < 0 || f > capacity then
+            QCheck.Test.fail_reportf "arc %d carries %d of %d" id f capacity;
+          excess.(u) <- excess.(u) - f;
+          excess.(v) <- excess.(v) + f;
+          cost := !cost + (f * c))
+        arcs;
+      Array.iteri
+        (fun v e ->
+          if v <> source && v <> sink && e <> 0 then
+            QCheck.Test.fail_reportf "node %d has excess %d" v e)
+        excess;
+      if excess.(sink) <> s.M.flow then
+        QCheck.Test.fail_reportf "flow %d reported, %d arrives" s.M.flow
+          excess.(sink);
+      if !cost <> s.M.cost then
+        QCheck.Test.fail_reportf "cost %d reported, arcs sum to %d" s.M.cost
+          !cost;
+      (match M.residual_shortest_distances net ~root:source with
+      | Some d when d.(sink) = max_int -> ()
+      | Some _ -> QCheck.Test.fail_report "an augmenting path remains"
+      | None -> QCheck.Test.fail_report "negative residual cycle");
+      M.potentials net <> None)
+
 let prop_balancer_duality =
-  QCheck.Test.make ~count:20 ~name:"optimal balancing = dual bound"
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let g = Test_balance.random_dag ~seed ~layers:4 ~width:4 in
+  QCheck.Test.make ~count:20 ~long_factor:25
+    ~name:"optimal balancing = dual bound"
+    QCheck.(triple (int_range 1 10_000) (int_range 2 20) (int_range 2 10))
+    (fun (seed, layers, width) ->
+      let g = Test_balance.random_dag ~seed ~layers ~width in
       let optimal =
         Balance.Balancer.buffer_cost g (Balance.Balancer.optimal_levels g)
       in
@@ -448,5 +518,6 @@ let suite =
       prop_pqueue_sorts;
       prop_ctlseq_nth_vs_list;
       prop_companion_associative;
+      prop_mcf_certificate;
       prop_balancer_duality;
     ]
