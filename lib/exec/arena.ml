@@ -45,6 +45,12 @@ let dummy_value = Value.Int 0
 let arity a cell = a.port_base.(cell + 1) - a.port_base.(cell)
 let out_slots a cell = a.slot_base.(cell + 1) - a.slot_base.(cell)
 
+let arc_port a ~src ~dst ~port =
+  if dst < 0 || dst >= a.n || port < 0 || port >= arity a dst then -1
+  else
+    let p = a.port_base.(dst) + port in
+    if src >= 0 && a.port_producer.(p) = src then p else -1
+
 let build g =
   (match Graph.validate g with
   | Ok () -> ()

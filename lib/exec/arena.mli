@@ -51,6 +51,11 @@ val dummy_value : Value.t
 val arity : t -> int -> int
 val out_slots : t -> int -> int
 
+val arc_port : t -> src:int -> dst:int -> port:int -> int
+(** The global port of input [port] of cell [dst] when cell [src] is
+    its producer; [-1] when the arena has no such arc (either cell or
+    the port out of range, or the port fed by another cell or by none). *)
+
 val build : Graph.t -> t
 (** @raise Invalid_argument on an invalid graph (same checks as
     {!Dfg.Graph.validate}). *)

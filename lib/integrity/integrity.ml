@@ -7,20 +7,25 @@
 let fnv_offset = 0xCBF29CE484222325L
 let fnv_prime = 0x100000001B3L
 
-let byte h b =
+(* The hash state lives in local [Int64.t ref]s that never escape, which
+   ocamlopt keeps unboxed.  An [Int64.t] passed to or returned from a
+   call is boxed, so the [@inline]s fold [checksum_value] into one such
+   loop.  Neither checksum allocates. *)
+
+let[@inline] byte h b =
   Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
 
-let int64_le h x =
-  let rec go h i =
-    if i = 8 then h
-    else go (byte h (Int64.to_int (Int64.shift_right_logical x (8 * i)))) (i + 1)
-  in
-  go h 0
+let[@inline] int64_le h x =
+  let h = ref h in
+  for i = 0 to 7 do
+    h := byte !h (Int64.to_int (Int64.shift_right_logical x (8 * i)))
+  done;
+  !h
 
-let finish h = Int64.to_int (Int64.shift_right_logical h 2)
+let[@inline] finish h = Int64.to_int (Int64.shift_right_logical h 2)
 
 (* Type tags keep [Int 1], [Real 1.0] and [Bool true] from colliding. *)
-let add_value h v =
+let[@inline] add_value h v =
   match (v : Dfg.Value.t) with
   | Int i -> int64_le (byte h 1) (Int64.of_int i)
   | Real r -> int64_le (byte h 2) (Int64.bits_of_float r)
@@ -28,7 +33,9 @@ let add_value h v =
 
 let add_string h s =
   let h = ref (int64_le h (Int64.of_int (String.length s))) in
-  String.iter (fun c -> h := byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 let checksum_value v = finish (add_value fnv_offset v)

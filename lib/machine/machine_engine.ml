@@ -75,12 +75,13 @@ type pool = { mutable next_free : int array }
 let pool_create n = { next_free = Array.make (max n 1) 0 }
 
 let pool_start pool t =
+  let next_free = pool.next_free in
   let best = ref 0 in
-  Array.iteri
-    (fun i f -> if f < pool.next_free.(!best) then best := i)
-    pool.next_free;
-  let start = max t pool.next_free.(!best) in
-  pool.next_free.(!best) <- start + 1;
+  for i = 1 to Array.length next_free - 1 do
+    if next_free.(i) < next_free.(!best) then best := i
+  done;
+  let start = max t next_free.(!best) in
+  next_free.(!best) <- start + 1;
   start
 
 (* Per-PE dispatch servers. *)
@@ -108,7 +109,7 @@ type 'resume snap = {
   sn_out_attempts : int array;
   sn_out_value : Value.t array;
   sn_corrupt_pend : int array;
-  sn_events : (int * event) array;  (* exact heap layout, see Pqueue *)
+  sn_events : (int * event) array;  (* exact heap layout, see [events] *)
   sn_pes : int array;
   sn_fus : int array;
   sn_ams : int array;
@@ -129,6 +130,69 @@ type resume = {
 
 type snapshot = resume snap
 
+(* The event slab.  A queued event is an int: the index of a slot in
+   these flat arrays, which [events] orders by time.  A slot holds what
+   the arena cannot tell: the event kind, the consumer-side global port,
+   the sequence number and, for a delivery, the payload and its
+   producer-side checksum.  Producer, consumer cell and local port are
+   [port_producer], [port_cell] and [port_sub] of that port.  Free slots
+   sit on a stack; the arrays double when it runs out. *)
+type slab = {
+  mutable kind : Bytes.t;
+  mutable port : int array;
+  mutable seq : int array;
+  mutable value : Value.t array;  (* deliveries only *)
+  mutable crc : int array;  (* deliveries only, and only when [crc_on] *)
+  mutable free : int array;
+  mutable n_free : int;
+}
+
+let ev_deliver = '\000'
+let ev_ack = '\001'
+let ev_retransmit = '\002'
+
+(* A slab of [cap] slots, all free. *)
+let slab_create cap =
+  { kind = Bytes.make cap ev_retransmit; port = Array.make cap 0;
+    seq = Array.make cap 0; value = Array.make cap Arena.dummy_value;
+    crc = Array.make cap 0; free = Array.init cap (fun k -> cap - 1 - k);
+    n_free = cap }
+
+(* Called with every slot taken: the slots move into a slab twice the
+   size, whose free slots are then exactly the new ones. *)
+let slab_grow s =
+  let cap = Array.length s.port in
+  let b = slab_create (2 * cap) in
+  Bytes.blit s.kind 0 b.kind 0 cap;
+  Array.blit s.port 0 b.port 0 cap;
+  Array.blit s.seq 0 b.seq 0 cap;
+  Array.blit s.value 0 b.value 0 cap;
+  Array.blit s.crc 0 b.crc 0 cap;
+  s.kind <- b.kind;
+  s.port <- b.port;
+  s.seq <- b.seq;
+  s.value <- b.value;
+  s.crc <- b.crc;
+  s.free <- b.free;
+  s.n_free <- cap
+
+let take_slot s =
+  if s.n_free = 0 then slab_grow s;
+  s.n_free <- s.n_free - 1;
+  s.free.(s.n_free)
+
+let free_slot s i =
+  s.free.(s.n_free) <- i;
+  s.n_free <- s.n_free + 1
+
+(* Free every slot. *)
+let slab_clear s =
+  let cap = Array.length s.free in
+  for k = 0 to cap - 1 do
+    s.free.(k) <- cap - 1 - k
+  done;
+  s.n_free <- cap
+
 type t = {
   arch : Arch.t;
   max_time : int;
@@ -138,6 +202,12 @@ type t = {
   watchdog : int option;
   recovery : recovery option;
   integrity : bool;
+  (* Checksums are computed only where a payload can differ from what
+     its producer sent, i.e. under a fault plan, or where they are
+     verified.  Elsewhere a snapshot derives them from the payload. *)
+  crc_on : bool;
+  san_on : bool;
+  crash : (int * int) option;  (* the fault plan's PE crash *)
   arena : Arena.t;
   st : Run_state.t;
   (* per-cell flat lookups precomputed from the arena: the dispatch path
@@ -160,7 +230,8 @@ type t = {
      replaced by a clean copy (-1: none) — consulted when a
      retransmission lands so the heal is visible in trace and counters *)
   corrupt_pend : int array;
-  mutable events : event Df_util.Pqueue.t;
+  mutable events : Df_util.Ipq.t;  (* slab slots by time *)
+  slab : slab;
   pes : int array;
   fus : pool;
   ams : pool;
@@ -182,8 +253,11 @@ type t = {
      queued events are retransmission timers, which lets the engine ask
      whether they can ever change state again (see [advance]). *)
   mutable live_events : int;
-  dirty : int Queue.t;
-  in_dirty : bool array;
+  (* cells to re-examine: an int ring, [in_dirty] bounds it at n *)
+  dirty : int array;
+  mutable dirty_head : int;
+  mutable dirty_len : int;
+  in_dirty : Bytes.t;
   mutable next_checkpoint : int;
   (* the crash rollback target: the last checkpoint, kept only while a
      crash is still to strike (see [rollback_pending]) *)
@@ -209,9 +283,67 @@ let stats_of m : stats =
     pe_dispatches = Array.copy m.pe_dispatches;
   }
 
+(* A slab slot holding an event of [kind] for global port [p]; the
+   caller queues it, and parks a delivery's payload in it. *)
+let new_event m kind p seq =
+  let s = m.slab in
+  let i = take_slot s in
+  Bytes.unsafe_set s.kind i kind;
+  s.port.(i) <- p;
+  s.seq.(i) <- seq;
+  if kind <> ev_retransmit then m.live_events <- m.live_events + 1;
+  i
+
+let schedule m t kind p seq = Df_util.Ipq.push m.events t (new_event m kind p seq)
+
+let schedule_deliver m t p seq value crc =
+  let i = new_event m ev_deliver p seq in
+  m.slab.value.(i) <- value;
+  m.slab.crc.(i) <- crc;
+  Df_util.Ipq.push m.events t i
+
 (* ------------------------------------------------------------------ *)
 (* snapshot / restore                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* The public form of slab slot [i].  A delivery queued without a
+   checksum carried a payload no fault could have touched, so the
+   checksum its producer would have attached is that of the payload. *)
+let event_of_slot m i =
+  let a = m.arena and s = m.slab in
+  let p = s.port.(i) and seq = s.seq.(i) in
+  let src = a.Arena.port_producer.(p) in
+  let dst = a.Arena.port_cell.(p) and port = a.Arena.port_sub.(p) in
+  let kind = Bytes.get s.kind i in
+  if kind = ev_deliver then
+    let value = s.value.(i) in
+    Deliver
+      { src; dst; port; seq; value;
+        crc = (if m.crc_on then s.crc.(i) else Integrity.checksum_value value) }
+  else if kind = ev_ack then
+    Ack { dst = src; from_node = dst; from_port = port; seq }
+  else Retransmit { src; dst; port; seq }
+
+(* The consumer-side global port an event travels to, or [-1] when its
+   endpoints are not an arc of the arena. *)
+let event_port a = function
+  | Deliver { src; dst; port; _ } | Retransmit { src; dst; port; _ } ->
+    Arena.arc_port a ~src ~dst ~port
+  | Ack { dst; from_node; from_port; _ } ->
+    Arena.arc_port a ~src:dst ~dst:from_node ~port:from_port
+
+let check_events (a : Arena.t) events =
+  Array.iter
+    (fun (_, ev) ->
+      if event_port a ev < 0 then
+        invalid_arg
+          "Machine_engine.restore: a queued event travels no arc of this graph")
+    events
+
+let events_of_slab m =
+  Array.map
+    (fun (t, i) -> (t, event_of_slot m i))
+    (Df_util.Ipq.to_array m.events)
 
 let state m : state =
   {
@@ -230,7 +362,7 @@ let state m : state =
         (fun p v -> if m.out_attempts.(p) >= 0 then v else Arena.dummy_value)
         m.out_value;
     sn_corrupt_pend = Array.copy m.corrupt_pend;
-    sn_events = Df_util.Pqueue.to_array m.events;
+    sn_events = events_of_slab m;
     sn_pes = Array.copy m.pes;
     sn_fus = Array.copy m.fus.next_free;
     sn_ams = Array.copy m.ams.next_free;
@@ -242,8 +374,7 @@ let state m : state =
 (* A rollback target matters only while a crash is still to strike a
    machine that recovers from it. *)
 let rollback_pending m =
-  m.recovery <> None && (not m.crash_done)
-  && Option.is_some (Option.bind m.fault FP.crash)
+  m.recovery <> None && (not m.crash_done) && Option.is_some m.crash
 
 let snapshot m : snapshot =
   {
@@ -259,11 +390,31 @@ let snapshot m : snapshot =
   }
 
 let mark_all m =
-  Queue.clear m.dirty;
-  for id = 0 to m.arena.Arena.n - 1 do
-    m.in_dirty.(id) <- true;
-    Queue.add id m.dirty
-  done
+  let n = m.arena.Arena.n in
+  for id = 0 to n - 1 do
+    m.dirty.(id) <- id
+  done;
+  Bytes.fill m.in_dirty 0 n '\001';
+  m.dirty_head <- 0;
+  m.dirty_len <- n
+
+(* Queue the events of a snapshot, rebuilding the slab and the heap in
+   the snapshot's layout. *)
+let load_events m events =
+  slab_clear m.slab;
+  m.live_events <- 0;
+  let slot ev =
+    let p = event_port m.arena ev in
+    match ev with
+    | Deliver { seq; value; crc; _ } ->
+      let i = new_event m ev_deliver p seq in
+      m.slab.value.(i) <- value;
+      m.slab.crc.(i) <- crc;
+      i
+    | Ack { seq; _ } -> new_event m ev_ack p seq
+    | Retransmit { seq; _ } -> new_event m ev_retransmit p seq
+  in
+  m.events <- Df_util.Ipq.of_array (Array.map (fun (t, ev) -> (t, slot ev)) events)
 
 (* Reinstate machine state: everything a crash rollback rewinds.  The
    checkpoint clock, the crash flag, the rollback target and the
@@ -278,6 +429,7 @@ let restore_state m (s : _ snap) =
     || Array.length s.sn_fus <> Array.length m.fus.next_free
     || Array.length s.sn_ams <> Array.length m.ams.next_free
   then invalid_arg "Machine_engine.restore: snapshot is for a different arch";
+  check_events m.arena s.sn_events;
   Run_state.restore m.st s.sn_run;
   let blit src dst = Array.blit src 0 dst 0 (Array.length dst) in
   m.now <- s.sn_time;
@@ -289,12 +441,7 @@ let restore_state m (s : _ snap) =
   blit s.sn_out_attempts m.out_attempts;
   blit s.sn_out_value m.out_value;
   blit s.sn_corrupt_pend m.corrupt_pend;
-  m.events <- Df_util.Pqueue.of_array s.sn_events;
-  m.live_events <-
-    Array.fold_left
-      (fun acc (_, ev) ->
-        match ev with Retransmit _ -> acc | Deliver _ | Ack _ -> acc + 1)
-      0 s.sn_events;
+  load_events m s.sn_events;
   blit s.sn_pes m.pes;
   m.fus.next_free <- Array.copy s.sn_fus;
   m.ams.next_free <- Array.copy s.sn_ams;
@@ -317,6 +464,9 @@ let restore_state m (s : _ snap) =
   mark_all m
 
 let restore m (sn : snapshot) =
+  Option.iter
+    (fun (st : state) -> check_events m.arena st.sn_events)
+    sn.sn_resume.rs_rollback;
   restore_state m sn;
   let r = sn.sn_resume in
   m.crash_done <- r.rs_crash_done;
@@ -374,6 +524,9 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
       watchdog;
       recovery;
       integrity;
+      crc_on = integrity || Option.is_some fault;
+      san_on = San.enabled sanitizer;
+      crash = Option.bind fault FP.crash;
       arena = a;
       st;
       cell_uses_fu = Array.map uses_fu a.Arena.ops;
@@ -385,7 +538,8 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
       out_attempts = Array.make n_ports (-1);
       out_value = Array.make n_ports Arena.dummy_value;
       corrupt_pend = Array.make n_ports (-1);
-      events = Df_util.Pqueue.create ();
+      events = Df_util.Ipq.create ();
+      slab = slab_create 16;
       pes = Array.make n_pe 0;
       fus = pool_create arch.Arch.n_fu;
       ams = pool_create arch.Arch.n_am;
@@ -404,8 +558,10 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
       now = 0;
       last_progress = 0;
       live_events = 0;
-      dirty = Queue.create ();
-      in_dirty = Array.make n false;
+      dirty = Array.make n 0;
+      dirty_head = 0;
+      dirty_len = 0;
+      in_dirty = Bytes.make n '\000';
       next_checkpoint = max_int;
       rollback = None;
       checkpoints = 0;
@@ -429,10 +585,7 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
           m.sent.(p) <- 1;
           m.out_attempts.(p) <- 0;
           m.out_value.(p) <- a.Arena.port_value.(p);
-          Df_util.Pqueue.push m.events r.retransmit_after
-            (Retransmit
-               { src; dst = a.Arena.port_cell.(p); port = a.Arena.port_sub.(p);
-                 seq = 0 })
+          schedule m r.retransmit_after ev_retransmit p 0
         end
       end
     done;
@@ -465,24 +618,22 @@ let emit_violation m (v : Fault.Violation.t) =
            detail = v.Fault.Violation.v_detail })
 
 let mark m id =
-  if not m.in_dirty.(id) then begin
-    m.in_dirty.(id) <- true;
-    Queue.add id m.dirty
+  if Bytes.unsafe_get m.in_dirty id = '\000' then begin
+    Bytes.unsafe_set m.in_dirty id '\001';
+    let n = Array.length m.dirty in
+    let tail = m.dirty_head + m.dirty_len in
+    m.dirty.(if tail >= n then tail - n else tail) <- id;
+    m.dirty_len <- m.dirty_len + 1
   end
 
-let schedule m t ev =
-  (match ev with
-  | Retransmit _ -> ()
-  | Deliver _ | Ack _ -> m.live_events <- m.live_events + 1);
-  Df_util.Pqueue.push m.events t ev
-
-(* Deliver one result packet copy to [ep], subject to network faults.
-   [seq] identifies the packet on its channel when recovery is on.  The
-   checksum travels with the packet as computed by the producer; a
-   corruption fault flips a payload bit *after* that, so the mismatch is
-   observable at the consumer iff integrity checking is on. *)
-let deliver_packet m ~src ~dst ~port ~seq ~value ~base =
-  let crc = Integrity.checksum_value value in
+(* Deliver one result packet copy to global port [p] ([port] of cell
+   [dst]), subject to network faults.  [seq] identifies the packet on
+   its channel when recovery is on.  The checksum travels with the
+   packet as computed by the producer; a corruption fault flips a
+   payload bit *after* that, so the mismatch is observable at the
+   consumer iff integrity checking is on. *)
+let deliver_packet m ~src ~p ~dst ~port ~seq ~value ~base =
+  let crc = if m.crc_on then Integrity.checksum_value value else 0 in
   let deliver_at =
     match m.fault with
     | None -> base
@@ -517,7 +668,7 @@ let deliver_packet m ~src ~dst ~port ~seq ~value ~base =
                    became = Value.to_string corrupted });
           corrupted)
     in
-    schedule m deliver_at (Deliver { src; dst; port; seq; value; crc });
+    schedule_deliver m deliver_at p seq value crc;
     if Obs.Tracer.enabled m.tracer then
       Obs.Tracer.emit m.tracer
         (Obs.Event.Deliver
@@ -525,6 +676,12 @@ let deliver_packet m ~src ~dst ~port ~seq ~value ~base =
              value = Value.to_string value })
   end;
   deliver_at
+
+let am_latency m src ~ready_at =
+  m.arch.Arch.am_latency
+  + (match m.fault with
+    | None -> 0
+    | Some f -> FP.am_extra f ~node:src ~time:ready_at)
 
 (* Fire a cell: PE dispatch, optional FU execution, then packet
    delivery through RN or AM depending on the policy and whether the
@@ -538,12 +695,6 @@ let send m src slot value ~ready_at =
     let ep_node = a.Arena.port_cell.(gp) in
     let ep_port = a.Arena.port_sub.(gp) in
     m.result_packets <- m.result_packets + 1;
-    let am_latency () =
-      m.arch.Arch.am_latency
-      + (match m.fault with
-        | None -> 0
-        | Some f -> FP.am_extra f ~node:src ~time:ready_at)
-    in
     let base =
       match m.arch.Arch.array_policy with
       | Arch.Stored when m.boundary.(src) -> (
@@ -551,12 +702,12 @@ let send m src slot value ~ready_at =
         | Opcode.Output _ ->
           (* final results are stored once *)
           m.am_ops <- m.am_ops + 1;
-          pool_start m.ams ready_at + am_latency ()
+          pool_start m.ams ready_at + am_latency m src ~ready_at
         | _ ->
           (* write by the producer, read by the consumer *)
           m.am_ops <- m.am_ops + 2;
-          let write_done = pool_start m.ams ready_at + am_latency () in
-          pool_start m.ams write_done + am_latency ())
+          let write_done = pool_start m.ams ready_at + am_latency m src ~ready_at in
+          pool_start m.ams write_done + am_latency m src ~ready_at)
       | _ -> ready_at + m.arch.Arch.rn_latency
     in
     let seq =
@@ -567,13 +718,11 @@ let send m src slot value ~ready_at =
         m.sent.(gp) <- seq + 1;
         m.out_attempts.(gp) <- 0;
         m.out_value.(gp) <- value;
-        schedule m
-          (ready_at + r.retransmit_after)
-          (Retransmit { src; dst = ep_node; port = ep_port; seq });
+        schedule m (ready_at + r.retransmit_after) ev_retransmit gp seq;
         seq
     in
     let deliver_at =
-      deliver_packet m ~src ~dst:ep_node ~port:ep_port ~seq ~value ~base
+      deliver_packet m ~src ~p:gp ~dst:ep_node ~port:ep_port ~seq ~value ~base
     in
     (* a misbehaving routing network may deliver the same result
        packet twice — without recovery, the breach the sanitizer
@@ -583,19 +732,18 @@ let send m src slot value ~ready_at =
       when FP.duplicate f ~time:ready_at ~src ~dst:ep_node ~port:ep_port ->
       m.result_packets <- m.result_packets + 1;
       emit_fault m "dup" ~src ~dst:ep_node ~extra:0;
-      schedule m (deliver_at + 1)
-        (Deliver
-           { src; dst = ep_node; port = ep_port; seq; value;
-             crc = Integrity.checksum_value value })
+      schedule_deliver m (deliver_at + 1) gp seq value
+        (Integrity.checksum_value value)
     | _ -> ()
   done;
-  San.on_send m.sanitizer ~time:ready_at ~node:src ~count:(de - db);
+  if m.san_on then
+    San.on_send m.sanitizer ~time:ready_at ~node:src ~count:(de - db);
   m.st.Run_state.pending_acks.(src) <-
     m.st.Run_state.pending_acks.(src) + (de - db)
 
 (* Send (or resend) an acknowledge for the packet [seq] consumed on
-   [from.port], subject to ack faults. *)
-let send_ack m ~from_node ~from_port ~seq ~dst ~acked_at =
+   global port [p] of cell [from_node], subject to ack faults. *)
+let send_ack m ~p ~from_node ~seq ~dst ~acked_at =
   m.ack_packets <- m.ack_packets + 1;
   let dropped =
     match m.fault with
@@ -615,7 +763,7 @@ let send_ack m ~from_node ~from_port ~seq ~dst ~acked_at =
     in
     if extra > 0 then emit_fault m "ack-delay" ~src:from_node ~dst ~extra;
     let at = acked_at + m.arch.Arch.rn_latency + extra in
-    schedule m at (Ack { dst; from_node; from_port; seq });
+    schedule m at ev_ack p seq;
     if Obs.Tracer.enabled m.tracer then
       Obs.Tracer.emit m.tracer
         (Obs.Event.Ack
@@ -626,16 +774,20 @@ let send_ack m ~from_node ~from_port ~seq ~dst ~acked_at =
 let consume m p ~acked_at =
   let a = m.arena in
   if a.Arena.port_kind.(p) <> Arena.kind_const then begin
-    let id = a.Arena.port_cell.(p) and port = a.Arena.port_sub.(p) in
-    (match San.on_consume m.sanitizer ~time:m.now ~node:id ~port with
-    | Some v -> emit_violation m v
-    | None -> ());
+    let id = a.Arena.port_cell.(p) in
+    (if m.san_on then
+       match
+         San.on_consume m.sanitizer ~time:m.now ~node:id
+           ~port:a.Arena.port_sub.(p)
+       with
+       | Some v -> emit_violation m v
+       | None -> ());
     m.st.Run_state.present.(p) <- false;
     let src = a.Arena.port_producer.(p) in
     if src >= 0 then begin
       let seq = m.cons_seq.(p) in
       m.cons_seq.(p) <- seq + 1;
-      send_ack m ~from_node:id ~from_port:port ~seq ~dst:src ~acked_at
+      send_ack m ~p ~from_node:id ~seq ~dst:src ~acked_at
     end
   end
 
@@ -782,9 +934,10 @@ let fire_output m id b =
   if st.Run_state.present.(b) then begin
     st.Run_state.collected.(id) <-
       (m.now, st.Run_state.value.(b)) :: st.Run_state.collected.(id);
-    (match San.on_output m.sanitizer ~time:m.now ~node:id with
-    | Some viol -> emit_violation m viol
-    | None -> ());
+    (if m.san_on then
+       match San.on_output m.sanitizer ~time:m.now ~node:id with
+       | Some viol -> emit_violation m viol
+       | None -> ());
     let done_at = dispatch m id in
     consume m b ~acked_at:done_at;
     true
@@ -860,127 +1013,148 @@ let outstanding m p ~seq = m.out_attempts.(p) >= 0 && m.sent.(p) - 1 = seq
 
 let resident m p ~seq = m.recv_seq.(p) > seq && m.cons_seq.(p) <= seq
 
-let apply_event m = function
-  | Deliver { src; dst; port; seq; value; crc } -> (
-    let p = m.arena.Arena.port_base.(dst) + port in
-    if m.integrity && not (Integrity.verify_value value crc) then begin
-      (* checksum mismatch: the payload was corrupted in flight.  Discard
-         the packet — from here on it behaves exactly like a drop, so
-         without recovery the consumer starves (and the wedge surfaces
-         through watchdog/conservation), while with recovery the
-         producer's retransmission timer resends a clean copy. *)
-      m.corrupt_detected <- m.corrupt_detected + 1;
-      if m.recovery <> None && seq >= m.recv_seq.(p) then
-        m.corrupt_pend.(p) <- seq;
-      if Obs.Tracer.enabled m.tracer then
-        Obs.Tracer.emit m.tracer
-          (Obs.Event.Corrupt_detected
-             { time = m.now; track = m.pe.(dst); src; dst; port; seq })
-    end
-    else
-      match m.recovery with
-      | Some _ when seq < m.recv_seq.(p) ->
-        (* stale duplicate (retransmission of a packet already accepted,
-           or a network dup).  If the original was already consumed, its
-           acknowledge may have been the casualty — acknowledge again; if
-           it is still resident, stay silent: the pending acknowledge
-           will go out at consume time. *)
-        if seq < m.cons_seq.(p) then
-          send_ack m ~from_node:dst ~from_port:port ~seq ~dst:src
-            ~acked_at:m.now
-      | _ ->
-        (match San.on_deliver m.sanitizer ~time:m.now ~src ~dst ~port with
-        | Some v -> emit_violation m v (* drop: engine state is untrustworthy *)
-        | None ->
-          if m.recovery <> None then begin
-            m.recv_seq.(p) <- seq + 1;
-            if m.corrupt_pend.(p) = seq then begin
-              m.corrupt_pend.(p) <- -1;
-              m.corrupt_healed <- m.corrupt_healed + 1;
-              if Obs.Tracer.enabled m.tracer then
-                Obs.Tracer.emit m.tracer
-                  (Obs.Event.Corrupt_healed
-                     { time = m.now; track = m.pe.(dst); src; dst; port; seq })
-            end
-          end;
-          if m.st.Run_state.present.(p) then begin
-            if not (San.enabled m.sanitizer) then
-              invalid_arg
-                (Printf.sprintf "machine: arc capacity violated at %s#%d.%d"
-                   m.arena.Arena.labels.(dst) dst port)
-          end
-          else begin
-            m.st.Run_state.present.(p) <- true;
-            m.st.Run_state.value.(p) <- value
-          end);
-        mark m dst)
-  | Ack { dst; from_node; from_port; seq } -> (
-    let acked () =
-      match San.on_ack m.sanitizer ~time:m.now ~dst with
-      | Some v -> emit_violation m v
-      | None ->
-        m.st.Run_state.pending_acks.(dst) <-
-          m.st.Run_state.pending_acks.(dst) - 1
-    in
-    match m.recovery with
+let acked m dst =
+  match if m.san_on then San.on_ack m.sanitizer ~time:m.now ~dst else None with
+  | Some v -> emit_violation m v
+  | None ->
+    m.st.Run_state.pending_acks.(dst) <- m.st.Run_state.pending_acks.(dst) - 1
+
+(* Delivery of packet [seq] (payload [value], producer checksum [crc])
+   to global port [p]. *)
+let apply_deliver m p seq value crc =
+  let a = m.arena in
+  let src = a.Arena.port_producer.(p) in
+  let dst = a.Arena.port_cell.(p) and port = a.Arena.port_sub.(p) in
+  if m.integrity && not (Integrity.verify_value value crc) then begin
+    (* checksum mismatch: the payload was corrupted in flight.  Discard
+       the packet — from here on it behaves exactly like a drop, so
+       without recovery the consumer starves (and the wedge surfaces
+       through watchdog/conservation), while with recovery the
+       producer's retransmission timer resends a clean copy. *)
+    m.corrupt_detected <- m.corrupt_detected + 1;
+    if m.recovery <> None && seq >= m.recv_seq.(p) then
+      m.corrupt_pend.(p) <- seq;
+    if Obs.Tracer.enabled m.tracer then
+      Obs.Tracer.emit m.tracer
+        (Obs.Event.Corrupt_detected
+           { time = m.now; track = m.pe.(dst); src; dst; port; seq })
+  end
+  else if m.recovery <> None && seq < m.recv_seq.(p) then begin
+    (* stale duplicate (retransmission of a packet already accepted, or
+       a network dup).  If the original was already consumed, its
+       acknowledge may have been the casualty — acknowledge again; if it
+       is still resident, stay silent: the pending acknowledge will go
+       out at consume time. *)
+    if seq < m.cons_seq.(p) then
+      send_ack m ~p ~from_node:dst ~seq ~dst:src ~acked_at:m.now
+  end
+  else begin
+    (match
+       if m.san_on then San.on_deliver m.sanitizer ~time:m.now ~src ~dst ~port
+       else None
+     with
+    | Some v -> emit_violation m v (* drop: engine state is untrustworthy *)
     | None ->
-      acked ();
-      mark m dst
-    | Some _ ->
-      (* acknowledges are idempotent under recovery: only the first one
-         for a given packet frees the producer *)
-      let p = m.arena.Arena.port_base.(from_node) + from_port in
-      if outstanding m p ~seq then begin
-        m.out_attempts.(p) <- -1;
-        acked ();
-        mark m dst
-      end)
-  | Retransmit { src; dst; port; seq } -> (
-    match m.recovery with
-    | None -> ()
-    | Some r ->
-      let p = m.arena.Arena.port_base.(dst) + port in
-      (* nothing to do once the packet was acknowledged *)
-      if outstanding m p ~seq then begin
-        let attempts = m.out_attempts.(p) in
-        if resident m p ~seq then
-          (* The packet is resident, unconsumed, at the consumer: a
-             resend could only be deduplicated, and the acknowledge is
-             not due until the consumer fires.  Hold the timer without
-             charging an attempt — the retry budget is for packets and
-             acknowledges actually missing, not for a consumer that is
-             slow to drain its store.  (Hardware would learn this from
-             a receipt status piggybacked on the routing network; the
-             simulator reads the consumer's store directly.) *)
-          schedule m
-            (m.now + retry_delay r attempts)
-            (Retransmit { src; dst; port; seq })
-        else if attempts < r.max_retransmits then begin
-          let attempts = attempts + 1 in
-          m.out_attempts.(p) <- attempts;
-          m.retransmits <- m.retransmits + 1;
-          m.result_packets <- m.result_packets + 1;
+      if m.recovery <> None then begin
+        m.recv_seq.(p) <- seq + 1;
+        if m.corrupt_pend.(p) = seq then begin
+          m.corrupt_pend.(p) <- -1;
+          m.corrupt_healed <- m.corrupt_healed + 1;
           if Obs.Tracer.enabled m.tracer then
             Obs.Tracer.emit m.tracer
-              (Obs.Event.Retransmit
-                 { time = m.now; track = m.pe.(src); src; dst; port;
-                   attempt = attempts });
-          ignore
-            (deliver_packet m ~src ~dst ~port ~seq ~value:m.out_value.(p)
-               ~base:(m.now + m.arch.Arch.rn_latency));
-          schedule m
-            (m.now + retry_delay r attempts)
-            (Retransmit { src; dst; port; seq });
-          (* an active resend is protocol liveness, not silence: the
-             no-progress watchdog must not fire while the backoff chain
-             is still probing.  A truly wedged channel still terminates:
-             once retries are exhausted nothing reschedules and the
-             queue drains to a quiescent (and visibly wrong) stop. *)
-          m.last_progress <- m.now
+              (Obs.Event.Corrupt_healed
+                 { time = m.now; track = m.pe.(dst); src; dst; port; seq })
         end
-        (* else: retries exhausted — the channel is declared lost and the
-           wedge surfaces as a stall / conservation violation *)
-      end)
+      end;
+      if m.st.Run_state.present.(p) then begin
+        if not m.san_on then
+          invalid_arg
+            (Printf.sprintf "machine: arc capacity violated at %s#%d.%d"
+               a.Arena.labels.(dst) dst port)
+      end
+      else begin
+        m.st.Run_state.present.(p) <- true;
+        m.st.Run_state.value.(p) <- value
+      end);
+    mark m dst
+  end
+
+(* Acknowledge of packet [seq] consumed on global port [p]. *)
+let apply_ack m p seq =
+  let dst = m.arena.Arena.port_producer.(p) in
+  match m.recovery with
+  | None ->
+    acked m dst;
+    mark m dst
+  | Some _ ->
+    (* acknowledges are idempotent under recovery: only the first one
+       for a given packet frees the producer *)
+    if outstanding m p ~seq then begin
+      m.out_attempts.(p) <- -1;
+      acked m dst;
+      mark m dst
+    end
+
+(* Retransmission timer of packet [seq] on global port [p]. *)
+let apply_retransmit m p seq =
+  match m.recovery with
+  | None -> ()
+  | Some r ->
+    (* nothing to do once the packet was acknowledged *)
+    if outstanding m p ~seq then begin
+      let attempts = m.out_attempts.(p) in
+      if resident m p ~seq then
+        (* The packet is resident, unconsumed, at the consumer: a resend
+           could only be deduplicated, and the acknowledge is not due
+           until the consumer fires.  Hold the timer without charging an
+           attempt — the retry budget is for packets and acknowledges
+           actually missing, not for a consumer that is slow to drain
+           its store.  (Hardware would learn this from a receipt status
+           piggybacked on the routing network; the simulator reads the
+           consumer's store directly.) *)
+        schedule m (m.now + retry_delay r attempts) ev_retransmit p seq
+      else if attempts < r.max_retransmits then begin
+        let a = m.arena in
+        let src = a.Arena.port_producer.(p) in
+        let dst = a.Arena.port_cell.(p) and port = a.Arena.port_sub.(p) in
+        let attempts = attempts + 1 in
+        m.out_attempts.(p) <- attempts;
+        m.retransmits <- m.retransmits + 1;
+        m.result_packets <- m.result_packets + 1;
+        if Obs.Tracer.enabled m.tracer then
+          Obs.Tracer.emit m.tracer
+            (Obs.Event.Retransmit
+               { time = m.now; track = m.pe.(src); src; dst; port;
+                 attempt = attempts });
+        ignore
+          (deliver_packet m ~src ~p ~dst ~port ~seq ~value:m.out_value.(p)
+             ~base:(m.now + m.arch.Arch.rn_latency));
+        schedule m (m.now + retry_delay r attempts) ev_retransmit p seq;
+        (* an active resend is protocol liveness, not silence: the
+           no-progress watchdog must not fire while the backoff chain is
+           still probing.  A truly wedged channel still terminates: once
+           retries are exhausted nothing reschedules and the queue
+           drains to a quiescent (and visibly wrong) stop. *)
+        m.last_progress <- m.now
+      end
+      (* else: retries exhausted — the channel is declared lost and the
+         wedge surfaces as a stall / conservation violation *)
+    end
+
+(* Apply the event in slab slot [i].  The slot is read out and freed
+   first: applying may queue new events, which may reuse it. *)
+let apply_event m i =
+  let s = m.slab in
+  let kind = Bytes.unsafe_get s.kind i in
+  let p = s.port.(i) and seq = s.seq.(i) in
+  let value = s.value.(i) and crc = s.crc.(i) in
+  free_slot s i;
+  if kind = ev_retransmit then apply_retransmit m p seq
+  else begin
+    m.live_events <- m.live_events - 1;
+    if kind = ev_deliver then apply_deliver m p seq value crc
+    else apply_ack m p seq
+  end
 
 (* True when every unacknowledged packet in the system is already
    resident, unconsumed, at its consumer.  Resending any of them can
@@ -994,23 +1168,28 @@ let apply_event m = function
    keep the event queue alive until the watchdog misfired.) *)
 let only_futile_outstanding m =
   let futile = ref true in
-  Array.iteri
-    (fun p attempts ->
-      if attempts >= 0 && not (resident m p ~seq:(m.sent.(p) - 1)) then
-        futile := false)
-    m.out_attempts;
+  for p = 0 to Array.length m.out_attempts - 1 do
+    if m.out_attempts.(p) >= 0 && not (resident m p ~seq:(m.sent.(p) - 1))
+    then futile := false
+  done;
   !futile
 
 (* Drop timer events whose packet has been acknowledged: they carry no
    work, and letting them advance the clock would make a clean drain
    look like a watchdog stall. *)
 let rec skip_stale_retransmits m =
-  match Df_util.Pqueue.peek m.events with
-  | Some (_, Retransmit { dst; port; seq; _ })
-    when not (outstanding m (m.arena.Arena.port_base.(dst) + port) ~seq) ->
-    Df_util.Pqueue.drop_min m.events;
-    skip_stale_retransmits m
-  | _ -> ()
+  if Df_util.Ipq.peek_priority m.events >= 0 then begin
+    let s = m.slab in
+    let i = Df_util.Ipq.peek_payload m.events in
+    if
+      Bytes.unsafe_get s.kind i = ev_retransmit
+      && not (outstanding m s.port.(i) ~seq:s.seq.(i))
+    then begin
+      Df_util.Ipq.drop_min m.events;
+      free_slot s i;
+      skip_stale_retransmits m
+    end
+  end
 
 let take_checkpoint m =
   if rollback_pending m then m.rollback <- Some (state m);
@@ -1019,7 +1198,7 @@ let take_checkpoint m =
     Obs.Tracer.emit m.tracer
       (Obs.Event.Checkpoint
          { time = m.now; track = 0; seq = m.checkpoints;
-           in_flight = Df_util.Pqueue.length m.events })
+           in_flight = Df_util.Ipq.length m.events })
 
 let do_crash m pe crash_at =
   m.crash_done <- true;
@@ -1065,54 +1244,49 @@ let do_crash m pe crash_at =
                remapped = !remapped })
   end
 
+(* Nothing queued can change machine state any more: the machine is
+   quiescent, unless the planned crash is still due, in which case it
+   strikes the silent machine.  Returns whether to keep running. *)
+let settle m =
+  match m.crash with
+  | Some (pe, at) when (not m.crash_done) && at <= m.max_time ->
+    do_crash m pe (max at m.now);
+    true
+  | _ ->
+    m.quiescent <- true;
+    m.finished <- true;
+    false
+
 let advance m ~until =
   let continue_ = ref (not m.finished) in
   while !continue_ do
     let fired_any = ref false in
-    let rec drain () =
-      match Queue.take_opt m.dirty with
-      | None -> ()
-      | Some id ->
-        m.in_dirty.(id) <- false;
-        if try_fire m id then begin
-          fired_any := true;
-          mark m id
-        end;
-        drain ()
-    in
-    drain ();
+    while m.dirty_len > 0 do
+      let id = m.dirty.(m.dirty_head) in
+      m.dirty_head <-
+        (if m.dirty_head + 1 = Array.length m.dirty then 0 else m.dirty_head + 1);
+      m.dirty_len <- m.dirty_len - 1;
+      Bytes.unsafe_set m.in_dirty id '\000';
+      if try_fire m id then begin
+        fired_any := true;
+        mark m id
+      end
+    done;
     if !fired_any then m.last_progress <- m.now;
-    if San.tripped m.sanitizer then begin
+    if m.san_on && San.tripped m.sanitizer then begin
       m.finished <- true;
       continue_ := false
     end
     else begin
       skip_stale_retransmits m;
-      let crash_pending =
-        if m.crash_done then None
-        else Option.bind m.fault FP.crash
-      in
-      match Df_util.Pqueue.peek_priority m.events with
-      | None -> (
-        (* quiescent — unless the crash is still due, in which case it
-           strikes a silent machine *)
-        match crash_pending with
-        | Some (pe, at) when at <= m.max_time -> do_crash m pe (max at m.now)
-        | _ ->
-          m.quiescent <- true;
-          m.finished <- true;
-          continue_ := false)
-      | Some _ when m.live_events = 0 && only_futile_outstanding m -> (
-        (* only futile retransmission timers left: quiescent *)
-        match crash_pending with
-        | Some (pe, at) when at <= m.max_time -> do_crash m pe (max at m.now)
-        | _ ->
-          m.quiescent <- true;
-          m.finished <- true;
-          continue_ := false)
-      | Some t -> (
-        match crash_pending with
-        | Some (pe, at) when at <= t -> do_crash m pe at
+      let t = Df_util.Ipq.peek_priority m.events in
+      if t < 0 then continue_ := settle m
+      else if m.live_events = 0 && only_futile_outstanding m then
+        (* only futile retransmission timers left *)
+        continue_ := settle m
+      else
+        match m.crash with
+        | Some (pe, at) when (not m.crash_done) && at <= t -> do_crash m pe at
         | _ ->
           if t > m.max_time then begin
             m.finished <- true;
@@ -1138,22 +1312,10 @@ let advance m ~until =
                   | None -> max_int)
             end;
             m.now <- t;
-            let rec apply_all () =
-              match Df_util.Pqueue.peek_priority m.events with
-              | Some t' when t' = t -> (
-                match Df_util.Pqueue.pop m.events with
-                | Some (_, ev) ->
-                  (match ev with
-                  | Retransmit _ -> ()
-                  | Deliver _ | Ack _ ->
-                    m.live_events <- m.live_events - 1);
-                  apply_event m ev;
-                  apply_all ()
-                | None -> ())
-              | _ -> ()
-            in
-            apply_all ()
-          end)
+            while Df_util.Ipq.peek_priority m.events = t do
+              apply_event m (Df_util.Ipq.pop_payload m.events)
+            done
+          end
     end
   done
 

@@ -36,7 +36,9 @@ open Dfg
     owed acknowledges per cell, FIFO rings, input cursors.  What only
     the machine has — the hosting PE per cell and the recovery
     protocol's sequence numbers per port — lives in flat side arrays
-    beside it. *)
+    beside it.  Queued events are ints: slots of a flat event slab,
+    ordered by time in a {!Df_util.Ipq}, so steady state allocates
+    nothing per packet (docs/ENGINE.md). *)
 
 type stats = {
   dispatches : int;        (** instruction firings (operation packets) *)
@@ -161,9 +163,12 @@ type 'resume snap = {
       (** per port: sequence number of a packet discarded as corrupt and
           not yet healed, or [-1] *)
   sn_events : (int * event) array;
-      (** exact heap layout ({!Df_util.Pqueue.to_array}) — equal-time pop
-          order affects resource-pool allocation, so bit-identical resume
-          must preserve it *)
+      (** the event queue in exact heap layout: the engine's
+          {!Df_util.Ipq} of event-slab slots, read with
+          {!Df_util.Ipq.to_array} and each slot expanded to an {!event}.
+          Equal-time pop order affects resource-pool allocation, so a
+          bit-identical resume must preserve it; {!restore} rebuilds
+          the slab and the heap in this layout *)
   sn_pes : int array;
   sn_fus : int array;
   sn_ams : int array;
@@ -233,7 +238,8 @@ val restore : t -> snapshot -> unit
     run the snapshot was taken from (same outputs, timestamps, stats,
     checkpoint and recovery counts) — also when the snapshot was taken
     before a planned crash, or after one.
-    @raise Invalid_argument on a shape mismatch. *)
+    @raise Invalid_argument on a shape mismatch, or when a queued event
+    (also in the rollback target) travels no arc of the graph. *)
 
 val result : t -> result
 (** Read the outcome.  On a {!finished} machine this includes the stall

@@ -216,6 +216,23 @@ let event_of_json j =
   in
   (prio, ev)
 
+(* The engine keeps only the consumer-side port of a queued event and
+   reads producer, consumer and local port back from the graph, so a
+   decoded event must travel an arc of it: a delivery or retransmission
+   from [src] to input [port] of [dst], an acknowledge from input
+   [from_port] of [from_node] back to its producer [dst]. *)
+let check_event arena k (_, ev) =
+  let arc what ~src ~dst ~port =
+    if Arena.arc_port arena ~src ~dst ~port < 0 then
+      fail "events[%d]: %s from %d to %d.%d travels no arc of the graph" k
+        what src dst port
+  in
+  match ev with
+  | ME.Deliver { src; dst; port; _ } -> arc "delivery" ~src ~dst ~port
+  | ME.Retransmit { src; dst; port; _ } -> arc "retransmission" ~src ~dst ~port
+  | ME.Ack { dst; from_node; from_port; _ } ->
+    arc "acknowledge" ~src:dst ~dst:from_node ~port:from_port
+
 let stats_of_json j : ME.stats =
   {
     ME.dispatches = int_field "dispatches" j;
@@ -265,7 +282,7 @@ let sanitizer_of_json = function
         sn_tripped = get_bool "tripped" (field "tripped" j);
       }
 
-let state_of_json j : ME.state =
+let state_of_json arena j : ME.state =
   let present, value = slots_field "ops" j in
   let acks = int_array "acks" j in
   let fifo_buf =
@@ -285,6 +302,8 @@ let state_of_json j : ME.state =
       j
   in
   let _, out_value = slots_field "outv" j in
+  let events = array_field "events" event_of_json j in
+  Array.iteri (check_event arena) events;
   {
     ME.sn_time = int_field "time" j;
     sn_last_progress = int_field "last_progress" j;
@@ -308,7 +327,7 @@ let state_of_json j : ME.state =
     sn_out_attempts = int_array "att" j;
     sn_out_value = out_value;
     sn_corrupt_pend = int_array "cpend" j;
-    sn_events = array_field "events" event_of_json j;
+    sn_events = events;
     sn_pes = int_array "pes" j;
     sn_fus = int_array "fus" j;
     sn_ams = int_array "ams" j;
@@ -329,9 +348,10 @@ let of_json ~graph j =
         "checkpoint was taken from a different program (fingerprint %d, \
          graph has %d)"
         fp here;
+    let arena = Arena.build graph in
     Ok
       {
-        (state_of_json j) with
+        (state_of_json arena j) with
         ME.sn_resume =
           {
             ME.rs_crash_done = get_bool "crash_done" (field "crash_done" j);
@@ -341,7 +361,7 @@ let of_json ~graph j =
             rs_rollback =
               (match field "rollback" j with
               | J.Null -> None
-              | r -> Some (state_of_json r));
+              | r -> Some (state_of_json arena r));
           };
       }
   with Bad msg -> Error msg

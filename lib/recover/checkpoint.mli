@@ -39,7 +39,10 @@ val of_json :
   Obs.Json.t ->
   (Machine.Machine_engine.snapshot, string) result
 (** Rejects version mismatches (naming both versions), fingerprint
-    mismatches and malformed documents with a descriptive error. *)
+    mismatches, malformed documents and queued events that travel no
+    arc of [graph] (a delivery, retransmission or acknowledge whose
+    cells and port are not a producer, consumer and input port of the
+    graph) with a descriptive error. *)
 
 val save : path:string -> graph:Graph.t -> Machine.Machine_engine.snapshot -> unit
 

@@ -62,13 +62,33 @@ let sift_down q =
   prio.(!i) <- p;
   payload.(!i) <- x
 
+let peek_payload q =
+  if q.len = 0 then invalid_arg "Ipq.peek_payload: empty" else q.payload.(0)
+
+let drop_min q =
+  if q.len > 0 then begin
+    q.len <- q.len - 1;
+    if q.len > 0 then sift_down q
+  end
+
 let pop_payload q =
   if q.len = 0 then invalid_arg "Ipq.pop_payload: empty"
   else begin
     let x = q.payload.(0) in
-    q.len <- q.len - 1;
-    if q.len > 0 then sift_down q;
+    drop_min q;
     x
   end
 
 let clear q = q.len <- 0
+
+let to_array q = Array.init q.len (fun i -> (q.prio.(i), q.payload.(i)))
+
+let of_array entries =
+  let q = create ~capacity:(Array.length entries) () in
+  Array.iteri
+    (fun i (prio, payload) ->
+      q.prio.(i) <- prio;
+      q.payload.(i) <- payload)
+    entries;
+  q.len <- Array.length entries;
+  q

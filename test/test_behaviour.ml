@@ -209,6 +209,86 @@ let test_pinned () =
             (fun (k, c, d) -> Printf.sprintf "    (%S, %S, %S);" k c d)
             got))
 
+(* ---- checkpoint bytes ---- *)
+
+(* Every kernel advanced in slices of 97 time units under 7 machine
+   configurations.  After each pause the snapshot's format-3 JSON text
+   is appended, and at every other pause the machine is restored from
+   that text, so a change to how the engine keeps its event queue or
+   computes checksums has to reproduce the same documents and resume
+   from them to the same outcome.  Reals are exact ([%h]) in these
+   texts, unlike in [machine_digest]. *)
+
+let checkpoint_configs :
+    (string * Machine.Arch.t * (Graph.t -> Run_config.t)) list =
+  let arch = Machine.Arch.default in
+  let plan s =
+    match FP.of_string s with
+    | Ok spec -> Run_config.with_fault (FP.make spec)
+    | Error e -> invalid_arg e
+  in
+  let rec_ = Run_config.with_recovery ME.default_recovery in
+  [ ("plain", arch, fun _ -> ME.default_config);
+    ("stored", { arch with Machine.Arch.array_policy = Machine.Arch.Stored },
+     fun _ -> ME.default_config);
+    ("recovery", arch, fun _ -> ME.default_config |> rec_);
+    ("recovery+integrity+faults", arch,
+     fun _ ->
+       ME.default_config
+       |> plan
+            "seed=11,delay=0.2,dup=0.05,drop=0.03,drop-ack=0.03,corrupt=0.05,\
+             corrupt-ctl=0.02,stall=0.05,fu-slow=1,am-slow=1"
+       |> rec_ |> Run_config.with_integrity true);
+    ("recovery+crash", arch,
+     fun _ ->
+       ME.default_config |> plan "seed=5,delay=0.1,crash-pe=2,crash-at=300"
+       |> rec_);
+    ("delay", arch, fun _ -> ME.default_config |> plan "seed=3,delay=0.25");
+    ("dup+sanitizer", arch,
+     fun g ->
+       ME.default_config |> plan "seed=9,dup=0.05"
+       |> Run_config.with_sanitizer (San.create g)) ]
+
+let checkpoint_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (k : K.kernel) ->
+      let g, inputs = subject k in
+      List.iter
+        (fun (_, arch, cfg) ->
+          let m = ME.create_cfg (cfg g) ~arch g ~inputs in
+          let pause = ref 0 in
+          while not (ME.finished m) do
+            incr pause;
+            ME.advance m ~until:(97 * !pause);
+            let text =
+              Obs.Json.to_string
+                (Recover.Checkpoint.to_json ~graph:g (ME.snapshot m))
+            in
+            Buffer.add_string b text;
+            Buffer.add_char b '\n';
+            if !pause mod 2 = 0 then
+              match
+                Recover.Checkpoint.of_json ~graph:g (Obs.Json.of_string text)
+              with
+              | Ok sn -> ME.restore m sn
+              | Error e -> Alcotest.failf "%s: %s" k.K.name e
+          done;
+          Buffer.add_string b (machine_digest (ME.result m));
+          Buffer.add_char b '\n')
+        checkpoint_configs)
+    K.all;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let expected_checkpoints = "a9d0ecf68a1f5e937ee543bb51e26a37"
+
+let test_checkpoints_pinned () =
+  let got = checkpoint_digest () in
+  if got <> expected_checkpoints then
+    Alcotest.failf "checkpoint texts changed; this build produces %S" got
+
 let suite =
   [ Alcotest.test_case "8 kernels x 8 configurations match recorded digests"
-      `Quick test_pinned ]
+      `Quick test_pinned;
+    Alcotest.test_case "checkpoint texts at every pause match recorded digest"
+      `Quick test_checkpoints_pinned ]

@@ -71,6 +71,33 @@ let test_checksum_values () =
   Alcotest.(check bool) "a flipped bit is detected" false
     (I.verify_value (Value.Int 5) (I.checksum_value (Value.Int 4)))
 
+(* Checksums are persisted (journal frames, checkpoint files and
+   checkpointed packets), so their values are pinned, not just their
+   properties.  The NaN is spelled by its bits: [Stdlib.nan]'s payload
+   is not the same in every OCaml release. *)
+let test_checksums_pinned () =
+  let long = String.init 1000 (fun i -> Char.chr (((i * 37) + 11) land 0xff)) in
+  List.iter
+    (fun (name, s, want) ->
+      Alcotest.(check int) ("checksum_string " ^ name) want
+        (I.checksum_string s))
+    [ ("empty", "", 3040490553260543601);
+      ("short", "dataflow", 3527921357275268303);
+      ("long", long, 1720799298069080783) ];
+  List.iter
+    (fun (name, v, want) ->
+      Alcotest.(check int) ("checksum_value " ^ name) want (I.checksum_value v))
+    [ ("Int 0", Value.Int 0, 1488029795835792619);
+      ("Int -7", Value.Int (-7), 2915543751528514296);
+      ("Int max_int", Value.Int max_int, 1880048398427678777);
+      ("Real 0.0", Value.Real 0.0, 231455157621196153);
+      ("Real -0.0", Value.Real (-0.0), 231490341993298905);
+      ("Real nan", Value.Real (Int64.float_of_bits 0x7FF8_0000_0000_0001L),
+       4329053509664797412);
+      ("Real 1.5", Value.Real 1.5, 248673784593481416);
+      ("Bool true", Value.Bool true, 147910435612103986);
+      ("Bool false", Value.Bool false, 147910160734196933) ]
+
 let test_digest_ignores_times () =
   let early = [ ("r", [ (1, Value.Int 7); (2, Value.Int 8) ]) ] in
   let late = [ ("r", [ (90, Value.Int 7); (940, Value.Int 8) ]) ] in
@@ -452,6 +479,8 @@ let test_shrink_corruption_failure () =
 let suite =
   [
     Alcotest.test_case "value checksums" `Quick test_checksum_values;
+    Alcotest.test_case "checksums match recorded values" `Quick
+      test_checksums_pinned;
     Alcotest.test_case "digest ignores arrival times" `Quick
       test_digest_ignores_times;
     Alcotest.test_case "corruption decisions are typed" `Quick

@@ -204,6 +204,50 @@ let test_arch_describe () =
   Alcotest.(check bool) "mentions PEs" true
     (String.length s > 0 && String.contains s 'P')
 
+(* The machine engine allocates per dispatch what the graph engine
+   allocates per firing (operand values, output lists) and nothing per
+   packet on top: a boxed event, a closure or a checksum would each add
+   several words per dispatch.  Counted in minor-heap words, so the
+   bound does not depend on the host's speed. *)
+let test_allocation_per_dispatch () =
+  let size = 32 and waves = 32 in
+  List.iter
+    (fun (k : Kernels.kernel) ->
+      let st = Random.State.make [| 7; Hashtbl.hash k.Kernels.name |] in
+      let _, cp =
+        D.compile_source ~scalar_inputs:k.Kernels.scalar_inputs
+          (k.Kernels.source size)
+      in
+      let wave = k.Kernels.inputs size st in
+      let g = cp.PC.cp_graph in
+      let inputs =
+        List.map
+          (fun (name, _) ->
+            (name, List.concat (List.init waves (fun _ -> List.assoc name wave))))
+          cp.PC.cp_inputs
+      in
+      let words run =
+        let before = Gc.minor_words () in
+        let events = run () in
+        (Gc.minor_words () -. before) /. float_of_int events
+      in
+      let per_firing =
+        words (fun () ->
+            let r = Sim.Engine.run_cfg Run_config.default g ~inputs in
+            Array.fold_left ( + ) 0 r.Sim.Engine.fire_counts)
+      in
+      let per_dispatch =
+        words (fun () ->
+            let r = ME.run_cfg ME.default_config ~arch:Arch.default g ~inputs in
+            r.ME.stats.ME.dispatches)
+      in
+      if per_dispatch > 2. *. per_firing then
+        Alcotest.failf
+          "%s: %.2f minor words per machine dispatch, more than twice the \
+           graph engine's %.2f per firing"
+          k.Kernels.name per_dispatch per_firing)
+    Kernels.all
+
 let suite =
   [
     Alcotest.test_case "matches ideal engine (both policies)" `Quick
@@ -219,4 +263,6 @@ let suite =
     Alcotest.test_case "AM contention" `Quick test_am_contention;
     Alcotest.test_case "RN latency" `Quick test_rn_latency_affects_time;
     Alcotest.test_case "arch description" `Quick test_arch_describe;
+    Alcotest.test_case "minor words per dispatch within 2x graph engine's"
+      `Quick test_allocation_per_dispatch;
   ]

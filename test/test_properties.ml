@@ -386,18 +386,41 @@ let prop_dfg_parser_total =
           (Printf.sprintf "unexpected exception %s"
              (Printexc.to_string other)))
 
+(* every (priority, payload) pair of [q], in pop order; empties [q] *)
+let drain_ipq q =
+  let rec go acc =
+    if Df_util.Ipq.is_empty q then List.rev acc
+    else
+      let p = Df_util.Ipq.peek_priority q in
+      go ((p, Df_util.Ipq.pop_payload q) :: acc)
+  in
+  go []
+
 let prop_pqueue_sorts =
   QCheck.Test.make ~count:200 ~name:"pqueue drains in priority order"
     QCheck.(list (int_bound 1000))
     (fun xs ->
-      let q = Df_util.Pqueue.create () in
-      List.iter (fun x -> Df_util.Pqueue.push q x x) xs;
-      let rec drain acc =
-        match Df_util.Pqueue.pop q with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
+      let q = Df_util.Ipq.create () in
+      List.iter (fun x -> Df_util.Ipq.push q x x) xs;
+      List.map fst (drain_ipq q) = List.sort compare xs)
+
+(* Snapshots carry the machine's event queue as [Ipq.to_array] and
+   resume it with [Ipq.of_array]; equal-time events must then pop in
+   the order the uninterrupted queue would pop them.  Few distinct
+   priorities make ties the common case.  [None] is a pop. *)
+let prop_ipq_layout_round_trip =
+  QCheck.Test.make ~count:300 ~name:"ipq of_array (to_array q) pops as q"
+    QCheck.(list (option (pair (int_bound 3) small_nat)))
+    (fun ops ->
+      let q = Df_util.Ipq.create ~capacity:1 () in
+      List.iter
+        (function
+          | Some (prio, x) -> Df_util.Ipq.push q prio x
+          | None -> Df_util.Ipq.drop_min q)
+        ops;
+      let copy = Df_util.Ipq.of_array (Df_util.Ipq.to_array q) in
+      Df_util.Ipq.to_array copy = Df_util.Ipq.to_array q
+      && drain_ipq copy = drain_ipq q)
 
 let prop_ctlseq_nth_vs_list =
   QCheck.Test.make ~count:200 ~name:"ctlseq nth agrees with to_list"
@@ -516,6 +539,7 @@ let suite =
       prop_2d_forall;
       prop_dfg_parser_total;
       prop_pqueue_sorts;
+      prop_ipq_layout_round_trip;
       prop_ctlseq_nth_vs_list;
       prop_companion_associative;
       prop_mcf_certificate;

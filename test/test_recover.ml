@@ -430,6 +430,85 @@ let test_resume_matrix () =
     (Printf.sprintf "most runs paused mid-flight (%d)" !resumed)
     true (!resumed >= 100)
 
+(* A checkpoint decoder that accepted any event endpoints let a
+   tampered queue through: a delivery to a cell outside the graph
+   failed mid-run with an index error, one to a port past its cell's
+   arity landed on another cell's port.  Each such event is now an
+   [Error] from [of_json], and [restore] refuses it too. *)
+let test_tampered_events_rejected () =
+  let k = List.find (fun k -> k.Kernels.name = "hydro") Kernels.all in
+  let g, inputs = kernel_feeds k ~n:16 ~waves:2 in
+  let cfg = Run_config.with_recovery ME.default_recovery ME.default_config in
+  let arch = Machine.Arch.default in
+  let m = ME.create_cfg cfg ~arch g ~inputs in
+  ME.advance m ~until:143;
+  let sn = ME.snapshot m in
+  let doc = CP.to_json ~graph:g sn in
+  let events = Obs.Json.get_list (Obs.Json.member "events" doc) in
+  let first tag =
+    let rec go i = function
+      | [] -> Alcotest.failf "no %S event queued at t=143" tag
+      | e :: rest ->
+        if Obs.Json.get_string (Obs.Json.member "t" e) = Some tag then (i, e)
+        else go (i + 1) rest
+    in
+    go 0 events
+  in
+  let int_of name e = Option.get (Obs.Json.get_int (Obs.Json.member name e)) in
+  let n = Graph.node_count g in
+  (* [doc] with field [name] of event [i] set to [v] *)
+  let tamper i name v =
+    let set = function
+      | Obs.Json.Obj fields ->
+        Obs.Json.Obj
+          (List.map
+             (fun (k, x) -> if k = name then (k, Obs.Json.Int v) else (k, x))
+             fields)
+      | j -> j
+    in
+    match doc with
+    | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.map
+           (fun (k, x) ->
+             if k = "events" then
+               (k, Obs.Json.List (List.mapi (fun j e -> if j = i then set e else e) events))
+             else (k, x))
+           fields)
+    | _ -> Alcotest.fail "checkpoint is not an object"
+  in
+  (match CP.of_json ~graph:g doc with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "untampered checkpoint rejected: %s" e);
+  let di, d = first "d" and ai, a = first "a" in
+  let dst = int_of "dst" d in
+  List.iter
+    (fun (label, tampered) ->
+      match CP.of_json ~graph:g tampered with
+      | Ok _ -> Alcotest.failf "%s: accepted" label
+      | Error e ->
+        Alcotest.(check bool) (label ^ " names the event") true
+          (String.length e > 7 && String.sub e 0 7 = "events["))
+    [ ("delivery dst outside the graph", tamper di "dst" n);
+      ("delivery port past the arity", tamper di "port"
+         (Array.length (Graph.node g dst).Graph.inputs));
+      ("delivery src not the producer", tamper di "src"
+         ((int_of "src" d + 1) mod n));
+      ("acknowledge to a cell that is not the producer", tamper ai "dst"
+         ((int_of "dst" a + 1) mod n)) ];
+  (* the engine refuses what the decoder would *)
+  let bad =
+    Array.map
+      (fun (t, ev) ->
+        match ev with
+        | ME.Deliver d -> (t, ME.Deliver { d with dst = n })
+        | ev -> (t, ev))
+      sn.ME.sn_events
+  in
+  match ME.restore (ME.create_cfg cfg ~arch g ~inputs) { sn with ME.sn_events = bad } with
+  | () -> Alcotest.fail "restore accepted a delivery outside the graph"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "recovery policy spec" `Quick test_policy_spec;
@@ -457,4 +536,6 @@ let suite =
       test_generator_tail_quiesces_under_ack_loss;
     Alcotest.test_case "crash matrix: resumed run = straight run" `Quick
       test_resume_matrix;
+    Alcotest.test_case "tampered checkpoint events rejected" `Quick
+      test_tampered_events_rejected;
   ]

@@ -374,18 +374,21 @@ let test_overload_rejection () =
           let stats = Serve.Client.rpc conn P.Stats in
           check_int "stats rejections" 1 (stat stats "rejections")))
 
+(* a machine job still running when the test acts on it: about half a
+   second of hydro at size 32, preemptible at every slice boundary *)
+let long_run ?(waves = 4000) () =
+  { (P.default_run (P.Kernel { name = "hydro"; size = 32 })) with
+    P.waves;
+    engine = `Machine;
+    max_time = Some 100_000_000 }
+
 let test_cancel_and_preempt () =
   with_server ~workers:1 ~slice:2000 (fun socket ->
       let conn = Serve.Client.connect socket in
       Fun.protect
         ~finally:(fun () -> Serve.Client.close conn)
         (fun () ->
-          let long =
-            { (P.default_run (P.Kernel { name = "hydro"; size = 32 })) with
-              P.waves = 2000;
-              engine = `Machine;
-              max_time = Some 100_000_000 }
-          in
+          let long = long_run () in
           let quick =
             { (P.default_run (P.Kernel { name = "hydro"; size = 8 })) with
               P.waves = 1 }
@@ -1018,13 +1021,7 @@ let test_migrate_states () =
             (J.to_string (J.member "digest" (J.member "response" r)));
           (* a queued key: never ran here, so the request is handed back
              for resubmission and the original submitter is cancelled *)
-          let long =
-            { (P.default_run (P.Kernel { name = "hydro"; size = 32 })) with
-              P.waves = 2000;
-              engine = `Machine;
-              max_time = Some 100_000_000 }
-          in
-          let running = Serve.Client.send conn (P.Simulate long) in
+          let running = Serve.Client.send conn (P.Simulate (long_run ())) in
           let queued_run = { tiny_run with P.idem = Some "ms-queued" } in
           let queued = Serve.Client.send conn (P.Simulate queued_run) in
           Unix.sleepf 0.2;
@@ -1053,13 +1050,7 @@ let test_migrate_between_servers () =
   with_server_t ~slice:2000 ~name:"mig-src" (fun src _ ->
       with_server_t ~slice:2000 ~max_line:(8 * 1024 * 1024) ~name:"mig-dst"
         (fun dst _ ->
-          let run =
-            { (P.default_run (P.Kernel { name = "hydro"; size = 32 })) with
-              P.waves = 2000;
-              engine = `Machine;
-              max_time = Some 100_000_000;
-              idem = Some "mig-live-1" }
-          in
+          let run = { (long_run ()) with P.idem = Some "mig-live-1" } in
           let conn = Serve.Client.connect src in
           Fun.protect
             ~finally:(fun () -> Serve.Client.close conn)
@@ -1092,14 +1083,6 @@ let test_migrate_between_servers () =
                     (stat ds "cache_misses" >= 1)))))
 
 (* --- job lifecycle ------------------------------------------------------ *)
-
-(* a machine job still running when the test acts on it: about half a
-   second of hydro at size 32, preemptible at every slice boundary *)
-let long_run ?(waves = 2000) () =
-  { (P.default_run (P.Kernel { name = "hydro"; size = 32 })) with
-    P.waves;
-    engine = `Machine;
-    max_time = Some 100_000_000 }
 
 let keyed idem = { tiny_run with P.idem = Some idem }
 

@@ -4,48 +4,57 @@
 open Dfg
 open Sim
 
+module Ipq = Df_util.Ipq
+
+let pop q =
+  if Ipq.is_empty q then None
+  else
+    let prio = Ipq.peek_priority q in
+    Some (prio, Ipq.pop_payload q)
+
 let test_pqueue_basics () =
-  let q = Df_util.Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Df_util.Pqueue.is_empty q);
-  Alcotest.(check (option int)) "peek empty" None
-    (Df_util.Pqueue.peek_priority q);
-  Alcotest.(check bool) "pop empty" true (Df_util.Pqueue.pop q = None);
-  Df_util.Pqueue.push q 5 "five";
-  Df_util.Pqueue.push q 1 "one";
-  Df_util.Pqueue.push q 3 "three";
-  Alcotest.(check int) "length" 3 (Df_util.Pqueue.length q);
-  Alcotest.(check (option int)) "peek" (Some 1)
-    (Df_util.Pqueue.peek_priority q);
-  Alcotest.(check bool) "pop order" true
-    (Df_util.Pqueue.pop q = Some (1, "one"));
-  Df_util.Pqueue.clear q;
-  Alcotest.(check bool) "cleared" true (Df_util.Pqueue.is_empty q)
+  let q = Ipq.create () in
+  Alcotest.(check bool) "empty" true (Ipq.is_empty q);
+  Alcotest.(check int) "peek empty" (-1) (Ipq.peek_priority q);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Ipq.pop_payload: empty")
+    (fun () -> ignore (Ipq.pop_payload q));
+  Ipq.push q 5 50;
+  Ipq.push q 1 10;
+  Ipq.push q 3 30;
+  Alcotest.(check int) "length" 3 (Ipq.length q);
+  Alcotest.(check int) "peek" 1 (Ipq.peek_priority q);
+  Alcotest.(check int) "peek payload" 10 (Ipq.peek_payload q);
+  Alcotest.(check (option (pair int int))) "pop order" (Some (1, 10)) (pop q);
+  Ipq.drop_min q;
+  Alcotest.(check (option (pair int int))) "drop_min removed the 3" (Some (5, 50))
+    (pop q);
+  Ipq.drop_min q;
+  Alcotest.(check bool) "drop_min on empty is a no-op" true (Ipq.is_empty q);
+  Ipq.push q 2 20;
+  Ipq.clear q;
+  Alcotest.(check bool) "cleared" true (Ipq.is_empty q)
 
 let test_pqueue_duplicates () =
-  let q = Df_util.Pqueue.create () in
-  List.iter (fun x -> Df_util.Pqueue.push q 7 x) [ 1; 2; 3 ];
-  Df_util.Pqueue.push q 2 0;
-  Alcotest.(check bool) "lowest first" true
-    (Df_util.Pqueue.pop q = Some (2, 0));
-  (* the three 7s drain in some order, all with priority 7 *)
-  let drained = List.init 3 (fun _ -> Df_util.Pqueue.pop q) in
-  List.iter
-    (fun p ->
-      match p with
-      | Some (7, _) -> ()
-      | _ -> Alcotest.fail "expected priority 7")
-    drained
+  let q = Ipq.create () in
+  List.iter (fun x -> Ipq.push q 7 x) [ 1; 2; 3 ];
+  Ipq.push q 2 0;
+  Alcotest.(check (option (pair int int))) "lowest first" (Some (2, 0)) (pop q);
+  (* the three 7s drain in the order the heap layout fixes *)
+  let drained = List.init 3 (fun _ -> pop q) in
+  Alcotest.(check (list (option (pair int int)))) "equal priorities"
+    [ Some (7, 2); Some (7, 3); Some (7, 1) ] drained
 
 let test_pqueue_growth () =
-  let q = Df_util.Pqueue.create () in
+  let q = Ipq.create ~capacity:1 () in
   for i = 1000 downto 1 do
-    Df_util.Pqueue.push q i i
+    Ipq.push q i i
   done;
   let rec drain last n =
-    match Df_util.Pqueue.pop q with
+    match pop q with
     | None -> n
-    | Some (p, _) ->
+    | Some (p, x) ->
       Alcotest.(check bool) "nondecreasing" true (p >= last);
+      Alcotest.(check int) "payload travels with its priority" p x;
       drain p (n + 1)
   in
   Alcotest.(check int) "all drained" 1000 (drain min_int 0)
