@@ -7,29 +7,25 @@ let default_weight = Analysis.node_delay
 
 let no_skip _ _ = false
 
-(* All arcs as (src, slot, dst, port, weight of src under [weight]). *)
+(* All arcs as (src, dst, weight of src under [weight]). *)
 let arcs_of ?(weight = default_weight) ?(skip = no_skip) g =
   Graph.fold_nodes g ~init:[] ~f:(fun acc n ->
       let w = weight n in
-      let _, acc =
-        Array.fold_left
-          (fun (slot, acc) dests ->
-            ( slot + 1,
-              List.fold_left
-                (fun acc { Graph.ep_node; ep_port } ->
-                  if skip n.Graph.id ep_node then acc
-                  else (n.Graph.id, slot, ep_node, ep_port, w) :: acc)
-                acc dests ))
-          (0, acc) n.Graph.dests
-      in
-      acc)
+      Array.fold_left
+        (fun acc dests ->
+          List.fold_left
+            (fun acc { Graph.ep_node; _ } ->
+              if skip n.Graph.id ep_node then acc
+              else (n.Graph.id, ep_node, w) :: acc)
+            acc dests)
+        acc n.Graph.dests)
   |> List.rev
 
 (* Topological order over a filtered arc list; None when a cycle remains. *)
 let topo_of_arcs n arcs =
   let indeg = Array.make n 0 and succ = Array.make n [] in
   List.iter
-    (fun (u, _, v, _, w) ->
+    (fun (u, v, w) ->
       indeg.(v) <- indeg.(v) + 1;
       succ.(u) <- (v, w) :: succ.(u))
     arcs;
@@ -65,20 +61,18 @@ let naive_levels ?weight g =
   naive_levels_arcs (Graph.node_count g) (arcs_of ?weight g)
 
 let is_feasible ?weight g levels =
-  List.for_all
-    (fun (u, _, v, _, w) -> levels.(v) - levels.(u) >= w)
-    (arcs_of ?weight g)
+  List.for_all (fun (u, v, w) -> levels.(v) - levels.(u) >= w) (arcs_of ?weight g)
 
 let buffer_cost ?weight g levels =
   List.fold_left
-    (fun acc (u, _, v, _, w) -> acc + (levels.(v) - levels.(u) - w))
+    (fun acc (u, v, w) -> acc + (levels.(v) - levels.(u) - w))
     0 (arcs_of ?weight g)
 
 let reduce_levels_arcs n arcs levels =
   let levels = Array.copy levels in
   let in_arcs = Array.make n [] and out_arcs = Array.make n [] in
   List.iter
-    (fun (u, _, v, _, w) ->
+    (fun (u, v, w) ->
       in_arcs.(v) <- (u, w) :: in_arcs.(v);
       out_arcs.(u) <- (v, w) :: out_arcs.(u))
     arcs;
@@ -122,29 +116,33 @@ let reduce_levels_arcs n arcs levels =
 let reduce_levels ?weight g levels =
   reduce_levels_arcs (Graph.node_count g) (arcs_of ?weight g) levels
 
-let big_capacity_arcs n arcs = (4 * List.length arcs) + n + 16
+(* Optimal balancing as the LP dual of min-cost flow; see
+   docs/THEORY.md §3.  The primal is  min Σ c_v l_v  s.t.  l_v - l_u >= w
+   with c_v = indeg - outdeg; the dual is an exact-balance transshipment
+   with per-arc reward w.  Its cells' arcs cost -w, with a capacity above
+   the total supply, which bounds the flow on any one arc. *)
+let cell_network n arcs =
+  let net = Mincost_flow.create (n + 2) in
+  let capacity = (4 * List.length arcs) + n + 16 in
+  List.iter
+    (fun (u, v, w) ->
+      ignore (Mincost_flow.add_arc net ~src:u ~dst:v ~capacity ~cost:(-w)))
+    arcs;
+  net
 
-(* Optimal balancing as the LP dual of min-cost flow; see DESIGN.md and
-   the .mli.  The primal is  min Σ c_v l_v  s.t.  l_v - l_u >= w_e  with
-   c_v = indeg - outdeg; the dual is an exact-balance transshipment with
-   per-arc reward w_e, solved as min-cost max-flow; the optimal primal
-   levels are recovered from the residual-network potentials. *)
+(* The reference solve: successive shortest paths from a source feeding
+   every cell with supply to a sink draining every cell with demand. *)
 let solve_flow_arcs n arcs =
   (match topo_of_arcs n arcs with
   | None -> raise Cyclic
   | Some _ -> ());
-  let net = Mincost_flow.create (n + 2) in
+  let net = cell_network n arcs in
   let source = n and sink = n + 1 in
   let c = Array.make n 0 in
   List.iter
-    (fun (u, _, v, _, _) ->
+    (fun (u, v, _) ->
       c.(v) <- c.(v) + 1;
       c.(u) <- c.(u) - 1)
-    arcs;
-  let cap = big_capacity_arcs n arcs in
-  List.iter
-    (fun (u, _, v, _, w) ->
-      ignore (Mincost_flow.add_arc net ~src:u ~dst:v ~capacity:cap ~cost:(-w)))
     arcs;
   let supply_total = ref 0 in
   Array.iteri
@@ -162,10 +160,28 @@ let solve_flow_arcs n arcs =
   let solution = Mincost_flow.min_cost_max_flow net ~source ~sink in
   if solution.Mincost_flow.flow <> !supply_total then
     failwith "Balancer: dual transshipment infeasible (graph bug)";
-  (net, solution)
+  solution
 
+(* Network simplex from the longest-path levels finds an optimal flow;
+   the levels are then read off that flow's residual network as
+   potentials, a Bellman-Ford from 0 at every cell.  Those do not depend
+   on which optimal flow was found (docs/THEORY.md §3), so they are the
+   levels the reference solve gives too.  The reference's source and
+   sink arcs are left out: an optimal flow saturates them, so they add
+   no residual arc between cells and change no cell's potential. *)
 let optimal_levels_arcs n arcs =
-  let net, _solution = solve_flow_arcs n arcs in
+  let start = naive_levels_arcs n arcs in
+  let m = List.length arcs in
+  let src = Array.make m 0 and dst = Array.make m 0 and weight = Array.make m 0 in
+  List.iteri
+    (fun a (u, v, w) ->
+      src.(a) <- u;
+      dst.(a) <- v;
+      weight.(a) <- w)
+    arcs;
+  let flow = Mcf.Network_simplex.optimal_flow ~src ~dst ~weight start in
+  let net = cell_network n arcs in
+  Array.iteri (Mincost_flow.set_flow net) flow;
   match Mincost_flow.potentials net with
   | None -> failwith "Balancer: negative cycle in optimal residual network"
   | Some pi ->
@@ -181,8 +197,8 @@ let optimal_levels ?weight g =
 
 let dual_lower_bound ?weight g =
   let arcs = arcs_of ?weight g in
-  let _net, solution = solve_flow_arcs (Graph.node_count g) arcs in
-  let weight_sum = List.fold_left (fun acc (_, _, _, _, w) -> acc + w) 0 arcs in
+  let solution = solve_flow_arcs (Graph.node_count g) arcs in
+  let weight_sum = List.fold_left (fun acc (_, _, w) -> acc + w) 0 arcs in
   -solution.Mincost_flow.cost - weight_sum
 
 let insert_buffers ?(weight = default_weight) ?(skip = no_skip)
@@ -190,7 +206,7 @@ let insert_buffers ?(weight = default_weight) ?(skip = no_skip)
   if
     not
       (List.for_all
-         (fun (u, _, v, _, w) -> levels.(v) - levels.(u) >= w)
+         (fun (u, v, w) -> levels.(v) - levels.(u) >= w)
          (arcs_of ~weight ~skip g))
   then invalid_arg "Balancer.insert_buffers: infeasible level assignment";
   let ng = Graph.create () in
@@ -313,12 +329,12 @@ let phase_balance ?(strategy = `Optimal) ~shift g =
      are satisfied by construction) *)
   let contracted =
     List.filter_map
-      (fun (u, slot, v, port, w) ->
+      (fun (u, v, w) ->
         if info.self_timed u v then None
         else
           let cu = info.var_of.(u) and cv = info.var_of.(v) in
           if cu = cv then None
-          else Some (cu, slot, cv, port, w + info.delta.(u) - info.delta.(v)))
+          else Some (cu, cv, w + info.delta.(u) - info.delta.(v)))
       (arcs_of ~weight g)
   in
   let var_levels =

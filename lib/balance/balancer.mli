@@ -21,7 +21,11 @@ open Dfg
       feasible assignment ("an algorithm which can effectively reduce the
       buffering in many cases");
     - {!optimal_levels} — minimum total buffering, solved exactly as the
-      LP dual of a min-cost flow problem. *)
+      LP dual of a min-cost flow problem: network simplex
+      ({!Mcf.Network_simplex}) finds an optimal flow, and the levels are
+      its residual network's potentials ({!Mcf.Mincost_flow.potentials}).
+      {!dual_lower_bound} solves the same flow problem independently, by
+      successive shortest paths, as the reference. *)
 
 exception Cyclic
 (** Raised when the graph has feedback cycles (balance for-iter loops with
@@ -38,8 +42,16 @@ val reduce_levels :
     Input is any feasible assignment; result is feasible and no worse. *)
 
 val optimal_levels : ?weight:(Graph.node -> int) -> Graph.t -> int array
-(** Minimum-total-slack levels via min-cost flow (exact optimum).
-    @raise Cyclic *)
+(** Minimum-total-slack levels (exact optimum): network simplex from
+    {!naive_levels}, then the greatest optimal dual below 0 read off its
+    flow, which is the same for every optimal flow (docs/THEORY.md §3),
+    so the levels do not depend on the solver.  @raise Cyclic *)
+
+val optimal_levels_arcs : int -> (int * int * int) list -> int array
+(** The solve behind {!optimal_levels} and [`Optimal] {!phase_balance},
+    on nodes [0 .. n-1] and arcs [(src, dst, weight)], each asking
+    [level dst - level src >= weight]; parallel arcs and negative weights
+    are allowed.  @raise Cyclic when the arcs contain a cycle. *)
 
 val is_feasible : ?weight:(Graph.node -> int) -> Graph.t -> int array -> bool
 (** Every arc satisfies the level constraint. *)
@@ -79,6 +91,9 @@ val phase_balance :
 
 val dual_lower_bound : ?weight:(Graph.node -> int) -> Graph.t -> int
 (** The min-cost-flow dual objective: a certified lower bound on the
-    buffer stages any balancing needs.  Equals
-    [buffer_cost g (optimal_levels g)] by strong duality — asserted in
-    the test suite. @raise Cyclic *)
+    buffer stages any balancing needs.  It is the independent reference
+    for {!optimal_levels}: a different algorithm (successive shortest
+    paths, {!Mcf.Mincost_flow.min_cost_max_flow}) on the same
+    transshipment.  Equals [buffer_cost g (optimal_levels g)] by strong
+    duality — asserted in the test suite and by experiment E10.
+    @raise Cyclic *)

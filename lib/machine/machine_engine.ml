@@ -493,15 +493,11 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
   let watchdog = cfg.Run_config.watchdog in
   let recovery = cfg.Run_config.recovery in
   let integrity = cfg.Run_config.integrity in
-  (match Graph.validate g with
-  | Ok () -> ()
-  | Error es ->
-    invalid_arg ("Machine_engine.run: invalid graph:\n" ^ String.concat "\n" es));
   (match watchdog with
   | Some k when k <= 0 -> invalid_arg "Machine_engine.run: watchdog window <= 0"
   | _ -> ());
   let recovery = Option.map check_recovery recovery in
-  let a = Arena.build g in
+  let a = Arena.build g (* validates [g] *) in
   let st = Run_state.create ~who:"Machine_engine.run" a ~inputs in
   let n = max a.Arena.n 1 and n_ports = max a.Arena.n_ports 1 in
   (* block boundaries: producers feeding an Output cell *)

@@ -46,6 +46,15 @@ let flow_on t id =
     invalid_arg "Mincost_flow.flow_on: bad arc id";
   t.cap.((2 * id) + 1)
 
+let set_flow t id f =
+  if id < 0 || id >= t.arc_count / 2 then
+    invalid_arg "Mincost_flow.set_flow: bad arc id";
+  let capacity = t.cap.(2 * id) + t.cap.((2 * id) + 1) in
+  if f < 0 || f > capacity then
+    invalid_arg "Mincost_flow.set_flow: flow outside [0, capacity]";
+  t.cap.(2 * id) <- capacity - f;
+  t.cap.((2 * id) + 1) <- f
+
 (* Bellman-Ford over the residual network, relaxing the arcs in storage
    order until nothing moves; false if a pass still moves after [n]. *)
 let bf_relax_all t dist =

@@ -4,9 +4,18 @@
     programming dual of the min-cost flow problem" (Section 8,
     conclusion 3).
 
-    Primal-dual: one Bellman-Ford ({!potentials}) gives starting node
-    potentials, so negative arc costs are accepted as long as the network
-    has no negative cycle (a DAG-derived network never does).  Flow is
+    Since balancing's optimal flow comes from {!Network_simplex}, this
+    module has two roles there.  {!potentials} is the canonicalizer: it
+    reads the optimal levels off the residual network of any optimal
+    flow (set with {!set_flow}).  {!min_cost_max_flow} is the reference:
+    a different algorithm for the same transshipment, behind
+    [Balancer.dual_lower_bound], which experiment E10 and the tier-1
+    properties compare with the network-simplex optimum.
+
+    {!min_cost_max_flow} is primal-dual: one Bellman-Ford ({!potentials})
+    gives starting node potentials, so negative arc costs are accepted as
+    long as the network has no negative cycle (a DAG-derived network
+    never does).  Flow is
     then pushed by depth-first search along arcs of zero reduced cost;
     when no such path reaches the sink, the potentials of the nodes the
     search reached are lowered by the least reduced cost leaving them.
@@ -34,6 +43,11 @@ val min_cost_max_flow : t -> source:int -> sink:int -> solution
 
 val flow_on : t -> int -> int
 (** Flow currently assigned to an arc id. *)
+
+val set_flow : t -> int -> int -> unit
+(** [set_flow t id f] assigns flow [f] to an arc id, so that
+    {!potentials} can read the optimal duals off a flow another solver
+    found. @raise Invalid_argument unless [0 <= f <= capacity]. *)
 
 val residual_shortest_distances : t -> root:int -> int array option
 (** Bellman-Ford distances from [root] in the residual network of the

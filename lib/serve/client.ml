@@ -15,7 +15,7 @@ exception Injected of string
 
 type t = {
   fd : Unix.file_descr;
-  rbuf : Buffer.t;
+  lines : Line_reader.t;
   mutable stash : (int * J.t) list;
   mutable next_id : int;
   conn : int;  (* connection ordinal: netfault keying *)
@@ -62,7 +62,7 @@ let connect ?(retries = 50) ?(delay = 0.1) ?deadline ?netfault ?(conn = 0)
       raise e
   in
   { fd = go 0;
-    rbuf = Buffer.create 4096;
+    lines = Line_reader.create ();
     stash = [];
     next_id = 1;
     conn;
@@ -135,31 +135,20 @@ let read_line ?limit t =
       in
       sel ()
   in
-  let rec line_of start =
-    let data = Buffer.contents t.rbuf in
-    match String.index_from_opt data start '\n' with
-    | Some nl ->
-      let line = String.sub data 0 nl in
-      Buffer.clear t.rbuf;
-      Buffer.add_substring t.rbuf data (nl + 1) (String.length data - nl - 1);
-      line
+  let rec line () =
+    match Line_reader.next t.lines with
+    | Some l -> l
     | None ->
       wait_readable ();
-      let chunk = Bytes.create 4096 in
-      let n =
-        let rec rd () =
-          match Unix.read t.fd chunk 0 4096 with
-          | n -> n
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> rd ()
-        in
-        rd ()
+      let rec rd () =
+        match Line_reader.read t.lines t.fd with
+        | n -> n
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> rd ()
       in
-      if n = 0 then raise End_of_file;
-      let resume = String.length data in
-      Buffer.add_subbytes t.rbuf chunk 0 n;
-      line_of resume
+      if rd () = 0 then raise End_of_file;
+      line ()
   in
-  line_of 0
+  line ()
 
 let limit_of t =
   Option.map (fun d -> Unix.gettimeofday () +. d) t.deadline

@@ -205,7 +205,7 @@ type job_result =
 type client = {
   fd : Unix.file_descr;
   cid : int;
-  rbuf : Buffer.t;  (* partial request line *)
+  lines : Line_reader.t;  (* request framing *)
   wbuf : Buffer.t;  (* response bytes the socket has not accepted yet *)
   mutable wstart : float;  (* when wbuf last went nonempty / progressed *)
   mutable last_read : float;
@@ -1245,34 +1245,25 @@ let handle_line t c line =
   end
 
 let handle_readable t c =
-  let buf = Bytes.create 4096 in
-  match Unix.read c.fd buf 0 4096 with
+  match Line_reader.read c.lines c.fd with
   | exception
       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | exception Unix.Unix_error _ -> close_client t c
   | 0 -> close_client t c
-  | n ->
+  | _ ->
     c.last_read <- Unix.gettimeofday ();
-    Buffer.add_subbytes c.rbuf buf 0 n;
-    (* consume complete lines, keep the partial tail *)
-    let data = Buffer.contents c.rbuf in
-    Buffer.clear c.rbuf;
-    let over = Printf.sprintf "request line exceeds %d bytes" t.cfg.max_line in
-    let rec consume start =
-      match String.index_from_opt data start '\n' with
-      | None ->
-        let rem = String.length data - start in
-        if rem > t.cfg.max_line then reject_malformed t c over
-        else Buffer.add_substring c.rbuf data start rem
-      | Some nl ->
-        if nl - start > t.cfg.max_line then reject_malformed t c over
-        else begin
-          handle_line t c (String.sub data start (nl - start));
-          if not c.closed then consume (nl + 1)
-        end
+    let rec consume () =
+      match Line_reader.next c.lines with
+      | None -> ()
+      | Some line ->
+        handle_line t c line;
+        if not c.closed then consume ()
+      | exception Line_reader.Too_long ->
+        reject_malformed t c
+          (Printf.sprintf "request line exceeds %d bytes" t.cfg.max_line)
     in
-    consume 0
+    consume ()
 
 let accept_client t lfd =
   match Unix.accept lfd with
@@ -1285,7 +1276,7 @@ let accept_client t lfd =
     let c =
       { fd;
         cid;
-        rbuf = Buffer.create 256;
+        lines = Line_reader.create ~max_line:t.cfg.max_line ();
         wbuf = Buffer.create 256;
         wstart = now;
         last_read = now;

@@ -48,14 +48,10 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
   let fault = cfg.Run_config.fault in
   let sanitizer = cfg.Run_config.sanitizer in
   let watchdog = cfg.Run_config.watchdog in
-  (match Graph.validate g with
-  | Ok () -> ()
-  | Error es ->
-    invalid_arg ("Engine.run: invalid graph:\n" ^ String.concat "\n" es));
   (match watchdog with
   | Some k when k <= 0 -> invalid_arg "Engine.run: watchdog window <= 0"
   | _ -> ());
-  let a = Arena.build g in
+  let a = Arena.build g (* validates [g] *) in
   let n = a.Arena.n in
   let ops = a.Arena.ops in
   let labels = a.Arena.labels in

@@ -28,7 +28,12 @@ let keywords =
     "sqrt"; "abs"; "exp"; "ln"; "sin"; "cos";
   ]
 
-let is_keyword s = List.mem s keywords
+let keyword_table =
+  let t = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
+  t
+
+let is_keyword s = Hashtbl.mem keyword_table s
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
@@ -38,73 +43,73 @@ let is_digit c = c >= '0' && c <= '9'
 
 type cursor = {
   src : string;
+  len : int;
   mutable pos : int;
   mutable line : int;
   mutable col : int;
 }
 
+(* Past the end, [peek] reads an end sentinel: NUL, which no token,
+   blank or comment test accepts, so the character loops stop there
+   without an option per character.  Where a NUL in the source must be
+   told apart from the end (the top-level loop, comments), [at_end]
+   does it. *)
+let sentinel = '\000'
+
+let at_end cur = cur.pos >= cur.len
+
 let peek cur =
-  if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
+  if cur.pos < cur.len then String.unsafe_get cur.src cur.pos else sentinel
 
 let peek2 cur =
-  if cur.pos + 1 < String.length cur.src then Some cur.src.[cur.pos + 1]
-  else None
+  if cur.pos + 1 < cur.len then String.unsafe_get cur.src (cur.pos + 1)
+  else sentinel
 
 let advance cur =
-  (match peek cur with
-  | Some '\n' ->
-    cur.line <- cur.line + 1;
-    cur.col <- 1
-  | Some _ -> cur.col <- cur.col + 1
-  | None -> ());
+  (if cur.pos < cur.len then
+     if String.unsafe_get cur.src cur.pos = '\n' then begin
+       cur.line <- cur.line + 1;
+       cur.col <- 1
+     end
+     else cur.col <- cur.col + 1);
   cur.pos <- cur.pos + 1
 
 let rec skip_blank_and_comments cur =
   match peek cur with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  | ' ' | '\t' | '\r' | '\n' ->
     advance cur;
     skip_blank_and_comments cur
-  | Some '%' ->
-    let rec to_eol () =
-      match peek cur with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance cur;
-        to_eol ()
-    in
-    to_eol ();
+  | '%' ->
+    while (not (at_end cur)) && peek cur <> '\n' do
+      advance cur
+    done;
     skip_blank_and_comments cur
-  | Some _ | None -> ()
+  | _ -> ()
+
+let skip_digits cur =
+  while is_digit (peek cur) do
+    advance cur
+  done
 
 let lex_number cur =
   let line = cur.line and col = cur.col in
   let start = cur.pos in
-  while (match peek cur with Some c -> is_digit c | None -> false) do
-    advance cur
-  done;
-  let is_real =
-    (* A '.' makes it real, but ".." would be a range operator (unused in
-       this subset) so only a dot NOT followed by another dot counts. *)
-    match (peek cur, peek2 cur) with
-    | Some '.', Some '.' -> false
-    | Some '.', _ -> true
-    | _ -> false
-  in
+  skip_digits cur;
+  (* A '.' makes it real, but ".." would be a range operator (unused in
+     this subset) so only a dot NOT followed by another dot counts. *)
+  let is_real = peek cur = '.' && peek2 cur <> '.' in
   if is_real then begin
     advance cur;
-    while (match peek cur with Some c -> is_digit c | None -> false) do
-      advance cur
-    done;
+    skip_digits cur;
     (* optional exponent *)
-    (match (peek cur, peek2 cur) with
-    | Some ('e' | 'E'), Some c when is_digit c || c = '+' || c = '-' ->
-      advance cur;
-      (match peek cur with
-      | Some ('+' | '-') -> advance cur
-      | _ -> ());
-      while (match peek cur with Some c -> is_digit c | None -> false) do
-        advance cur
-      done
+    (match peek cur with
+    | 'e' | 'E' ->
+      let c = peek2 cur in
+      if is_digit c || c = '+' || c = '-' then begin
+        advance cur;
+        (match peek cur with '+' | '-' -> advance cur | _ -> ());
+        skip_digits cur
+      end
     | _ -> ());
     let text = String.sub cur.src start (cur.pos - start) in
     match float_of_string_opt text with
@@ -121,13 +126,14 @@ let lex_number cur =
 let lex_ident cur =
   let line = cur.line and col = cur.col in
   let start = cur.pos in
-  while (match peek cur with Some c -> is_ident_char c | None -> false) do
+  while is_ident_char (peek cur) do
     advance cur
   done;
   let text = String.sub cur.src start (cur.pos - start) in
   let tok = if is_keyword text then KW text else IDENT text in
   { tok; line; col }
 
+(* Called only before the end of the source. *)
 let lex_symbol cur =
   let line = cur.line and col = cur.col in
   let simple tok =
@@ -140,48 +146,36 @@ let lex_symbol cur =
     { tok; line; col }
   in
   match peek cur with
-  | Some '(' -> simple LPAREN
-  | Some ')' -> simple RPAREN
-  | Some '[' -> simple LBRACKET
-  | Some ']' -> simple RBRACKET
-  | Some ',' -> simple COMMA
-  | Some ';' -> simple SEMI
-  | Some ':' -> (
-    match peek2 cur with
-    | Some '=' -> two_char ASSIGN
-    | _ -> simple COLON)
-  | Some '+' -> simple PLUS
-  | Some '-' -> simple MINUS
-  | Some '*' -> simple STAR
-  | Some '/' -> simple SLASH
-  | Some '<' -> (
-    match peek2 cur with
-    | Some '=' -> two_char LE
-    | _ -> simple LT)
-  | Some '>' -> (
-    match peek2 cur with
-    | Some '=' -> two_char GE
-    | _ -> simple GT)
-  | Some '=' -> simple EQ
-  | Some '~' -> (
-    match peek2 cur with
-    | Some '=' -> two_char NE
-    | _ -> simple TILDE)
-  | Some '&' -> simple AMP
-  | Some '|' -> simple BAR
-  | Some c ->
-    raise (Lex_error (Printf.sprintf "illegal character %C" c, line, col))
-  | None -> { tok = EOF; line; col }
+  | '(' -> simple LPAREN
+  | ')' -> simple RPAREN
+  | '[' -> simple LBRACKET
+  | ']' -> simple RBRACKET
+  | ',' -> simple COMMA
+  | ';' -> simple SEMI
+  | ':' -> if peek2 cur = '=' then two_char ASSIGN else simple COLON
+  | '+' -> simple PLUS
+  | '-' -> simple MINUS
+  | '*' -> simple STAR
+  | '/' -> simple SLASH
+  | '<' -> if peek2 cur = '=' then two_char LE else simple LT
+  | '>' -> if peek2 cur = '=' then two_char GE else simple GT
+  | '=' -> simple EQ
+  | '~' -> if peek2 cur = '=' then two_char NE else simple TILDE
+  | '&' -> simple AMP
+  | '|' -> simple BAR
+  | c -> raise (Lex_error (Printf.sprintf "illegal character %C" c, line, col))
 
 let tokenize src =
-  let cur = { src; pos = 0; line = 1; col = 1 } in
+  let cur = { src; len = String.length src; pos = 0; line = 1; col = 1 } in
   let rec loop acc =
     skip_blank_and_comments cur;
-    match peek cur with
-    | None -> List.rev ({ tok = EOF; line = cur.line; col = cur.col } :: acc)
-    | Some c when is_digit c -> loop (lex_number cur :: acc)
-    | Some c when is_ident_start c -> loop (lex_ident cur :: acc)
-    | Some _ -> loop (lex_symbol cur :: acc)
+    if at_end cur then
+      List.rev ({ tok = EOF; line = cur.line; col = cur.col } :: acc)
+    else
+      let c = peek cur in
+      if is_digit c then loop (lex_number cur :: acc)
+      else if is_ident_start c then loop (lex_ident cur :: acc)
+      else loop (lex_symbol cur :: acc)
   in
   loop []
 

@@ -53,6 +53,40 @@ let test_pinned () =
   if got <> expected then
     Alcotest.failf "compiled graphs changed; this build produces %S" got
 
+(* 20 larger DAGs, 30-60 layers of width 8-20, with gate shifts of 0-2
+   drawn from a seeded generator: enough pivots and tied slacks per
+   solve that a change of solver which moved a single FIFO would show. *)
+let large_dags () =
+  List.init 20 (fun i ->
+      let seed = 5000 + i in
+      let rng = Random.State.make [| seed |] in
+      let layers = 30 + Random.State.int rng 31
+      and width = 8 + Random.State.int rng 13 in
+      let g = Test_balance.random_dag ~seed ~layers ~width in
+      let shifts =
+        Array.init (Graph.node_count g) (fun _ -> Random.State.int rng 3)
+      in
+      (g, fun id -> shifts.(id)))
+
+let large_digest () =
+  let b = Buffer.create (1 lsl 22) in
+  let add g = Buffer.add_string b (Text.to_string g) in
+  List.iter
+    (fun (g, shift) ->
+      add (B.balance ~strategy:`Optimal g);
+      add (B.phase_balance ~shift g))
+    (large_dags ());
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let large_expected = "5d51fc5a01b005d6c97abc1a6b4be13b"
+
+let test_large_pinned () =
+  let got = large_digest () in
+  if got <> large_expected then
+    Alcotest.failf "balanced large DAGs changed; this build produces %S" got
+
 let suite =
   [ Alcotest.test_case "kernels and balanced DAGs match recorded digest"
-      `Quick test_pinned ]
+      `Quick test_pinned;
+    Alcotest.test_case "large balanced DAGs match recorded digest" `Quick
+      test_large_pinned ]

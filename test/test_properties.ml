@@ -528,6 +528,107 @@ let prop_balancer_duality =
       in
       optimal = Balance.Balancer.dual_lower_bound g && optimal <= naive)
 
+(* Balancing LPs given straight as arc sets [(src, dst, weight)] on
+   nodes 0..n-1: weights -3..5, so equal slacks tie often; parallel arcs
+   common at small n; sparse enough that several components and isolated
+   nodes are the norm.  [acyclic] orients every arc low -> high and drops
+   self-loops; otherwise arcs keep their drawn direction. *)
+let arb_arc_lp =
+  QCheck.(
+    pair (int_range 1 40)
+      (list_of_size Gen.(0 -- 120)
+         (triple small_nat small_nat (int_range (-3) 5))))
+
+let lp_arcs ~acyclic (n, raw) =
+  List.filter_map
+    (fun (a, b, w) ->
+      let u = a mod n and v = b mod n in
+      if not acyclic then Some (u, v, w)
+      else if u = v then None
+      else Some (min u v, max u v, w))
+    raw
+
+(* The reference levels, by the other algorithm: the dual transshipment
+   (node balance indegree - outdegree, arc cost -weight) solved by
+   successive shortest paths, then the potentials of its residual
+   network; with the flow's cost. *)
+let reference_levels n arcs =
+  let module M = Mcf.Mincost_flow in
+  let net = M.create (n + 2) and source = n and sink = n + 1 in
+  (* more than any arc can carry: the total supply is at most the arc count *)
+  let capacity = List.length arcs + 1 in
+  List.iter
+    (fun (u, v, w) -> ignore (M.add_arc net ~src:u ~dst:v ~capacity ~cost:(-w)))
+    arcs;
+  let balance = Array.make n 0 in
+  List.iter
+    (fun (u, v, _) ->
+      balance.(v) <- balance.(v) + 1;
+      balance.(u) <- balance.(u) - 1)
+    arcs;
+  Array.iteri
+    (fun v b ->
+      if b > 0 then ignore (M.add_arc net ~src:v ~dst:sink ~capacity:b ~cost:0)
+      else if b < 0 then
+        ignore (M.add_arc net ~src:source ~dst:v ~capacity:(-b) ~cost:0))
+    balance;
+  let solution = M.min_cost_max_flow net ~source ~sink in
+  match M.potentials net with
+  | None -> QCheck.Test.fail_report "reference flow leaves a negative cycle"
+  | Some pi ->
+    let levels = Array.init n (fun v -> -pi.(v)) in
+    let lowest = Array.fold_left min 0 levels in
+    (Array.map (fun l -> l - lowest) levels, solution.M.cost)
+
+let show_levels levels =
+  String.concat " " (Array.to_list (Array.map string_of_int levels))
+
+let prop_optimal_levels_reference =
+  QCheck.Test.make ~count:300 ~long_factor:50
+    ~name:"optimal levels on arc sets = shortest-path reference" arb_arc_lp
+    (fun ((n, _) as lp) ->
+      let arcs = lp_arcs ~acyclic:true lp in
+      let levels = Balance.Balancer.optimal_levels_arcs n arcs in
+      let expected, flow_cost = reference_levels n arcs in
+      if levels <> expected then
+        QCheck.Test.fail_reportf "levels %s, reference %s" (show_levels levels)
+          (show_levels expected);
+      List.iter
+        (fun (u, v, w) ->
+          if levels.(v) - levels.(u) < w then
+            QCheck.Test.fail_reportf "arc %d -> %d (weight %d) infeasible" u v w)
+        arcs;
+      (* buffer cost = dual lower bound *)
+      let buffers =
+        List.fold_left (fun acc (u, v, w) -> acc + levels.(v) - levels.(u) - w) 0 arcs
+      and weights = List.fold_left (fun acc (_, _, w) -> acc + w) 0 arcs in
+      buffers = -flow_cost - weights)
+
+(* Cycle detection by colouring, independent of the balancer's. *)
+let has_cycle n arcs =
+  let succ = Array.make n [] and colour = Array.make n 0 in
+  List.iter (fun (u, v, _) -> succ.(u) <- v :: succ.(u)) arcs;
+  let rec visit u =
+    colour.(u) <- 1;
+    let back =
+      List.exists (fun v -> colour.(v) = 1 || (colour.(v) = 0 && visit v)) succ.(u)
+    in
+    colour.(u) <- 2;
+    back
+  in
+  List.exists (fun u -> colour.(u) = 0 && visit u) (List.init n Fun.id)
+
+let prop_cyclic_arc_sets =
+  QCheck.Test.make ~count:300 ~long_factor:20
+    ~name:"optimal levels raise Cyclic exactly on cyclic arc sets" arb_arc_lp
+    (fun ((n, _) as lp) ->
+      let arcs = lp_arcs ~acyclic:false lp in
+      match Balance.Balancer.optimal_levels_arcs n arcs with
+      | levels ->
+        (not (has_cycle n arcs))
+        && List.for_all (fun (u, v, w) -> levels.(v) - levels.(u) >= w) arcs
+      | exception Balance.Balancer.Cyclic -> has_cycle n arcs)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -544,4 +645,6 @@ let suite =
       prop_companion_associative;
       prop_mcf_certificate;
       prop_balancer_duality;
+      prop_optimal_levels_reference;
+      prop_cyclic_arc_sets;
     ]

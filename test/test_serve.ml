@@ -1383,6 +1383,87 @@ let test_job_of_run () =
        (Serve.Server.job_of_run { run with P.recovery = Some "every=x" }
           compiled))
 
+(* Line framing: feed [text] in chunks of the given sizes (cycled),
+   taking every line the reader can frame after each chunk; the lines
+   and whether [Too_long] stopped it. *)
+let frame ?max_line text sizes =
+  let r = Serve.Line_reader.create ?max_line () in
+  let b = Bytes.of_string text and lines = ref [] in
+  let rec drain () =
+    match Serve.Line_reader.next r with
+    | Some l ->
+      lines := l :: !lines;
+      drain ()
+    | None -> ()
+  in
+  let rec go off = function
+    | [] -> go off sizes
+    | k :: ks ->
+      if off < Bytes.length b then begin
+        let len = min k (Bytes.length b - off) in
+        Serve.Line_reader.feed r b off len;
+        drain ();
+        go (off + len) ks
+      end
+  in
+  match go 0 sizes with
+  | () -> (List.rev !lines, false)
+  | exception Serve.Line_reader.Too_long -> (List.rev !lines, true)
+
+let test_line_chunking () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300
+       ~name:"any chunking frames the same lines"
+       QCheck.(
+         triple
+           (list (string_gen_of_size Gen.(0 -- 40) Gen.(oneofl [ 'a'; 'b'; '\n' ])))
+           (list_of_size Gen.(1 -- 8) (int_range 1 50))
+           (int_range 0 30))
+       (fun (pieces, sizes, max_line) ->
+         let text = String.concat "" pieces in
+         let complete, partial =
+           match List.rev (String.split_on_char '\n' text) with
+           | partial :: rev_lines -> (List.rev rev_lines, partial)
+           | [] -> assert false
+         in
+         (* unbounded: every complete line, whatever the chunking *)
+         frame text sizes = (complete, false)
+         && frame text [ max_int ] = (complete, false)
+         &&
+         (* bounded: the lines up to the first too long one, which
+            stops the reader (a partial tail counts too) *)
+         let rec upto = function
+           | l :: ls when String.length l <= max_line -> l :: upto ls
+           | _ -> []
+         in
+         let ok = upto complete in
+         let stopped =
+           List.length ok < List.length complete
+           || String.length partial > max_line
+         in
+         frame ~max_line text sizes = (ok, stopped)))
+
+let test_long_line_linear () =
+  let size = 64 * 1024 * 1024 in
+  let line = Bytes.make (size + 1) 'x' in
+  Bytes.set line size '\n';
+  let r = Serve.Line_reader.create () in
+  let t0 = Unix.gettimeofday () in
+  let rec go off =
+    if off <= size then begin
+      Serve.Line_reader.feed r line off (min 4096 (size + 1 - off));
+      match Serve.Line_reader.next r with
+      | Some l -> l
+      | None -> go (off + 4096)
+    end
+    else Alcotest.fail "no line framed"
+  in
+  let l = go 0 in
+  let took = Unix.gettimeofday () -. t0 in
+  check_int "the whole line" size (String.length l);
+  if took > 5.0 then
+    Alcotest.failf "a 64 MiB line took %.1f s to frame in 4 KiB chunks" took
+
 let suite =
   [
     Alcotest.test_case "protocol: request wire round-trip" `Quick
@@ -1446,4 +1527,8 @@ let suite =
       `Quick test_cancel_queued_twin;
     Alcotest.test_case "server: every migrate caller is answered" `Quick
       test_migrate_twice;
+    Alcotest.test_case "line reader: any chunking frames the same lines"
+      `Quick test_line_chunking;
+    Alcotest.test_case "line reader: a 64 MiB line frames in linear time"
+      `Quick test_long_line_linear;
   ]
