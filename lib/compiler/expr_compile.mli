@@ -84,8 +84,3 @@ val materialize : block_ctx -> rval -> int
 (** Turn an rval into a stream node: streams pass through (inserting an
     [Id] when the producer is tapped on a non-zero slot); constants become
     a constant-operand T-gate paced by an always-true control source. *)
-
-val add_sinks_to_open_slots : Graph.t -> unit
-(** Attach a [Sink] to every output slot that has no destination (switch
-    slots whose arm never uses the operand — the paper's "discarded so
-    they do not cause jams"). *)
