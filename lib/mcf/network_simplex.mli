@@ -25,8 +25,9 @@ val optimal_flow :
     transshipment, one entry per arc: non-negative, [Σ in - Σ out =
     indegree - outdegree] at every node, and positive only on arcs that
     [levels] leaves tight.  [levels] is updated in place to an optimal
-    assignment.  Terminates on every input (smallest-index pivoting, see
-    the implementation).
+    assignment.  Terminates on every input: the most negative cut value
+    leaves, and a long run of degenerate pivots falls back to
+    smallest-index pivoting (see the implementation).
     @raise Invalid_argument if the arrays disagree in length, an
     endpoint is out of range, an arc is a self-loop or [levels] is
     infeasible. *)
