@@ -33,6 +33,19 @@ type compiled = {
 val wave_size : C.array_shape -> int
 (** Packets per wave of a stream with this shape. *)
 
+val compile_graph :
+  ?options:options ->
+  Graph.t ->
+  shifts:(int, int) Hashtbl.t ->
+  Graph.t * (int, int) Hashtbl.t
+(** The passes after block lowering, on one frozen view of the lowered
+    graph (gate shifts keyed by its ids): prune cells that reach no
+    [Output], merge common subexpressions ([cse]), attach a [Sink] to
+    each open slot, phase-balance ([balance]), expand macros
+    ([expand_macros]) and validate.  Returns the graph and the shifts
+    keyed by its cell ids.
+    @raise Invalid_argument when the result does not validate *)
+
 val compile :
   ?options:options ->
   ?scalar_inputs:(string * Value.t) list ->

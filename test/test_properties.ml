@@ -629,6 +629,170 @@ let prop_cyclic_arc_sets =
         && List.for_all (fun (u, v, w) -> levels.(v) - levels.(u) >= w) arcs
       | exception Balance.Balancer.Cyclic -> has_cycle n arcs)
 
+(* ------------------------------------------------------------------ *)
+(* Compile passes on random lowered graphs                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A random lowered graph: 1-3 inputs, 4-40 cells (ADD, MULT, NEG and
+   two-slot SWITCH), 1-3 outputs.  A cell reads earlier cells, often one
+   producer on both ports (double arcs), sometimes a later cell or itself
+   through a preloaded port (rings); a quarter of the cells copy an
+   earlier cell's opcode and operands, so CSE has work.  Outputs read the
+   last third of the cells; cells on no path to one are dead.  A cell with a preloaded port has gate shift
+   -1, so merged cells share their shift and some rings are rigid. *)
+let random_lowered seed =
+  let rng = Random.State.make [| seed |] in
+  let int k = Random.State.int rng k in
+  let inputs = 1 + int 3 and cells = 4 + int 37 in
+  let total = inputs + cells in
+  let ops =
+    Array.init total (fun id ->
+        if id < inputs then Opcode.Input (Printf.sprintf "in%d" id)
+        else
+          [| Opcode.Arith Opcode.Add; Opcode.Arith Opcode.Mul; Opcode.Neg;
+             Opcode.Switch |].(int 4))
+  in
+  let srcs = Array.make total [||] in
+  for id = inputs to total - 1 do
+    if id > inputs && int 4 = 0 then begin
+      let twin = inputs + int (id - inputs) in
+      ops.(id) <- ops.(twin);
+      srcs.(id) <- srcs.(twin)
+    end
+    else
+      srcs.(id) <-
+        Array.init (Opcode.arity ops.(id)) (fun port ->
+            if port = 1 && int 3 = 0 then `Same
+            else if int 8 = 0 then `Arc (id + int (total - id), 0)
+            else if port = 1 && int 6 = 0 then `Const
+            else
+              let s = int id in
+              `Arc (s, int (Opcode.out_slots ops.(s))))
+  done;
+  let g = Graph.create () and shifts = Hashtbl.create 8 in
+  Array.iteri
+    (fun id op ->
+      let rec binding = function
+        | `Const -> Graph.In_const (Value.Real 0.5)
+        | `Same -> binding srcs.(id).(0)
+        | `Arc (s, _) when s >= id ->
+          Hashtbl.replace shifts id (-1);
+          Graph.In_arc_init (Value.Int 1)
+        | `Arc _ -> Graph.In_arc
+      in
+      ignore (Graph.add g ~label:(Printf.sprintf "c%d" id) op
+                (Array.map binding srcs.(id))))
+    ops;
+  Array.iteri
+    (fun id ports ->
+      Array.iteri
+        (fun port src ->
+          match (src, ports.(0)) with
+          | `Arc (s, slot), _ | `Same, `Arc (s, slot) ->
+            Graph.connect_slot g ~src:s ~slot ~dst:id ~port
+          | _ -> ())
+        ports)
+    srcs;
+  for k = 0 to int 3 do
+    let s = total - 1 - int ((cells / 3) + 1) in
+    let out =
+      Graph.add g ~label:(Printf.sprintf "out%d" k)
+        (Opcode.Output (Printf.sprintf "out%d" k)) [| Graph.In_arc |]
+    in
+    Graph.connect_slot g ~src:s ~slot:(int (Opcode.out_slots ops.(s))) ~dst:out
+      ~port:0
+  done;
+  (g, shifts)
+
+(* The labels of the cells an Output is reachable from, and the Inputs. *)
+let expected_live g =
+  let n = Graph.node_count g in
+  let live =
+    Array.init n (fun id ->
+        match (Graph.node g id).Graph.op with
+        | Opcode.Input _ | Opcode.Output _ -> true
+        | _ -> false)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Graph.iter_nodes g (fun nd ->
+        if (not live.(nd.Graph.id))
+           && Array.exists (List.exists (fun e -> live.(e.Graph.ep_node)))
+                nd.Graph.dests
+        then begin
+          live.(nd.Graph.id) <- true;
+          changed := true
+        end)
+  done;
+  List.filter_map
+    (fun id -> if live.(id) then Some (Graph.node g id).Graph.label else None)
+    (List.init n Fun.id)
+
+let prop_compile_passes =
+  QCheck.Test.make ~count:500 ~long_factor:20
+    ~name:"compile passes on random graphs with rings" QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let module PC = Compiler.Program_compile in
+      let compile options =
+        let g, shifts = random_lowered seed in
+        match PC.compile_graph ~options g ~shifts with
+        | g, _ -> g
+        | exception Invalid_argument m ->
+          QCheck.Test.fail_reportf "seed %d: %s" seed m
+      in
+      let d = { PC.default_options with PC.balance = `None } in
+      (* pruning keeps exactly the live cells, in order, plus sinks *)
+      let pruned = compile { d with PC.cse = false } in
+      let kept =
+        Graph.fold_nodes pruned ~init:[] ~f:(fun acc nd ->
+            if nd.Graph.op = Opcode.Sink then acc else nd.Graph.label :: acc)
+      in
+      if List.rev kept <> expected_live (fst (random_lowered seed)) then
+        QCheck.Test.fail_reportf "seed %d: kept cells differ from live ones" seed;
+      (* CSE leaves no two cells outside rings, not fed by a ring cell,
+         with the same opcode, operands and producers *)
+      let merged = compile d in
+      let ring = Array.make (Graph.node_count merged) (-1) in
+      List.iteri (fun k -> List.iter (fun c -> ring.(c) <- k))
+        (Analysis.cycles merged);
+      let prods = Graph.producers merged and seen = Hashtbl.create 64 in
+      Graph.iter_nodes merged (fun nd ->
+          let id = nd.Graph.id in
+          let ring_fed =
+            Array.exists (Array.exists (fun (s, _) -> ring.(s) >= 0)) prods.(id)
+          in
+          match nd.Graph.op with
+          | Opcode.Input _ | Opcode.Output _ | Opcode.Sink -> ()
+          | _ when ring.(id) >= 0 || ring_fed -> ()
+          | op ->
+            let key = (op, nd.Graph.inputs, prods.(id)) in
+            (match Hashtbl.find_opt seen key with
+            | Some other ->
+              QCheck.Test.fail_reportf "seed %d: %s#%d duplicates #%d" seed
+                nd.Graph.label id other
+            | None -> Hashtbl.add seen key id));
+      (* each strategy's levels pass the balancer's feasibility check (it
+         raises otherwise), the graph validates, and no FIFO lands on an
+         arc inside a ring *)
+      List.iter
+        (fun balance ->
+          let b = compile { PC.default_options with PC.balance } in
+          let prods = Graph.producers b in
+          Graph.iter_nodes b (fun nd ->
+              match nd.Graph.op with
+              | Opcode.Fifo _ when nd.Graph.id >= Graph.node_count merged -> (
+                let u = fst prods.(nd.Graph.id).(0).(0) in
+                match nd.Graph.dests with
+                | [| [ { Graph.ep_node = v; _ } ] |]
+                  when ring.(u) >= 0 && ring.(u) = ring.(v) ->
+                  QCheck.Test.fail_reportf "seed %d: FIFO inside ring %d" seed
+                    ring.(u)
+                | _ -> ())
+              | _ -> ()))
+        [ `Naive; `Reduced; `Optimal ];
+      true)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -647,4 +811,5 @@ let suite =
       prop_balancer_duality;
       prop_optimal_levels_reference;
       prop_cyclic_arc_sets;
+      prop_compile_passes;
     ]
