@@ -56,81 +56,59 @@ let build g =
   | Ok () -> ()
   | Error es ->
     invalid_arg ("Arena.build: invalid graph:\n" ^ String.concat "\n" es));
-  let n = Graph.node_count g in
-  let producers = Graph.producers g in
-  let ops = Array.init n (fun id -> (Graph.node g id).Graph.op) in
-  let labels = Array.init n (fun id -> (Graph.node g id).Graph.label) in
-  let port_base = Array.make (n + 1) 0 in
-  let slot_base = Array.make (n + 1) 0 in
-  for id = 0 to n - 1 do
-    port_base.(id + 1) <- port_base.(id) + Opcode.arity ops.(id);
-    slot_base.(id + 1) <- slot_base.(id) + Opcode.out_slots ops.(id)
-  done;
-  let n_ports = port_base.(n) in
-  let n_slots = slot_base.(n) in
+  let v = View.of_graph g in
+  let n = v.View.n and n_ports = v.View.port_base.(v.View.n) in
+  let n_slots = v.View.slot_base.(n) in
   let port_cell = Array.make n_ports 0 in
   let port_sub = Array.make n_ports 0 in
   let port_kind = Array.make n_ports kind_arc in
   let port_value = Array.make n_ports dummy_value in
-  let port_producer = Array.make n_ports (-1) in
-  let fanout = Array.make (max n_slots 1) 0 in
-  let dest_base = Array.make (n_slots + 1) 0 in
   for id = 0 to n - 1 do
-    let node = Graph.node g id in
     Array.iteri
       (fun k binding ->
-        let p = port_base.(id) + k in
+        let p = v.View.port_base.(id) + k in
         port_cell.(p) <- id;
         port_sub.(p) <- k;
-        (match producers.(id).(k) with
-        | [| (src, _) |] -> port_producer.(p) <- src
-        | _ -> ());
         match binding with
         | Graph.In_arc -> ()
-        | Graph.In_arc_init v ->
+        | Graph.In_arc_init x ->
           port_kind.(p) <- kind_init;
-          port_value.(p) <- v
-        | Graph.In_const v ->
+          port_value.(p) <- x
+        | Graph.In_const x ->
           port_kind.(p) <- kind_const;
-          port_value.(p) <- v)
-      node.Graph.inputs;
-    Array.iteri
-      (fun s dests ->
-        fanout.(slot_base.(id) + s) <- List.length dests)
-      node.Graph.dests
+          port_value.(p) <- x)
+      (Graph.node g id).Graph.inputs
   done;
-  for s = 0 to n_slots - 1 do
-    dest_base.(s + 1) <- dest_base.(s) + fanout.(s)
-  done;
-  let dest_port = Array.make (max dest_base.(n_slots) 1) 0 in
-  for id = 0 to n - 1 do
-    let node = Graph.node g id in
-    Array.iteri
-      (fun s dests ->
-        let base = dest_base.(slot_base.(id) + s) in
-        List.iteri
-          (fun i { Graph.ep_node; ep_port } ->
-            dest_port.(base + i) <- port_base.(ep_node) + ep_port)
-          dests)
-      node.Graph.dests
+  (* the view holds a slot's destinations in connect order; the engines
+     send in Graph's list order, last connected first *)
+  let dest_port = Array.make (max v.View.dest_base.(n_slots) 1) 0 in
+  for k = 0 to n_slots - 1 do
+    let first = v.View.dest_base.(k) and last = v.View.dest_base.(k + 1) - 1 in
+    for a = first to last do
+      dest_port.(first + last - a) <-
+        v.View.port_base.(v.View.dest_cell.(a)) + v.View.dest_port.(a)
+    done
   done;
   {
     graph = g;
     n;
-    ops;
-    labels;
+    ops = Array.init n (View.op v);
+    labels = Array.init n (fun id -> (Graph.node g id).Graph.label);
     n_ports;
-    port_base;
+    port_base = v.View.port_base;
     port_cell;
     port_sub;
     port_kind;
     port_value;
-    port_producer;
+    port_producer = v.View.producer;
     n_slots;
-    slot_base;
-    dest_base;
+    slot_base = v.View.slot_base;
+    dest_base = v.View.dest_base;
     dest_port;
-    fanout;
+    fanout =
+      Array.init (max n_slots 1) (fun k ->
+          if k < n_slots then v.View.dest_base.(k + 1) - v.View.dest_base.(k)
+          else 0);
     inputs = Graph.inputs g;
     outputs = Graph.outputs g;
   }
