@@ -24,7 +24,14 @@ let pp ppf = function
   | Real f -> Format.fprintf ppf "%g" f
   | Bool b -> Format.fprintf ppf "%b" b
 
-let to_string v = Format.asprintf "%a" pp v
+(* [pp]'s bytes without Format: "%g" is C's "%.6g", which Printf and
+   Format both end in *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let to_string = function
+  | Int i -> string_of_int i
+  | Real f -> format_float "%.6g" f
+  | Bool b -> string_of_bool b
 
 let equal ?(eps = 0.) a b =
   match (a, b) with

@@ -84,7 +84,7 @@ let digest o = Integrity.digest_outputs o.outputs
 
 let stream o name =
   Df_util.Conventions.lookup_stream
-    ~who:(Printf.sprintf "Job %s" o.name)
+    ~who:("Job " ^ o.name)
     o.outputs name
 
 let output_values o name = List.map snd (stream o name)
@@ -118,10 +118,10 @@ let metrics_of_sim (result : Sim.Engine.result) =
   List.iter
     (fun (name, arrivals) ->
       incr m
-        (Printf.sprintf "sim.output.%s.packets" name)
+        ("sim.output." ^ name ^ ".packets")
         ~by:(List.length arrivals);
       set m
-        (Printf.sprintf "sim.output.%s.interval" name)
+        ("sim.output." ^ name ^ ".interval")
         (Sim.Metrics.output_interval result name))
     result.Sim.Engine.outputs;
   m
@@ -149,13 +149,15 @@ let metrics_of_machine (r : ME.result) =
   set m "machine.am_fraction" (ME.am_fraction s);
   Array.iteri
     (fun i d ->
-      incr m (Printf.sprintf "machine.pe.%02d.dispatches" i) ~by:d;
+      (* "%02d" *)
+      let pe = if i < 10 then "0" ^ string_of_int i else string_of_int i in
+      incr m ("machine.pe." ^ pe ^ ".dispatches") ~by:d;
       observe m "machine.pe_occupancy" (float_of_int d))
     s.ME.pe_dispatches;
   List.iter
     (fun (name, arrivals) ->
       incr m
-        (Printf.sprintf "machine.output.%s.packets" name)
+        ("machine.output." ^ name ^ ".packets")
         ~by:(List.length arrivals))
     r.ME.outputs;
   m

@@ -56,9 +56,5 @@ val reason_name : reason -> string
 val blocked_line : blocked -> string
 (** One-line rendering of a blocked cell ("label#id holds …; awaits …"). *)
 
-val to_strings : t -> string list
-(** One line per blocked cell, in the style of the old [stuck] strings
-    (the CLI output path). *)
-
 val to_string : t -> string
 (** Multi-line rendering: header, blocked cells, cycle if any. *)

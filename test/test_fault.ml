@@ -245,6 +245,123 @@ let test_stall_report_cycle () =
      in
      has 0)
 
+(* The stall report as it was rendered with Printf: the references
+   [SR.blocked_line] and [SR.to_string] must match byte for byte. *)
+let reference_blocked_line (b : SR.blocked) =
+  let parts = ref [] in
+  let add fmt = Printf.ksprintf (fun s -> parts := s :: !parts) fmt in
+  if b.SR.b_held <> [] then
+    add "holds %s"
+      (String.concat ","
+         (List.map
+            (fun (port, v) -> Printf.sprintf "port%d=%s" port v)
+            b.SR.b_held));
+  if b.SR.b_queue_len > 0 then add "fifo(%d items)" b.SR.b_queue_len;
+  if b.SR.b_pending_inputs > 0 then
+    add "%d unsent inputs" b.SR.b_pending_inputs;
+  if b.SR.b_missing <> [] then
+    add "awaits port%s %s"
+      (if List.length b.SR.b_missing > 1 then "s" else "")
+      (String.concat "," (List.map string_of_int b.SR.b_missing));
+  if b.SR.b_pending_acks > 0 then add "owed %d ack(s)" b.SR.b_pending_acks;
+  Printf.sprintf "%s#%d %s" b.SR.b_label b.SR.b_node
+    (String.concat "; " (List.rev !parts))
+
+let reference_stall_to_string (t : SR.t) =
+  let header =
+    Printf.sprintf "stall (%s) at t=%d: %d blocked cell(s)"
+      (SR.reason_name t.SR.sr_reason) t.SR.sr_time
+      (List.length t.SR.sr_blocked)
+  in
+  let dead =
+    match t.SR.sr_dead_pes with
+    | [] -> []
+    | pes ->
+      [ Printf.sprintf "dead PE(s): %s (cells hosted there can never fire)"
+          (String.concat "," (List.map string_of_int pes)) ]
+  in
+  let cycle =
+    match t.SR.sr_cycle with
+    | None -> []
+    | Some ids ->
+      [ Printf.sprintf "wait-for cycle: %s"
+          (String.concat " -> "
+             (List.map (fun id -> Printf.sprintf "#%d" id)
+                (ids @ [ List.hd ids ]))) ]
+  in
+  String.concat "\n"
+    ((header
+     :: List.map (fun b -> "  " ^ reference_blocked_line b) t.SR.sr_blocked)
+    @ dead @ cycle)
+  ^ "\n"
+
+let check_stall_rendering label sr =
+  Alcotest.(check string) label (reference_stall_to_string sr) (SR.to_string sr);
+  List.iter
+    (fun b ->
+      Alcotest.(check string) (label ^ ": blocked line")
+        (reference_blocked_line b) (SR.blocked_line b))
+    sr.SR.sr_blocked
+
+let test_stall_rendering_oracle () =
+  let runs = ref 0 and dead = ref 0 in
+  List.iter
+    (fun (k : Kernels.kernel) ->
+      let _, cp =
+        Compiler.Driver.compile_source ~scalar_inputs:k.Kernels.scalar_inputs
+          (k.Kernels.source 16)
+      in
+      let g = cp.Compiler.Program_compile.cp_graph in
+      let inputs =
+        Compiler.Driver.feeds ~waves:1 cp (Kernels.seeded_inputs k 16)
+      in
+      let reports =
+        [ (Engine.run_cfg Run_config.default g ~inputs).Engine.stuck;
+          (ME.run_cfg ME.default_config ~arch:Machine.Arch.default g ~inputs)
+            .ME.stall;
+          (* a PE that fail-stops with no recovery leaves dead PEs *)
+          (ME.run_cfg
+             Run_config.(
+               ME.default_config
+               |> with_fault
+                    (FP.make
+                       (Result.get_ok
+                          (FP.of_string "seed=3,crash-pe=1,crash-at=20"))))
+             ~arch:Machine.Arch.default g ~inputs)
+            .ME.stall ]
+      in
+      List.iter
+        (Option.iter (fun sr ->
+             incr runs;
+             if sr.SR.sr_dead_pes <> [] then incr dead;
+             check_stall_rendering k.Kernels.name sr))
+        reports)
+    Kernels.all;
+  Alcotest.(check bool) "one-wave runs end in stall reports" true (!runs >= 16);
+  Alcotest.(check bool) "crashed runs report dead PEs" true (!dead > 0);
+  (* every part of a blocked line, dead PEs and a wait-for cycle *)
+  let cell node label ~held ~missing ~acks ~queued ~unsent =
+    { SR.b_node = node; b_label = label; b_op = "ID"; b_missing = missing;
+      b_held = held; b_pending_acks = acks; b_queue_len = queued;
+      b_pending_inputs = unsent }
+  in
+  let blocked =
+    [ cell 4 "a" ~held:[ (0, "1.5"); (2, "true") ] ~missing:[ 1; 3 ] ~acks:2
+        ~queued:3 ~unsent:7;
+      cell 5 "b" ~held:[] ~missing:[ 0 ] ~acks:1 ~queued:0 ~unsent:0;
+      cell 6 "c" ~held:[ (1, "-7") ] ~missing:[] ~acks:0 ~queued:0 ~unsent:0;
+      cell 12 "d" ~held:[] ~missing:[] ~acks:0 ~queued:0 ~unsent:0 ]
+  in
+  let sr =
+    SR.make ~dead_pes:[ 0; 3 ] ~time:77 ~reason:SR.No_progress ~blocked
+      ~edges:[ (4, 5); (5, 6); (6, 4); (12, 4) ] ()
+  in
+  Alcotest.(check bool) "the report has a cycle" true (sr.SR.sr_cycle <> None);
+  check_stall_rendering "dead PEs and a cycle" sr;
+  check_stall_rendering "max-time, no cycle"
+    (SR.make ~time:1 ~reason:SR.Max_time_exhausted ~blocked:[ List.hd blocked ]
+       ~edges:[] ())
+
 let spec_gen =
   let open QCheck.Gen in
   (* probabilities on a 1/20 grid keep the generator simple; %.17g
@@ -411,4 +528,6 @@ let suite =
       test_am_fraction_nan;
     Alcotest.test_case "kernels latency-insensitive under delay faults"
       `Quick test_kernels_latency_insensitive;
+    Alcotest.test_case "stall report rendering = Printf reference" `Quick
+      test_stall_rendering_oracle;
   ]

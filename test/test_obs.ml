@@ -284,6 +284,18 @@ let finite_float_gen =
                9007199254740993.0; 1.2345678901234567 ]) ]
     |> map (fun f -> if Float.is_nan f || Float.abs f = infinity then 0.5 else f))
 
+(* Strings of arbitrary bytes (almost all need an escape) and strings
+   of bytes that need none, which the reader takes as one substring. *)
+let string_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, string_of char);
+        (1,
+         string_of
+           (map
+              (fun c -> if c = '"' || c = '\\' || c < ' ' then 'x' else c)
+              char)) ])
+
 let json_gen =
   let open QCheck.Gen in
   let scalar =
@@ -292,7 +304,7 @@ let json_gen =
         (2, map (fun b -> Obs.Json.Bool b) bool);
         (4, map (fun i -> Obs.Json.Int i) int);
         (4, map (fun f -> Obs.Json.Float f) finite_float_gen);
-        (4, map (fun s -> Obs.Json.String s) string) ]
+        (4, map (fun s -> Obs.Json.String s) string_gen) ]
   in
   sized_size (int_bound 4)
     (fix (fun self depth ->
@@ -304,12 +316,95 @@ let json_gen =
                      (list_size (int_bound 4) (self (depth - 1))));
                (1, map (fun kvs -> Obs.Json.Obj kvs)
                      (list_size (int_bound 4)
-                        (pair string (self (depth - 1))))) ]))
+                        (pair string_gen (self (depth - 1))))) ]))
+
+(* The writer as it was before it lost the format interpreter: the
+   reference [Obs.Json.to_string] must match byte for byte. *)
+let reference_json_to_string j =
+  let open Obs.Json in
+  let buf = Buffer.create 256 in
+  let add_escaped s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+  in
+  let rec go = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float f ->
+      if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
+        Buffer.add_string buf "null"
+      else if Float.is_integer f && Float.abs f < 1e15 then
+        Buffer.add_string buf (Printf.sprintf "%.1f" f)
+      else
+        let s = Printf.sprintf "%.12g" f in
+        let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+        let s =
+          if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+          else s ^ ".0"
+        in
+        Buffer.add_string buf s
+    | String s ->
+      Buffer.add_char buf '"';
+      add_escaped s;
+      Buffer.add_char buf '"'
+    | List xs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          go x)
+        xs;
+      Buffer.add_char buf ']'
+    | Obj kvs ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '"';
+          add_escaped k;
+          Buffer.add_string buf "\":";
+          go v)
+        kvs;
+      Buffer.add_char buf '}'
+  in
+  go j;
+  Buffer.contents buf
+
+let writes_as_reference j =
+  String.equal (reference_json_to_string j) (Obs.Json.to_string j)
+
+let test_json_writer_oracle () =
+  let every_byte = String.init 256 Char.chr in
+  List.iter
+    (fun j ->
+      Alcotest.(check string)
+        "to_string = reference writer" (reference_json_to_string j)
+        (Obs.Json.to_string j))
+    [ Obs.Json.String every_byte;
+      Obs.Json.Obj [ (every_byte, Obs.Json.String every_byte) ];
+      Obs.Json.List
+        (List.init 256 (fun c -> Obs.Json.String (String.make 3 (Char.chr c))));
+      Obs.Json.List
+        (List.map
+           (fun f -> Obs.Json.Float f)
+           [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 1e15;
+             1e15 -. 1.0; -1e15; 0.1; 4.9e-324; max_float; 1e22 ]) ]
 
 let prop_tests =
   let count = 500 in
   [ QCheck.Test.make ~count ~name:"string round-trip (escapes, control chars)"
-      QCheck.string
+      (QCheck.make ~print:(Printf.sprintf "%S") string_gen)
       (fun s -> roundtrips (Obs.Json.String s));
     QCheck.Test.make ~count ~name:"int round-trip (full range)"
       QCheck.(frequency [ (4, int); (1, oneofl [ min_int; max_int; 0; -1 ]) ])
@@ -319,7 +414,10 @@ let prop_tests =
       (fun f -> roundtrips (Obs.Json.Float f));
     QCheck.Test.make ~count:200 ~name:"nested document round-trip"
       (QCheck.make ~print:Obs.Json.to_string json_gen)
-      roundtrips ]
+      roundtrips;
+    QCheck.Test.make ~count ~name:"json writer on documents = reference"
+      (QCheck.make ~print:Obs.Json.to_string json_gen)
+      writes_as_reference ]
 
 let test_json_corner_cases () =
   let open Obs.Json in
@@ -385,5 +483,7 @@ let suite =
       test_interval_tiny_samples;
     Alcotest.test_case "json wire-format corner cases" `Quick
       test_json_corner_cases;
+    Alcotest.test_case "json writer on every byte = reference" `Quick
+      test_json_writer_oracle;
   ]
   @ List.map QCheck_alcotest.to_alcotest prop_tests

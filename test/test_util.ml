@@ -117,6 +117,31 @@ let test_value_helpers () =
   | _ -> Alcotest.fail "expected Type_clash"
   | exception Value.Type_clash _ -> ()
 
+(* [Value.to_string] renders without Format; [Value.pp] is the Format
+   printer it must match byte for byte. *)
+let test_value_to_string_oracle () =
+  let check v =
+    Alcotest.(check string)
+      "to_string = Format %a pp"
+      (Format.asprintf "%a" Value.pp v)
+      (Value.to_string v)
+  in
+  List.iter
+    (fun f -> check (Value.Real f))
+    [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0;
+      4.9e-324; -4.9e-324; 2.2250738585072009e-308; min_float; max_float;
+      1e-5; 123456.; 1234567.; 0.1; 1.0 /. 3.0; -2.5; 1e15; 1e22 ];
+  let st = Random.State.make [| 20261019 |] in
+  for _ = 1 to 20_000 do
+    check (Value.Real (Int64.float_of_bits (Random.State.int64 st Int64.max_int)));
+    check
+      (Value.Real
+         (-.Int64.float_of_bits (Random.State.int64 st Int64.max_int)));
+    check (Value.Int (Random.State.bits st - (1 lsl 29)))
+  done;
+  List.iter (fun i -> check (Value.Int i)) [ 0; -1; min_int; max_int ];
+  List.iter (fun b -> check (Value.Bool b)) [ true; false ]
+
 let test_timeline () =
   let g = Graph.create () in
   let a = Graph.add g (Opcode.Input "a") [||] in
@@ -155,4 +180,6 @@ let suite =
     Alcotest.test_case "value helpers" `Quick test_value_helpers;
     Alcotest.test_case "timeline rendering" `Quick test_timeline;
     Alcotest.test_case "metrics edge cases" `Quick test_metrics_edge_cases;
+    Alcotest.test_case "value to_string matches its Format printer" `Quick
+      test_value_to_string_oracle;
   ]
