@@ -270,7 +270,7 @@ let run (flags : Run_flags.t) path input_files no_check report load
           Exec.Job.inputs =
             D.feeds ~waves:r.Serve.Protocol.waves compiled waves }
     in
-    let (Exec.Job.Graph_program g) = job.Exec.Job.program in
+    let g = Exec.Job.graph job in
     let inputs = job.Exec.Job.inputs in
     let tracer = tracer_for trace_out in
     let cfg = Run_config.with_tracer tracer (Exec.Job.run_config job) in

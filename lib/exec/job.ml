@@ -3,7 +3,7 @@ module ME = Machine.Machine_engine
 
 type engine = Sim | Machine of Machine.Arch.t
 
-type program = Graph_program of Graph.t
+type program = Graph_program of Graph.t | Arena_program of Arena.t
 
 type t = {
   name : string;
@@ -18,21 +18,30 @@ let make ?(name = "job") ?(engine = Sim) ?(config = Run_config.default)
     ?(sanitize = false) program ~inputs =
   { name; engine; program; inputs; config; sanitize }
 
+let graph job =
+  match job.program with
+  | Graph_program g -> g
+  | Arena_program a -> a.Arena.graph
+
+let arena job =
+  match job.program with
+  | Graph_program g -> Arena.build g
+  | Arena_program a -> a
+
 let run_config job =
-  let (Graph_program g) = job.program in
   if job.sanitize then
-    Run_config.with_sanitizer (Fault.Sanitizer.create g) job.config
+    Run_config.with_sanitizer (Fault.Sanitizer.create (graph job)) job.config
   else job.config
 
 let run job =
-  let (Graph_program g) = job.program in
   let cfg = run_config job in
+  let a = arena job in
   match job.engine with
   | Sim ->
-    Outcome.of_sim ~name:job.name (Sim.Engine.run_cfg cfg g ~inputs:job.inputs)
+    Outcome.of_sim ~name:job.name (Sim.Engine.run_arena cfg a ~inputs:job.inputs)
   | Machine arch ->
     Outcome.of_machine ~name:job.name
-      (ME.run_cfg cfg ~arch g ~inputs:job.inputs)
+      (ME.run_arena cfg ~arch a ~inputs:job.inputs)
 
 let run_all ?jobs ts = Pool.map_result ?jobs run ts
 

@@ -21,6 +21,11 @@ type engine =
 type program =
   | Graph_program of Graph.t
       (** run this graph as-is; [inputs] must cover its Input cells *)
+  | Arena_program of Arena.t
+      (** run this arena, lowered beforehand by {!Arena.build} (once
+          per program: dfserve keeps one per compiled-program cache
+          entry); the same run as [Graph_program arena.graph] without
+          the lowering *)
 
 type t = {
   name : string;  (** label for reports and error messages *)
@@ -42,6 +47,13 @@ val make :
   t
 (** Defaults: [engine = Sim], [config = Run_config.default],
     [sanitize = false], [name = "job"]. *)
+
+val graph : t -> Graph.t
+(** The program's graph (an arena's own [graph]). *)
+
+val arena : t -> Arena.t
+(** The arena the job runs on: a [Graph_program] is lowered here, an
+    [Arena_program]'s is returned as it is. *)
 
 val run_config : t -> Run_config.t
 (** The configuration one run of the job uses: [config], plus a fresh

@@ -485,7 +485,7 @@ let default_max_time = 30_000_000
 
 let default_config = Run_config.(default |> with_max_time default_max_time)
 
-let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
+let create_arena (cfg : Run_config.t) ~(arch : Arch.t) (a : Arena.t) ~inputs =
   let max_time = cfg.Run_config.max_time in
   let tracer = cfg.Run_config.tracer in
   let fault = cfg.Run_config.fault in
@@ -497,7 +497,6 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
   | Some k when k <= 0 -> invalid_arg "Machine_engine.run: watchdog window <= 0"
   | _ -> ());
   let recovery = Option.map check_recovery recovery in
-  let a = Arena.build g (* validates [g] *) in
   let st = Run_state.create ~who:"Machine_engine.run" a ~inputs in
   let n = max a.Arena.n 1 and n_ports = max a.Arena.n_ports 1 in
   (* block boundaries: producers feeding an Output cell *)
@@ -591,6 +590,8 @@ let create_cfg (cfg : Run_config.t) ~(arch : Arch.t) g ~inputs =
     if rollback_pending m then m.rollback <- Some (state m));
   mark_all m;
   m
+
+let create_cfg cfg ~arch g ~inputs = create_arena cfg ~arch (Arena.build g) ~inputs
 
 (* ------------------------------------------------------------------ *)
 (* the event loop                                                     *)
@@ -1352,10 +1353,12 @@ let result m =
     recoveries = m.recoveries;
   }
 
-let run_cfg cfg ~(arch : Arch.t) g ~inputs =
-  let m = create_cfg cfg ~arch g ~inputs in
+let run_arena cfg ~arch a ~inputs =
+  let m = create_arena cfg ~arch a ~inputs in
   advance m ~until:max_int;
   result m
+
+let run_cfg cfg ~arch g ~inputs = run_arena cfg ~arch (Arena.build g) ~inputs
 
 let am_fraction (stats : stats) =
   (* same class of bug as the PR 1 initiation_interval fix: an empty run

@@ -30,6 +30,8 @@ open Dfg
     {!advance} runs it (to completion or a pause point), {!snapshot} /
     {!restore} capture and reinstate its complete state, and {!result}
     reads the outcome.  {!run_cfg} is the one-shot composition of these.
+    {!create_arena} and {!run_arena} do the same on an arena lowered
+    beforehand, which any number of machines can share.
 
     It runs on the {!Arena} lowering and keeps the run state both
     engines share in the {!Run_state} layout: operand slots per port,
@@ -218,6 +220,16 @@ val create_cfg :
     @raise Invalid_argument on invalid graphs, missing or unknown input
     streams, or a malformed [recovery] policy. *)
 
+val create_arena :
+  Run_config.t ->
+  arch:Arch.t ->
+  Arena.t ->
+  inputs:(string * Value.t list) list ->
+  t
+(** {!create_cfg} on an arena built beforehand: [create_cfg cfg ~arch g
+    ~inputs] is [create_arena cfg ~arch (Arena.build g) ~inputs].  The
+    arena is only read. *)
+
 val advance : t -> until:int -> unit
 (** Run the event loop, stopping when the machine {!finished} (clean
     drain, [max_time], watchdog, fatal sanitizer breach) or when the
@@ -300,6 +312,14 @@ val run_cfg :
     only as wrong output values ({!Fault_diff} diagnoses this case).
     @raise Invalid_argument on invalid graphs or missing or unknown
     input streams *)
+
+val run_arena :
+  Run_config.t ->
+  arch:Arch.t ->
+  Arena.t ->
+  inputs:(string * Value.t list) list ->
+  result
+(** {!run_cfg} on an arena built beforehand ({!create_arena}). *)
 
 val am_fraction : stats -> float
 (** Fraction of operation packets that involve the array memories:

@@ -166,6 +166,7 @@ val config_of_run :
     spec. *)
 
 val job_of_run :
+  ?arena:Arena.t ->
   Protocol.run ->
   Compiler.Program_compile.compiled ->
   (Exec.Job.t, string) result
@@ -176,7 +177,14 @@ val job_of_run :
     [compiled] must be the request's program compiled.  The server's
     admission and journal-replay paths, the selftest and [dfsim] all
     build their jobs here, so a served run and a standalone run of the
-    same request are the same job. *)
+    same request are the same job.
+
+    With [arena] — [compiled]'s graph lowered by {!Arena.build}, as a
+    cache entry keeps it — the job is an {!Exec.Job.Arena_program} and
+    runs that arena instead of lowering the graph again; without it, a
+    [Graph_program].  Both give the same run.
+    @raise Invalid_argument when [arena] was lowered from another
+    graph. *)
 
 val input_waves :
   Protocol.program ->

@@ -39,9 +39,12 @@ external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
    for [now + 1] and goes on the [next] stack (swapped wholesale into
    [cur] when time advances); only fault-delayed events need a real
    priority queue ([far]).  Intra-timestamp order is irrelevant — all
-   arrivals at [t] are applied before any firing decision at [t]. *)
+   arrivals at [t] are applied before any firing decision at [t].  At
+   most one delivery and one acknowledge per port fall due in one time
+   step, so the stacks start at [2 * n_ports] and never need to grow
+   (the growth path stays as a guard). *)
 
-let run_cfg (cfg : Run_config.t) g ~inputs =
+let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
   let max_time = cfg.Run_config.max_time in
   let record_firings = cfg.Run_config.record_firings in
   let tracer = cfg.Run_config.tracer in
@@ -51,7 +54,6 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
   (match watchdog with
   | Some k when k <= 0 -> invalid_arg "Engine.run: watchdog window <= 0"
   | _ -> ());
-  let a = Arena.build g (* validates [g] *) in
   let n = a.Arena.n in
   let ops = a.Arena.ops in
   let labels = a.Arena.labels in
@@ -76,9 +78,10 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
   let fifo_len = st.Run_state.fifo_len in
   let inflight = Array.make (max a.Arena.n_ports 1) Arena.dummy_value in
   (* ---- events ---- *)
-  let cur = ref (Array.make 1024 0) in
+  let due = max 1 (2 * a.Arena.n_ports) in
+  let cur = ref (Array.make due 0) in
   let cur_len = ref 0 in
-  let next = ref (Array.make 1024 0) in
+  let next = ref (Array.make due 0) in
   let next_len = ref 0 in
   let far = Df_util.Ipq.create () in
   let now = ref 0 in
@@ -529,6 +532,8 @@ let run_cfg (cfg : Run_config.t) g ~inputs =
     stuck;
     violations = San.violations sanitizer;
   }
+
+let run_cfg cfg g ~inputs = run_arena cfg (Arena.build g) ~inputs
 
 let stream result name =
   Df_util.Conventions.lookup_stream ~who:"Engine" result.outputs name

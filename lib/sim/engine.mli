@@ -18,10 +18,11 @@
     producers start owing one acknowledge — operand values written at
     program-load time, which is how feedback loops are primed.
 
-    The engine runs on a flat arena (see {!Arena}): the graph is lowered
-    once per run into int-indexed arrays, the run state is the
-    {!Run_state} layout the machine engine shares, events are bare ints
-    in preallocated buffers, and steady state allocates nothing.
+    The engine runs on a flat arena (see {!Arena}): {!run_cfg} lowers
+    the graph into int-indexed arrays, {!run_arena} runs an arena
+    lowered once beforehand; the run state is the {!Run_state} layout
+    the machine engine shares, events are bare ints in buffers sized
+    from the arena, and steady state allocates nothing.
     [docs/ENGINE.md] describes the layout. *)
 
 open Dfg
@@ -79,6 +80,15 @@ val run_cfg :
     [recovery] and [integrity] are machine-engine-only and ignored here.
     @raise Protocol_error on arc-capacity violations (without sanitizer)
     @raise Invalid_argument on missing/unknown input streams *)
+
+val run_arena :
+  Run_config.t ->
+  Arena.t ->
+  inputs:(string * Value.t list) list ->
+  result
+(** {!run_cfg} on an arena built beforehand: [run_cfg cfg g ~inputs] is
+    [run_arena cfg (Arena.build g) ~inputs].  An arena is immutable, so
+    one can back any number of runs, concurrent ones included. *)
 
 val output_values : result -> string -> Value.t list
 (** Values of an output stream in arrival order.

@@ -188,6 +188,35 @@ let test_lookup_errors () =
            (ME.run_cfg ME.default_config ~arch:Machine.Arch.default g ~inputs))
     ]
 
+(* ---------------- allocation ---------------- *)
+
+(* A one-wave kernel run on a prebuilt arena — a dfserve cached hit's
+   run — allocates only small blocks, in the minor heap.  Counted as
+   major minus promoted words of [Gc.counters]: the words allocated
+   straight into the major heap (every block over 256 words), which
+   a short run pays for in major collections.  Each kernel runs once
+   before the count, so one-time initialisation stays out of it. *)
+let test_no_direct_major_allocation () =
+  List.iter
+    (fun (k : K.kernel) ->
+      let _, cp =
+        Compiler.Driver.compile_source ~scalar_inputs:k.K.scalar_inputs
+          (k.K.source 16)
+      in
+      let a = Arena.build cp.PC.cp_graph in
+      let inputs = Compiler.Driver.feeds ~waves:1 cp (K.seeded_inputs k 16) in
+      let run () = Sim.Engine.run_arena Run_config.default a ~inputs in
+      ignore (run ());
+      let _, promoted0, major0 = Gc.counters () in
+      let r = run () in
+      let _, promoted1, major1 = Gc.counters () in
+      ignore (Sys.opaque_identity r);
+      let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+      if direct > 0. then
+        Alcotest.failf "%s: %.0f words allocated directly in the major heap"
+          k.K.name direct)
+    K.all
+
 let suite =
   [
     Alcotest.test_case "arena numbering invariants" `Quick
@@ -198,4 +227,6 @@ let suite =
       test_nan_conventions;
     Alcotest.test_case "lookup error paths name the candidates" `Quick
       test_lookup_errors;
+    Alcotest.test_case "one-wave runs allocate nothing in the major heap"
+      `Quick test_no_direct_major_allocation;
   ]
