@@ -49,6 +49,7 @@ val connect :
     @raise Unix.Unix_error when the retries are exhausted. *)
 
 val close : t -> unit
+(** Close the connection; closing it again does nothing. *)
 
 val send : t -> Protocol.request -> int
 (** Fire one request; returns the connection-scoped id assigned to it.
