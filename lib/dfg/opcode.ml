@@ -86,13 +86,13 @@ let name = function
   | Switch -> "SWITCH"
   | Merge -> "MERG"
   | Merge_switch -> "MERGSW"
-  | Fifo k -> Printf.sprintf "FIFO(%d)" k
-  | Bool_source s -> Printf.sprintf "CTL%s" (Ctlseq.describe s)
+  | Fifo k -> "FIFO(" ^ string_of_int k ^ ")"
+  | Bool_source s -> "CTL" ^ Ctlseq.describe s
   | Iota { lo; hi; rep } ->
-    if rep = 1 then Printf.sprintf "IOTA[%d,%d]" lo hi
-    else Printf.sprintf "IOTA[%d,%d]x%d" lo hi rep
-  | Input n -> Printf.sprintf "IN(%s)" n
-  | Output n -> Printf.sprintf "OUT(%s)" n
+    let range = "IOTA[" ^ string_of_int lo ^ "," ^ string_of_int hi ^ "]" in
+    if rep = 1 then range else range ^ "x" ^ string_of_int rep
+  | Input n -> "IN(" ^ n ^ ")"
+  | Output n -> "OUT(" ^ n ^ ")"
   | Sink -> "SINK"
 
 (** Apply a two-operand arithmetic operation with integer→real promotion
