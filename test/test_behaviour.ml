@@ -287,8 +287,67 @@ let test_checkpoints_pinned () =
   if got <> expected_checkpoints then
     Alcotest.failf "checkpoint texts changed; this build produces %S" got
 
+(* ---- graph engine stopped in flight, and its trace ---- *)
+
+(* Every kernel on the graph engine under 3 configurations, each cut off
+   at 5 time budgets: most stops leave result packets and acknowledges
+   in flight, which the stall report must not count as arrived.  Each
+   run's [sim_digest] and the Perfetto rendering of its full trace —
+   every firing, delivery, acknowledge, fault and stall event in emission
+   order — go into one digest. *)
+
+let stop_times = [ 5; 17; 40; 97; Run_config.default.Run_config.max_time ]
+
+let inflight_configs : (string * (Graph.t -> Run_config.t)) list =
+  let with_delays =
+    Run_config.with_fault (FP.make (FP.delays ~prob:0.25 ~max_delay:6 seed))
+  in
+  [ ("clean", fun _ -> Run_config.default);
+    ("delay+sanitizer",
+     fun g ->
+       Run_config.(default |> with_delays |> with_sanitizer (San.create g)));
+    ("delay+watchdog",
+     fun _ -> Run_config.(default |> with_delays |> with_watchdog 3)) ]
+
+let inflight_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  let tracer = Obs.Tracer.create ~capacity:(1 lsl 18) () in
+  List.iter
+    (fun (k : K.kernel) ->
+      let g, inputs = subject k in
+      List.iter
+        (fun (name, cfg) ->
+          List.iter
+            (fun max_time ->
+              Obs.Tracer.clear tracer;
+              let cfg =
+                Run_config.(
+                  cfg g |> with_max_time max_time |> with_tracer tracer)
+              in
+              let r = Sim.Engine.run_cfg cfg g ~inputs in
+              if Obs.Tracer.dropped tracer > 0 then
+                Alcotest.failf "%s %s t<=%d: trace overflowed" k.K.name name
+                  max_time;
+              Buffer.add_string b (sim_digest r);
+              Buffer.add_string b
+                (Obs.Perfetto.to_string (Obs.Tracer.events tracer)))
+            stop_times)
+        inflight_configs)
+    K.all;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let expected_inflight = "12cd07cd325ad1174e2fb609467122d5"
+
+let test_inflight_pinned () =
+  let got = inflight_digest () in
+  if got <> expected_inflight then
+    Alcotest.failf "stopped graph-engine runs changed; this build produces %S"
+      got
+
 let suite =
   [ Alcotest.test_case "8 kernels x 8 configurations match recorded digests"
       `Quick test_pinned;
     Alcotest.test_case "checkpoint texts at every pause match recorded digest"
-      `Quick test_checkpoints_pinned ]
+      `Quick test_checkpoints_pinned;
+    Alcotest.test_case "graph runs stopped in flight match recorded digest"
+      `Quick test_inflight_pinned ]
