@@ -344,10 +344,82 @@ let test_inflight_pinned () =
     Alcotest.failf "stopped graph-engine runs changed; this build produces %S"
       got
 
+(* ---- machine runs and their traces ---- *)
+
+(* Every kernel on the machine engine under 7 configurations, traced.
+   Each run's [machine_digest] and the Perfetto rendering of its full
+   trace — every dispatch, delivery, acknowledge, retransmission, fault,
+   corruption, checkpoint, recovery, violation and stall event in
+   emission order — go into one digest, so a change to where or when the
+   engine emits an event shows even where outputs and stats agree. *)
+
+let traced_machine_configs :
+    (string * Machine.Arch.t * (Graph.t -> Run_config.t)) list =
+  let arch = Machine.Arch.default in
+  let delays = FP.delays ~prob:0.25 ~max_delay:6 seed in
+  let rec_ = Run_config.with_recovery ME.default_recovery in
+  let with_plan spec = Run_config.with_fault (FP.make spec) in
+  let san g = Run_config.with_sanitizer (San.create g) in
+  [ ("clean", arch, fun _ -> ME.default_config);
+    ("stored", { arch with Machine.Arch.array_policy = Machine.Arch.Stored },
+     fun _ -> ME.default_config);
+    ("delay+sanitizer", arch,
+     fun g -> ME.default_config |> with_plan delays |> san g);
+    ("dup+drop-ack+recover+sanitizer", arch,
+     fun g ->
+       ME.default_config
+       |> with_plan { FP.none with FP.seed; dup_prob = 0.1; drop_ack_prob = 0.1 }
+       |> rec_ |> san g);
+    ("corrupt+integrity+recover", arch,
+     fun _ ->
+       ME.default_config
+       |> with_plan
+            { FP.none with FP.seed; corrupt_prob = 0.05; corrupt_ctl_prob = 0.05 }
+       |> rec_ |> Run_config.with_integrity true);
+    ("crash+recover", arch,
+     fun _ ->
+       ME.default_config
+       |> with_plan { delays with FP.crash_pe = 1; crash_at = 150 }
+       |> rec_);
+    ("crash no-recover", arch,
+     fun _ ->
+       ME.default_config
+       |> with_plan { FP.none with FP.seed; crash_pe = 2; crash_at = 90 }) ]
+
+let traced_machine_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  let tracer = Obs.Tracer.create ~capacity:(1 lsl 18) () in
+  List.iter
+    (fun (k : K.kernel) ->
+      let g, inputs = subject k in
+      List.iter
+        (fun (name, arch, cfg) ->
+          Obs.Tracer.clear tracer;
+          let cfg = Run_config.with_tracer tracer (cfg g) in
+          let r = ME.run_cfg cfg ~arch g ~inputs in
+          if Obs.Tracer.dropped tracer > 0 then
+            Alcotest.failf "%s %s: trace overflowed" k.K.name name;
+          Buffer.add_string b (machine_digest r);
+          Buffer.add_string b
+            (Obs.Perfetto.to_string (Obs.Tracer.events tracer)))
+        traced_machine_configs)
+    K.all;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let expected_traced_machine = "fbbc62022731c0ad111ea17652a02aa9"
+
+let test_traced_machine_pinned () =
+  let got = traced_machine_digest () in
+  if got <> expected_traced_machine then
+    Alcotest.failf "machine runs or their traces changed; this build produces %S"
+      got
+
 let suite =
   [ Alcotest.test_case "8 kernels x 8 configurations match recorded digests"
       `Quick test_pinned;
     Alcotest.test_case "checkpoint texts at every pause match recorded digest"
       `Quick test_checkpoints_pinned;
     Alcotest.test_case "graph runs stopped in flight match recorded digest"
-      `Quick test_inflight_pinned ]
+      `Quick test_inflight_pinned;
+    Alcotest.test_case "machine runs with traces match recorded digest"
+      `Quick test_traced_machine_pinned ]
