@@ -155,16 +155,23 @@ let snapshot st =
   }
 
 let restore st snap =
+  let fits src dst = Array.length src = Array.length dst in
   if
-    Array.length snap.present <> Array.length st.present
-    || Array.length snap.pending_acks <> Array.length st.pending_acks
+    not
+      (fits snap.present st.present && fits snap.value st.value
+      && fits snap.pending_acks st.pending_acks
+      && fits snap.cursor st.cursor && fits snap.fifo_buf st.fifo_buf
+      && fits snap.collected st.collected)
   then invalid_arg "Run_state.restore: snapshot is for a different graph";
+  Array.iteri
+    (fun id items ->
+      if Array.length items > Array.length st.fifo_buf.(id) then
+        invalid_arg "Run_state.restore: snapshot overfills a FIFO")
+    snap.fifo_buf;
   let blit src dst = Array.blit src 0 dst 0 (Array.length dst) in
   Array.iteri
     (fun id items ->
       let len = Array.length items in
-      if len > Array.length st.fifo_buf.(id) then
-        invalid_arg "Run_state.restore: snapshot overfills a FIFO";
       Array.blit items 0 st.fifo_buf.(id) 0 len;
       st.fifo_head.(id) <- 0;
       st.fifo_len.(id) <- len)

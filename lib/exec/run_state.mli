@@ -72,5 +72,5 @@ val snapshot : t -> t
 val restore : t -> t -> unit
 (** [restore st snap] overwrites [st] with the {!snapshot} [snap],
     keeping [st]'s streams and FIFO capacities.
-    @raise Invalid_argument if [snap] has another shape or overfills a
-    FIFO. *)
+    @raise Invalid_argument, before writing anything, if an array of
+    [snap] has another length than [st]'s or [snap] overfills a FIFO. *)

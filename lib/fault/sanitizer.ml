@@ -87,22 +87,51 @@ let snapshot = function
         sn_tripped = s.tripped;
       }
 
-let restore t snap =
+let misfit t snap =
   match (t, snap) with
-  | None, None -> ()
+  | None, None -> None
+  | Some s, Some sn -> (
+    let n = Array.length s.owed in
+    let bad_length (field, len) =
+      if len = n then None
+      else
+        Some
+          (Printf.sprintf "%s has length %d, the graph has %d cells" field len
+             n)
+    in
+    let bad_row id row =
+      let arity = Array.length s.occupied.(id) in
+      if Array.length row = arity then None
+      else
+        Some
+          (Printf.sprintf "occupied of cell %d has length %d, the cell has %d \
+                           ports"
+             id (Array.length row) arity)
+    in
+    match
+      List.find_map bad_length
+        [ ("owed", Array.length sn.sn_owed);
+          ("last_out", Array.length sn.sn_last_out);
+          ("occupied", Array.length sn.sn_occupied) ]
+    with
+    | Some _ as e -> e
+    | None -> Array.find_mapi bad_row sn.sn_occupied)
+  | None, Some _ | Some _, None ->
+    Some
+      "snapshot and sanitizer presence disagree (checkpointed run used a \
+       different --sanitize setting)"
+
+let restore t snap =
+  Option.iter (fun e -> invalid_arg ("Sanitizer.restore: " ^ e)) (misfit t snap);
+  match (t, snap) with
   | Some s, Some sn ->
-    if Array.length sn.sn_owed <> Array.length s.owed then
-      invalid_arg "Sanitizer.restore: snapshot is for a different graph";
     Array.iteri (fun i row -> s.occupied.(i) <- Array.copy row) sn.sn_occupied;
     Array.blit sn.sn_owed 0 s.owed 0 (Array.length s.owed);
     Array.blit sn.sn_last_out 0 s.last_out 0 (Array.length s.last_out);
     s.violations_rev <- List.rev sn.sn_violations;
     s.count <- sn.sn_count;
     s.tripped <- sn.sn_tripped
-  | None, Some _ | Some _, None ->
-    invalid_arg
-      "Sanitizer.restore: snapshot and sanitizer presence disagree \
-       (checkpointed run used a different --sanitize setting)"
+  | _ -> ()
 
 let tripped = function None -> false | Some s -> s.tripped
 

@@ -46,10 +46,15 @@ type snapshot = {
 val snapshot : t -> snapshot option
 (** Deep copy of the shadow state; [None] for the {!null} sanitizer. *)
 
+val misfit : t -> snapshot option -> string option
+(** Why the snapshot cannot be restored into this sanitizer — presence
+    disagrees, or an array's shape is not the graph's — or [None]. *)
+
 val restore : t -> snapshot option -> unit
 (** Overwrite the shadow state with a snapshot taken from a sanitizer of
     the same graph.
-    @raise Invalid_argument if presence or shape disagree. *)
+    @raise Invalid_argument, before writing anything, if {!misfit}
+    finds a reason. *)
 
 val tripped : t -> bool
 (** A fatal violation has been recorded; the engine must stop. *)

@@ -30,6 +30,8 @@ open Dfg
     {!advance} runs it (to completion or a pause point), {!snapshot} /
     {!restore} capture and reinstate its complete state, and {!result}
     reads the outcome.  {!run_cfg} is the one-shot composition of these.
+    {!restore} validates the whole snapshot before it writes anything,
+    so a refused one leaves the machine exactly as it was.
     {!create_arena} and {!run_arena} do the same on an arena lowered
     beforehand, which any number of machines can share.
 
@@ -250,8 +252,12 @@ val restore : t -> snapshot -> unit
     run the snapshot was taken from (same outputs, timestamps, stats,
     checkpoint and recovery counts) — also when the snapshot was taken
     before a planned crash, or after one.
-    @raise Invalid_argument on a shape mismatch, or when a queued event
-    (also in the rollback target) travels no arc of the graph. *)
+    @raise Invalid_argument, before anything is written, naming the
+    checkpoint field: when an array has another length than the
+    machine's, a FIFO holds more items than its capacity, the sanitizer
+    section does not fit the machine's sanitizer, a cell's PE lies
+    outside the arch or its cursor below 0, or a queued event (also in
+    the rollback target) travels no arc of the graph. *)
 
 val result : t -> result
 (** Read the outcome.  On a {!finished} machine this includes the stall

@@ -566,6 +566,94 @@ let test_tampered_state_rejected () =
   Alcotest.(check bool) "outputs after refused restores" true
     (straight.ME.outputs = resumed.ME.outputs)
 
+(* Every array a format-3 document carries, cut to its first entry, a
+   FIFO filled past its capacity and a reshaped or missing sanitizer
+   section each decode cleanly.  [restore] refuses each before it writes
+   anything, naming the field: the paused machine's snapshot text is
+   unchanged, and the machine then runs to the straight run's end. *)
+let test_restore_all_or_nothing () =
+  let k = List.find (fun k -> k.Kernels.name = "hydro") Kernels.all in
+  let g, inputs = kernel_feeds k ~n:8 ~waves:4 in
+  (* a sanitizer is run state: each run gets its own *)
+  let cfg () =
+    Run_config.with_sanitizer (San.create g)
+      (Run_config.with_recovery ME.default_recovery ME.default_config)
+  in
+  let arch = Machine.Arch.default in
+  let m = ME.create_cfg (cfg ()) ~arch g ~inputs in
+  ME.advance m ~until:50;
+  let text () = Obs.Json.to_string (CP.to_json ~graph:g (ME.snapshot m)) in
+  let before = text () in
+  let doc = CP.to_json ~graph:g (ME.snapshot m) in
+  let first = function
+    | Obs.Json.List (x :: _) -> Obs.Json.List [ x ]
+    | j -> Alcotest.failf "not a non-empty list: %s" (Obs.Json.to_string j)
+  in
+  let fifo, cap =
+    let a = Arena.build g in
+    let rec go id =
+      if id >= a.Arena.n then Alcotest.fail "hydro has no FIFO"
+      else
+        match a.Arena.ops.(id) with
+        | Opcode.Fifo k -> (id, max k 1)
+        | _ -> go (id + 1)
+    in
+    go 0
+  in
+  let overfill = function
+    | Obs.Json.List qs ->
+      Obs.Json.List
+        (List.mapi
+           (fun id q ->
+             if id = fifo then
+               Obs.Json.List
+                 (List.init (cap + 1) (fun _ ->
+                      Obs.Json.Obj [ ("i", Obs.Json.Int 0) ]))
+             else q)
+           qs)
+    | j -> j
+  in
+  let cut_row = function
+    | Obs.Json.List rows ->
+      Obs.Json.List
+        (List.map
+           (function Obs.Json.List (_ :: rest) -> Obs.Json.List rest | r -> r)
+           rows)
+    | j -> j
+  in
+  let cases =
+    List.map
+      (fun field -> (field, field, first))
+      [ "pe"; "acks"; "cur"; "fifo"; "col"; "ops"; "cons"; "recv"; "sent";
+        "att"; "outv"; "cpend" ]
+    @ [ ("fifo past its capacity", "fifo", overfill);
+        ("sanitizer owed", "sanitizer",
+         fun san -> map_field san "owed" first);
+        ("sanitizer occ rows", "sanitizer", fun san -> map_field san "occ" cut_row);
+        ("no sanitizer section", "sanitizer", fun _ -> Obs.Json.Null) ]
+  in
+  List.iter
+    (fun (label, field, f) ->
+      match CP.of_json ~graph:g (map_field doc field f) with
+      | Error e -> Alcotest.failf "%s: the decoder rejects it: %s" label e
+      | Ok sn -> (
+        (match ME.restore m sn with
+        | () -> Alcotest.failf "%s: restore accepted it" label
+        | exception Invalid_argument e ->
+          let named = "Machine_engine.restore: " ^ field in
+          Alcotest.(check string)
+            (label ^ " rejected, naming the field")
+            named
+            (String.sub e 0 (min (String.length e) (String.length named))));
+        Alcotest.(check string) (label ^ ": snapshot unchanged") before (text ())))
+    cases;
+  ME.advance m ~until:max_int;
+  let straight = ME.run_cfg (cfg ()) ~arch g ~inputs and resumed = ME.result m in
+  Alcotest.(check int) "end time after refused restores"
+    straight.ME.end_time resumed.ME.end_time;
+  Alcotest.(check bool) "outputs after refused restores" true
+    (straight.ME.outputs = resumed.ME.outputs)
+
 let suite =
   [
     Alcotest.test_case "recovery policy spec" `Quick test_policy_spec;
@@ -597,4 +685,6 @@ let suite =
       test_tampered_events_rejected;
     Alcotest.test_case "tampered PE, cursor and pe_dead fields rejected"
       `Quick test_tampered_state_rejected;
+    Alcotest.test_case "a refused restore writes nothing" `Quick
+      test_restore_all_or_nothing;
   ]
