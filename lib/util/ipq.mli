@@ -11,7 +11,12 @@
     the left child wins a tie between children.  The same sequence of
     pushes and pops therefore always yields the same layout and the
     same pop order, and {!to_array} / {!of_array} carry that layout
-    through a snapshot. *)
+    through a snapshot.
+
+    Internally every heap index is below the entry count, which never
+    exceeds the arrays' length, so push, pop and peek index the arrays
+    without bounds checks.  The sift rules, and hence the pop order,
+    are the same as with checked indexing. *)
 
 type t
 
