@@ -108,7 +108,7 @@ let pick_kernel ~master ~index kernels =
 
 (* the chaos watchdog starts from a higher floor than faultcheck's: the
    everything-at-once scenarios stack latency sources *)
-let watchdog_for (spec : FP.spec) (recovery : ME.recovery) =
+let watchdog_for (spec : FP.spec) (recovery : Run_config.recovery) =
   Runspec.watchdog_for ~base:200 spec (Some recovery)
   + (if spec.FP.stall_prob = 0.0 then 4 * spec.FP.stall_max else 0)
 

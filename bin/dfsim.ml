@@ -273,7 +273,7 @@ let run (flags : Run_flags.t) path input_files no_check report load
     let g = Exec.Job.graph job in
     let inputs = job.Exec.Job.inputs in
     let tracer = tracer_for trace_out in
-    let cfg = Run_config.with_tracer tracer (Exec.Job.run_config job) in
+    let cfg = Run_config.with_tracer tracer job.Exec.Job.config in
     let metrics, outputs, tracks =
       match job.Exec.Job.engine with
       | Exec.Job.Machine arch ->

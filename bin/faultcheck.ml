@@ -35,7 +35,7 @@ type config = {
   waves : int;
   spec : FP.spec;  (* seed overwritten per run *)
   machine : bool;
-  recovery : ME.recovery option;
+  recovery : Run_config.recovery option;
   integrity : bool;
   kernel_filter : string option;
 }

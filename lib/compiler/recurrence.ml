@@ -44,6 +44,7 @@ let rec inline_lets expr =
     in
     subst map (inline_lets body)
 
+(* Whether the expression references [acc[...]]. *)
 let contains_acc ~acc expr =
   let found = ref false in
   let rec go = function

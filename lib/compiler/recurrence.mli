@@ -41,5 +41,3 @@ val companion_apply :
 (** The concrete companion function [G] on coefficient pairs — used by
     tests to check associativity and by the benchmark's log-depth tree. *)
 
-val contains_acc : acc:string -> A.expr -> bool
-(** Whether the expression references [acc[...]]. *)

@@ -159,6 +159,8 @@ let expand_bool_sources g =
         Some { in_ports = [||]; out_slots = [| (out, 0) |] }
       | _ -> None)
 
+(* Replace every [Iota] index source with a counter / MOD / ADD
+   subgraph. *)
 let expand_iotas g =
   copy_with g (fun ng node ->
       match node.Graph.op with

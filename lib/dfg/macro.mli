@@ -25,9 +25,6 @@ val expand_bool_sources : Graph.t -> Graph.t
 (** Replace every cyclic [Bool_source] with an instruction subgraph.
     Finite sources are left in place (they occur only in tests). *)
 
-val expand_iotas : Graph.t -> Graph.t
-(** Replace every [Iota] index source with a counter / MOD / ADD
-    subgraph. *)
-
 val expand_all : Graph.t -> Graph.t
-(** [expand_bool_sources], [expand_iotas], then [expand_fifos]. *)
+(** [expand_bool_sources]; then every [Iota] index source replaced
+    with a counter / MOD / ADD subgraph; then [expand_fifos]. *)

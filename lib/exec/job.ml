@@ -11,12 +11,11 @@ type t = {
   program : program;
   inputs : (string * Value.t list) list;
   config : Run_config.t;
-  sanitize : bool;
 }
 
-let make ?(name = "job") ?(engine = Sim) ?(config = Run_config.default)
-    ?(sanitize = false) program ~inputs =
-  { name; engine; program; inputs; config; sanitize }
+let make ?(name = "job") ?(engine = Sim) ?(config = Run_config.default) program
+    ~inputs =
+  { name; engine; program; inputs; config }
 
 let graph job =
   match job.program with
@@ -28,22 +27,15 @@ let arena job =
   | Graph_program g -> Arena.build g
   | Arena_program a -> a
 
-let run_config job =
-  if job.sanitize then
-    Run_config.with_sanitizer (Fault.Sanitizer.create (graph job)) job.config
-  else job.config
-
 let run job =
-  let cfg = run_config job in
   let a = arena job in
   match job.engine with
   | Sim ->
-    Outcome.of_sim ~name:job.name (Sim.Engine.run_arena cfg a ~inputs:job.inputs)
+    Outcome.of_sim ~name:job.name
+      (Sim.Engine.run_arena job.config a ~inputs:job.inputs)
   | Machine arch ->
     Outcome.of_machine ~name:job.name
-      (ME.run_arena cfg ~arch a ~inputs:job.inputs)
-
-let run_all ?jobs ts = Pool.map_result ?jobs run ts
+      (ME.run_arena job.config ~arch a ~inputs:job.inputs)
 
 let output_values = Outcome.output_values
 let output_times = Outcome.output_times

@@ -2,14 +2,14 @@
 
     A [Job.t] names everything one run needs — the compiled graph, the
     engine and architecture, the input streams, and a {!Run_config.t}
-    for faults, recovery and the rest — so experiment sweeps can be
-    built as lists and handed to {!Pool} (or {!run_all}) without
+    for faults, recovery, the sanitizer and the rest — so experiment
+    sweeps can be built as lists and handed to {!Pool} without
     capturing 9-argument closures.
 
-    Stateful observers: tracers and sanitizers must not be shared
-    between concurrently-running jobs, so a job carries [sanitize :
-    bool] and builds a {e fresh} sanitizer inside the worker; any tracer
-    placed in [config] is the caller's responsibility to keep
+    A job runs its [config] as it is.  The engine builds a fresh
+    sanitizer for each run when [config.sanitize] is set, so one job
+    can run any number of times, concurrently included; a tracer placed
+    in [config] is the one sink the caller owns and must keep
     per-job. *)
 
 open Dfg
@@ -34,19 +34,17 @@ type t = {
   inputs : (string * Value.t list) list;
       (** full packet streams, e.g. from {!Compiler.Driver.feeds} *)
   config : Run_config.t;
-  sanitize : bool;  (** build a fresh sanitizer for this run *)
 }
 
 val make :
   ?name:string ->
   ?engine:engine ->
   ?config:Run_config.t ->
-  ?sanitize:bool ->
   program ->
   inputs:(string * Value.t list) list ->
   t
 (** Defaults: [engine = Sim], [config = Run_config.default],
-    [sanitize = false], [name = "job"]. *)
+    [name = "job"]. *)
 
 val graph : t -> Graph.t
 (** The program's graph (an arena's own [graph]). *)
@@ -55,20 +53,12 @@ val arena : t -> Arena.t
 (** The arena the job runs on: a [Graph_program] is lowered here, an
     [Arena_program]'s is returned as it is. *)
 
-val run_config : t -> Run_config.t
-(** The configuration one run of the job uses: [config], plus a fresh
-    sanitizer over the graph when [sanitize] is set.  Callers that
-    drive an engine themselves (a resumable machine run) start from
-    this. *)
-
 val run : t -> Outcome.t
-(** Execute one job in the calling domain (run on {!run_config},
-    collect into the engine-independent {!Outcome.t}).
+(** Execute one job in the calling domain (run on [config], collect
+    into the engine-independent {!Outcome.t}).  Callers that drive an
+    engine themselves (a resumable machine run) start from [config]
+    and {!arena} too.
     @raise Invalid_argument etc. as the underlying engines do. *)
-
-val run_all : ?jobs:int -> t list -> (Outcome.t, Pool.error) result list
-(** {!Pool.map_result} over {!run}: domain-parallel, results in
-    submission order, failures isolated per job. *)
 
 val output_values : Outcome.t -> string -> Value.t list
 val output_times : Outcome.t -> string -> int list

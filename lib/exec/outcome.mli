@@ -9,9 +9,9 @@
     need engine-specific depth (trace records, PE dispatch vectors,
     snapshots).
 
-    The metrics registries that used to live in [Runspec] are built
-    here from the same outcome ({!metrics}), so a served response and a
-    standalone run render identical metrics by construction. *)
+    The metrics registries are built here from the same outcome
+    ({!metrics}), so a served response and a standalone run render
+    identical metrics by construction. *)
 
 open Dfg
 
@@ -74,4 +74,4 @@ val metrics_of_sim : Sim.Engine.result -> Obs.Metrics_registry.t
 val metrics_of_machine :
   Machine.Machine_engine.result -> Obs.Metrics_registry.t
 (** The registry builders behind {!metrics}, exposed for callers that
-    hold a bare engine result ([Runspec] re-exports these). *)
+    hold a bare engine result. *)

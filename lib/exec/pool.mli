@@ -13,8 +13,10 @@
     the escape hatch on runtimes where spawning fails (a failed spawn
     degrades to fewer workers rather than failing the map).
 
-    Work items must not share mutable state (give each run its own
-    tracer/sanitizer; the compiler and engines keep no global state). *)
+    Work items must not share mutable state.  A {!Run_config.t} is
+    plain values apart from its tracer, so give each run its own
+    tracer; each engine run builds its own sanitizer, and the compiler
+    and engines keep no global state. *)
 
 type error = {
   index : int;  (** submission index of the failed item *)

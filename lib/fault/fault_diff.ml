@@ -130,39 +130,17 @@ let outcome ?(faulted_recoveries = 0) ?faulted_snapshot ?plan
     diagnosis = diagnose ~plan ~integrity ~graph ~faulted_outputs mismatches;
   }
 
-(* The clean run drops the faulted run's perturbation-and-diagnosis
-   machinery but keeps the time budget: it is the reference execution,
-   not a checked one. *)
-let clean_config (cfg : Run_config.t) =
-  { Run_config.default with Run_config.max_time = cfg.Run_config.max_time }
+(* The clean run is the reference execution, not a checked one, so it
+   runs on the engine's default configuration. *)
+let faulted_config ?watchdog ~plan base =
+  Run_config.(
+    base |> with_fault plan |> with_sanitize true |> with_watchdog_opt watchdog)
 
-let base_config ?cfg ?max_time ?watchdog ~default_max_time () =
-  let cfg = Option.value cfg ~default:Run_config.default in
-  let cfg =
-    match max_time with
-    | Some t -> Run_config.with_max_time t cfg
-    | None ->
-      if cfg.Run_config.max_time = Run_config.default.Run_config.max_time then
-        Run_config.with_max_time default_max_time cfg
-      else cfg
-  in
-  match watchdog with
-  | Some w -> Run_config.with_watchdog w cfg
-  | None -> cfg
-
-let sim ?cfg ?max_time ?watchdog ?(sanitize = true) ~plan g ~inputs =
-  let cfg =
-    base_config ?cfg ?max_time ?watchdog
-      ~default_max_time:Run_config.default.Run_config.max_time ()
-  in
-  let clean = Sim.Engine.run_cfg (clean_config cfg) g ~inputs in
-  let sanitizer =
-    if sanitize then Fault.Sanitizer.create g else Fault.Sanitizer.null
-  in
+let sim ?watchdog ~plan g ~inputs =
+  let clean = Sim.Engine.run_cfg Run_config.default g ~inputs in
   let faulted =
-    Sim.Engine.run_cfg
-      Run_config.(cfg |> with_fault plan |> with_sanitizer sanitizer)
-      g ~inputs
+    Sim.Engine.run_cfg (faulted_config ?watchdog ~plan Run_config.default) g
+      ~inputs
   in
   outcome ~plan ~graph:g ~clean_outputs:clean.Sim.Engine.outputs
     ~faulted_outputs:faulted.Sim.Engine.outputs
@@ -171,23 +149,13 @@ let sim ?cfg ?max_time ?watchdog ?(sanitize = true) ~plan g ~inputs =
     ~faulted_stall:faulted.Sim.Engine.stuck
     ~faulted_violations:faulted.Sim.Engine.violations ()
 
-let machine ?cfg ?max_time ?watchdog ?(sanitize = true)
-    ?(arch = Machine.Arch.default) ?recovery ?(integrity = false) ~plan g
-    ~inputs =
+let machine ?watchdog ?(arch = Machine.Arch.default) ?recovery
+    ?(integrity = false) ~plan g ~inputs =
   let module ME = Machine.Machine_engine in
-  let cfg =
-    base_config ?cfg ?max_time ?watchdog
-      ~default_max_time:ME.default_max_time ()
-  in
-  let clean =
-    ME.run_cfg (clean_config cfg) ~arch g ~inputs
-  in
-  let sanitizer =
-    if sanitize then Fault.Sanitizer.create g else Fault.Sanitizer.null
-  in
+  let clean = ME.run_cfg ME.default_config ~arch g ~inputs in
   let faulted_cfg =
     Run_config.(
-      cfg |> with_fault plan |> with_sanitizer sanitizer
+      faulted_config ?watchdog ~plan ME.default_config
       |> with_recovery_opt recovery |> with_integrity integrity)
   in
   let m = ME.create_cfg faulted_cfg ~arch g ~inputs in

@@ -52,45 +52,33 @@ type outcome = {
 
 val mismatch_to_string : mismatch -> string
 
-val compare_outputs :
-  clean:(string * Value.t list) list ->
-  faulted:(string * Value.t list) list ->
-  mismatch list
-(** Value-for-value comparison per stream (exact equality — injected
-    latency must not change a single bit). *)
-
 val sim :
-  ?cfg:Run_config.t ->
-  ?max_time:int ->
   ?watchdog:int ->
-  ?sanitize:bool ->
   plan:Fault.Fault_plan.t ->
   Graph.t ->
   inputs:(string * Value.t list) list ->
   outcome
 (** Run [g] clean and under [plan] on {!Sim.Engine} and compare output
-    streams.  [cfg] (default {!Run_config.default}) is the base
-    configuration of the {e faulted} run — the plan, a fresh sanitizer
-    when [sanitize] (default true), and the [max_time]/[watchdog]
-    overrides are layered on top of it; the clean run keeps only the
-    time budget. *)
+    streams (value for value, exact equality: injected latency must
+    not change a single bit).  The clean run uses
+    {!Run_config.default}; the faulted run adds the plan, a sanitizer
+    and the [watchdog]. *)
 
 val machine :
-  ?cfg:Run_config.t ->
-  ?max_time:int ->
   ?watchdog:int ->
-  ?sanitize:bool ->
   ?arch:Machine.Arch.t ->
-  ?recovery:Machine.Machine_engine.recovery ->
+  ?recovery:Run_config.recovery ->
   ?integrity:bool ->
   plan:Fault.Fault_plan.t ->
   Graph.t ->
   inputs:(string * Value.t list) list ->
   outcome
 (** As {!sim} on {!Machine.Machine_engine} (default
-    {!Machine.Arch.default}), which honours the full fault plan: delays,
-    duplicated packets, dropped results and acknowledges, PE stalls,
-    FU/AM slowdowns, payload corruption, and a fail-stop PE crash.
+    {!Machine.Arch.default}; both runs start from
+    {!Machine.Machine_engine.default_config}), which honours the full
+    fault plan: delays, duplicated packets, dropped results and
+    acknowledges, PE stalls, FU/AM slowdowns, payload corruption, and a
+    fail-stop PE crash.
     [recovery] attaches a checkpoint/retransmission policy to the
     {e faulted} run only — the crash differential asserts a recovered
     machine still matches the clean one value for value.  [integrity]

@@ -7,7 +7,6 @@ type state = {
   producer : int array array;
   owed : int array; (* node -> acknowledges outstanding *)
   last_out : int array; (* output node -> last arrival time *)
-  limit : int;
   mutable violations_rev : Violation.t list;
   mutable count : int;
   mutable tripped : bool;
@@ -17,8 +16,10 @@ type t = state option
 
 let null = None
 
-let create ?(limit = 64) g =
-  if limit <= 0 then invalid_arg "Sanitizer.create: limit <= 0";
+(* violations retained per run; later ones are only counted *)
+let limit = 64
+
+let create g =
   let n = Graph.node_count g in
   let producers = Graph.producers g in
   let occupied = Array.init n (fun _ -> [||]) in
@@ -54,7 +55,6 @@ let create ?(limit = 64) g =
       producer;
       owed;
       last_out = Array.make n min_int;
-      limit;
       violations_rev = [];
       count = 0;
       tripped = false;
@@ -152,7 +152,7 @@ let record s kind ~node ~port ~time detail =
       v_detail = detail;
     }
   in
-  if s.count < s.limit then s.violations_rev <- v :: s.violations_rev;
+  if s.count < limit then s.violations_rev <- v :: s.violations_rev;
   s.count <- s.count + 1;
   if Violation.fatal kind then s.tripped <- true;
   Some v

@@ -21,10 +21,12 @@ type t
 val null : t
 (** The disabled checker every engine uses by default. *)
 
-val create : ?limit:int -> Dfg.Graph.t -> t
+val create : Dfg.Graph.t -> t
 (** A checker for one run of [g].  Initial-token ports start occupied
     and their producers start owing an acknowledge, mirroring program
-    load.  At most [limit] violations are retained (default 64). *)
+    load.  At most 64 violations are retained; later ones are only
+    counted.  Both engines build one per run when
+    [Run_config.sanitize] is set. *)
 
 val enabled : t -> bool
 

@@ -54,30 +54,10 @@ type event =
   | Ack of { dst : int; from_node : int; from_port : int; seq : int }
   | Retransmit of { src : int; dst : int; port : int; seq : int }
 
-type recovery = Run_config.recovery = {
-  checkpoint_every : int;
-  retransmit_after : int;
-  retransmit_backoff : int;
-  max_retransmits : int;
-}
-
-let default_recovery = Run_config.default_recovery
-
-let check_recovery r =
-  if r.checkpoint_every < 0 then
-    invalid_arg "Machine_engine: checkpoint-every < 0";
-  if r.retransmit_after <= 0 then
-    invalid_arg "Machine_engine: retransmit-after <= 0";
-  if r.retransmit_backoff < 1 then
-    invalid_arg "Machine_engine: retransmit-backoff < 1";
-  if r.max_retransmits < 0 then
-    invalid_arg "Machine_engine: max-retransmits < 0";
-  r
-
 (* Resend delay for the given 0-based attempt: exponential backoff
    capped at 16 base timeouts so a lossy channel cannot push the next
    probe arbitrarily far out. *)
-let retry_delay r attempt =
+let retry_delay (r : Run_config.recovery) attempt =
   let cap = r.retransmit_after * 16 in
   let rec go d k = if k <= 0 || d >= cap then min d cap else go (d * r.retransmit_backoff) (k - 1) in
   go r.retransmit_after attempt
@@ -216,7 +196,7 @@ type t = {
   fault : FP.t option;
   sanitizer : San.t;
   watchdog : int option;
-  recovery : recovery option;
+  recovery : Run_config.recovery option;
   integrity : bool;
   (* Checksums are computed only where a payload can differ from what
      its producer sent, i.e. under a fault plan, or where they are
@@ -554,14 +534,13 @@ let create_arena (cfg : Run_config.t) ~(arch : Arch.t) (a : Arena.t) ~inputs =
   let max_time = cfg.Run_config.max_time in
   let tracer = cfg.Run_config.tracer in
   let fault = cfg.Run_config.fault in
-  let sanitizer = cfg.Run_config.sanitizer in
   let watchdog = cfg.Run_config.watchdog in
   let recovery = cfg.Run_config.recovery in
   let integrity = cfg.Run_config.integrity in
-  (match watchdog with
-  | Some k when k <= 0 -> invalid_arg "Machine_engine.run: watchdog window <= 0"
-  | _ -> ());
-  let recovery = Option.map check_recovery recovery in
+  (match Run_config.check cfg with Error e -> invalid_arg e | Ok () -> ());
+  let sanitizer =
+    if cfg.Run_config.sanitize then San.create a.Arena.graph else San.null
+  in
   let st = Run_state.create ~who:"Machine_engine.run" a ~inputs in
   let n = max a.Arena.n 1 and n_ports = max a.Arena.n_ports 1 in
   (* block boundaries: producers feeding an Output cell *)

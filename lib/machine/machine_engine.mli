@@ -72,7 +72,8 @@ type result = {
       [max_time] exhaustion (previously silent).  [None] on a clean
       drain. *)
   violations : Fault.Violation.t list;
-  (** Protocol breaches recorded by the [sanitizer]; empty without one. *)
+  (** Protocol breaches recorded by the run's sanitizer; empty unless
+      [Run_config.sanitize] is set. *)
   checkpoints : int;
   (** Periodic checkpoints taken (0 without a recovery policy; the
       implicit program-load snapshot is not counted). *)
@@ -108,22 +109,10 @@ type result = {
       kept, and the checkpoint clock restarts at the rollback time.
       Replay is deterministic: fault decisions are pure functions of
       (seed, time, endpoints), so the recovered run re-derives the same
-      perturbations and the outputs equal a crash-free run. *)
+      perturbations and the outputs equal a crash-free run.
 
-type recovery = Run_config.recovery = {
-  checkpoint_every : int;
-      (** instruction-times between periodic checkpoints; [0] disables
-          periodic checkpoints (the program-load snapshot remains) *)
-  retransmit_after : int;  (** timeout before the first resend *)
-  retransmit_backoff : int;  (** timeout multiplier per attempt (>= 1) *)
-  max_retransmits : int;  (** resend budget per packet *)
-}
-(** The policy record is defined in {!Run_config} (configuration is pure
-    data); this alias keeps existing code compiling unchanged. *)
-
-val default_recovery : recovery
-(** Checkpoint every 250 instruction-times, first resend after 48,
-    backoff 2x (capped at 16 base timeouts), 8 attempts. *)
+    The policy is {!Run_config.recovery}; {!Run_config.default_recovery}
+    is the usual starting point. *)
 
 type t
 (** A machine in progress. *)
@@ -220,7 +209,8 @@ val create_cfg :
     here.  See {!run_cfg} for the
     semantics of the remaining fields.
     @raise Invalid_argument on invalid graphs, missing or unknown input
-    streams, or a malformed [recovery] policy. *)
+    streams, or a configuration {!Run_config.check} refuses (with its
+    message). *)
 
 val create_arena :
   Run_config.t ->
@@ -288,16 +278,17 @@ val run_cfg :
     stalls, FU/AM slowdown, and a fail-stop PE crash.  Delay-only plans
     cannot change output values (the Kahn-network argument —
     {!Fault_diff} asserts it); [dup]/[drop]/[drop-ack]/[crash] break the
-    machine on purpose — for the [sanitizer] to catch, or for the
+    machine on purpose — for the sanitizer to catch, or for the
     [recovery] policy to survive.
 
-    [sanitizer] (default {!Fault.Sanitizer.null}) shadow-checks
-    one-token-per-arc and acknowledge conservation at every event;
-    breaches become {!result.violations} and a fatal breach halts the
-    run.  Without a sanitizer, an arc-capacity breach raises
-    [Invalid_argument] as before.  Under recovery the sanitizer sees
-    only logically-new packets (duplicates are filtered first), so a
-    successfully recovered run reports zero violations.
+    [sanitize] (default off) builds a fresh {!Fault.Sanitizer} over
+    the graph for this machine, which shadow-checks one-token-per-arc
+    and acknowledge conservation at every event; breaches become
+    {!result.violations} and a fatal breach halts the run.  Without
+    it, an arc-capacity breach raises [Invalid_argument] as before.
+    Under recovery the sanitizer sees only logically-new packets
+    (duplicates are filtered first), so a successfully recovered run
+    reports zero violations.
 
     [watchdog] stops the run and files a [No_progress] stall report if
     no cell fires for that many consecutive time units while packets are
@@ -316,8 +307,8 @@ val run_cfg :
     without [recovery], healed by retransmission with it.  With
     integrity off, corrupted payloads are accepted silently and surface
     only as wrong output values ({!Fault_diff} diagnoses this case).
-    @raise Invalid_argument on invalid graphs or missing or unknown
-    input streams *)
+    @raise Invalid_argument on invalid graphs, missing or unknown
+    input streams, or a configuration {!Run_config.check} refuses *)
 
 val run_arena :
   Run_config.t ->

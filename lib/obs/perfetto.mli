@@ -7,20 +7,14 @@
     deliver/ack/stall events become instants on the receiving track.
     Simulated instruction times are exported 1:1 as trace microseconds. *)
 
-val json_of_events :
-  ?process_name:string ->
-  ?track_names:(int * string) list ->
-  Event.t list ->
-  Json.t
-(** Build the trace document.  [track_names] names the [tid] lanes
-    (cell ids for the graph simulator, PE numbers for the machine
-    simulator); unnamed tracks show as bare thread ids. *)
-
 val to_string :
   ?process_name:string ->
   ?track_names:(int * string) list ->
   Event.t list ->
   string
+(** The trace document.  [track_names] names the [tid] lanes (cell ids
+    for the graph simulator, PE numbers for the machine simulator);
+    unnamed tracks show as bare thread ids. *)
 
 val write_file :
   path:string ->
@@ -28,6 +22,7 @@ val write_file :
   ?track_names:(int * string) list ->
   Event.t list ->
   unit
+(** {!to_string} written to [path]. *)
 
 val slice_count : Json.t -> int
 (** Number of duration slices ([ph = "X"]) in a parsed trace document —

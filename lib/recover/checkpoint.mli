@@ -27,11 +27,6 @@ val version : int
     checkpoint and recovery counters and rollback target a resumed
     crash-faulted run needs.  The file header is still [dfsnap2]. *)
 
-val graph_fingerprint : Graph.t -> int
-(** Structural digest of a graph (node ids, opcodes, labels, arities,
-    destination lists).  Two graphs with the same fingerprint are the
-    same program for checkpoint purposes. *)
-
 val to_json : graph:Graph.t -> Machine.Machine_engine.snapshot -> Obs.Json.t
 
 val of_json :

@@ -1,16 +1,6 @@
 module Checkpoint = Checkpoint
-module ME = Machine.Machine_engine
 
-type policy = ME.recovery = {
-  checkpoint_every : int;
-  retransmit_after : int;
-  retransmit_backoff : int;
-  max_retransmits : int;
-}
-
-let default = ME.default_recovery
-
-let of_string s =
+let of_string s : (Run_config.recovery, string) result =
   let parse_pair acc pair =
     match acc with
     | Error _ -> acc
@@ -24,10 +14,10 @@ let of_string s =
         | None -> Error (Printf.sprintf "%s: bad integer %S" key raw)
         | Some v -> (
           match key with
-          | "every" -> Ok { p with checkpoint_every = v }
-          | "timeout" -> Ok { p with retransmit_after = v }
-          | "backoff" -> Ok { p with retransmit_backoff = v }
-          | "retries" -> Ok { p with max_retransmits = v }
+          | "every" -> Ok { p with Run_config.checkpoint_every = v }
+          | "timeout" -> Ok { p with Run_config.retransmit_after = v }
+          | "backoff" -> Ok { p with Run_config.retransmit_backoff = v }
+          | "retries" -> Ok { p with Run_config.max_retransmits = v }
           | _ -> Error (Printf.sprintf "unknown policy key %S" key))))
   in
   let items =
@@ -35,29 +25,21 @@ let of_string s =
     |> List.map String.trim
     |> List.filter (fun x -> x <> "")
   in
-  match List.fold_left parse_pair (Ok default) items with
+  match List.fold_left parse_pair (Ok Run_config.default_recovery) items with
   | Error _ as e -> e
-  | Ok p ->
-    if p.checkpoint_every < 0 then Error "every must be >= 0"
-    else if p.retransmit_after <= 0 then Error "timeout must be > 0"
-    else if p.retransmit_backoff < 1 then Error "backoff must be >= 1"
-    else if p.max_retransmits < 0 then Error "retries must be >= 0"
-    else Ok p
+  | Ok p -> (
+    match Run_config.check (Run_config.with_recovery p Run_config.default) with
+    | Ok () -> Ok p
+    | Error e -> Error e)
 
-let to_string p =
+let to_string (p : Run_config.recovery) =
   Printf.sprintf "every=%d,timeout=%d,backoff=%d,retries=%d" p.checkpoint_every
     p.retransmit_after p.retransmit_backoff p.max_retransmits
 
-let describe p =
+let describe (p : Run_config.recovery) =
   Printf.sprintf
     "checkpoint every %s; resend unacknowledged packets after %d (backoff \
      %dx, %d retries)"
     (if p.checkpoint_every = 0 then "(never)"
      else string_of_int p.checkpoint_every)
     p.retransmit_after p.retransmit_backoff p.max_retransmits
-
-let resume cfg ~arch g ~inputs snapshot =
-  let m = ME.create_cfg cfg ~arch g ~inputs in
-  ME.restore m snapshot;
-  ME.advance m ~until:max_int;
-  ME.result m

@@ -1,48 +1,25 @@
-open Dfg
-
 (** Recovery policies and checkpoint/restart orchestration for the
     machine engine.
 
     The mechanisms live in {!Machine.Machine_engine} (they need the
     engine's internals); this module owns the user-facing surface: the
-    policy mini-language the CLIs accept, and save/resume built on
-    {!Checkpoint}. *)
+    policy mini-language the CLIs accept, and the {!Checkpoint} format
+    a paused machine is saved in and resumed from. *)
 
 module Checkpoint = Checkpoint
 (** Versioned serialization of machine snapshots. *)
 
-type policy = Machine.Machine_engine.recovery = {
-  checkpoint_every : int;
-  retransmit_after : int;
-  retransmit_backoff : int;
-  max_retransmits : int;
-}
-
-val default : policy
-(** {!Machine.Machine_engine.default_recovery}. *)
-
-val of_string : string -> (policy, string) result
+val of_string : string -> (Run_config.recovery, string) result
 (** Parse a policy spec: comma-separated [key=int] pairs over
     [every] (checkpoint interval; 0 disables periodic checkpoints),
     [timeout] (first-resend timeout), [backoff] (timeout multiplier),
-    [retries] (resend budget).  Omitted keys keep their {!default}
-    values; [""] is the default policy. *)
+    [retries] (resend budget).  Omitted keys keep their
+    {!Run_config.default_recovery} values; [""] is the default policy.
+    The result must pass {!Run_config.check}; [Error] carries its
+    message otherwise. *)
 
-val to_string : policy -> string
+val to_string : Run_config.recovery -> string
 (** Canonical spec; [of_string (to_string p) = Ok p]. *)
 
-val describe : policy -> string
+val describe : Run_config.recovery -> string
 (** One-line human-readable rendering. *)
-
-val resume :
-  Run_config.t ->
-  arch:Machine.Arch.t ->
-  Graph.t ->
-  inputs:(string * Value.t list) list ->
-  Machine.Machine_engine.snapshot ->
-  Machine.Machine_engine.result
-(** Rebuild a machine (same graph, inputs and configuration as the run
-    the snapshot came from), restore the snapshot into it, and run to
-    completion.  With identical configuration the result is
-    bit-identical to the run that saved the snapshot.  Start the config
-    from {!Machine.Machine_engine.default_config}. *)

@@ -1,7 +1,6 @@
 open Dfg
 module FP = Fault.Fault_plan
 module PC = Compiler.Program_compile
-module ME = Machine.Machine_engine
 module K = Kernels
 
 (* ---------------- kernel subjects ---------------- *)
@@ -48,7 +47,7 @@ let watchdog_for ?(base = 100) (spec : FP.spec) recovery =
   + (if spec.FP.stall_prob > 0.0 then 4 * spec.FP.stall_max else 0)
   + (16 * (spec.FP.fu_slow + spec.FP.am_slow))
   + (match recovery with
-    | Some (r : ME.recovery) -> 17 * r.ME.retransmit_after
+    | Some (r : Run_config.recovery) -> 17 * r.retransmit_after
     | None -> 0)
 
 let synth_wave ~seed ~elt ~size name =

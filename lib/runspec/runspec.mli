@@ -43,7 +43,7 @@ val kernels_matching : string option -> (Kernels.kernel list, string) result
 val watchdog_for :
   ?base:int ->
   Fault.Fault_plan.spec ->
-  Machine.Machine_engine.recovery option ->
+  Run_config.recovery option ->
   int
 (** A watchdog threshold sitting above every injected latency source:
     routing delays, PE stall windows, FU/AM slowdowns, and the full

@@ -167,6 +167,7 @@ let limit_of t =
 
 let recv t = J.of_string (read_line ?limit:(limit_of t) t)
 
+(* Remove a previously-stashed response by id (non-blocking). *)
 let take_stashed t id =
   match List.assoc_opt id t.stash with
   | Some r ->
@@ -199,7 +200,19 @@ let await t id =
     in
     pump ()
 
-let rpc t req = await t (send t req)
+(* A server refuses a request line longer than its [max_line] before
+   it has read all of it: it answers [malformed] with id -1 (no request
+   to address) and closes, and the rest of our write fails with EPIPE
+   (or ECONNRESET).  The answer was sent before the close, so await it:
+   the caller gets the structured rejection, not a transport failure.
+   Over TCP the reset can discard it; then the write's error stands. *)
+let rpc t req =
+  match send t req with
+  | id -> await t id
+  | exception (Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) as e) -> (
+    try await t (-1)
+    with End_of_file | Timeout | J.Parse_error _ | Unix.Unix_error _ ->
+      raise e)
 
 (* One connect, one request, one response — no backoff.  The replica
    layer calls this from the event loop, where blocking on a slow or

@@ -69,10 +69,12 @@ val await : t -> int -> Obs.Json.t
     @raise Timeout when the connection deadline elapses first. *)
 
 val rpc : t -> Protocol.request -> Obs.Json.t
-(** [send] then [await]. *)
-
-val take_stashed : t -> int -> Obs.Json.t option
-(** Remove a previously-stashed response by id (non-blocking). *)
+(** [send] then [await].  When the send fails with EPIPE or ECONNRESET
+    (a server refuses a line longer than its [max_line] with a
+    [malformed] answer and a close, before it has read the rest), the
+    answer the server already sent is returned instead; where none can
+    be read (over TCP a reset can discard it), the send's error is
+    raised. *)
 
 val oneshot :
   ?retries:int ->
@@ -115,6 +117,8 @@ val resilient_rpc :
     30), reconnect-and-reissue on timeout, connection loss, injected
     wire faults and retryable server errors ([overloaded],
     [shutting_down], [deadline]), sleeping {!backoff_delay} between
-    attempts.  Returns the response and the number of attempts used.
+    attempts.  Any other answer ends the retries, a [malformed]
+    rejection of an oversize line that {!rpc} read included.  Returns
+    the response and the number of attempts used.
     Pair with {!Protocol.run}'s [idem] key to make the retries
     exactly-once.  @raise Failure when all attempts are exhausted. *)

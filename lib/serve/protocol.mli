@@ -48,7 +48,7 @@ type run = {
   integrity : bool;
   watchdog : watchdog_spec;
   max_time : int option;
-  sanitize : bool;  (** fresh sanitizer per run, as {!Exec.Job} *)
+  sanitize : bool;  (** {!Run_config.sanitize}: a fresh sanitizer per run *)
   idem : string option;
       (** idempotency key: the server journals the request under it and
           answers a retried request carrying the same key with the

@@ -54,7 +54,7 @@ let scenario ~seed ~client ~index =
                FP.drop_prob = 0.02;
                corrupt_prob = 0.02;
                seed = fault_seed });
-      recovery = Some (Recover.to_string Recover.default);
+      recovery = Some (Recover.to_string Run_config.default_recovery);
       integrity = true;
       watchdog = P.Auto }
 

@@ -153,7 +153,8 @@ let config_of_run (r : P.run) =
         |> with_fault_opt (Option.map snd fault)
         |> with_recovery_opt recovery
         |> with_integrity r.P.integrity
-        |> with_watchdog_opt watchdog)
+        |> with_watchdog_opt watchdog
+        |> with_sanitize r.P.sanitize)
     in
     let arch =
       { Machine.Arch.default with
@@ -188,7 +189,7 @@ let job_of_run ?arena (r : P.run) (compiled : PC.compiled) =
              (match r.P.engine with
              | `Sim -> Exec.Job.Sim
              | `Machine -> Exec.Job.Machine arch)
-           ~config ~sanitize:r.P.sanitize program ~inputs))
+           ~config program ~inputs))
 
 let subject_of_program program ~waves =
   match compile_program program with
@@ -482,7 +483,7 @@ let make_work ~slice (job : Exec.Job.t) ~hit ~key ~progress ~restore =
     | Exec.Job.Machine arch ->
       let graph = Exec.Job.graph job in
       let m =
-        ME.create_arena (Exec.Job.run_config job) ~arch (Exec.Job.arena job)
+        ME.create_arena job.Exec.Job.config ~arch (Exec.Job.arena job)
           ~inputs:job.Exec.Job.inputs
       in
       let start =

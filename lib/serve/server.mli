@@ -158,9 +158,8 @@ val request_reload : t -> unit
 val config_of_run :
   Protocol.run -> (Run_config.t * Machine.Arch.t, string) result
 (** The engine configuration of a simulate request (fault plan,
-    recovery policy, integrity, watchdog, max-time) and its machine
-    architecture; the sanitizer is {e not} included — it is created
-    fresh per run, as {!Exec.Job} does.  Machine requests default
+    recovery policy, integrity, watchdog, sanitize, max-time) and its
+    machine architecture.  Machine requests default
     [max_time] to {!Machine.Machine_engine.default_max_time}, matching
     {!Fault_diff.machine}.  [Error] names the bad fault or recovery
     spec. *)

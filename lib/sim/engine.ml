@@ -54,11 +54,11 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
   let record_firings = cfg.Run_config.record_firings in
   let tracer = cfg.Run_config.tracer in
   let fault = cfg.Run_config.fault in
-  let sanitizer = cfg.Run_config.sanitizer in
   let watchdog = cfg.Run_config.watchdog in
-  (match watchdog with
-  | Some k when k <= 0 -> invalid_arg "Engine.run: watchdog window <= 0"
-  | _ -> ());
+  (match Run_config.check cfg with Error e -> invalid_arg e | Ok () -> ());
+  let sanitizer =
+    if cfg.Run_config.sanitize then San.create a.Arena.graph else San.null
+  in
   let n = a.Arena.n in
   let ops = a.Arena.ops in
   let labels = a.Arena.labels in

@@ -44,7 +44,8 @@ type result = {
       normal end state of primed feedback loops), the progress watchdog
       tripping, or [max_time] exhaustion.  [None] on a clean drain. *)
   violations : Fault.Violation.t list;
-  (** Protocol breaches recorded by the [sanitizer]; empty without one. *)
+  (** Protocol breaches recorded by the run's sanitizer; empty unless
+      [Run_config.sanitize] is set. *)
 }
 
 val run_cfg :
@@ -69,20 +70,22 @@ val run_cfg :
     acknowledge discipline, so output streams must be unchanged
     ({!Fault_diff} asserts exactly that).
 
-    [sanitizer] (default {!Fault.Sanitizer.null}) shadow-checks the
-    one-token-per-arc and acknowledge-conservation invariants on every
-    packet and acknowledge, as it is sent, stamped with its arrival
-    time; breaches become {!result.violations} instead of raised
-    strings, and a fatal breach halts the run at the end of that time
-    step.
+    [sanitize] (default off) builds a fresh {!Fault.Sanitizer} over
+    the graph for this run, which shadow-checks the one-token-per-arc
+    and acknowledge-conservation invariants on every packet and
+    acknowledge, as it is sent, stamped with its arrival time; breaches
+    become {!result.violations} instead of raised strings, and a fatal
+    breach halts the run at the end of that time step.
 
     [watchdog] stops the run and files a [No_progress] stall report if
     no cell fires for that many consecutive time units while packets are
     still in flight (set it above any injected delay).
 
-    [recovery] and [integrity] are machine-engine-only and ignored here.
+    [recovery] and [integrity] are machine-engine-only; the policy is
+    still validated.
     @raise Protocol_error on arc-capacity violations (without sanitizer)
-    @raise Invalid_argument on missing/unknown input streams *)
+    @raise Invalid_argument on missing/unknown input streams, or a
+    configuration {!Run_config.check} refuses (with its message) *)
 
 val run_arena :
   Run_config.t ->

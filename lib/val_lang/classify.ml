@@ -52,6 +52,10 @@ let block_shape = function
 (* Primitive expressions (Definition, Section 5)                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Check the §5 definition.  [select_ok name offsets] may impose extra
+   per-array constraints on selection offsets (used to restrict the
+   for-iter accumulator to [X[i-1]]); it raises [Not_in_class] to
+   reject. *)
 let check_primitive_expr ~index_vars ~scalars ~arrays
     ?(select_ok = fun _ _ -> ()) expr =
   let rec go scalars expr =

@@ -59,18 +59,6 @@ val block_name : pipe_block -> string
 val block_shape : pipe_block -> array_shape
 (** Index range(s) and element type of the array a block constructs. *)
 
-val check_primitive_expr :
-  index_vars:string list ->
-  scalars:string list ->
-  arrays:string list ->
-  ?select_ok:(string -> int list -> unit) ->
-  Ast.expr ->
-  unit
-(** Check the §5 definition.  [select_ok name offsets] may impose extra
-    per-array constraints on selection offsets (used to restrict the
-    for-iter accumulator to [X[i-1]]); it should raise {!Not_in_class} to
-    reject. @raise Not_in_class *)
-
 val is_primitive_expr :
   index_vars:string list ->
   scalars:string list ->

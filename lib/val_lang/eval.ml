@@ -362,6 +362,7 @@ let eval_foriter ~params env fi =
   in
   run fi.fi_body 0
 
+(* Evaluate one array-defining block. *)
 let eval_block ~params env blk =
   match blk.blk_rhs with
   | Forall fa -> eval_forall ~params env fa

@@ -38,9 +38,6 @@ val env_of_bindings : (string * value) list -> env
 val eval_expr : env -> Ast.expr -> value
 (** Evaluate a scalar expression. @raise Error *)
 
-val eval_block : params:(string * int) list -> env -> Ast.block -> value
-(** Evaluate one array-defining block. @raise Error *)
-
 val eval_program :
   inputs:(string * value) list -> Ast.program -> (string * value) list
 (** Evaluate all blocks in order; returns every block's value (last entry is

@@ -17,6 +17,7 @@ let rec eval_const params = function
   | C_sub (a, b) -> eval_const params a - eval_const params b
   | C_mul (a, b) -> eval_const params a * eval_const params b
 
+(* Least common type of two numeric operands ([integer]→[real]). *)
 let promote t1 t2 =
   match (t1, t2) with
   | Tint, Tint -> Tint

@@ -22,10 +22,6 @@ val eval_const : (string * int) list -> Ast.const_expr -> int
 (** Evaluate a compile-time constant under parameter bindings.
     @raise Error on an unbound name. *)
 
-val promote : Ast.scalar_type -> Ast.scalar_type -> Ast.scalar_type
-(** Least common type of two numeric operands ([integer]→[real]).
-    @raise Error when the two types cannot be combined. *)
-
 val check_expr :
   scalars:scalar_env -> arrays:array_env -> Ast.expr -> Ast.scalar_type
 (** Type of a (necessarily scalar-valued) expression.

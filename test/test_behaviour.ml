@@ -10,7 +10,6 @@
 open Dfg
 module ME = Machine.Machine_engine
 module FP = Fault.Fault_plan
-module San = Fault.Sanitizer
 module SR = Fault.Stall_report
 module V = Fault.Violation
 module K = Kernels
@@ -87,42 +86,40 @@ let seed = 4242
 
 let configs :
     (string * (Graph.t -> (string * Value.t list) list -> string)) list =
-  let sim cfg g inputs = sim_digest (Sim.Engine.run_cfg (cfg g) g ~inputs) in
+  let sim cfg g inputs = sim_digest (Sim.Engine.run_cfg cfg g ~inputs) in
   let machine cfg g inputs =
-    machine_digest (ME.run_cfg (cfg g) ~arch:Machine.Arch.default g ~inputs)
+    machine_digest (ME.run_cfg cfg ~arch:Machine.Arch.default g ~inputs)
   in
   let delays = FP.delays ~prob:0.25 ~max_delay:6 seed in
-  let rec_ = Run_config.with_recovery ME.default_recovery in
+  let rec_ = Run_config.with_recovery Run_config.default_recovery in
   let with_plan spec = Run_config.with_fault (FP.make spec) in
-  let san g = Run_config.with_sanitizer (San.create g) in
-  [ ("sim clean", sim (fun _ -> Run_config.default));
-    ("sim delay",
-     sim (fun g -> Run_config.(default |> with_plan delays |> san g)));
-    ("machine clean", machine (fun _ -> ME.default_config));
-    ("machine delay",
-     machine (fun g -> ME.default_config |> with_plan delays |> san g));
+  let san = Run_config.with_sanitize true in
+  [ ("sim clean", sim Run_config.default);
+    ("sim delay", sim Run_config.(default |> with_plan delays |> san));
+    ("machine clean", machine ME.default_config);
+    ("machine delay", machine (ME.default_config |> with_plan delays |> san));
     ("machine dup+drop-ack recover",
-     machine (fun g ->
-         ME.default_config
-         |> with_plan
-              { FP.none with FP.seed; dup_prob = 0.1; drop_ack_prob = 0.1 }
-         |> rec_ |> san g));
+     machine
+       (ME.default_config
+       |> with_plan
+            { FP.none with FP.seed; dup_prob = 0.1; drop_ack_prob = 0.1 }
+       |> rec_ |> san));
     ("machine crash recover",
-     machine (fun _ ->
-         ME.default_config
-         |> with_plan { delays with FP.crash_pe = 1; crash_at = 150 }
-         |> rec_));
+     machine
+       (ME.default_config
+       |> with_plan { delays with FP.crash_pe = 1; crash_at = 150 }
+       |> rec_));
     ("machine crash no-recover",
-     machine (fun _ ->
-         ME.default_config
-         |> with_plan { FP.none with FP.seed; crash_pe = 2; crash_at = 90 }));
+     machine
+       (ME.default_config
+       |> with_plan { FP.none with FP.seed; crash_pe = 2; crash_at = 90 }));
     ("machine corrupt integrity recover",
-     machine (fun _ ->
-         ME.default_config
-         |> with_plan
-              { FP.none with
-                FP.seed; corrupt_prob = 0.05; corrupt_ctl_prob = 0.05 }
-         |> rec_ |> Run_config.with_integrity true)) ]
+     machine
+       (ME.default_config
+       |> with_plan
+            { FP.none with
+              FP.seed; corrupt_prob = 0.05; corrupt_ctl_prob = 0.05 }
+       |> rec_ |> Run_config.with_integrity true)) ]
 
 (* Recorded on the commit before the machine engine moved onto the
    shared run-state layout; a straight run must still produce them. *)
@@ -219,35 +216,31 @@ let test_pinned () =
    from them to the same outcome.  Reals are exact ([%h]) in these
    texts, unlike in [machine_digest]. *)
 
-let checkpoint_configs :
-    (string * Machine.Arch.t * (Graph.t -> Run_config.t)) list =
+let checkpoint_configs : (string * Machine.Arch.t * Run_config.t) list =
   let arch = Machine.Arch.default in
   let plan s =
     match FP.of_string s with
     | Ok spec -> Run_config.with_fault (FP.make spec)
     | Error e -> invalid_arg e
   in
-  let rec_ = Run_config.with_recovery ME.default_recovery in
-  [ ("plain", arch, fun _ -> ME.default_config);
+  let rec_ = Run_config.with_recovery Run_config.default_recovery in
+  [ ("plain", arch, ME.default_config);
     ("stored", { arch with Machine.Arch.array_policy = Machine.Arch.Stored },
-     fun _ -> ME.default_config);
-    ("recovery", arch, fun _ -> ME.default_config |> rec_);
+     ME.default_config);
+    ("recovery", arch, ME.default_config |> rec_);
     ("recovery+integrity+faults", arch,
-     fun _ ->
-       ME.default_config
-       |> plan
-            "seed=11,delay=0.2,dup=0.05,drop=0.03,drop-ack=0.03,corrupt=0.05,\
-             corrupt-ctl=0.02,stall=0.05,fu-slow=1,am-slow=1"
-       |> rec_ |> Run_config.with_integrity true);
+     ME.default_config
+     |> plan
+          "seed=11,delay=0.2,dup=0.05,drop=0.03,drop-ack=0.03,corrupt=0.05,\
+           corrupt-ctl=0.02,stall=0.05,fu-slow=1,am-slow=1"
+     |> rec_ |> Run_config.with_integrity true);
     ("recovery+crash", arch,
-     fun _ ->
-       ME.default_config |> plan "seed=5,delay=0.1,crash-pe=2,crash-at=300"
-       |> rec_);
-    ("delay", arch, fun _ -> ME.default_config |> plan "seed=3,delay=0.25");
+     ME.default_config |> plan "seed=5,delay=0.1,crash-pe=2,crash-at=300"
+     |> rec_);
+    ("delay", arch, ME.default_config |> plan "seed=3,delay=0.25");
     ("dup+sanitizer", arch,
-     fun g ->
-       ME.default_config |> plan "seed=9,dup=0.05"
-       |> Run_config.with_sanitizer (San.create g)) ]
+     ME.default_config |> plan "seed=9,dup=0.05"
+     |> Run_config.with_sanitize true) ]
 
 let checkpoint_digest () =
   let b = Buffer.create (1 lsl 20) in
@@ -256,7 +249,7 @@ let checkpoint_digest () =
       let g, inputs = subject k in
       List.iter
         (fun (_, arch, cfg) ->
-          let m = ME.create_cfg (cfg g) ~arch g ~inputs in
+          let m = ME.create_cfg cfg ~arch g ~inputs in
           let pause = ref 0 in
           while not (ME.finished m) do
             incr pause;
@@ -298,16 +291,14 @@ let test_checkpoints_pinned () =
 
 let stop_times = [ 5; 17; 40; 97; Run_config.default.Run_config.max_time ]
 
-let inflight_configs : (string * (Graph.t -> Run_config.t)) list =
+let inflight_configs : (string * Run_config.t) list =
   let with_delays =
     Run_config.with_fault (FP.make (FP.delays ~prob:0.25 ~max_delay:6 seed))
   in
-  [ ("clean", fun _ -> Run_config.default);
+  [ ("clean", Run_config.default);
     ("delay+sanitizer",
-     fun g ->
-       Run_config.(default |> with_delays |> with_sanitizer (San.create g)));
-    ("delay+watchdog",
-     fun _ -> Run_config.(default |> with_delays |> with_watchdog 3)) ]
+     Run_config.(default |> with_delays |> with_sanitize true));
+    ("delay+watchdog", Run_config.(default |> with_delays |> with_watchdog 3)) ]
 
 let inflight_digest () =
   let b = Buffer.create (1 lsl 20) in
@@ -321,8 +312,7 @@ let inflight_digest () =
             (fun max_time ->
               Obs.Tracer.clear tracer;
               let cfg =
-                Run_config.(
-                  cfg g |> with_max_time max_time |> with_tracer tracer)
+                Run_config.(cfg |> with_max_time max_time |> with_tracer tracer)
               in
               let r = Sim.Engine.run_cfg cfg g ~inputs in
               if Obs.Tracer.dropped tracer > 0 then
@@ -353,38 +343,32 @@ let test_inflight_pinned () =
    emission order — go into one digest, so a change to where or when the
    engine emits an event shows even where outputs and stats agree. *)
 
-let traced_machine_configs :
-    (string * Machine.Arch.t * (Graph.t -> Run_config.t)) list =
+let traced_machine_configs : (string * Machine.Arch.t * Run_config.t) list =
   let arch = Machine.Arch.default in
   let delays = FP.delays ~prob:0.25 ~max_delay:6 seed in
-  let rec_ = Run_config.with_recovery ME.default_recovery in
+  let rec_ = Run_config.with_recovery Run_config.default_recovery in
   let with_plan spec = Run_config.with_fault (FP.make spec) in
-  let san g = Run_config.with_sanitizer (San.create g) in
-  [ ("clean", arch, fun _ -> ME.default_config);
+  let san = Run_config.with_sanitize true in
+  [ ("clean", arch, ME.default_config);
     ("stored", { arch with Machine.Arch.array_policy = Machine.Arch.Stored },
-     fun _ -> ME.default_config);
-    ("delay+sanitizer", arch,
-     fun g -> ME.default_config |> with_plan delays |> san g);
+     ME.default_config);
+    ("delay+sanitizer", arch, ME.default_config |> with_plan delays |> san);
     ("dup+drop-ack+recover+sanitizer", arch,
-     fun g ->
-       ME.default_config
-       |> with_plan { FP.none with FP.seed; dup_prob = 0.1; drop_ack_prob = 0.1 }
-       |> rec_ |> san g);
+     ME.default_config
+     |> with_plan { FP.none with FP.seed; dup_prob = 0.1; drop_ack_prob = 0.1 }
+     |> rec_ |> san);
     ("corrupt+integrity+recover", arch,
-     fun _ ->
-       ME.default_config
-       |> with_plan
-            { FP.none with FP.seed; corrupt_prob = 0.05; corrupt_ctl_prob = 0.05 }
-       |> rec_ |> Run_config.with_integrity true);
+     ME.default_config
+     |> with_plan
+          { FP.none with FP.seed; corrupt_prob = 0.05; corrupt_ctl_prob = 0.05 }
+     |> rec_ |> Run_config.with_integrity true);
     ("crash+recover", arch,
-     fun _ ->
-       ME.default_config
-       |> with_plan { delays with FP.crash_pe = 1; crash_at = 150 }
-       |> rec_);
+     ME.default_config
+     |> with_plan { delays with FP.crash_pe = 1; crash_at = 150 }
+     |> rec_);
     ("crash no-recover", arch,
-     fun _ ->
-       ME.default_config
-       |> with_plan { FP.none with FP.seed; crash_pe = 2; crash_at = 90 }) ]
+     ME.default_config
+     |> with_plan { FP.none with FP.seed; crash_pe = 2; crash_at = 90 }) ]
 
 let traced_machine_digest () =
   let b = Buffer.create (1 lsl 20) in
@@ -395,7 +379,7 @@ let traced_machine_digest () =
       List.iter
         (fun (name, arch, cfg) ->
           Obs.Tracer.clear tracer;
-          let cfg = Run_config.with_tracer tracer (cfg g) in
+          let cfg = Run_config.with_tracer tracer cfg in
           let r = ME.run_cfg cfg ~arch g ~inputs in
           if Obs.Tracer.dropped tracer > 0 then
             Alcotest.failf "%s %s: trace overflowed" k.K.name name;

@@ -43,11 +43,12 @@ let test_parallel_identity () =
   List.iter
     (fun (label, engine) ->
       let jobs = kernel_jobs engine in
-      let seq = List.map fingerprint (Exec.Job.run_all ~jobs:1 jobs) in
+      let run_all ~jobs = Exec.Pool.map_result ~jobs Exec.Job.run in
+      let seq = List.map fingerprint (run_all ~jobs:1 jobs) in
       List.iter
         (fun workers ->
           let par =
-            List.map fingerprint (Exec.Job.run_all ~jobs:workers jobs)
+            List.map fingerprint (run_all ~jobs:workers jobs)
           in
           checkb
             (Printf.sprintf "%s: %d workers == sequential" label workers)
@@ -132,8 +133,8 @@ let test_crash_isolation () =
   | _ -> Alcotest.fail "Pool.map swallowed the failure"
   | exception Exec.Pool.Job_failed e ->
     check Alcotest.int "first failure wins" 3 e.Exec.Pool.index);
-  (* the same isolation through Job.run_all: a job fed an input stream
-     its graph does not have fails alone *)
+  (* the same isolation for jobs: a job fed an input stream its graph
+     does not have fails alone *)
   let k = List.hd K.all in
   let st = Random.State.make [| 7 |] in
   let _, compiled =
@@ -149,7 +150,7 @@ let test_crash_isolation () =
       Exec.Job.name = "bad";
       inputs = ("no_such_input", []) :: good.Exec.Job.inputs }
   in
-  (match Exec.Job.run_all ~jobs:2 [ good; bad; good ] with
+  (match Exec.Pool.map_result ~jobs:2 Exec.Job.run [ good; bad; good ] with
   | [ Ok _; Error _; Ok _ ] -> ()
   | rs ->
     Alcotest.failf "expected [Ok; Error; Ok], got [%s]"
@@ -180,6 +181,48 @@ let test_default_config () =
   checkb "machine outputs equal" true (old_m.ME.outputs = new_m.ME.outputs);
   check Alcotest.int "machine end time equal" old_m.ME.end_time
     new_m.ME.end_time
+
+(* A configuration is plain values: one with the sanitizer on runs
+   any number of times, one after another or at once, and each run is
+   the straight run.  Shadow state shared between runs would stop every
+   run after the first on false violations. *)
+let test_one_config_many_runs () =
+  let k = List.find (fun (k : K.kernel) -> k.K.name = "hydro") K.all in
+  let g, inputs = Test_recover.kernel_feeds k ~n:8 ~waves:4 in
+  let sim cfg =
+    let r = Sim.Engine.run_cfg cfg g ~inputs in
+    Sim.Engine.(r.end_time, r.quiescent, r.outputs, r.violations)
+  in
+  let machine cfg =
+    let r = ME.run_cfg cfg ~arch:Machine.Arch.default g ~inputs in
+    ME.(r.end_time, r.quiescent, r.outputs, r.violations)
+  in
+  List.iter
+    (fun (name, run, cfg, end_time) ->
+      let straight_end, _, straight_outputs, _ =
+        run (Run_config.with_sanitize false cfg)
+      in
+      check Alcotest.int (name ^ ": straight run's end") end_time straight_end;
+      let first = run cfg in
+      let second = run cfg in
+      let runs = first :: second :: Exec.Pool.map ~jobs:2 run [ cfg; cfg ] in
+      List.iteri
+        (fun i (t, quiescent, outputs, violations) ->
+          let what = Printf.sprintf "%s run %d" name (i + 1) in
+          check Alcotest.int (what ^ ": end time") end_time t;
+          checkb (what ^ ": quiescent") true quiescent;
+          checkb (what ^ ": outputs") true (outputs = straight_outputs);
+          check
+            Alcotest.(list string)
+            (what ^ ": violations") []
+            (List.map Fault.Violation.to_string violations))
+        runs)
+    [ ("graph", sim, Run_config.(default |> with_sanitize true), 157);
+      ("machine", machine,
+       Run_config.(
+         ME.default_config |> with_recovery default_recovery
+         |> with_sanitize true),
+       732) ]
 
 (* 5. sweep rows and JSON bytes are grid-ordered and worker-count
    independent *)
@@ -345,4 +388,6 @@ let suite =
     Alcotest.test_case "queued-job cancellation" `Quick test_pool_cancellation;
     Alcotest.test_case "shutdown cancels queued work" `Quick
       test_pool_shutdown;
+    Alcotest.test_case "one config, many runs" `Quick
+      test_one_config_many_runs;
   ]

@@ -107,7 +107,7 @@ let test_sanitizer_clean_run () =
   let plain = Engine.run_cfg Run_config.default g ~inputs in
   let checked =
     Engine.run_cfg
-      Run_config.(default |> with_sanitizer (San.create g))
+      Run_config.(default |> with_sanitize true)
       g ~inputs
   in
   Alcotest.(check (list string)) "no violations" []
@@ -126,7 +126,7 @@ let test_sanitizer_clean_machine_run () =
   let plain = ME.run_cfg ME.default_config ~arch g ~inputs in
   let checked =
     ME.run_cfg
-      Run_config.(ME.default_config |> with_sanitizer (San.create g))
+      Run_config.(ME.default_config |> with_sanitize true)
       ~arch g ~inputs
   in
   Alcotest.(check (list string)) "no violations" []
@@ -186,9 +186,7 @@ let test_machine_drop_ack_conservation () =
   let plan = FP.make { FP.none with FP.seed = 13; drop_ack_prob = 1.0 } in
   let r =
     ME.run_cfg
-      Run_config.(
-        ME.default_config |> with_fault plan
-        |> with_sanitizer (San.create g))
+      Run_config.(ME.default_config |> with_fault plan |> with_sanitize true)
       ~arch:Machine.Arch.default g ~inputs
   in
   Alcotest.(check bool) "ack conservation violated" true
@@ -433,13 +431,10 @@ let test_machine_fault_determinism () =
         fu_slow = 2; am_slow = 3; crash_pe = -1; crash_at = 0;
         corrupt_prob = 0.0; corrupt_ctl_prob = 0.0 }
   in
-  let run () =
-    ME.run_cfg
-      Run_config.(
-        ME.default_config |> with_fault plan
-        |> with_sanitizer (San.create g))
-      ~arch:Machine.Arch.default g ~inputs
+  let cfg =
+    Run_config.(ME.default_config |> with_fault plan |> with_sanitize true)
   in
+  let run () = ME.run_cfg cfg ~arch:Machine.Arch.default g ~inputs in
   let r1 = run () and r2 = run () in
   Alcotest.(check int) "end_time identical" r1.ME.end_time r2.ME.end_time;
   Alcotest.(check bool) "stats identical" true (r1.ME.stats = r2.ME.stats);

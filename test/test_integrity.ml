@@ -7,7 +7,6 @@
 open Dfg
 module ME = Machine.Machine_engine
 module FP = Fault.Fault_plan
-module San = Fault.Sanitizer
 module V = Fault.Violation
 module FD = Fault_diff
 module CP = Recover.Checkpoint
@@ -168,8 +167,8 @@ let test_detect_and_heal_bit_identical () =
     ME.create_cfg
       Run_config.(
         default |> with_max_time ME.default_max_time |> with_tracer tracer
-        |> with_fault plan |> with_sanitizer (San.create g)
-        |> with_recovery ME.default_recovery |> with_integrity true)
+        |> with_fault plan |> with_sanitize true
+        |> with_recovery default_recovery |> with_integrity true)
       ~arch g ~inputs
   in
   ME.advance m ~until:max_int;
@@ -243,8 +242,8 @@ let test_protected_has_no_diagnosis () =
     FP.make { FP.none with FP.seed = 11; corrupt_prob = 0.15 }
   in
   let o =
-    FD.machine ~watchdog:1000 ~recovery:ME.default_recovery ~integrity:true
-      ~plan g ~inputs
+    FD.machine ~watchdog:1000 ~recovery:Run_config.default_recovery
+      ~integrity:true ~plan g ~inputs
   in
   Alcotest.(check bool) "protected run equal" true o.FD.equal;
   Alcotest.(check int) "digests agree" o.FD.clean_digest o.FD.faulted_digest;
@@ -258,9 +257,11 @@ let test_kernels_corruption_differential () =
   let module PC = Compiler.Program_compile in
   let module K = Kernels in
   let n = 8 and waves = 2 in
-  let recovery = ME.default_recovery in
+  let recovery = Run_config.default_recovery in
   let watchdog =
-    100 + (4 * FP.none.FP.delay_max) + (17 * recovery.ME.retransmit_after)
+    100
+    + (4 * FP.none.FP.delay_max)
+    + (17 * recovery.Run_config.retransmit_after)
   in
   let total_corruptions = ref 0 and total_healed = ref 0 in
   List.iter
@@ -331,7 +332,7 @@ let snapshot_on_disk () =
     ME.create_cfg
       Run_config.(
         default |> with_max_time ME.default_max_time
-        |> with_recovery ME.default_recovery)
+        |> with_recovery default_recovery)
       ~arch:Machine.Arch.default g ~inputs
   in
   ME.advance m ~until:40;

@@ -7,7 +7,6 @@
 open Dfg
 module ME = Machine.Machine_engine
 module FP = Fault.Fault_plan
-module San = Fault.Sanitizer
 module SR = Fault.Stall_report
 module V = Fault.Violation
 module FD = Fault_diff
@@ -53,14 +52,16 @@ let awkward_reals =
 
 let test_policy_spec () =
   (match Recover.of_string "" with
-  | Ok p -> Alcotest.(check bool) "empty spec is default" true (p = Recover.default)
+  | Ok p ->
+    Alcotest.(check bool) "empty spec is default" true
+      (p = Run_config.default_recovery)
   | Error e -> Alcotest.failf "empty spec: %s" e);
   (match Recover.of_string "every=0,timeout=10,backoff=3,retries=2" with
   | Ok p ->
-    Alcotest.(check int) "every" 0 p.Recover.checkpoint_every;
-    Alcotest.(check int) "timeout" 10 p.Recover.retransmit_after;
-    Alcotest.(check int) "backoff" 3 p.Recover.retransmit_backoff;
-    Alcotest.(check int) "retries" 2 p.Recover.max_retransmits;
+    Alcotest.(check int) "every" 0 p.Run_config.checkpoint_every;
+    Alcotest.(check int) "timeout" 10 p.Run_config.retransmit_after;
+    Alcotest.(check int) "backoff" 3 p.Run_config.retransmit_backoff;
+    Alcotest.(check int) "retries" 2 p.Run_config.max_retransmits;
     Alcotest.(check bool) "round-trip" true
       (Recover.of_string (Recover.to_string p) = Ok p)
   | Error e -> Alcotest.failf "unexpected parse error: %s" e);
@@ -71,9 +72,66 @@ let test_policy_spec () =
   | Ok _ -> Alcotest.fail "unknown key must be rejected"
   | Error _ -> ());
   Alcotest.(check bool) "default round-trip" true
-    (Recover.of_string (Recover.to_string Recover.default) = Ok Recover.default)
+    (Recover.of_string (Recover.to_string Run_config.default_recovery)
+    = Ok Run_config.default_recovery)
+
+(* One check, [Run_config.check], judges a configuration for every
+   caller: the spec parser returns its message and both engines raise
+   it, naming the spec key at fault. *)
+let test_one_validity_check () =
+  let g = figure2 () in
+  let inputs = fig2_inputs 4 in
+  let arch = Machine.Arch.default in
+  let refusal what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument e -> e
+  in
+  let d = Run_config.default_recovery in
+  List.iter
+    (fun (spec, key, (policy : Run_config.recovery)) ->
+      let msg =
+        match Recover.of_string spec with
+        | Ok _ -> Alcotest.failf "%s: parsed" spec
+        | Error e -> e
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %s" spec msg key)
+        true
+        (String.starts_with ~prefix:(key ^ " ") msg);
+      Alcotest.(check string) (spec ^ ": machine engine, same message") msg
+        (refusal spec (fun () ->
+             ME.create_cfg
+               (Run_config.with_recovery policy ME.default_config)
+               ~arch g ~inputs)))
+    [ ("every=-1", "every", { d with checkpoint_every = -1 });
+      ("timeout=0", "timeout", { d with retransmit_after = 0 });
+      ("backoff=0", "backoff", { d with retransmit_backoff = 0 });
+      ("retries=-1", "retries", { d with max_retransmits = -1 }) ];
+  let cfg = Run_config.with_watchdog 0 Run_config.default in
+  match Run_config.check cfg with
+  | Ok () -> Alcotest.fail "watchdog 0 passed the check"
+  | Error msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names the watchdog" msg)
+      true
+      (String.starts_with ~prefix:"watchdog " msg);
+    Alcotest.(check string) "graph engine, same message" msg
+      (refusal "graph engine" (fun () -> Sim.Engine.run_cfg cfg g ~inputs));
+    Alcotest.(check string) "machine engine, same message" msg
+      (refusal "machine engine" (fun () ->
+           ME.create_cfg (Run_config.with_watchdog 0 ME.default_config) ~arch g
+             ~inputs))
 
 (* ---------------- checkpoint format ---------------- *)
+
+(* A fresh machine of the saved run's configuration, restored from the
+   snapshot and run to completion. *)
+let resume cfg ~arch g ~inputs sn =
+  let m = ME.create_cfg cfg ~arch g ~inputs in
+  ME.restore m sn;
+  ME.advance m ~until:max_int;
+  ME.result m
 
 let test_checkpoint_json_round_trip () =
   let g = real_pipeline () in
@@ -83,8 +141,7 @@ let test_checkpoint_json_round_trip () =
     ME.create_cfg
       Run_config.(
         default |> with_max_time ME.default_max_time |> with_fault plan
-        |> with_sanitizer (San.create g)
-        |> with_recovery ME.default_recovery)
+        |> with_sanitize true |> with_recovery default_recovery)
       ~arch:Machine.Arch.default g ~inputs
   in
   ME.advance m ~until:12;
@@ -114,16 +171,15 @@ let test_save_load_resume_bit_identical () =
   let g = figure2 () in
   let inputs = fig2_inputs 24 in
   let plan = FP.make (FP.delays ~prob:0.3 ~max_delay:6 77) in
-  let recovery = { ME.default_recovery with checkpoint_every = 20 } in
+  let recovery = { Run_config.default_recovery with checkpoint_every = 20 } in
   let arch = Machine.Arch.default in
-  (* each run gets its own sanitizer: they are stateful observers *)
-  let cfg () =
+  let cfg =
     Run_config.(
       default |> with_max_time ME.default_max_time |> with_fault plan
-      |> with_sanitizer (San.create g) |> with_recovery recovery)
+      |> with_sanitize true |> with_recovery recovery)
   in
-  let straight = ME.run_cfg (cfg ()) ~arch g ~inputs in
-  let m = ME.create_cfg (cfg ()) ~arch g ~inputs in
+  let straight = ME.run_cfg cfg ~arch g ~inputs in
+  let m = ME.create_cfg cfg ~arch g ~inputs in
   ME.advance m ~until:40;
   Alcotest.(check bool) "paused, not finished" false (ME.finished m);
   let path = Filename.temp_file "dfsim-ckpt" ".json" in
@@ -136,7 +192,7 @@ let test_save_load_resume_bit_identical () =
       | Ok sn ->
         Alcotest.(check bool) "disk round-trip exact" true
           (CP.equal sn (ME.snapshot m));
-        let resumed = Recover.resume (cfg ()) ~arch g ~inputs sn in
+        let resumed = resume cfg ~arch g ~inputs sn in
         Alcotest.(check bool) "outputs and timestamps identical" true
           (resumed.ME.outputs = straight.ME.outputs);
         Alcotest.(check int) "end_time identical" straight.ME.end_time
@@ -182,7 +238,7 @@ let test_crash_with_recovery_equal () =
   let g = figure2 () in
   let inputs = fig2_inputs 16 in
   let plan = crash_plan ~seed:1 ~pe:2 ~at:30 FP.none in
-  let recovery = { ME.default_recovery with checkpoint_every = 25 } in
+  let recovery = { Run_config.default_recovery with checkpoint_every = 25 } in
   let o = FD.machine ~recovery ~plan g ~inputs in
   if not o.FD.equal then
     Alcotest.failf "recovered run diverged: %s"
@@ -196,7 +252,7 @@ let test_crash_on_input_host_recovers () =
   let g = figure2 () in
   let inputs = fig2_inputs 16 in
   let plan = crash_plan ~seed:2 ~pe:0 ~at:45 FP.none in
-  let recovery = { ME.default_recovery with checkpoint_every = 30 } in
+  let recovery = { Run_config.default_recovery with checkpoint_every = 30 } in
   let o = FD.machine ~recovery ~plan g ~inputs in
   Alcotest.(check bool) "outputs equal" true o.FD.equal;
   Alcotest.(check int) "one recovery" 1 o.FD.faulted_recoveries
@@ -206,7 +262,7 @@ let test_crash_on_input_host_recovers () =
 let lossy_outcome spec =
   let g = figure2 () in
   let inputs = fig2_inputs 16 in
-  let recovery = { ME.default_recovery with retransmit_after = 24 } in
+  let recovery = { Run_config.default_recovery with retransmit_after = 24 } in
   FD.machine ~recovery ~plan:(FP.make spec) g ~inputs
 
 let test_drop_ack_recovered () =
@@ -246,7 +302,7 @@ let test_recovery_overhead_free_when_clean () =
   let plain = ME.run_cfg ME.default_config ~arch g ~inputs in
   let recovered =
     ME.run_cfg
-      Run_config.(ME.default_config |> with_recovery ME.default_recovery)
+      Run_config.(ME.default_config |> with_recovery default_recovery)
       ~arch g ~inputs
   in
   Alcotest.(check bool) "outputs identical" true
@@ -288,7 +344,9 @@ let test_kernels_crash_differential () =
               ~at:(40 + (5 * (seed mod 20)))
               (FP.delays ~prob:0.1 ~max_delay:5 seed)
           in
-          let recovery = { ME.default_recovery with checkpoint_every = 40 } in
+          let recovery =
+            { Run_config.default_recovery with checkpoint_every = 40 }
+          in
           let o =
             FD.machine ~recovery ~plan compiled.PC.cp_graph ~inputs:feeds
           in
@@ -339,8 +397,12 @@ let test_generator_tail_quiesces_under_ack_loss () =
         FP.make
           { FP.none with FP.seed; delay_prob = 0.25; drop_ack_prob = 0.15 }
       in
-      let recovery = ME.default_recovery in
-      let watchdog = 100 + (4 * FP.none.FP.delay_max) + (17 * recovery.ME.retransmit_after) in
+      let recovery = Run_config.default_recovery in
+      let watchdog =
+        100
+        + (4 * FP.none.FP.delay_max)
+        + (17 * recovery.Run_config.retransmit_after)
+      in
       let o =
         FD.machine ~watchdog ~recovery ~plan compiled.PC.cp_graph ~inputs:feeds
       in
@@ -394,7 +456,7 @@ let test_resume_matrix () =
             Run_config.(
               ME.default_config
               |> with_fault (crash_plan ~seed:1 ~pe ~at FP.none)
-              |> with_recovery ME.default_recovery)
+              |> with_recovery default_recovery)
           in
           let straight = ME.run_cfg cfg ~arch g ~inputs in
           List.iter
@@ -411,7 +473,7 @@ let test_resume_matrix () =
                 match CP.of_json ~graph:g doc with
                 | Error e -> Alcotest.failf "%s: %s" k.Kernels.name e
                 | Ok sn ->
-                  let r = Recover.resume cfg ~arch g ~inputs sn in
+                  let r = resume cfg ~arch g ~inputs sn in
                   if compare r straight <> 0 then
                     Alcotest.failf
                       "%s crash-pe=%d,crash-at=%d paused at %d: resumed run \
@@ -438,7 +500,9 @@ let test_resume_matrix () =
 let test_tampered_events_rejected () =
   let k = List.find (fun k -> k.Kernels.name = "hydro") Kernels.all in
   let g, inputs = kernel_feeds k ~n:16 ~waves:2 in
-  let cfg = Run_config.with_recovery ME.default_recovery ME.default_config in
+  let cfg =
+    Run_config.with_recovery Run_config.default_recovery ME.default_config
+  in
   let arch = Machine.Arch.default in
   let m = ME.create_cfg cfg ~arch g ~inputs in
   ME.advance m ~until:143;
@@ -574,13 +638,12 @@ let test_tampered_state_rejected () =
 let test_restore_all_or_nothing () =
   let k = List.find (fun k -> k.Kernels.name = "hydro") Kernels.all in
   let g, inputs = kernel_feeds k ~n:8 ~waves:4 in
-  (* a sanitizer is run state: each run gets its own *)
-  let cfg () =
-    Run_config.with_sanitizer (San.create g)
-      (Run_config.with_recovery ME.default_recovery ME.default_config)
+  let cfg =
+    Run_config.(
+      ME.default_config |> with_recovery default_recovery |> with_sanitize true)
   in
   let arch = Machine.Arch.default in
-  let m = ME.create_cfg (cfg ()) ~arch g ~inputs in
+  let m = ME.create_cfg cfg ~arch g ~inputs in
   ME.advance m ~until:50;
   let text () = Obs.Json.to_string (CP.to_json ~graph:g (ME.snapshot m)) in
   let before = text () in
@@ -648,7 +711,7 @@ let test_restore_all_or_nothing () =
         Alcotest.(check string) (label ^ ": snapshot unchanged") before (text ())))
     cases;
   ME.advance m ~until:max_int;
-  let straight = ME.run_cfg (cfg ()) ~arch g ~inputs and resumed = ME.result m in
+  let straight = ME.run_cfg cfg ~arch g ~inputs and resumed = ME.result m in
   Alcotest.(check int) "end time after refused restores"
     straight.ME.end_time resumed.ME.end_time;
   Alcotest.(check bool) "outputs after refused restores" true
@@ -687,4 +750,6 @@ let suite =
       `Quick test_tampered_state_rejected;
     Alcotest.test_case "a refused restore writes nothing" `Quick
       test_restore_all_or_nothing;
+    Alcotest.test_case "one validity check: spec and both engines" `Quick
+      test_one_validity_check;
   ]

@@ -59,7 +59,7 @@ let test_protocol_request_roundtrip () =
          stored = true;
          fault = Some "seed=4 delay=0.25";
          fault_seed = Some 11;
-         recovery = Some (Recover.to_string Recover.default);
+         recovery = Some (Recover.to_string Run_config.default_recovery);
          integrity = true;
          watchdog = P.At 600;
          max_time = Some 123_456;
@@ -330,7 +330,7 @@ let test_served_faulted_machine () =
               P.waves = 2;
               engine = `Machine;
               fault = Some (FP.to_string spec);
-              recovery = Some (Recover.to_string Recover.default);
+              recovery = Some (Recover.to_string Run_config.default_recovery);
               integrity = true;
               watchdog = P.Auto;
               sanitize = true }
@@ -549,6 +549,27 @@ let test_hostile_lines () =
             (P.response_ok (Serve.Client.rpc conn P.Stats));
           let stats = Serve.Client.rpc conn P.Stats in
           check "malformed lines counted" true (stat stats "malformed" >= 2)))
+
+(* A request line past the server's [max_line] draws a structured
+   [malformed] answer and a close before the server has read it all,
+   so the rest of the client's write fails.  The client reads the
+   answer instead of retrying a request that can never fit. *)
+let test_oversize_request_answered () =
+  with_server_t ~max_line:4096 (fun socket _ ->
+      let run =
+        P.default_run
+          (P.Source
+             { source = String.make 400_000 ' '; scalars = []; input_seed = 0 })
+      in
+      let resp, attempts =
+        Serve.Client.resilient_rpc ~addr:socket (P.Simulate run)
+      in
+      check_int "answered on the first attempt" 1 attempts;
+      match P.response_error resp with
+      | Some (Some P.Malformed, msg) ->
+        check_string "the answer names the limit"
+          "request line exceeds 4096 bytes" msg
+      | _ -> Alcotest.failf "expected malformed, got %s" (J.to_string resp))
 
 let test_idle_deadline () =
   with_server_t ~idle_timeout:0.3 (fun socket _ ->
@@ -1631,4 +1652,6 @@ let suite =
       `Quick test_client_close_once;
     Alcotest.test_case "server: tampered checkpoint error names the field"
       `Quick test_served_tampered_restore;
+    Alcotest.test_case "client: an oversize request gets the rejection"
+      `Quick test_oversize_request_answered;
   ]
