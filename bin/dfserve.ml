@@ -4,7 +4,7 @@
    (NDJSON requests, see docs/SERVICE.md), with read/idle/write
    deadlines, a request-line cap and an optional write-ahead job
    journal that makes idempotent requests exactly-once across crashes.
-   Or --selftest: a chaos-style soak that starts a private server,
+   Or --selftest: a randomized soak that starts a private server,
    hammers it with concurrent clients replaying faulted and clean jobs
    plus a churn phase of sequential hostile-wire connections, and
    requires every served response to be bit-identical to the same job

@@ -28,11 +28,9 @@ type t = {
   (* ---- output slots and destinations, numbered globally: cell [c]'s
      slot [s] is global slot [slot_base.(c) + s]; its destinations are
      dest_port.(dest_base.(slot) .. dest_base.(slot+1) - 1) ---- *)
-  n_slots : int;
   slot_base : int array;  (* length n+1 *)
-  dest_base : int array;  (* length n_slots+1 *)
+  dest_base : int array;  (* length slot_base.(n)+1 *)
   dest_port : int array;  (* global destination port per dest entry *)
-  fanout : int array;  (* destination count per global slot *)
   inputs : (string * int) list;
   outputs : (string * int) list;
 }
@@ -43,7 +41,6 @@ type t = {
 let dummy_value = Value.Int 0
 
 let arity a cell = a.port_base.(cell + 1) - a.port_base.(cell)
-let out_slots a cell = a.slot_base.(cell + 1) - a.slot_base.(cell)
 
 let arc_port a ~src ~dst ~port =
   if dst < 0 || dst >= a.n || port < 0 || port >= arity a dst then -1
@@ -101,14 +98,9 @@ let build g =
     port_kind;
     port_value;
     port_producer = v.View.producer;
-    n_slots;
     slot_base = v.View.slot_base;
     dest_base = v.View.dest_base;
     dest_port;
-    fanout =
-      Array.init (max n_slots 1) (fun k ->
-          if k < n_slots then v.View.dest_base.(k + 1) - v.View.dest_base.(k)
-          else 0);
     inputs = Graph.inputs g;
     outputs = Graph.outputs g;
   }

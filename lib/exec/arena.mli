@@ -35,11 +35,9 @@ type t = {
   port_value : Value.t array;
       (** init/const payload per port; {!dummy_value} for plain arcs *)
   port_producer : int array;  (** producing cell per arc port, or -1 *)
-  n_slots : int;
   slot_base : int array;  (** length [n+1]; prefix sums of out_slots *)
-  dest_base : int array;  (** length [n_slots+1] *)
+  dest_base : int array;  (** length [slot_base.(n)+1] *)
   dest_port : int array;  (** global destination port per dest entry *)
-  fanout : int array;  (** destination count per global slot *)
   inputs : (string * int) list;
   outputs : (string * int) list;
 }
@@ -49,7 +47,6 @@ val dummy_value : Value.t
     observable through the engine APIs. *)
 
 val arity : t -> int -> int
-val out_slots : t -> int -> int
 
 val arc_port : t -> src:int -> dst:int -> port:int -> int
 (** The global port of input [port] of cell [dst] when cell [src] is

@@ -1,8 +1,8 @@
 (** Deterministic delta-debugging over the {!Fault_plan.spec} lattice.
 
-    A randomized soak (bin/chaos.exe) that finds a failure holds a
-    12-parameter fault spec; most of those parameters are noise.
-    [minimize] walks the spec down a lattice of strictly-smaller
+    A fault differential (bin/faultcheck.exe) that finds a failure
+    holds a 12-parameter fault spec; most of those parameters are
+    noise.  [minimize] walks the spec down a lattice of strictly-smaller
     candidates — zero out each probability, remove the crash, halve
     surviving probabilities and magnitudes, narrow the crash window —
     re-running the caller's oracle at each step and adopting the first

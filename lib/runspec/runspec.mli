@@ -5,8 +5,8 @@ open Dfg
     A run itself is described by one record, [Serve.Protocol.run], and
     resolved into an [Exec.Job.t] by one function,
     [Serve.Server.job_of_run].  This module holds what the front ends
-    need around that: kernel subjects for the differential harnesses
-    ([faultcheck], [chaos]), kernel lookup by name, the watchdog sizing
+    need around that: kernel subjects for the differential driver
+    ([faultcheck]), kernel lookup by name, the watchdog sizing
     rule, deterministic input synthesis for Val source, the diffable
     output-value dump, and transport endpoint parsing. *)
 
@@ -74,11 +74,12 @@ val write_values : path:string -> (string * (int * Value.t) list) list -> unit
 val hostport_of_string : string -> (string * int, string) result
 (** Parse a ["HOST:PORT"] TCP endpoint (an empty host means
     [127.0.0.1]; port 0 asks the kernel for an ephemeral port).  Shared
-    by [dfserve --tcp], [dfclient --tcp] and the chaos harness. *)
+    by [dfserve --tcp] and every [tcp:] address {!Serve.Client}
+    connects to. *)
 
 val members_of_string : string -> (string list, string) result
 (** Parse a cluster member list: a comma-separated address list
     (["a.sock,tcp:host:port"]) or ["@FILE"] naming a file with one
     address per line (blank lines and [#] comments ignored).  Order is
     preserved; an empty list or a duplicated address is an [Error].
-    Shared by [dfclient --cluster] and the chaos cluster soak. *)
+    Shared by [dfclient --cluster] and [dfserve --cluster]. *)

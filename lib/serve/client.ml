@@ -22,6 +22,7 @@ type t = {
   mutable next_id : int;
   conn : int;  (* connection ordinal: netfault keying *)
   mutable ops : int;  (* operation ordinal within the connection *)
+  mutable garbled : bool;  (* a line of ours went out with injected garbage *)
   netfault : Netfault.spec option;
   deadline : float option;  (* seconds an await may block *)
 }
@@ -71,6 +72,7 @@ let connect ?(retries = 50) ?(delay = 0.1) ?deadline ?netfault ?(conn = 0)
     next_id = 1;
     conn;
     ops = 0;
+    garbled = false;
     netfault;
     deadline }
 
@@ -120,6 +122,7 @@ let send t req =
       raise (Injected (Printf.sprintf "truncated after %d/%d bytes" n
                          (String.length line)))
     | Netfault.Garbage g ->
+      t.garbled <- true;
       let poisoned = g ^ line in
       write_all t.fd poisoned 0 (String.length poisoned)
     | Netfault.Stall (f, pause) ->
@@ -188,12 +191,15 @@ let await t id =
         t.stash <- t.stash @ [ (rid, r) ];
         pump ()
       | _ -> (
-        (* an unaddressed [malformed] means a request of ours was
-           mangled on the wire — fail fast so the retry layer reissues
-           instead of waiting out the deadline *)
+        (* an unaddressed [malformed] answers a line the server could
+           not take: one that injected garbage mangled on the wire
+           fails fast, so the retry layer reissues instead of waiting
+           out the deadline; any other (a line over the server's cap)
+           can never fit, so it is the answer *)
         match Protocol.response_error r with
-        | Some (Some Protocol.Malformed, m) ->
+        | Some (Some Protocol.Malformed, m) when t.garbled ->
           raise (Injected ("server rejected frame: " ^ m))
+        | Some (Some Protocol.Malformed, _) -> r
         | _ ->
           t.stash <- t.stash @ [ (-1, r) ];
           pump ())

@@ -26,9 +26,10 @@ exception Timeout
 (** The connection's [deadline] elapsed while awaiting a response. *)
 
 exception Injected of string
-(** The armed {!Netfault} consumed the request (drop or truncation);
-    the connection has been closed.  Retry layers treat this exactly
-    like a network failure. *)
+(** The armed {!Netfault} consumed the request (drop or truncation, and
+    the connection has been closed), or the server rejected a line it
+    had prefixed with garbage.  Retry layers treat this exactly like a
+    network failure. *)
 
 type t
 
@@ -64,7 +65,11 @@ val recv : t -> Obs.Json.t
 val await : t -> int -> Obs.Json.t
 (** Block until the response for [id] arrives, stashing any other
     responses read along the way (including unsolicited ones, like a
-    cancelled job's own response).
+    cancelled job's own response).  An unaddressed [malformed] answer
+    is returned as the response: the server could not take a line of
+    ours (one over its [max_line], say) and would refuse it again.
+    @raise Injected instead when the armed netfault sent garbage on
+    this connection, which is what the server rejected.
     @raise End_of_file if the server closes the connection first.
     @raise Timeout when the connection deadline elapses first. *)
 

@@ -3,8 +3,8 @@ module Prng = Fault.Prng
 (* Seeded disk-fault injection for the journal: the storage twin of
    Netfault.  Every decision is a pure function of (seed, append
    ordinal), so a soak replays the same disk betrayals whatever the
-   interleaving — the discipline that makes chaos transcripts
-   byte-identical at any worker count. *)
+   interleaving — the discipline that makes faultcheck's service-soak
+   transcripts byte-identical at any worker count. *)
 
 type spec = {
   df_seed : int;

@@ -7,8 +7,8 @@
     decision is a pure function of (seed, append ordinal) via the same
     keyed-hash discipline {!Fault.Fault_plan} and {!Netfault} use, so a
     soak replays the identical disk betrayals whatever the thread
-    interleaving — chaos transcripts stay byte-identical at any worker
-    count.
+    interleaving — faultcheck's service-soak transcripts stay
+    byte-identical at any worker count.
 
     {!Journal.open_append} threads a spec through every append; the
     torn and ENOSPC actions raise ({!Journal.Disk_fault} /

@@ -1,4 +1,4 @@
-(** Chaos-style soak of a live server: zero cross-request interference.
+(** Randomized soak of a live server: zero cross-request interference.
 
     Starts a real server on a private socket, fans [clients] concurrent
     client domains over it — each replaying a deterministic mix of

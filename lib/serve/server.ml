@@ -164,7 +164,7 @@ let config_of_run (r : P.run) =
           (if r.P.stored then Machine.Arch.Stored else Machine.Arch.Streamed);
       }
     in
-    Ok (cfg, arch)
+    Result.map (fun () -> (cfg, arch)) (Run_config.check cfg)
 
 let job_of_run ?arena (r : P.run) (compiled : PC.compiled) =
   let program =

@@ -162,7 +162,8 @@ val config_of_run :
     machine architecture.  Machine requests default
     [max_time] to {!Machine.Machine_engine.default_max_time}, matching
     {!Fault_diff.machine}.  [Error] names the bad fault or recovery
-    spec. *)
+    spec, or is {!Run_config.check}'s refusal of the configuration
+    built (a zero watchdog, say). *)
 
 val job_of_run :
   ?arena:Arena.t ->

@@ -34,11 +34,12 @@ let test_arena_invariants () =
       checki (k.K.name ^ ": cell count") (Graph.node_count g) n;
       checki (k.K.name ^ ": port_base closes")
         a.Arena.n_ports a.Arena.port_base.(n);
+      let n_slots = a.Arena.slot_base.(n) in
       checki (k.K.name ^ ": slot_base closes")
-        a.Arena.n_slots a.Arena.slot_base.(n);
+        (Array.length a.Arena.dest_base - 1) n_slots;
       checki (k.K.name ^ ": dest_base closes")
         (Array.length a.Arena.dest_port)
-        a.Arena.dest_base.(a.Arena.n_slots);
+        a.Arena.dest_base.(n_slots);
       (* global port numbering is the inverse of (cell, local port) *)
       for p = 0 to a.Arena.n_ports - 1 do
         checki
@@ -73,7 +74,7 @@ let test_arena_invariants () =
             let db = a.Arena.dest_base.(s) in
             checki
               (Printf.sprintf "%s: cell %d slot %d fanout" k.K.name id slot)
-              (List.length eps) a.Arena.fanout.(s);
+              (List.length eps) (a.Arena.dest_base.(s + 1) - db);
             List.iteri
               (fun i { Graph.ep_node; ep_port } ->
                 checki

@@ -551,25 +551,51 @@ let test_hostile_lines () =
           check "malformed lines counted" true (stat stats "malformed" >= 2)))
 
 (* A request line past the server's [max_line] draws a structured
-   [malformed] answer and a close before the server has read it all,
-   so the rest of the client's write fails.  The client reads the
-   answer instead of retrying a request that can never fit. *)
-let test_oversize_request_answered () =
-  with_server_t ~max_line:4096 (fun socket _ ->
-      let run =
-        P.default_run
-          (P.Source
-             { source = String.make 400_000 ' '; scalars = []; input_seed = 0 })
+   [malformed] answer and a close before the server has read it all.
+   When the rest of the client's write fails, the client reads the
+   answer the server already sent; when the line fit the socket buffers
+   (over TCP, mostly) the write completes and the answer arrives as an
+   ordinary unaddressed one.  Either way it is the answer, not a frame
+   mangled on the wire to retry until the attempts run out. *)
+let test_oversize_request_answered ~tcp () =
+  with_server_t
+    ?tcp:(if tcp then Some ("127.0.0.1", 0) else None)
+    ~max_line:4096
+    (fun socket server ->
+      let addr =
+        match (tcp, Serve.Server.tcp_port server) with
+        | false, _ -> socket
+        | true, Some p -> Printf.sprintf "tcp:127.0.0.1:%d" p
+        | true, None -> Alcotest.fail "tcp_port unset"
       in
-      let resp, attempts =
-        Serve.Client.resilient_rpc ~addr:socket (P.Simulate run)
-      in
-      check_int "answered on the first attempt" 1 attempts;
-      match P.response_error resp with
-      | Some (Some P.Malformed, msg) ->
-        check_string "the answer names the limit"
-          "request line exceeds 4096 bytes" msg
-      | _ -> Alcotest.failf "expected malformed, got %s" (J.to_string resp))
+      List.iter
+        (fun bytes ->
+          let run =
+            P.default_run
+              (P.Source
+                 { source = String.make bytes ' '; scalars = [];
+                   input_seed = 0 })
+          in
+          let resp, attempts =
+            Serve.Client.resilient_rpc ~addr (P.Simulate run)
+          in
+          (* a TCP reset can discard the answer, and that attempt is
+             retried; a Unix socket keeps it *)
+          if tcp then
+            check
+              (Printf.sprintf "%d bytes: answered with attempts left" bytes)
+              true
+              (attempts < Serve.Client.default_retry.Serve.Client.attempts)
+          else
+            check_int
+              (Printf.sprintf "%d bytes: answered on the first attempt" bytes)
+              1 attempts;
+          match P.response_error resp with
+          | Some (Some P.Malformed, msg) ->
+            check_string "the answer names the limit"
+              "request line exceeds 4096 bytes" msg
+          | _ -> Alcotest.failf "expected malformed, got %s" (J.to_string resp))
+        (List.init 18 (fun i -> 100_000 + (i * 29_400))))
 
 let test_idle_deadline () =
   with_server_t ~idle_timeout:0.3 (fun socket _ ->
@@ -1387,6 +1413,17 @@ let test_soak () =
    request feeds the streams the differential harnesses' subject feeds,
    the arch and the auto watchdog land in the job, and bad specs come
    back as errors *)
+(* the config a request resolves to passes the one validity check both
+   engines apply, so a bad window is a structured error, not a raise *)
+let test_config_of_run_checks () =
+  let run =
+    { (P.default_run (P.Kernel { name = "hydro"; size = 8 })) with
+      P.watchdog = P.At 0 }
+  in
+  match Serve.Server.config_of_run run with
+  | Error e -> check_string "the error names the key" "watchdog must be > 0" e
+  | Ok _ -> Alcotest.fail "config_of_run accepted a zero watchdog"
+
 let test_job_of_run () =
   let subject =
     Runspec.compile_subject (Kernels.find "hydro") ~size:8 ~waves:3
@@ -1653,5 +1690,9 @@ let suite =
     Alcotest.test_case "server: tampered checkpoint error names the field"
       `Quick test_served_tampered_restore;
     Alcotest.test_case "client: an oversize request gets the rejection"
-      `Quick test_oversize_request_answered;
+      `Quick (test_oversize_request_answered ~tcp:false);
+    Alcotest.test_case "client: an oversize TCP request gets the rejection"
+      `Quick (test_oversize_request_answered ~tcp:true);
+    Alcotest.test_case "server: config_of_run refuses a zero watchdog"
+      `Quick test_config_of_run_checks;
   ]
