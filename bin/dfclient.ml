@@ -112,7 +112,7 @@ let write_checkpoint_out program resp = function
       match Serve.Server.compile_program program with
       | Error e -> failwith ("recompile for checkpoint: " ^ e)
       | Ok { Compiler.Program_compile.cp_graph = graph; _ } -> (
-        match Recover.Checkpoint.of_json ~graph doc with
+        match Recover.Checkpoint.of_json ~arena:(Arena.build graph) doc with
         | Error e -> failwith ("checkpoint: " ^ e)
         | Ok snapshot ->
           Recover.Checkpoint.save ~path ~graph snapshot;

@@ -137,11 +137,12 @@ let input_waves input_files (r : Serve.Protocol.run) compiled =
 
 let run_machine (cfg : Run_config.t) ~arch g ~inputs ~restore_from
     ~checkpoint_out =
-  let m = ME.create_cfg cfg ~arch g ~inputs in
+  let arena = Arena.build g in
+  let m = ME.create_arena cfg ~arch arena ~inputs in
   (match restore_from with
   | None -> ()
   | Some p -> (
-    match Recover.Checkpoint.load ~path:p ~graph:g with
+    match Recover.Checkpoint.load ~path:p ~arena with
     | Ok sn ->
       ME.restore m sn;
       Printf.printf "restored checkpoint %s (t=%d)\n" p sn.ME.sn_time

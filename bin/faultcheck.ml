@@ -686,38 +686,48 @@ let replay f s ~master cfg sc (subject : Runspec.subject) (o : FD.outcome) =
 
 (* --- the driver -------------------------------------------------------- *)
 
-(* one scenario, start to finish; the report goes into [buf] so the run
-   can fan out across domains and still print in submission order *)
+(* one scenario, start to finish: its verdict, or [None] when no engine
+   runs its plan.  The report goes into [buf] so the run can fan out
+   across domains and still print in submission order. *)
 let check cfg ~replay ~buf sc =
-  let subject =
-    Runspec.compile_subject sc.kernel ~size:cfg.size ~waves:cfg.waves
-  in
   (* the graph-level simulator honours delay faults only: running it
      under a protocol-breaking plan would vacuously pass *)
   let engines =
     (if FP.delay_only (FP.make sc.spec) then [ `Sim ] else [])
     @ if cfg.machine then [ `Machine ] else []
   in
-  let outcomes =
-    List.map (fun e -> (e, differential cfg e subject sc.spec)) engines
-  in
-  (* replayed before any shrinking, so the killer's schedule keeps up *)
-  let served =
-    match (replay, List.assoc_opt `Machine outcomes) with
-    | Some replay, Some o -> (
-      try replay cfg sc subject o
-      with e ->
-        [ Printf.sprintf "served replay died: %s" (Printexc.to_string e) ])
-    | _ -> []
-  in
-  let verdicts =
-    List.map (fun (e, o) -> report cfg ~buf sc subject e o) outcomes
-  in
-  List.iter
-    (Printf.bprintf buf "FAIL %-14s %-7s %s %s\n" sc.kernel.K.name "served"
-       sc.label)
-    served;
-  List.for_all Fun.id verdicts && served = []
+  if engines = [] then begin
+    Printf.bprintf buf
+      "skip %-14s %-7s %s (only the machine engine runs this plan: add \
+       --machine)\n"
+      sc.kernel.K.name "-" sc.label;
+    None
+  end
+  else begin
+    let subject =
+      Runspec.compile_subject sc.kernel ~size:cfg.size ~waves:cfg.waves
+    in
+    let outcomes =
+      List.map (fun e -> (e, differential cfg e subject sc.spec)) engines
+    in
+    (* replayed before any shrinking, so the killer's schedule keeps up *)
+    let served =
+      match (replay, List.assoc_opt `Machine outcomes) with
+      | Some replay, Some o -> (
+        try replay cfg sc subject o
+        with e ->
+          [ Printf.sprintf "served replay died: %s" (Printexc.to_string e) ])
+      | _ -> []
+    in
+    let verdicts =
+      List.map (fun (e, o) -> report cfg ~buf sc subject e o) outcomes
+    in
+    List.iter
+      (Printf.bprintf buf "FAIL %-14s %-7s %s %s\n" sc.kernel.K.name "served"
+         sc.label)
+      served;
+    Some (List.for_all Fun.id verdicts && served = [])
+  end
 
 let main seeds fault runs master dir kernel_filter size waves recover machine
     integrity jobs serve serve_kill serve_cluster serve_wipe kills =
@@ -759,13 +769,6 @@ let main seeds fault runs master dir kernel_filter size waves recover machine
   | Some p when not machine ->
     failwith (p.flag ^ " replays the machine run: add --machine")
   | _ -> ());
-  if
-    (not machine)
-    && List.exists (fun sc -> not (FP.delay_only (FP.make sc.spec))) scenarios
-  then
-    print_endline
-      "note: dup/drop/drop-ack/crash faults are machine-only; the sim \
-       differential is skipped for them (add --machine)";
   let cfg = { size; waves; recovery; integrity; machine; dir } in
   let jobs = match jobs with Some j -> j | None -> Exec.Pool.default_jobs () in
   let runs = List.length scenarios in
@@ -805,14 +808,19 @@ let main seeds fault runs master dir kernel_filter size waves recover machine
                 (Buffer.contents buf, ok))
               scenarios))
   in
-  let failures = ref 0 in
+  let failures = ref 0 and ran = ref 0 in
   List.iter2
     (fun sc r ->
       match r with
-      | Ok (report, ok) ->
+      | Ok (report, verdict) ->
         print_string report;
-        if not ok then incr failures
+        Option.iter
+          (fun ok ->
+            incr ran;
+            if not ok then incr failures)
+          verdict
       | Error (e : Exec.Pool.error) ->
+        incr ran;
         incr failures;
         Printf.printf "FAIL %-14s %s raised %s\n     repro: %s\n"
           sc.kernel.K.name sc.label e.Exec.Pool.message
@@ -826,14 +834,22 @@ let main seeds fault runs master dir kernel_filter size waves recover machine
     | Some p when p.kills > 0 -> Printf.sprintf ", %d %s cycles" !cycles p.cycle
     | _ -> "");
   let kills = match preset with Some p -> p.kills | None -> 0 in
-  if !failures > 0 then
-    `Error (false, Printf.sprintf "%d of %d %s failed" !failures runs noun)
+  let skipped = runs - !ran in
+  if !ran = 0 && runs > 0 then
+    `Error
+      (false,
+       Printf.sprintf "none of the %d %s ran an engine: add --machine" runs
+         noun)
+  else if !failures > 0 then
+    `Error (false, Printf.sprintf "%d of %d %s failed" !failures !ran noun)
   else if !cycles < kills then
     `Error
       (false, Printf.sprintf "only %d of %d kill/restart cycles ran" !cycles kills)
   else begin
-    Printf.printf "all %d %s: faulted outputs identical to clean%s\n" runs noun
-      (match preset with Some p -> ", " ^ p.verdict | None -> "");
+    Printf.printf "all %d %s: faulted outputs identical to clean%s%s\n" !ran
+      noun
+      (match preset with Some p -> ", " ^ p.verdict | None -> "")
+      (if skipped > 0 then Printf.sprintf " (%d skipped)" skipped else "");
     `Ok ()
   end
 

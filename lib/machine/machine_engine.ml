@@ -8,13 +8,14 @@ module SR = Fault.Stall_report
    engine itself produced or that [restore] checked before writing
    anything: cells, ports and slots come from [Arena.build]; a slab slot
    from the slab's free stack, which holds only slots below its
-   capacity; a queued event's port is an arc port of the arena
-   ([check_events]); and a cell's PE lies in [0, n_pe), from placement or
-   from [check_state].  The arrays indexed are the arena's and the
-   machine's own, whose lengths never change after [create_arena]
-   ([restore] blits into them and checks the lengths first), so the
-   runtime check would only cost time (this build has no flambda to
-   eliminate it). *)
+   capacity; a queued event's port is an arc port of the arena and a
+   cell's PE lies in [0, n_pe), from placement or from [check_state].
+   The arrays indexed are the arena's and the machine's own, whose
+   lengths never change after [create_arena] ([restore] blits into them
+   and checks the lengths first), and the event queue's, which it
+   indexes by bucket ([land mask]) or by a payload below the length of
+   its links ([append] grows them first).  The runtime check would only
+   cost time (this build has no flambda to eliminate it). *)
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
@@ -104,7 +105,7 @@ type 'resume snap = {
   sn_out_attempts : int array;
   sn_out_value : Value.t array;
   sn_corrupt_pend : int array;
-  sn_events : (int * event) array;  (* exact heap layout, see [events] *)
+  sn_events : (int * event) array;  (* in the order they apply *)
   sn_pes : int array;
   sn_fus : int array;
   sn_ams : int array;
@@ -188,6 +189,191 @@ let slab_clear s =
   done;
   s.n_free <- cap
 
+(* The event queue: a timing wheel with one time per bucket.  For every
+   time [t] in [base, base + horizon), bucket [t land mask] holds the
+   events due at [t] as a FIFO list linked through [next], which is
+   indexed by payload (the engine's payloads are slab slots).  Events
+   due later wait in an overflow heap ordered by (time, queue order)
+   and move into their bucket when [start] brings [base] within
+   [horizon] of their time.  A push reaches a bucket only once its time
+   is within [horizon] of [base], so the overflow's events of a time are
+   in their bucket before anything later of that time is queued, and
+   every bucket stays in queue order. *)
+module Wheel = struct
+  let horizon = 1024
+  let mask = horizon - 1
+
+  type t = {
+    head : int array;  (* per bucket: its first payload, or -1 *)
+    tail : int array;  (* per bucket: its last payload, or -1 *)
+    mutable next : int array;  (* per payload: the next in its bucket *)
+    mutable base : int;
+    mutable in_ring : int;
+    (* the overflow heap, three parallel arrays: due time, queue-order
+       stamp, payload *)
+    mutable o_at : int array;
+    mutable o_ord : int array;
+    mutable o_x : int array;
+    mutable o_len : int;
+    mutable o_stamp : int;
+  }
+
+  let create () =
+    { head = Array.make horizon (-1); tail = Array.make horizon (-1);
+      next = Array.make 16 (-1); base = 0; in_ring = 0;
+      o_at = Array.make 16 0; o_ord = Array.make 16 0; o_x = Array.make 16 0;
+      o_len = 0; o_stamp = 0 }
+
+  let length w = w.in_ring + w.o_len
+
+  let clear w ~base =
+    Array.fill w.head 0 horizon (-1);
+    Array.fill w.tail 0 horizon (-1);
+    w.base <- base;
+    w.in_ring <- 0;
+    w.o_len <- 0
+
+  (* Link [x] at the tail of the bucket of time [t]. *)
+  let append w t x =
+    if x >= Array.length w.next then begin
+      let next = Array.make (2 * (x + 1)) (-1) in
+      Array.blit w.next 0 next 0 (Array.length w.next);
+      w.next <- next
+    end;
+    let b = t land mask in
+    w.next.!(x) <- -1;
+    let last = w.tail.!(b) in
+    if last < 0 then w.head.!(b) <- x else w.next.!(last) <- x;
+    w.tail.!(b) <- x;
+    w.in_ring <- w.in_ring + 1
+
+  (* A new entry has the largest stamp, so it moves up only past a later
+     time. *)
+  let o_push w t x =
+    if w.o_len = Array.length w.o_at then begin
+      let grow a =
+        let b = Array.make (2 * w.o_len) 0 in
+        Array.blit a 0 b 0 w.o_len;
+        b
+      in
+      w.o_at <- grow w.o_at;
+      w.o_ord <- grow w.o_ord;
+      w.o_x <- grow w.o_x
+    end;
+    let ord = w.o_stamp in
+    w.o_stamp <- ord + 1;
+    let i = ref w.o_len in
+    w.o_len <- w.o_len + 1;
+    while !i > 0 && w.o_at.((!i - 1) / 2) > t do
+      let p = (!i - 1) / 2 in
+      w.o_at.(!i) <- w.o_at.(p);
+      w.o_ord.(!i) <- w.o_ord.(p);
+      w.o_x.(!i) <- w.o_x.(p);
+      i := p
+    done;
+    w.o_at.(!i) <- t;
+    w.o_ord.(!i) <- ord;
+    w.o_x.(!i) <- x
+
+  (* Overflow entry [i] applies before one due at [t] with stamp [ord]. *)
+  let before w i t ord =
+    w.o_at.(i) < t || (w.o_at.(i) = t && w.o_ord.(i) < ord)
+
+  (* Remove the overflow's first entry: the last one moves down from the
+     root. *)
+  let o_drop w =
+    let n = w.o_len - 1 in
+    w.o_len <- n;
+    if n > 0 then begin
+      let t = w.o_at.(n) and ord = w.o_ord.(n) and x = w.o_x.(n) in
+      let i = ref 0 and continue_ = ref true in
+      while !continue_ do
+        let l = (2 * !i) + 1 in
+        let c =
+          if l + 1 < n && before w (l + 1) w.o_at.(l) w.o_ord.(l) then l + 1
+          else l
+        in
+        if l < n && before w c t ord then begin
+          w.o_at.(!i) <- w.o_at.(c);
+          w.o_ord.(!i) <- w.o_ord.(c);
+          w.o_x.(!i) <- w.o_x.(c);
+          i := c
+        end
+        else continue_ := false
+      done;
+      w.o_at.(!i) <- t;
+      w.o_ord.(!i) <- ord;
+      w.o_x.(!i) <- x
+    end
+
+  (* Queue payload [x] at time [t >= base]. *)
+  let push w t x = if t - w.base < horizon then append w t x else o_push w t x
+
+  (* The earliest time anything is due, or [-1] when nothing is queued.
+     Every bucketed event is due before every overflow event. *)
+  let next_time w =
+    if w.in_ring > 0 then begin
+      let t = ref w.base in
+      while w.head.!(!t land mask) < 0 do
+        incr t
+      done;
+      !t
+    end
+    else if w.o_len > 0 then w.o_at.(0)
+    else -1
+
+  (* The payload that applies first of those due at [t = next_time w],
+     and its removal. *)
+  let first w t =
+    if t - w.base < horizon then w.head.!(t land mask) else w.o_x.(0)
+
+  let unlink_head w b =
+    let x = w.head.!(b) in
+    let nx = w.next.!(x) in
+    w.head.!(b) <- nx;
+    if nx < 0 then w.tail.!(b) <- -1;
+    w.in_ring <- w.in_ring - 1;
+    x
+
+  let drop_first w t =
+    if t - w.base < horizon then ignore (unlink_head w (t land mask))
+    else o_drop w
+
+  (* Make [t = next_time w] the current time: the overflow's events due
+     before [t + horizon] move into their buckets, in their order. *)
+  let start w t =
+    w.base <- t;
+    let limit = t + horizon in
+    while w.o_len > 0 && w.o_at.(0) < limit do
+      let at = w.o_at.(0) and x = w.o_x.(0) in
+      o_drop w;
+      append w at x
+    done
+
+  (* The next payload due at the current time, removed, or [-1] when
+     none is left. *)
+  let take w =
+    let b = w.base land mask in
+    if w.head.!(b) < 0 then -1 else unlink_head w b
+
+  (* Every queued [(time, payload)], in the order they apply. *)
+  let to_array w =
+    let ring = ref [] in
+    for t = w.base + horizon - 1 downto w.base do
+      let items = ref [] and x = ref w.head.(t land mask) in
+      while !x >= 0 do
+        items := (t, !x) :: !items;
+        x := w.next.(!x)
+      done;
+      ring := List.rev_append !items !ring
+    done;
+    let far =
+      Array.init w.o_len (fun i -> (w.o_at.(i), w.o_ord.(i), w.o_x.(i)))
+    in
+    Array.sort compare far;
+    Array.append (Array.of_list !ring) (Array.map (fun (t, _, x) -> (t, x)) far)
+end
+
 type t = {
   arch : Arch.t;
   max_time : int;
@@ -226,7 +412,7 @@ type t = {
      replaced by a clean copy (-1: none) — consulted when a
      retransmission lands so the heal is visible in trace and counters *)
   corrupt_pend : int array;
-  mutable events : Df_util.Ipq.t;  (* slab slots by time *)
+  events : Wheel.t;  (* slab slots by time *)
   slab : slab;
   pes : int array;
   fus : pool;
@@ -290,13 +476,13 @@ let new_event m kind p seq =
   if kind <> ev_retransmit then m.live_events <- m.live_events + 1;
   i
 
-let schedule m t kind p seq = Df_util.Ipq.push m.events t (new_event m kind p seq)
+let schedule m t kind p seq = Wheel.push m.events t (new_event m kind p seq)
 
 let schedule_deliver m t p seq value crc =
   let i = new_event m ev_deliver p seq in
   m.slab.value.!(i) <- value;
   m.slab.crc.!(i) <- crc;
-  Df_util.Ipq.push m.events t i
+  Wheel.push m.events t i
 
 (* ------------------------------------------------------------------ *)
 (* snapshot / restore                                                 *)
@@ -328,18 +514,8 @@ let event_port a = function
   | Ack { dst; from_node; from_port; _ } ->
     Arena.arc_port a ~src:dst ~dst:from_node ~port:from_port
 
-let check_events (a : Arena.t) events =
-  Array.iter
-    (fun (_, ev) ->
-      if event_port a ev < 0 then
-        invalid_arg
-          "Machine_engine.restore: a queued event travels no arc of this graph")
-    events
-
 let events_of_slab m =
-  Array.map
-    (fun (t, i) -> (t, event_of_slot m i))
-    (Df_util.Ipq.to_array m.events)
+  Array.map (fun (t, i) -> (t, event_of_slot m i)) (Wheel.to_array m.events)
 
 let state m : state =
   {
@@ -394,23 +570,20 @@ let mark_all m =
   m.dirty_head <- 0;
   m.dirty_len <- n
 
-(* Queue the events of a snapshot, rebuilding the slab and the heap in
-   the snapshot's layout. *)
-let load_events m events =
+(* Queue the events of a snapshot taken at [time], in the order listed,
+   which is the order they apply. *)
+let load_events m ~time events =
   slab_clear m.slab;
+  Wheel.clear m.events ~base:time;
   m.live_events <- 0;
-  let slot ev =
-    let p = event_port m.arena ev in
-    match ev with
-    | Deliver { seq; value; crc; _ } ->
-      let i = new_event m ev_deliver p seq in
-      m.slab.value.(i) <- value;
-      m.slab.crc.(i) <- crc;
-      i
-    | Ack { seq; _ } -> new_event m ev_ack p seq
-    | Retransmit { seq; _ } -> new_event m ev_retransmit p seq
-  in
-  m.events <- Df_util.Ipq.of_array (Array.map (fun (t, ev) -> (t, slot ev)) events)
+  Array.iter
+    (fun (t, ev) ->
+      let p = event_port m.arena ev in
+      match ev with
+      | Deliver { seq; value; crc; _ } -> schedule_deliver m t p seq value crc
+      | Ack { seq; _ } -> schedule m t ev_ack p seq
+      | Retransmit { seq; _ } -> schedule m t ev_retransmit p seq)
+    events
 
 (* A snapshot's shape and the fields the engine indexes with, all
    checked before anything is overwritten: a refused restore leaves the
@@ -470,7 +643,19 @@ let check_state m (s : _ snap) =
           (Array.length items) cap)
     r.Run_state.fifo_buf;
   Option.iter (fail "sanitizer: %s") (San.misfit m.sanitizer s.sn_sanitizer);
-  check_events m.arena s.sn_events
+  (* every queued event is due after the snapshot's time, listed in the
+     order the events apply, and travels an arc of the arena *)
+  Array.iteri
+    (fun k (t, ev) ->
+      if t <= s.sn_time then
+        fail "events[%d] is due at %d, not after the snapshot's time %d" k t
+          s.sn_time;
+      if k > 0 && t < fst s.sn_events.(k - 1) then
+        fail "events[%d] is due at %d, before events[%d] at %d" k t (k - 1)
+          (fst s.sn_events.(k - 1));
+      if event_port m.arena ev < 0 then
+        fail "events[%d] travels no arc of this graph" k)
+    s.sn_events
 
 (* Reinstate machine state: everything a crash rollback rewinds.  The
    checkpoint clock, the crash flag, the rollback target and the
@@ -488,7 +673,7 @@ let restore_state m (s : _ snap) =
   blit s.sn_out_attempts m.out_attempts;
   blit s.sn_out_value m.out_value;
   blit s.sn_corrupt_pend m.corrupt_pend;
-  load_events m s.sn_events;
+  load_events m ~time:s.sn_time s.sn_events;
   blit s.sn_pes m.pes;
   m.fus.next_free <- Array.copy s.sn_fus;
   m.ams.next_free <- Array.copy s.sn_ams;
@@ -538,6 +723,15 @@ let create_arena (cfg : Run_config.t) ~(arch : Arch.t) (a : Arena.t) ~inputs =
   let recovery = cfg.Run_config.recovery in
   let integrity = cfg.Run_config.integrity in
   (match Run_config.check cfg with Error e -> invalid_arg e | Ok () -> ());
+  (* every event is then due after the time it is queued at, which the
+     event queue and [check_state] rely on *)
+  if
+    arch.Arch.rn_latency < 1 || arch.Arch.fu_latency < 0
+    || arch.Arch.am_latency < 0
+  then
+    invalid_arg
+      "Machine_engine: the arch needs rn_latency >= 1, fu_latency >= 0 and \
+       am_latency >= 0";
   let sanitizer =
     if cfg.Run_config.sanitize then San.create a.Arena.graph else San.null
   in
@@ -578,7 +772,7 @@ let create_arena (cfg : Run_config.t) ~(arch : Arch.t) (a : Arena.t) ~inputs =
       out_attempts = Array.make n_ports (-1);
       out_value = Array.make n_ports Arena.dummy_value;
       corrupt_pend = Array.make n_ports (-1);
-      events = Df_util.Ipq.create ();
+      events = Wheel.create ();
       slab = slab_create 16;
       pes = Array.make n_pe 0;
       fus = pool_create arch.Arch.n_fu;
@@ -1239,14 +1433,15 @@ let only_futile_outstanding m =
    work, and letting them advance the clock would make a clean drain
    look like a watchdog stall. *)
 let rec skip_stale_retransmits m =
-  if Df_util.Ipq.peek_priority m.events >= 0 then begin
+  let t = Wheel.next_time m.events in
+  if t >= 0 then begin
     let s = m.slab in
-    let i = Df_util.Ipq.peek_payload m.events in
+    let i = Wheel.first m.events t in
     if
       Bytes.unsafe_get s.kind i = ev_retransmit
       && not (outstanding m s.port.!(i) ~seq:s.seq.!(i))
     then begin
-      Df_util.Ipq.drop_min m.events;
+      Wheel.drop_first m.events t;
       free_slot s i;
       skip_stale_retransmits m
     end
@@ -1259,7 +1454,7 @@ let take_checkpoint m =
     Obs.Tracer.emit m.tracer
       (Obs.Event.Checkpoint
          { time = m.now; track = 0; seq = m.checkpoints;
-           in_flight = Df_util.Ipq.length m.events })
+           in_flight = Wheel.length m.events })
 
 let do_crash m pe crash_at =
   m.crash_done <- true;
@@ -1342,9 +1537,9 @@ let advance m ~until =
     end
     else begin
       (* only retransmission timers can be stale *)
-      if Df_util.Ipq.length m.events > m.live_events then
+      if Wheel.length m.events > m.live_events then
         skip_stale_retransmits m;
-      let t = Df_util.Ipq.peek_priority m.events in
+      let t = Wheel.next_time m.events in
       if t < 0 then continue_ := settle m
       else if m.live_events = 0 && only_futile_outstanding m then
         (* only futile retransmission timers left *)
@@ -1377,8 +1572,11 @@ let advance m ~until =
                   | None -> max_int)
             end;
             m.now <- t;
-            while Df_util.Ipq.peek_priority m.events = t do
-              apply_event m (Df_util.Ipq.pop_payload m.events)
+            Wheel.start m.events t;
+            let i = ref (Wheel.take m.events) in
+            while !i >= 0 do
+              apply_event m !i;
+              i := Wheel.take m.events
             done
           end
     end

@@ -41,8 +41,13 @@ open Dfg
     the machine has — the hosting PE per cell and the recovery
     protocol's sequence numbers per port — lives in flat side arrays
     beside it.  Queued events are ints: slots of a flat event slab,
-    ordered by time in a {!Df_util.Ipq}, so steady state allocates
-    nothing per packet (docs/ENGINE.md). *)
+    ordered by time in a timing wheel ({!Wheel}), so steady state
+    allocates nothing per packet (docs/ENGINE.md).
+
+    Events that fall due at the same time apply in the order they were
+    queued.  That order decides which ready cell gets a PE slot, an FU
+    or an AM first, so it fixes every timing; values never depend on
+    it. *)
 
 type stats = {
   dispatches : int;        (** instruction firings (operation packets) *)
@@ -156,12 +161,11 @@ type 'resume snap = {
       (** per port: sequence number of a packet discarded as corrupt and
           not yet healed, or [-1] *)
   sn_events : (int * event) array;
-      (** the event queue in exact heap layout: the engine's
-          {!Df_util.Ipq} of event-slab slots, read with
-          {!Df_util.Ipq.to_array} and each slot expanded to an {!event}.
-          Equal-time pop order affects resource-pool allocation, so a
-          bit-identical resume must preserve it; {!restore} rebuilds
-          the slab and the heap in this layout *)
+      (** the queued events with their due times, in the order they
+          apply: by time, and events of one time in the order they were
+          queued.  {!restore} queues them again in this order, so a
+          resumed run allocates PEs, FUs and AMs as the saved one
+          would have *)
   sn_pes : int array;
   sn_fus : int array;
   sn_ams : int array;
@@ -209,8 +213,10 @@ val create_cfg :
     here.  See {!run_cfg} for the
     semantics of the remaining fields.
     @raise Invalid_argument on invalid graphs, missing or unknown input
-    streams, or a configuration {!Run_config.check} refuses (with its
-    message). *)
+    streams, a configuration {!Run_config.check} refuses (with its
+    message), or an arch with [rn_latency < 1] or a negative FU or AM
+    latency (every event must fall due after the time it is queued
+    at). *)
 
 val create_arena :
   Run_config.t ->
@@ -247,7 +253,9 @@ val restore : t -> snapshot -> unit
     machine's, a FIFO holds more items than its capacity, the sanitizer
     section does not fit the machine's sanitizer, a cell's PE lies
     outside the arch or its cursor below 0, or a queued event (also in
-    the rollback target) travels no arc of the graph. *)
+    the rollback target) travels no arc of the graph, falls due at or
+    before the snapshot's time, or is listed before an event due
+    earlier. *)
 
 val result : t -> result
 (** Read the outcome.  On a {!finished} machine this includes the stall
@@ -330,3 +338,55 @@ val output_values : result -> string -> Value.t list
 
 val output_times : result -> string -> int list
 (** Arrival times of an output stream; errors as {!output_values}. *)
+
+(** {1 The event queue}
+
+    The timing wheel {!advance} keeps its events in, exposed for its
+    tests.  Payloads are non-negative ints (the engine's are event-slab
+    slots); the queue has a current time, which {!Wheel.start}
+    advances.  Events due at one time come out in the order they were
+    pushed. *)
+module Wheel : sig
+  type t
+
+  val horizon : int
+  (** 1024 buckets, one time each: an event due less than [horizon]
+      after the current time is linked into its time's bucket at once;
+      a later one waits in an overflow heap ordered by (time, queue
+      order) until {!start} brings it within the horizon.  The horizon
+      covers the default latencies and the default recovery's longest
+      backoff (16 × 48). *)
+
+  val create : unit -> t
+  (** An empty queue at time 0. *)
+
+  val length : t -> int
+
+  val push : t -> int -> int -> unit
+  (** [push w t x] queues payload [x >= 0] due at [t], which must not be
+      before the current time. *)
+
+  val next_time : t -> int
+  (** The earliest time an event is due, or [-1] when none is queued. *)
+
+  val first : t -> int -> int
+  (** [first w t], with [t = next_time w]: the payload that comes out
+      first, left in place. *)
+
+  val drop_first : t -> int -> unit
+  (** [drop_first w t], with [t = next_time w]: remove {!first}. *)
+
+  val start : t -> int -> unit
+  (** [start w t], with [t = next_time w]: make [t] the current time. *)
+
+  val take : t -> int
+  (** Remove and return the next payload due at the current time, or
+      [-1] when none is left. *)
+
+  val to_array : t -> (int * int) array
+  (** Every queued [(time, payload)], in the order they come out. *)
+
+  val clear : t -> base:int -> unit
+  (** Empty the queue and make [base] its current time; pushing
+      {!to_array}'s entries back in order then rebuilds the queue. *)
+end

@@ -4,17 +4,19 @@ module ME = Machine.Machine_engine
 module San = Fault.Sanitizer
 module V = Fault.Violation
 
-(* 3: the run state is stored as flat per-port and per-cell arrays in
-   the engines' shared layout, and the snapshot carries what a resumed
-   crash-faulted run needs: the crash flag, the checkpoint clock, the
-   checkpoint and recovery counters and the rollback target.  (2 added
+(* 4: queued events are listed in the order they apply (by time, and
+   events of one time in the order they were queued), the machine's
+   equal-time order since its event queue became a timing wheel; a
+   format-3 document lists them in binary-heap layout, which that order
+   cannot read.  (3 stored the run state as flat per-port and per-cell
+   arrays and added what a resumed crash-faulted run needs; 2 added
    per-packet checksums and the [magic] integrity header.) *)
-let version = 3
+let version = 4
 
 (* Hashtbl.hash alone is unusable as a whole-graph digest (it only
    inspects a bounded prefix of the structure); hash each node's small
    descriptor and fold the results. *)
-let graph_fingerprint g =
+let fingerprint g =
   let h = ref (Hashtbl.hash (Graph.node_count g)) in
   let mix x = h := (!h * 1000003) lxor Hashtbl.hash x in
   Graph.iter_nodes g (fun node ->
@@ -129,11 +131,12 @@ let state_fields (s : _ ME.snap) =
     ("stats", json_of_stats s.ME.sn_stats);
     ("sanitizer", json_of_sanitizer s.ME.sn_sanitizer) ]
 
-let to_json ~graph (sn : ME.snapshot) =
+let to_json ?fingerprint:fp ~graph (sn : ME.snapshot) =
+  let fp = match fp with Some fp -> fp | None -> fingerprint graph in
   let rs = sn.ME.sn_resume in
   J.Obj
     ((("version", J.Int version)
-     :: ("fingerprint", J.Int (graph_fingerprint graph))
+     :: ("fingerprint", J.Int fp)
      :: state_fields sn)
     @ [ ("crash_done", J.Bool rs.ME.rs_crash_done);
         ("next_checkpoint", J.Int rs.ME.rs_next_checkpoint);
@@ -336,19 +339,18 @@ let state_of_json arena j : ME.state =
     sn_resume = ();
   }
 
-let of_json ~graph j =
+let of_json ~(arena : Arena.t) j =
   try
     let v = int_field "version" j in
     if v <> version then
       fail "checkpoint format version %d, this build reads %d" v version;
     let fp = int_field "fingerprint" j in
-    let here = graph_fingerprint graph in
+    let here = fingerprint arena.Arena.graph in
     if fp <> here then
       fail
         "checkpoint was taken from a different program (fingerprint %d, \
          graph has %d)"
         fp here;
-    let arena = Arena.build graph in
     Ok
       {
         (state_of_json arena j) with
@@ -379,7 +381,7 @@ let of_json ~graph j =
    length and checksum *before* handing bytes to the JSON parser, so
    storage rot surfaces as a structured error, never a parse
    exception deep inside a resume.  The header names the framing, not
-   the document: a format-3 document still rides a [dfsnap2] header,
+   the document: a format-4 document still rides a [dfsnap2] header,
    and its [version] field is what rejects older documents. *)
 let magic = "dfsnap2"
 
@@ -411,7 +413,7 @@ let save ~path ~graph sn =
       Printf.fprintf oc "%s %d %d\n" magic crc (String.length payload);
       output_string oc payload)
 
-let load ~path ~graph =
+let load ~path ~arena =
   match
     let ic = open_in_bin path in
     Fun.protect
@@ -460,7 +462,7 @@ let load ~path ~graph =
           match J.of_string payload with
           | exception J.Parse_error e -> Error (Malformed (path ^ ": " ^ e))
           | j -> (
-            match of_json ~graph j with
+            match of_json ~arena j with
             | Ok sn -> Ok sn
             | Error e -> Error (Malformed e))))
 

@@ -21,21 +21,35 @@ open Dfg
       byte reaches the JSON parser. *)
 
 val version : int
-(** Current format version, 3: the snapshot's flat per-port and
+(** Current format version, 4: the snapshot's flat per-port and
     per-cell arrays (the run state both engines share plus the
-    machine's side arrays), and the crash flag, checkpoint clock,
-    checkpoint and recovery counters and rollback target a resumed
-    crash-faulted run needs.  The file header is still [dfsnap2]. *)
+    machine's side arrays), the queued events in the order they apply,
+    and the crash flag, checkpoint clock, checkpoint and recovery
+    counters and rollback target a resumed crash-faulted run needs.
+    The file header is still [dfsnap2]. *)
 
-val to_json : graph:Graph.t -> Machine.Machine_engine.snapshot -> Obs.Json.t
+val fingerprint : Graph.t -> int
+(** The digest of a graph a document carries, so that loading it
+    against another program fails.  It reads the whole graph: a caller
+    that encodes many snapshots of one graph computes it once. *)
+
+val to_json :
+  ?fingerprint:int ->
+  graph:Graph.t ->
+  Machine.Machine_engine.snapshot ->
+  Obs.Json.t
+(** [fingerprint] defaults to [fingerprint graph]. *)
 
 val of_json :
-  graph:Graph.t ->
+  arena:Arena.t ->
   Obs.Json.t ->
   (Machine.Machine_engine.snapshot, string) result
-(** Rejects version mismatches (naming both versions), fingerprint
+(** Decode a document taken from [arena]'s graph, checking its events
+    against the arena as it stands (nothing is lowered again).  Rejects
+    version mismatches (naming both versions: a format-3 document reads
+    [checkpoint format version 3, this build reads 4]), fingerprint
     mismatches, malformed documents and queued events that travel no
-    arc of [graph] (a delivery, retransmission or acknowledge whose
+    arc of the arena (a delivery, retransmission or acknowledge whose
     cells and port are not a producer, consumer and input port of the
     graph) with a descriptive error. *)
 
@@ -53,14 +67,14 @@ type load_error =
       (** payload bytes fail the content checksum (bit rot) *)
   | Malformed of string
       (** checksum passed but the document does not decode: JSON error,
-          version mismatch (an older format such as 2), or
+          version mismatch (an older format such as 3), or
           graph-fingerprint mismatch *)
 
 val load_error_to_string : load_error -> string
 
 val load :
   path:string ->
-  graph:Graph.t ->
+  arena:Arena.t ->
   (Machine.Machine_engine.snapshot, load_error) result
 (** Verifies the header's length and checksum before parsing; see
     {!load_error} for the rejection taxonomy. *)

@@ -493,7 +493,10 @@ let make_work ~slice (job : Exec.Job.t) ~hit ~key ~progress ~restore =
           ME.restore m sn;
           sn.ME.sn_time + slice
       in
-      let ckpt () = Recover.Checkpoint.to_json ~graph (ME.snapshot m) in
+      let fingerprint = Recover.Checkpoint.fingerprint graph in
+      let ckpt () =
+        Recover.Checkpoint.to_json ~fingerprint ~graph (ME.snapshot m)
+      in
       let rec go until =
         if Atomic.get cancel then R_preempted (ckpt ())
         else begin
@@ -647,8 +650,7 @@ let resolve t (r : P.run) ~checkpoint =
         | None -> Ok None
         | Some _ when r.P.engine <> `Machine -> Error "machine engine only"
         | Some ck ->
-          Result.map Option.some
-            (Recover.Checkpoint.of_json ~graph:compiled.PC.cp_graph ck)
+          Result.map Option.some (Recover.Checkpoint.of_json ~arena ck)
       in
       Ok (make_work ~slice:t.cfg.slice job ~hit ~key, restore))
 

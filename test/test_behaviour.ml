@@ -209,7 +209,7 @@ let test_pinned () =
 (* ---- checkpoint bytes ---- *)
 
 (* Every kernel advanced in slices of 97 time units under 7 machine
-   configurations.  After each pause the snapshot's format-3 JSON text
+   configurations.  After each pause the snapshot's format-4 JSON text
    is appended, and at every other pause the machine is restored from
    that text, so a change to how the engine keeps its event queue or
    computes checksums has to reproduce the same documents and resume
@@ -262,7 +262,7 @@ let checkpoint_digest () =
             Buffer.add_char b '\n';
             if !pause mod 2 = 0 then
               match
-                Recover.Checkpoint.of_json ~graph:g (Obs.Json.of_string text)
+                Recover.Checkpoint.of_json ~arena:(Arena.build g) (Obs.Json.of_string text)
               with
               | Ok sn -> ME.restore m sn
               | Error e -> Alcotest.failf "%s: %s" k.K.name e

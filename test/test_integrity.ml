@@ -355,13 +355,13 @@ let test_checkpoint_rejects_rot () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      (match CP.load ~path ~graph:g with
+      (match CP.load ~path ~arena:(Arena.build g) with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "pristine file: %s" (CP.load_error_to_string e));
       let pristine = read_all path in
       (* truncation: drop the tail of the payload *)
       write_all path (String.sub pristine 0 (String.length pristine - 20));
-      (match CP.load ~path ~graph:g with
+      (match CP.load ~path ~arena:(Arena.build g) with
       | Error (CP.Truncated { expected; actual }) ->
         Alcotest.(check bool) "truncation sizes reported" true
           (actual < expected)
@@ -374,7 +374,7 @@ let test_checkpoint_rejects_rot () =
       Bytes.set rotted mid
         (Char.chr (Char.code (Bytes.get rotted mid) lxor 1));
       write_all path (Bytes.to_string rotted);
-      (match CP.load ~path ~graph:g with
+      (match CP.load ~path ~arena:(Arena.build g) with
       | Error (CP.Corrupted { expected_crc; actual_crc }) ->
         Alcotest.(check bool) "crc mismatch reported" true
           (expected_crc <> actual_crc)
@@ -383,7 +383,7 @@ let test_checkpoint_rejects_rot () =
       | Ok _ -> Alcotest.fail "bit-rotted checkpoint must be rejected");
       (* not a checkpoint at all *)
       write_all path "{\"just\": \"json\"}\n";
-      (match CP.load ~path ~graph:g with
+      (match CP.load ~path ~arena:(Arena.build g) with
       | Error (CP.Not_a_checkpoint _) -> ()
       | Error e ->
         Alcotest.failf "expected Not_a_checkpoint, got %s"
@@ -394,7 +394,7 @@ let test_checkpoint_rejects_rot () =
       write_all path
         (Printf.sprintf "dfsnap2 %d %d\n%s" (I.checksum_string payload)
            (String.length payload) payload);
-      (match CP.load ~path ~graph:g with
+      (match CP.load ~path ~arena:(Arena.build g) with
       | Error (CP.Malformed _) -> ()
       | Error e ->
         Alcotest.failf "expected Malformed, got %s" (CP.load_error_to_string e)
@@ -411,7 +411,7 @@ let test_checkpoint_rejects_rot () =
             (Obs.Json.Obj
                (List.map
                   (fun (k, v) ->
-                    if k = "version" then (k, Obs.Json.Int 2) else (k, v))
+                    if k = "version" then (k, Obs.Json.Int 3) else (k, v))
                   fields))
           ^ "\n"
         | _ -> Alcotest.fail "checkpoint document is not an object"
@@ -419,15 +419,15 @@ let test_checkpoint_rejects_rot () =
       write_all path
         (Printf.sprintf "dfsnap2 %d %d\n%s" (I.checksum_string old_payload)
            (String.length old_payload) old_payload);
-      match CP.load ~path ~graph:g with
+      match CP.load ~path ~arena:(Arena.build g) with
       | Error (CP.Malformed e) ->
         Alcotest.(check bool)
-          (Printf.sprintf "version-2 rejection names the version (%s)" e)
-          true (contains e "version 2")
+          (Printf.sprintf "version-3 rejection names the version (%s)" e)
+          true (contains e "version 3")
       | Error e ->
         Alcotest.failf "expected Malformed, got %s" (CP.load_error_to_string e)
-      | Ok _ -> Alcotest.fail "a version-2 checkpoint must be rejected");
-  match CP.load ~path:"/nonexistent/dfsim-rot.json" ~graph:g with
+      | Ok _ -> Alcotest.fail "a version-3 checkpoint must be rejected");
+  match CP.load ~path:"/nonexistent/dfsim-rot.json" ~arena:(Arena.build g) with
   | Error (CP.Io _) -> ()
   | Error e -> Alcotest.failf "expected Io, got %s" (CP.load_error_to_string e)
   | Ok _ -> Alcotest.fail "missing file must be rejected"

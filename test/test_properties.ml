@@ -389,10 +389,8 @@ let prop_dfg_parser_total =
 (* every (priority, payload) pair of [q], in pop order; empties [q] *)
 let drain_ipq q =
   let rec go acc =
-    if Df_util.Ipq.is_empty q then List.rev acc
-    else
-      let p = Df_util.Ipq.peek_priority q in
-      go ((p, Df_util.Ipq.pop_payload q) :: acc)
+    let p = Df_util.Ipq.peek_priority q in
+    if p < 0 then List.rev acc else go ((p, Df_util.Ipq.pop_payload q) :: acc)
   in
   go []
 
@@ -404,23 +402,104 @@ let prop_pqueue_sorts =
       List.iter (fun x -> Df_util.Ipq.push q x x) xs;
       List.map fst (drain_ipq q) = List.sort compare xs)
 
-(* Snapshots carry the machine's event queue as [Ipq.to_array] and
-   resume it with [Ipq.of_array]; equal-time events must then pop in
-   the order the uninterrupted queue would pop them.  Few distinct
-   priorities make ties the common case.  [None] is a pop. *)
-let prop_ipq_layout_round_trip =
-  QCheck.Test.make ~count:300 ~name:"ipq of_array (to_array q) pops as q"
-    QCheck.(list (option (pair (int_bound 3) small_nat)))
-    (fun ops ->
-      let q = Df_util.Ipq.create ~capacity:1 () in
-      List.iter
+(* ---- the machine engine's timing wheel ---- *)
+
+module W = Machine.Machine_engine.Wheel
+
+(* Queue operations: [Some d] pushes the next payload due [d] after the
+   current time, [None] pops.  Small delays are the latencies that make
+   ties; the longest lie past the wheel's horizon, where a recovery
+   timeout far beyond it puts its retransmission timers, and come in
+   ties of their own. *)
+let arb_wheel_ops =
+  let h = W.horizon in
+  QCheck.make
+    ~print:QCheck.Print.(list (option int))
+    ~shrink:QCheck.Shrink.(list ~shrink:(option int))
+    QCheck.Gen.(
+      list_size (int_range 0 300)
+        (frequency
+           [ (2, return None);
+             (3, map Option.some (int_bound 3));
+             (1, map Option.some (int_bound (2 * h)));
+             (1, map (fun d -> Some ((3 * h) + d)) (int_bound 2)) ]))
+
+(* The next event as the engine takes it: its time becomes current. *)
+let wheel_pop w =
+  let t = W.next_time w in
+  if t < 0 then None
+  else begin
+    W.start w t;
+    Some (t, W.take w)
+  end
+
+(* Plays [ops] from time [now], numbering payloads from [next]; returns
+   what each pop gave and the time reached. *)
+let play_wheel w ~now ~next ops =
+  let now = ref now and next = ref next in
+  let pops =
+    List.map
+      (function
+        | Some d ->
+          W.push w (!now + d) !next;
+          incr next;
+          None
+        | None ->
+          let got = wheel_pop w in
+          Option.iter (fun (t, _) -> now := t) got;
+          got)
+      ops
+  in
+  (pops, !now)
+
+let rec drain_wheel w =
+  match wheel_pop w with None -> [] | Some e -> e :: drain_wheel w
+
+(* Every pop gives the earliest of the pushed events not yet popped,
+   the one pushed first among equals: the head of a stable sort of
+   what is queued by time. *)
+let prop_wheel_order =
+  QCheck.Test.make ~count:300 ~name:"wheel pops in (time, queue order)"
+    arb_wheel_ops (fun ops ->
+      let w = W.create () in
+      let by_time = List.stable_sort (fun (a, _) (b, _) -> compare a b) in
+      let now = ref 0 and queued = ref [] and next = ref 0 in
+      List.for_all
         (function
-          | Some (prio, x) -> Df_util.Ipq.push q prio x
-          | None -> Df_util.Ipq.drop_min q)
-        ops;
-      let copy = Df_util.Ipq.of_array (Df_util.Ipq.to_array q) in
-      Df_util.Ipq.to_array copy = Df_util.Ipq.to_array q
-      && drain_ipq copy = drain_ipq q)
+          | Some d ->
+            W.push w (!now + d) !next;
+            queued := !queued @ [ (!now + d, !next) ];
+            incr next;
+            W.length w = List.length !queued
+          | None -> (
+            match (wheel_pop w, by_time !queued) with
+            | None, [] -> true
+            | Some got, expected :: _ ->
+              now := fst got;
+              queued := List.filter (fun e -> e <> got) !queued;
+              got = expected
+            | _ -> false))
+        ops
+      && drain_wheel w = by_time !queued)
+
+(* A snapshot lists the queue ([to_array]) and a restore pushes the list
+   back in order at the snapshot's time: from any point, the reloaded
+   queue lists the same, and then pops whatever follows as the
+   original does. *)
+let prop_wheel_reload =
+  QCheck.Test.make ~count:300
+    ~name:"wheel listed and reloaded pops the rest as the original"
+    QCheck.(pair arb_wheel_ops arb_wheel_ops)
+    (fun (before, after) ->
+      let w = W.create () in
+      let _, now = play_wheel w ~now:0 ~next:0 before in
+      let copy = W.create () in
+      W.clear copy ~base:now;
+      Array.iter (fun (t, x) -> W.push copy t x) (W.to_array w);
+      let next = List.length before in
+      W.to_array copy = W.to_array w
+      && play_wheel copy ~now ~next after = play_wheel w ~now ~next after
+      && drain_wheel copy = drain_wheel w)
 
 let prop_ctlseq_nth_vs_list =
   QCheck.Test.make ~count:200 ~name:"ctlseq nth agrees with to_list"
@@ -804,7 +883,8 @@ let suite =
       prop_2d_forall;
       prop_dfg_parser_total;
       prop_pqueue_sorts;
-      prop_ipq_layout_round_trip;
+      prop_wheel_order;
+      prop_wheel_reload;
       prop_ctlseq_nth_vs_list;
       prop_companion_associative;
       prop_mcf_certificate;

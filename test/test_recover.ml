@@ -146,14 +146,14 @@ let test_checkpoint_json_round_trip () =
   in
   ME.advance m ~until:12;
   let sn = ME.snapshot m in
-  (match CP.of_json ~graph:g (CP.to_json ~graph:g sn) with
+  (match CP.of_json ~arena:(Arena.build g) (CP.to_json ~graph:g sn) with
   | Ok sn' ->
     Alcotest.(check bool) "snapshot survives JSON round-trip (bit-exact)" true
       (CP.equal sn sn')
   | Error e -> Alcotest.failf "round-trip failed: %s" e);
   (* a checkpoint from one program must not load against another *)
   let other = figure2 () in
-  match CP.of_json ~graph:other (CP.to_json ~graph:g sn) with
+  match CP.of_json ~arena:(Arena.build other) (CP.to_json ~graph:g sn) with
   | Ok _ -> Alcotest.fail "fingerprint mismatch must be rejected"
   | Error e ->
     Alcotest.(check bool) "error names the fingerprint" true
@@ -187,7 +187,7 @@ let test_save_load_resume_bit_identical () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       CP.save ~path ~graph:g (ME.snapshot m);
-      match CP.load ~path ~graph:g with
+      match CP.load ~path ~arena:(Arena.build g) with
       | Error e -> Alcotest.failf "load failed: %s" (CP.load_error_to_string e)
       | Ok sn ->
         Alcotest.(check bool) "disk round-trip exact" true
@@ -470,7 +470,7 @@ let test_resume_matrix () =
                     (Obs.Json.to_string
                        (CP.to_json ~graph:g (ME.snapshot m)))
                 in
-                match CP.of_json ~graph:g doc with
+                match CP.of_json ~arena:(Arena.build g) doc with
                 | Error e -> Alcotest.failf "%s: %s" k.Kernels.name e
                 | Ok sn ->
                   let r = resume cfg ~arch g ~inputs sn in
@@ -541,14 +541,14 @@ let test_tampered_events_rejected () =
            fields)
     | _ -> Alcotest.fail "checkpoint is not an object"
   in
-  (match CP.of_json ~graph:g doc with
+  (match CP.of_json ~arena:(Arena.build g) doc with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "untampered checkpoint rejected: %s" e);
   let di, d = first "d" and ai, a = first "a" in
   let dst = int_of "dst" d in
   List.iter
     (fun (label, tampered) ->
-      match CP.of_json ~graph:g tampered with
+      match CP.of_json ~arena:(Arena.build g) tampered with
       | Ok _ -> Alcotest.failf "%s: accepted" label
       | Error e ->
         Alcotest.(check bool) (label ^ " names the event") true
@@ -614,7 +614,7 @@ let test_tampered_state_rejected () =
   let doc = CP.to_json ~graph:g (ME.snapshot m) in
   List.iter
     (fun (field, f, expected) ->
-      match CP.of_json ~graph:g (map_field doc field f) with
+      match CP.of_json ~arena:(Arena.build g) (map_field doc field f) with
       | Error e -> Alcotest.failf "%s: the decoder rejects it: %s" field e
       | Ok sn -> (
         match ME.restore m sn with
@@ -630,9 +630,10 @@ let test_tampered_state_rejected () =
   Alcotest.(check bool) "outputs after refused restores" true
     (straight.ME.outputs = resumed.ME.outputs)
 
-(* Every array a format-3 document carries, cut to its first entry, a
-   FIFO filled past its capacity and a reshaped or missing sanitizer
-   section each decode cleanly.  [restore] refuses each before it writes
+(* Every array a format-4 document carries, cut to its first entry, a
+   FIFO filled past its capacity, a reshaped or missing sanitizer
+   section, an event due at the snapshot's time and events listed out
+   of time order each decode cleanly.  [restore] refuses each before it writes
    anything, naming the field: the paused machine's snapshot text is
    unchanged, and the machine then runs to the straight run's end. *)
 let test_restore_all_or_nothing () =
@@ -684,6 +685,16 @@ let test_restore_all_or_nothing () =
            rows)
     | j -> j
   in
+  let due_now = function
+    | Obs.Json.List (e :: rest) ->
+      Obs.Json.List
+        (map_field e "at" (fun _ -> Obs.Json.member "time" doc) :: rest)
+    | j -> Alcotest.failf "no event queued: %s" (Obs.Json.to_string j)
+  in
+  let reversed = function
+    | Obs.Json.List es -> Obs.Json.List (List.rev es)
+    | j -> j
+  in
   let cases =
     List.map
       (fun field -> (field, field, first))
@@ -693,11 +704,13 @@ let test_restore_all_or_nothing () =
         ("sanitizer owed", "sanitizer",
          fun san -> map_field san "owed" first);
         ("sanitizer occ rows", "sanitizer", fun san -> map_field san "occ" cut_row);
-        ("no sanitizer section", "sanitizer", fun _ -> Obs.Json.Null) ]
+        ("no sanitizer section", "sanitizer", fun _ -> Obs.Json.Null);
+        ("an event due at the snapshot's time", "events", due_now);
+        ("events out of time order", "events", reversed) ]
   in
   List.iter
     (fun (label, field, f) ->
-      match CP.of_json ~graph:g (map_field doc field f) with
+      match CP.of_json ~arena:(Arena.build g) (map_field doc field f) with
       | Error e -> Alcotest.failf "%s: the decoder rejects it: %s" label e
       | Ok sn -> (
         (match ME.restore m sn with

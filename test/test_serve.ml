@@ -423,7 +423,7 @@ let test_cancel_and_preempt () =
              result an uninterrupted run produces *)
           let cfg, arch, graph, inputs = machine_parts long in
           match
-            Recover.Checkpoint.of_json ~graph (J.member "checkpoint" resp)
+            Recover.Checkpoint.of_json ~arena:(Arena.build graph) (J.member "checkpoint" resp)
           with
           | Error e -> Alcotest.failf "checkpoint decode: %s" e
           | Ok snapshot ->
@@ -842,12 +842,12 @@ let test_journal_old_checkpoint_reruns () =
         | J.Obj fields ->
           J.Obj
             (List.map
-               (fun (k, v) -> if k = "version" then (k, J.Int 2) else (k, v))
+               (fun (k, v) -> if k = "version" then (k, J.Int 3) else (k, v))
                fields)
         | _ -> Alcotest.fail "checkpoint document is not an object"
       in
       check "this build rejects the old document" true
-        (Result.is_error (Recover.Checkpoint.of_json ~graph old_doc));
+        (Result.is_error (Recover.Checkpoint.of_json ~arena:(Arena.build graph) old_doc));
       let jr = Serve.Journal.open_append journal in
       Serve.Journal.append jr
         (Serve.Journal.Admit
@@ -1297,7 +1297,7 @@ let test_drain_budget () =
       let resp = Serve.Client.await a running in
       check "running job preempted" true (error_kind resp = Some P.Cancelled);
       let cfg, arch, graph, inputs = machine_parts long in
-      (match Recover.Checkpoint.of_json ~graph (J.member "checkpoint" resp) with
+      (match Recover.Checkpoint.of_json ~arena:(Arena.build graph) (J.member "checkpoint" resp) with
       | Error e -> Alcotest.failf "checkpoint decode: %s" e
       | Ok snapshot ->
         check "preempted mid-run" true (snapshot.ME.sn_time > 0);

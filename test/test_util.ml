@@ -7,32 +7,25 @@ open Sim
 module Ipq = Df_util.Ipq
 
 let pop q =
-  if Ipq.is_empty q then None
-  else
-    let prio = Ipq.peek_priority q in
-    Some (prio, Ipq.pop_payload q)
+  let prio = Ipq.peek_priority q in
+  if prio < 0 then None else Some (prio, Ipq.pop_payload q)
 
 let test_pqueue_basics () =
   let q = Ipq.create () in
-  Alcotest.(check bool) "empty" true (Ipq.is_empty q);
   Alcotest.(check int) "peek empty" (-1) (Ipq.peek_priority q);
   Alcotest.check_raises "pop empty" (Invalid_argument "Ipq.pop_payload: empty")
     (fun () -> ignore (Ipq.pop_payload q));
   Ipq.push q 5 50;
   Ipq.push q 1 10;
   Ipq.push q 3 30;
-  Alcotest.(check int) "length" 3 (Ipq.length q);
   Alcotest.(check int) "peek" 1 (Ipq.peek_priority q);
-  Alcotest.(check int) "peek payload" 10 (Ipq.peek_payload q);
   Alcotest.(check (option (pair int int))) "pop order" (Some (1, 10)) (pop q);
-  Ipq.drop_min q;
-  Alcotest.(check (option (pair int int))) "drop_min removed the 3" (Some (5, 50))
-    (pop q);
-  Ipq.drop_min q;
-  Alcotest.(check bool) "drop_min on empty is a no-op" true (Ipq.is_empty q);
+  Alcotest.(check (option (pair int int))) "then the 3" (Some (3, 30)) (pop q);
+  Alcotest.(check (option (pair int int))) "then the 5" (Some (5, 50)) (pop q);
+  Alcotest.(check (option (pair int int))) "drained" None (pop q);
   Ipq.push q 2 20;
-  Ipq.clear q;
-  Alcotest.(check bool) "cleared" true (Ipq.is_empty q)
+  Alcotest.(check (option (pair int int))) "usable after draining"
+    (Some (2, 20)) (pop q)
 
 let test_pqueue_duplicates () =
   let q = Ipq.create () in
