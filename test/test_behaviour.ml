@@ -127,52 +127,52 @@ let expected =
   [
     ("hydro", "sim clean", "a8118c64543f7c5be67fb72f7830710a");
     ("hydro", "sim delay", "6133e12917eb49fb648b14581ee6ae9d");
-    ("hydro", "machine clean", "029013603ca68808d919e6839b84107b");
-    ("hydro", "machine delay", "257c91120a88ab11034144e94162e3c7");
-    ("hydro", "machine dup+drop-ack recover", "e3d3702c67f4dcbb4c373f8d830d8a3c");
-    ("hydro", "machine crash recover", "026e4f69ff83d287b6778a2d355b1ce0");
-    ("hydro", "machine crash no-recover", "c45132e95aee92cea02e23f257f1771c");
-    ("hydro", "machine corrupt integrity recover", "d8ef5309a4a130c9d9f31023825f8195");
+    ("hydro", "machine clean", "6294ad5bc65eb83b33fffbc968f308b8");
+    ("hydro", "machine delay", "62cbf02eca22faab0f0ed4391b74f68a");
+    ("hydro", "machine dup+drop-ack recover", "71a277cc1c134fab09c7420042d26118");
+    ("hydro", "machine crash recover", "c64fbed0852f9b0f11dfdfbfeb42f321");
+    ("hydro", "machine crash no-recover", "a06565ad8b261c3ee80f9567a5574b64");
+    ("hydro", "machine corrupt integrity recover", "ede81cab2e05d81b00d735266dabf5b3");
     ("first_difference", "sim clean", "c843fe5dfa14f9538c66df3aa12b736f");
     ("first_difference", "sim delay", "db7c21143645a0ebbf77272c7a3c1ffd");
     ("first_difference", "machine clean", "aee21de092086d8d48343457cdb4c10a");
     ("first_difference", "machine delay", "81c330118a55900c18859c91e0601a94");
-    ("first_difference", "machine dup+drop-ack recover", "59623cdbcae11aac69ceed9f4a458710");
+    ("first_difference", "machine dup+drop-ack recover", "d764a5612a4d013f166511c663cf834b");
     ("first_difference", "machine crash recover", "3ab73345d0e6b32c83951f0a4fdaf93b");
     ("first_difference", "machine crash no-recover", "2ddd25fa5ce608e0b81e60c343287db1");
     ("first_difference", "machine corrupt integrity recover", "42ccd9e0e4ae2410109ecf72c16d5371");
     ("state_eos", "sim clean", "5e1a19da86ab9ba42a880b89d44551b4");
     ("state_eos", "sim delay", "b0d7244dd86502579a740df260a4d7f4");
-    ("state_eos", "machine clean", "ab768e6066b52eeea6b0e136b5c8995b");
-    ("state_eos", "machine delay", "24134e2fe55ee87820956f5bb3bed3c2");
-    ("state_eos", "machine dup+drop-ack recover", "28360ebf72d259406fb406d593911cc4");
-    ("state_eos", "machine crash recover", "8c18ec7f4ef0259d5f6ed02f45d178b0");
-    ("state_eos", "machine crash no-recover", "337cb56656d0f5d7460de81afaef96b4");
-    ("state_eos", "machine corrupt integrity recover", "a776ef2d34c0c6decafa9925cee4679b");
+    ("state_eos", "machine clean", "8ba522bb4ff94bc724355afad38819fc");
+    ("state_eos", "machine delay", "06bcf1c853155e6e8b6d2a62d18896cc");
+    ("state_eos", "machine dup+drop-ack recover", "ac6473f699f245ad080c6a22618e7cb8");
+    ("state_eos", "machine crash recover", "7eb4b30758506310e7f6ac5426f88029");
+    ("state_eos", "machine crash no-recover", "488bc5440c598ab8a777141eb90f7699");
+    ("state_eos", "machine corrupt integrity recover", "e3ec143cfd57bb4ebb0d41aff0feff47");
     ("tridiag", "sim clean", "36dcae1135d9fc3a9cf295a81458e679");
     ("tridiag", "sim delay", "119df7ffd47e0271a0ea129626700e24");
-    ("tridiag", "machine clean", "238070d2c2e9375b50a456414a151131");
-    ("tridiag", "machine delay", "d5fc7d4339648fd3793a39f9d6b89c60");
-    ("tridiag", "machine dup+drop-ack recover", "295ed9c030ab3193e29acd969c115d10");
-    ("tridiag", "machine crash recover", "59b7b28a6ba5a09368c3473543372726");
-    ("tridiag", "machine crash no-recover", "5b183cc8ee61f702d7a16888cffeffac");
-    ("tridiag", "machine corrupt integrity recover", "930d0cecb4ac1b0e8a8beb79f08d52b4");
+    ("tridiag", "machine clean", "97f673e634f099457efad95833851dfa");
+    ("tridiag", "machine delay", "caef6fde1af2beb479b1e73eebcab7e6");
+    ("tridiag", "machine dup+drop-ack recover", "bbfef6551a6fc80f7c2ee86ded6c105b");
+    ("tridiag", "machine crash recover", "fbfb987ddf0e1003e9f3c2fbd07cdbe2");
+    ("tridiag", "machine crash no-recover", "29960dca34f34ae32b16020a5f0cb813");
+    ("tridiag", "machine corrupt integrity recover", "91e2beb019d0d67c327afca202f2049a");
     ("prefix_sum", "sim clean", "1680b256952c2991f43fd96540e8839f");
     ("prefix_sum", "sim delay", "b87cd6f6149799d0a21b828c2faec98b");
-    ("prefix_sum", "machine clean", "5d626a0326bb2a853254001dacd9e0a8");
-    ("prefix_sum", "machine delay", "9883a172f76921049b647e39cf696c68");
-    ("prefix_sum", "machine dup+drop-ack recover", "2cdda154cb9f51523a368c6b5c7845e5");
-    ("prefix_sum", "machine crash recover", "282ff0fc14bf626bc5f75a685e553c81");
-    ("prefix_sum", "machine crash no-recover", "94e3d7c03ffc774c40dd1cd24fb68474");
-    ("prefix_sum", "machine corrupt integrity recover", "19733a8367f075bec3b6bcfc8b00922a");
+    ("prefix_sum", "machine clean", "474044d70f77ef6101123bcf16944949");
+    ("prefix_sum", "machine delay", "f568f090284924008ff5a301457b377e");
+    ("prefix_sum", "machine dup+drop-ack recover", "a5be37cc5969514c13dba0e05f8b47f5");
+    ("prefix_sum", "machine crash recover", "8352954644fcaf10561a744a24b0ee9f");
+    ("prefix_sum", "machine crash no-recover", "247de89185674620ad0c0cc6a77b2bc6");
+    ("prefix_sum", "machine corrupt integrity recover", "157a7aeaa8c4d3b2921b7b86593f225a");
     ("smooth_chain", "sim clean", "91f0320004a3f8e92cda6b22c216a755");
     ("smooth_chain", "sim delay", "c39aaf2813c7c7759dc7fe3384945421");
-    ("smooth_chain", "machine clean", "e13771c4996d71e300411a42b89b913d");
-    ("smooth_chain", "machine delay", "f54266f8593c61e5816b89bebe5e99d7");
-    ("smooth_chain", "machine dup+drop-ack recover", "82f599b706329f7a5611aa2ea24afbdc");
-    ("smooth_chain", "machine crash recover", "beecaf1b3e5965fb90b8ae3d8dbb02a8");
-    ("smooth_chain", "machine crash no-recover", "7efdcba7c134de4be4850e8f63d8b802");
-    ("smooth_chain", "machine corrupt integrity recover", "0227d7c454daa6c8581237d53f4b72e8");
+    ("smooth_chain", "machine clean", "0893d0d154c0a465ae03fc28bd41696b");
+    ("smooth_chain", "machine delay", "e2478f12e1672118f81c44f096f41f7b");
+    ("smooth_chain", "machine dup+drop-ack recover", "0e7014964f4515aaf906d83e8c9621a3");
+    ("smooth_chain", "machine crash recover", "5dcb0635919569bc96ee721242512dbe");
+    ("smooth_chain", "machine crash no-recover", "038d266f27c4070853a66949776c774b");
+    ("smooth_chain", "machine corrupt integrity recover", "55789a6f94a2b8dea346fec7001424ff");
     ("planckian", "sim clean", "a98f6e8195ca094ca32865d8a85ddbed");
     ("planckian", "sim delay", "bca32045696450b9ea6aa06a7f004666");
     ("planckian", "machine clean", "48b3399d0d875e77e05b532bde490b0f");
@@ -183,12 +183,12 @@ let expected =
     ("planckian", "machine corrupt integrity recover", "b11b1fffbea6af1d4dcec937f012e4e5");
     ("integrate_predictors", "sim clean", "655b05de6cb3627b3c2464103be633aa");
     ("integrate_predictors", "sim delay", "ecb0ed5d3da70acf2a873eb3016b7a43");
-    ("integrate_predictors", "machine clean", "dff25f6ff36ce66b5afc4d3940c905f8");
-    ("integrate_predictors", "machine delay", "f7f36df6eb13b56d1cdd4e00e9e2141a");
-    ("integrate_predictors", "machine dup+drop-ack recover", "88cfeb5e07cc6a53fc789269efe27d07");
-    ("integrate_predictors", "machine crash recover", "40c3277334e86e1c4e3abc3aefd67aaa");
-    ("integrate_predictors", "machine crash no-recover", "de82dcd3a4b65bd1b3bf25a072f56f00");
-    ("integrate_predictors", "machine corrupt integrity recover", "8a55c2f0458a357790ea7c007de93384")
+    ("integrate_predictors", "machine clean", "2d568d53fde437be59fb5de374bb9714");
+    ("integrate_predictors", "machine delay", "46e3262ee3766cb624d91cdeead4f6e3");
+    ("integrate_predictors", "machine dup+drop-ack recover", "dd6d5132346701c35fe404af87ffcab0");
+    ("integrate_predictors", "machine crash recover", "0db6452911f986b9c9ef92c3da08ccb5");
+    ("integrate_predictors", "machine crash no-recover", "d18720c550f28c36b16c7474d41d1318");
+    ("integrate_predictors", "machine corrupt integrity recover", "7e68233f18a0e6ca2a456eb81148be4d")
   ]
 
 let test_pinned () =
@@ -273,7 +273,7 @@ let checkpoint_digest () =
     K.all;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let expected_checkpoints = "a9d0ecf68a1f5e937ee543bb51e26a37"
+let expected_checkpoints = "2f516b492b3f59aea3d60752c6a178e2"
 
 let test_checkpoints_pinned () =
   let got = checkpoint_digest () in
@@ -390,7 +390,7 @@ let traced_machine_digest () =
     K.all;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let expected_traced_machine = "fbbc62022731c0ad111ea17652a02aa9"
+let expected_traced_machine = "e3b4e37ef2393a01005b5290048d08c1"
 
 let test_traced_machine_pinned () =
   let got = traced_machine_digest () in

@@ -222,7 +222,7 @@ let test_one_config_many_runs () =
        Run_config.(
          ME.default_config |> with_recovery default_recovery
          |> with_sanitize true),
-       732) ]
+       723) ]
 
 (* 5. sweep rows and JSON bytes are grid-ordered and worker-count
    independent *)
