@@ -378,7 +378,7 @@ let test_overload_rejection () =
    seconds of hydro at size 32 on a 2-vCPU host, preemptible at every
    slice boundary.  The tests act on it after sleeping 0.2-0.3 s, so an
    engine speed-up has to grow [waves] to keep that margin. *)
-let long_run ?(waves = 5500) () =
+let long_run ?(waves = 7500) () =
   { (P.default_run (P.Kernel { name = "hydro"; size = 32 })) with
     P.waves;
     engine = `Machine;
@@ -1272,7 +1272,7 @@ let test_disconnect_queued () =
         (stat s "cancelled"))))
 
 let test_drain_budget () =
-  let long = long_run ~waves:4000 () in
+  let long = long_run ~waves:5500 () in
   with_server ~workers:1 ~drain_timeout:0.1 (fun socket ->
       with_conn socket (fun a ->
       with_conn socket (fun b ->
