@@ -369,13 +369,6 @@ module Wheel : sig
   val next_time : t -> int
   (** The earliest time an event is due, or [-1] when none is queued. *)
 
-  val first : t -> int -> int
-  (** [first w t], with [t = next_time w]: the payload that comes out
-      first, left in place. *)
-
-  val drop_first : t -> int -> unit
-  (** [drop_first w t], with [t = next_time w]: remove {!first}. *)
-
   val start : t -> int -> unit
   (** [start w t], with [t = next_time w]: make [t] the current time. *)
 

@@ -131,12 +131,11 @@ let state_fields (s : _ ME.snap) =
     ("stats", json_of_stats s.ME.sn_stats);
     ("sanitizer", json_of_sanitizer s.ME.sn_sanitizer) ]
 
-let to_json ?fingerprint:fp ~graph (sn : ME.snapshot) =
-  let fp = match fp with Some fp -> fp | None -> fingerprint graph in
+let to_json ~graph ?(fingerprint = fingerprint graph) (sn : ME.snapshot) =
   let rs = sn.ME.sn_resume in
   J.Obj
     ((("version", J.Int version)
-     :: ("fingerprint", J.Int fp)
+     :: ("fingerprint", J.Int fingerprint)
      :: state_fields sn)
     @ [ ("crash_done", J.Bool rs.ME.rs_crash_done);
         ("next_checkpoint", J.Int rs.ME.rs_next_checkpoint);

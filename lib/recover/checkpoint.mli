@@ -34,8 +34,8 @@ val fingerprint : Graph.t -> int
     that encodes many snapshots of one graph computes it once. *)
 
 val to_json :
-  ?fingerprint:int ->
   graph:Graph.t ->
+  ?fingerprint:int ->
   Machine.Machine_engine.snapshot ->
   Obs.Json.t
 (** [fingerprint] defaults to [fingerprint graph]. *)

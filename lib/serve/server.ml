@@ -495,7 +495,7 @@ let make_work ~slice (job : Exec.Job.t) ~hit ~key ~progress ~restore =
       in
       let fingerprint = Recover.Checkpoint.fingerprint graph in
       let ckpt () =
-        Recover.Checkpoint.to_json ~fingerprint ~graph (ME.snapshot m)
+        Recover.Checkpoint.to_json ~graph ~fingerprint (ME.snapshot m)
       in
       let rec go until =
         if Atomic.get cancel then R_preempted (ckpt ())
