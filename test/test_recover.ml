@@ -730,6 +730,59 @@ let test_restore_all_or_nothing () =
   Alcotest.(check bool) "outputs after refused restores" true
     (straight.ME.outputs = resumed.ME.outputs)
 
+(* Retransmission timers due past the event queue's horizon wait in its
+   overflow and move into their buckets as time nears them.  A run whose
+   recovery timeout is several horizons long loses acknowledges, so
+   timers from the overflow resend packets; paused anywhere and resumed
+   through the JSON codec, it finishes exactly as the run that never
+   paused, with the clean run's values. *)
+let test_overflow_timers_resume () =
+  let arch = Machine.Arch.default in
+  let values (r : ME.result) =
+    List.map (fun (name, pkts) -> (name, List.map snd pkts)) r.ME.outputs
+  in
+  let resumed = ref 0 in
+  List.iter
+    (fun (k : Kernels.kernel) ->
+      let g, inputs = kernel_feeds k ~n:8 ~waves:2 in
+      let arena = Arena.build g in
+      let cfg =
+        Run_config.(
+          ME.default_config
+          |> with_fault
+               (FP.make { FP.none with FP.seed = 3; drop_ack_prob = 0.05 })
+          |> with_recovery
+               { default_recovery with
+                 retransmit_after = 3 * ME.Wheel.horizon })
+      in
+      let straight = ME.run_cfg cfg ~arch g ~inputs in
+      let clean = ME.run_cfg ME.default_config ~arch g ~inputs in
+      Alcotest.(check bool)
+        (k.Kernels.name ^ ": clean values") true
+        (straight.ME.quiescent && values straight = values clean);
+      List.iter
+        (fun pause ->
+          let m = ME.create_arena cfg ~arch arena ~inputs in
+          ME.advance m ~until:pause;
+          if not (ME.finished m) then begin
+            incr resumed;
+            let doc =
+              Obs.Json.of_string
+                (Obs.Json.to_string (CP.to_json ~graph:g (ME.snapshot m)))
+            in
+            match CP.of_json ~arena doc with
+            | Error e -> Alcotest.failf "%s: %s" k.Kernels.name e
+            | Ok sn ->
+              if compare (resume cfg ~arch g ~inputs sn) straight <> 0 then
+                Alcotest.failf "%s paused at %d: resumed run differs"
+                  k.Kernels.name pause
+          end)
+        [ 40; 400; 2000; 5000 ])
+    Kernels.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "most runs paused mid-flight (%d)" !resumed)
+    true (!resumed >= 16)
+
 let suite =
   [
     Alcotest.test_case "recovery policy spec" `Quick test_policy_spec;
@@ -765,4 +818,6 @@ let suite =
       test_restore_all_or_nothing;
     Alcotest.test_case "one validity check: spec and both engines" `Quick
       test_one_validity_check;
+    Alcotest.test_case "timers past the queue's horizon: resumed = straight"
+      `Quick test_overflow_timers_resume;
   ]
