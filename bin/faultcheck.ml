@@ -835,11 +835,9 @@ let main seeds fault runs master dir kernel_filter size waves recover machine
     | _ -> "");
   let kills = match preset with Some p -> p.kills | None -> 0 in
   let skipped = runs - !ran in
-  if !ran = 0 && runs > 0 then
+  if !ran = 0 then
     `Error
-      (false,
-       Printf.sprintf "none of the %d %s ran an engine: add --machine" runs
-         noun)
+      (false, Printf.sprintf "none of the %d %s ran an engine" runs noun)
   else if !failures > 0 then
     `Error (false, Printf.sprintf "%d of %d %s failed" !failures !ran noun)
   else if !cycles < kills then
