@@ -380,6 +380,8 @@ module Wheel : sig
   (** Every queued [(time, payload)], in the order they come out. *)
 
   val clear : t -> base:int -> unit
-  (** Empty the queue and make [base] its current time; pushing
-      {!to_array}'s entries back in order then rebuilds the queue. *)
+  (** Empty the queue and make [base] its current time.  Pushing a
+      queue's {!to_array} back in order, with [base] that queue's
+      current time, rebuilds it: the same entries come out in the same
+      order. *)
 end
