@@ -42,11 +42,23 @@ let dummy_value = Value.Int 0
 
 let arity a cell = a.port_base.(cell + 1) - a.port_base.(cell)
 
-let arc_port a ~src ~dst ~port =
-  if dst < 0 || dst >= a.n || port < 0 || port >= arity a dst then -1
-  else
-    let p = a.port_base.(dst) + port in
-    if src >= 0 && a.port_producer.(p) = src then p else -1
+let is_arc a p = p >= 0 && p < a.n_ports && a.port_producer.(p) >= 0
+
+(* Called once per firing by both engines.  [id] is a cell, so every
+   index lies inside the arrays [build] made for it: unchecked. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+
+let refires a id =
+  let b = a.port_base.!(id) in
+  match a.ops.!(id) with
+  | Opcode.Fifo _ -> true
+  | Opcode.Merge | Opcode.Merge_switch -> a.port_kind.!(b) = kind_const
+  | _ ->
+    let p = ref b and e = a.port_base.!(id + 1) in
+    while !p < e && a.port_kind.!(!p) = kind_const do
+      incr p
+    done;
+    !p = e
 
 let build g =
   (match Graph.validate g with

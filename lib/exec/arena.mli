@@ -48,10 +48,20 @@ val dummy_value : Value.t
 
 val arity : t -> int -> int
 
-val arc_port : t -> src:int -> dst:int -> port:int -> int
-(** The global port of input [port] of cell [dst] when cell [src] is
-    its producer; [-1] when the arena has no such arc (either cell or
-    the port out of range, or the port fed by another cell or by none). *)
+val is_arc : t -> int -> bool
+(** [is_arc a p]: [p] is a global port of [a] that a cell produces
+    into, so a packet and its acknowledge can travel it — [p] lies in
+    [[0, n_ports)] and [port_producer.(p) >= 0].  The machine engine
+    names each queued event by such a port. *)
+
+val refires : t -> int -> bool
+(** [refires a cell]: a cell that just fired can fire again at the same
+    time, with no new arrival.  A firing empties every arc port it
+    consumes and nothing arrives within a time step, so only a FIFO (an
+    accept into an empty buffer lets it emit) and a cell whose firing
+    may have consumed no arc operand (no arc input port, or a merge
+    whose control port is a constant) can.  Both engines retry a cell
+    that fired only when this holds and it owes no acknowledge. *)
 
 val build : Graph.t -> t
 (** @raise Invalid_argument on an invalid graph (same checks as

@@ -71,6 +71,7 @@ val snapshot : t -> t
 
 val restore : t -> t -> unit
 (** [restore st snap] overwrites [st] with the {!snapshot} [snap],
-    keeping [st]'s streams and FIFO capacities.
-    @raise Invalid_argument, before writing anything, if an array of
-    [snap] has another length than [st]'s or [snap] overfills a FIFO. *)
+    keeping [st]'s streams and FIFO capacities.  It checks nothing:
+    [snap]'s arrays must have [st]'s lengths and its FIFOs fit their
+    capacities, which [Machine_engine.restore], its one caller, checks
+    first. *)

@@ -54,9 +54,8 @@ val misfit : t -> snapshot option -> string option
 
 val restore : t -> snapshot option -> unit
 (** Overwrite the shadow state with a snapshot taken from a sanitizer of
-    the same graph.
-    @raise Invalid_argument, before writing anything, if {!misfit}
-    finds a reason. *)
+    the same graph.  It checks nothing: {!misfit} must find no reason,
+    which [Machine_engine.restore], its one caller, checks first. *)
 
 val tripped : t -> bool
 (** A fatal violation has been recorded; the engine must stop. *)

@@ -54,3 +54,39 @@ let digest_outputs outs =
       fnv_offset outs
   in
   finish h
+
+(* A record frame: the line [<magic> <crc> <len>], then [len] payload
+   bytes whose [checksum_string] is [crc]. *)
+
+let frame ~magic payload =
+  Printf.sprintf "%s %d %d\n%s" magic (checksum_string payload)
+    (String.length payload) payload
+
+type frame_error =
+  | No_header
+  | Bad_header
+  | Truncated of { expected : int; actual : int }
+  | Corrupted of { expected_crc : int; actual_crc : int }
+
+(* A header line that never ends runs to the end of the text, and its
+   payload is then empty. *)
+let unframe ~magic ?(pos = 0) text =
+  let len = String.length text in
+  let nl = Option.value (String.index_from_opt text pos '\n') ~default:len in
+  match String.split_on_char ' ' (String.sub text pos (nl - pos)) with
+  | [ m; crc_s; len_s ] when m = magic -> (
+    match (int_of_string_opt crc_s, int_of_string_opt len_s) with
+    | Some crc, Some plen when plen >= 0 ->
+      let start = min (nl + 1) len in
+      if len - start < plen then
+        Error (Truncated { expected = plen; actual = len - start })
+      else
+        (* bytes past the declared length are the next record's, or
+           junk a single-record reader ignores *)
+        let payload = String.sub text start plen in
+        let actual_crc = checksum_string payload in
+        if actual_crc <> crc then
+          Error (Corrupted { expected_crc = crc; actual_crc })
+        else Ok (payload, start + plen)
+    | _ -> Error Bad_header)
+  | _ -> Error No_header

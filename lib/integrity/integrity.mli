@@ -12,8 +12,10 @@
     - a whole-run output digest over every output stream's values —
       arrival times excluded, so a clean run and a delay-faulted run of
       the same graph have equal digests ({!digest_outputs});
-    - string checksums used by {!Recover.Checkpoint} to reject
-      truncated or bit-rotted snapshot files ({!checksum_string}).
+    - string checksums and the record frame built on them, which
+      checkpoint files and journal records are written in, so a
+      truncated or bit-rotted one is refused before it is parsed
+      ({!checksum_string}, {!frame}, {!unframe}).
 
     All checksums are FNV-1a (64-bit) folded to non-negative OCaml ints.
     This is error *detection*, not cryptography: a random single-bit or
@@ -38,3 +40,29 @@ val digest_outputs : (string * (int * Dfg.Value.t) list) list -> int
     [output_values]-shaped data: a list of [(stream name, (arrival
     time, value) list)].  Stream names and value order matter; arrival
     times are ignored (see above). *)
+
+(** {1 Record frames}
+
+    A frame is the header line [<magic> <crc> <len>] followed by [len]
+    payload bytes whose {!checksum_string} is [crc].  Checkpoint files
+    ([dfsnap2]) and journal records ([dfjent]) are frames. *)
+
+val frame : magic:string -> string -> string
+(** The frame of a payload: header line, then the payload. *)
+
+type frame_error =
+  | No_header  (** the text does not start with a [magic] header line *)
+  | Bad_header
+      (** the header names [magic], but its checksum or length is not a
+          number, or the length is negative *)
+  | Truncated of { expected : int; actual : int }
+      (** fewer payload bytes follow than the header promises *)
+  | Corrupted of { expected_crc : int; actual_crc : int }
+      (** the payload fails the header's checksum *)
+
+val unframe :
+  magic:string -> ?pos:int -> string -> (string * int, frame_error) result
+(** [unframe ~magic ~pos text] reads the frame that starts at byte [pos]
+    (default 0) of [text]: its payload and the position just past it.
+    Bytes after the payload are not read.  A header line with no
+    newline runs to the end of [text] and has an empty payload. *)

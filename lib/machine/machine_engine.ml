@@ -43,17 +43,16 @@ type result = {
   recoveries : int;
 }
 
+(* [port]: the consumer-side global port of the arc the event travels *)
 type event =
   | Deliver of {
-      src : int;
-      dst : int;
       port : int;
       seq : int;
       value : Value.t;  (* payload as delivered (possibly corrupted) *)
       crc : int;  (* producer-side checksum of the payload as sent *)
     }
-  | Ack of { dst : int; from_node : int; from_port : int; seq : int }
-  | Retransmit of { src : int; dst : int; port : int; seq : int }
+  | Ack of { port : int; seq : int }
+  | Retransmit of { port : int; seq : int }
 
 (* Resend delay for the given 0-based attempt: exponential backoff
    capped at 16 base timeouts so a lossy channel cannot push the next
@@ -492,27 +491,16 @@ let schedule_deliver m t p seq value crc =
    checksum carried a payload no fault could have touched, so the
    checksum its producer would have attached is that of the payload. *)
 let event_of_slot m i =
-  let a = m.arena and s = m.slab in
-  let p = s.port.(i) and seq = s.seq.(i) in
-  let src = a.Arena.port_producer.(p) in
-  let dst = a.Arena.port_cell.(p) and port = a.Arena.port_sub.(p) in
+  let s = m.slab in
+  let port = s.port.(i) and seq = s.seq.(i) in
   let kind = Bytes.get s.kind i in
   if kind = ev_deliver then
     let value = s.value.(i) in
     Deliver
-      { src; dst; port; seq; value;
+      { port; seq; value;
         crc = (if m.crc_on then s.crc.(i) else Integrity.checksum_value value) }
-  else if kind = ev_ack then
-    Ack { dst = src; from_node = dst; from_port = port; seq }
-  else Retransmit { src; dst; port; seq }
-
-(* The consumer-side global port an event travels to, or [-1] when its
-   endpoints are not an arc of the arena. *)
-let event_port a = function
-  | Deliver { src; dst; port; _ } | Retransmit { src; dst; port; _ } ->
-    Arena.arc_port a ~src ~dst ~port
-  | Ack { dst; from_node; from_port; _ } ->
-    Arena.arc_port a ~src:dst ~dst:from_node ~port:from_port
+  else if kind = ev_ack then Ack { port; seq }
+  else Retransmit { port; seq }
 
 let events_of_slab m =
   Array.map (fun (t, i) -> (t, event_of_slot m i)) (Wheel.to_array m.events)
@@ -578,17 +566,18 @@ let load_events m ~time events =
   m.live_events <- 0;
   Array.iter
     (fun (t, ev) ->
-      let p = event_port m.arena ev in
       match ev with
-      | Deliver { seq; value; crc; _ } -> schedule_deliver m t p seq value crc
-      | Ack { seq; _ } -> schedule m t ev_ack p seq
-      | Retransmit { seq; _ } -> schedule m t ev_retransmit p seq)
+      | Deliver { port; seq; value; crc } -> schedule_deliver m t port seq value crc
+      | Ack { port; seq } -> schedule m t ev_ack port seq
+      | Retransmit { port; seq } -> schedule m t ev_retransmit port seq)
     events
 
 (* A snapshot's shape and the fields the engine indexes with, all
    checked before anything is overwritten: a refused restore leaves the
    machine as it was, and the engine's unchecked indices (see [.!()])
-   hold for whatever [restore] accepts.  A field is named as in the
+   hold for whatever [restore] accepts.  This is the only check a
+   snapshot meets: [Run_state.restore] and [San.restore] write what it
+   accepted without checking again.  A field is named as in the
    checkpoint document. *)
 let check_state m (s : _ snap) =
   let fail fmt =
@@ -653,8 +642,11 @@ let check_state m (s : _ snap) =
       if k > 0 && t < fst s.sn_events.(k - 1) then
         fail "events[%d] is due at %d, before events[%d] at %d" k t (k - 1)
           (fst s.sn_events.(k - 1));
-      if event_port m.arena ev < 0 then
-        fail "events[%d] travels no arc of this graph" k)
+      let (Deliver { port; _ } | Ack { port; _ } | Retransmit { port; _ }) =
+        ev
+      in
+      if not (Arena.is_arc m.arena port) then
+        fail "events[%d]: port %d is not an arc port of this graph" k port)
     s.sn_events
 
 (* Reinstate machine state: everything a crash rollback rewinds.  The
@@ -1242,25 +1234,6 @@ let try_fire m id =
     | Output _ -> fire_output m id b
     | Sink -> fire_sink m id b
 
-(* A cell that just fired can fire again in the same step only if it is
-   a FIFO or its firing may have consumed no arc operand (no arc input
-   port, or a merge with a constant control port): a firing empties
-   every arc port it consumes, and events apply only when time
-   advances. *)
-let refires m id =
-  let a = m.arena in
-  let b = a.Arena.port_base.!(id) in
-  match a.Arena.ops.!(id) with
-  | Opcode.Fifo _ -> true
-  | Opcode.Merge | Opcode.Merge_switch ->
-    a.Arena.port_kind.!(b) = Arena.kind_const
-  | _ ->
-    let p = ref b and e = a.Arena.port_base.!(id + 1) in
-    while !p < e && a.Arena.port_kind.!(!p) = Arena.kind_const do
-      incr p
-    done;
-    !p = e
-
 (* The recovery protocol's view of global port [p]: is the packet
    [seq] still unacknowledged, and is it resident (accepted but not yet
    consumed) at its consumer? *)
@@ -1527,7 +1500,8 @@ let advance m ~until =
         fired_any := true;
         (* tried again only if it owes no acknowledge and its rule can
            hold again with no new arrival *)
-        if m.st.Run_state.pending_acks.!(id) = 0 && refires m id then mark m id
+        if m.st.Run_state.pending_acks.!(id) = 0 && Arena.refires m.arena id
+        then mark m id
       end
     done;
     if !fired_any then m.last_progress <- m.now;

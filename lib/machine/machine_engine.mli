@@ -124,15 +124,21 @@ type t
 
 type event =
   | Deliver of {
-      src : int;
-      dst : int;
       port : int;
       seq : int;
       value : Value.t;  (** payload as delivered (possibly corrupted) *)
       crc : int;  (** {!Integrity.checksum_value} of the payload as sent *)
     }
-  | Ack of { dst : int; from_node : int; from_port : int; seq : int }
-  | Retransmit of { src : int; dst : int; port : int; seq : int }
+  | Ack of { port : int; seq : int }
+  | Retransmit of { port : int; seq : int }
+(** A queued event as the engine keeps it.  Every packet and
+    acknowledge in flight belongs to one arc, so an event names the
+    arc by its consumer-side global {!Arena} port ({!Arena.is_arc}):
+    a result packet delivered to that port, the acknowledge of a
+    packet consumed there travelling back to the port's producer, or
+    the producer's retransmission timer for its packet on that port.
+    [seq] is the packet's sequence number on the arc (0 without a
+    recovery policy). *)
 
 (** {1 Snapshots}
 
@@ -251,11 +257,13 @@ val restore : t -> snapshot -> unit
     @raise Invalid_argument, before anything is written, naming the
     checkpoint field: when an array has another length than the
     machine's, a FIFO holds more items than its capacity, the sanitizer
-    section does not fit the machine's sanitizer, a cell's PE lies
-    outside the arch or its cursor below 0, or a queued event (also in
-    the rollback target) travels no arc of the graph, falls due at or
-    before the snapshot's time, or is listed before an event due
-    earlier. *)
+    section does not fit the machine's sanitizer ({!Fault.Sanitizer.misfit}),
+    a cell's PE lies outside the arch or its cursor below 0, or a
+    queued event (also in the rollback target) names a port that is no
+    arc of the graph ({!Arena.is_arc}), falls due at or before the
+    snapshot's time, or is listed before an event due earlier.  This
+    is the only check a snapshot meets: {!Run_state.restore} and
+    {!Fault.Sanitizer.restore} write what it accepted. *)
 
 val result : t -> result
 (** Read the outcome.  On a {!finished} machine this includes the stall

@@ -4,14 +4,15 @@ module ME = Machine.Machine_engine
 module San = Fault.Sanitizer
 module V = Fault.Violation
 
-(* 4: queued events are listed in the order they apply (by time, and
-   events of one time in the order they were queued), the machine's
-   equal-time order since its event queue became a timing wheel; a
-   format-3 document lists them in binary-heap layout, which that order
-   cannot read.  (3 stored the run state as flat per-port and per-cell
-   arrays and added what a resumed crash-faulted run needs; 2 added
-   per-packet checksums and the [magic] integrity header.) *)
-let version = 4
+(* 5: a queued event names the arc it travels by its consumer-side
+   global port, as the engine keeps it, where a format-4 document named
+   the producer, consumer cell and local port.  (4 listed queued events
+   in the order they apply, the machine's equal-time order since its
+   event queue became a timing wheel; 3 stored the run state as flat
+   per-port and per-cell arrays and added what a resumed crash-faulted
+   run needs; 2 added per-packet checksums and the [magic] integrity
+   header.) *)
+let version = 5
 
 (* Hashtbl.hash alone is unusable as a whole-graph digest (it only
    inspects a bounded prefix of the structure); hash each node's small
@@ -55,21 +56,19 @@ let json_of_slots full values =
           (fun i v -> if full i then json_of_value v else J.Null)
           values))
 
-let json_of_event (prio, ev) =
-  let body =
+(* Due time, kind tag, port, sequence number and, for a delivery, its
+   payload and checksum. *)
+let json_of_event (at, ev) =
+  let tag, port, seq, payload =
     match ev with
-    | ME.Deliver { src; dst; port; seq; value; crc } ->
-      [ ("t", J.String "d"); ("src", J.Int src); ("dst", J.Int dst);
-        ("port", J.Int port); ("seq", J.Int seq); ("v", json_of_value value);
-        ("crc", J.Int crc) ]
-    | ME.Ack { dst; from_node; from_port; seq } ->
-      [ ("t", J.String "a"); ("dst", J.Int dst); ("fn", J.Int from_node);
-        ("fp", J.Int from_port); ("seq", J.Int seq) ]
-    | ME.Retransmit { src; dst; port; seq } ->
-      [ ("t", J.String "r"); ("src", J.Int src); ("dst", J.Int dst);
-        ("port", J.Int port); ("seq", J.Int seq) ]
+    | ME.Deliver { port; seq; value; crc } ->
+      ("d", port, seq, [ ("v", json_of_value value); ("crc", J.Int crc) ])
+    | ME.Ack { port; seq } -> ("a", port, seq, [])
+    | ME.Retransmit { port; seq } -> ("r", port, seq, [])
   in
-  J.Obj (("at", J.Int prio) :: body)
+  J.Obj
+    (("at", J.Int at) :: ("t", J.String tag) :: ("port", J.Int port)
+    :: ("seq", J.Int seq) :: payload)
 
 let json_of_stats (s : ME.stats) =
   J.Obj
@@ -196,44 +195,24 @@ let slots_field name j =
   ( Array.map Option.is_some slots,
     Array.map (Option.value ~default:Arena.dummy_value) slots )
 
-let event_of_json j =
-  let prio = int_field "at" j in
+(* Event [k] of a document.  The engine reads producer, consumer cell
+   and local port back from the arena by the event's port, so the port
+   must be one an arc feeds. *)
+let event_of_json arena k j =
+  let port = int_field "port" j and seq = int_field "seq" j in
+  if not (Arena.is_arc arena port) then
+    fail "events[%d]: port %d is not an arc port of the graph" k port;
   let ev =
     match get_string "t" (field "t" j) with
     | "d" ->
       ME.Deliver
-        { src = int_field "src" j; dst = int_field "dst" j;
-          port = int_field "port" j; seq = int_field "seq" j;
-          value = value_of_json "v" (field "v" j);
+        { port; seq; value = value_of_json "v" (field "v" j);
           crc = int_field "crc" j }
-    | "a" ->
-      ME.Ack
-        { dst = int_field "dst" j; from_node = int_field "fn" j;
-          from_port = int_field "fp" j; seq = int_field "seq" j }
-    | "r" ->
-      ME.Retransmit
-        { src = int_field "src" j; dst = int_field "dst" j;
-          port = int_field "port" j; seq = int_field "seq" j }
-    | s -> fail "events: unknown event tag %S" s
+    | "a" -> ME.Ack { port; seq }
+    | "r" -> ME.Retransmit { port; seq }
+    | s -> fail "events[%d]: unknown event tag %S" k s
   in
-  (prio, ev)
-
-(* The engine keeps only the consumer-side port of a queued event and
-   reads producer, consumer and local port back from the graph, so a
-   decoded event must travel an arc of it: a delivery or retransmission
-   from [src] to input [port] of [dst], an acknowledge from input
-   [from_port] of [from_node] back to its producer [dst]. *)
-let check_event arena k (_, ev) =
-  let arc what ~src ~dst ~port =
-    if Arena.arc_port arena ~src ~dst ~port < 0 then
-      fail "events[%d]: %s from %d to %d.%d travels no arc of the graph" k
-        what src dst port
-  in
-  match ev with
-  | ME.Deliver { src; dst; port; _ } -> arc "delivery" ~src ~dst ~port
-  | ME.Retransmit { src; dst; port; _ } -> arc "retransmission" ~src ~dst ~port
-  | ME.Ack { dst; from_node; from_port; _ } ->
-    arc "acknowledge" ~src:dst ~dst:from_node ~port:from_port
+  (int_field "at" j, ev)
 
 let stats_of_json j : ME.stats =
   {
@@ -304,8 +283,10 @@ let state_of_json arena j : ME.state =
       j
   in
   let _, out_value = slots_field "outv" j in
-  let events = array_field "events" event_of_json j in
-  Array.iteri (check_event arena) events;
+  let events =
+    field "events" j |> J.get_list |> List.mapi (event_of_json arena)
+    |> Array.of_list
+  in
   {
     ME.sn_time = int_field "time" j;
     sn_last_progress = int_field "last_progress" j;
@@ -371,16 +352,13 @@ let of_json ~(arena : Arena.t) j =
 (* file framing                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A checkpoint file is a one-line header followed by the JSON payload:
-
-     dfsnap2 <crc> <payload-length>\n
-     { ... }\n
-
-   The header lets [load] reject truncated and bit-rotted files by
-   length and checksum *before* handing bytes to the JSON parser, so
-   storage rot surfaces as a structured error, never a parse
+(* A checkpoint file is one {!Integrity.frame}: the header line
+   [dfsnap2 <crc> <payload-length>], then the JSON payload and a
+   newline.  The header lets [load] reject truncated and bit-rotted
+   files by length and checksum *before* handing bytes to the JSON
+   parser, so storage rot surfaces as a structured error, never a parse
    exception deep inside a resume.  The header names the framing, not
-   the document: a format-4 document still rides a [dfsnap2] header,
+   the document: a format-5 document still rides a [dfsnap2] header,
    and its [version] field is what rejects older documents. *)
 let magic = "dfsnap2"
 
@@ -404,13 +382,10 @@ let load_error_to_string = function
 
 let save ~path ~graph sn =
   let payload = J.to_string (to_json ~graph sn) ^ "\n" in
-  let crc = Integrity.checksum_string payload in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc "%s %d %d\n" magic crc (String.length payload);
-      output_string oc payload)
+    (fun () -> output_string oc (Integrity.frame ~magic payload))
 
 let load ~path ~arena =
   match
@@ -421,48 +396,26 @@ let load ~path ~arena =
   with
   | exception Sys_error e -> Error (Io e)
   | text -> (
-    let header, payload =
-      match String.index_opt text '\n' with
-      | None -> (text, "")
-      | Some i ->
-        ( String.sub text 0 i,
-          String.sub text (i + 1) (String.length text - i - 1) )
-    in
-    let parsed_header =
-      match String.split_on_char ' ' header with
-      | [ m; crc_s; len_s ] when m = magic -> (
-        match (int_of_string_opt crc_s, int_of_string_opt len_s) with
-        | Some crc, Some len -> Ok (crc, len)
-        | _ ->
-          Error
-            (Not_a_checkpoint
-               (Printf.sprintf "%s: malformed %S header" path magic)))
-      | _ ->
-        Error
-          (Not_a_checkpoint
-             (Printf.sprintf
-                "%s: missing %S header (a pre-corruption-era checkpoint, or \
-                 not a checkpoint at all)"
-                path magic))
-    in
-    match parsed_header with
-    | Error _ as e -> e
-    | Ok (crc, len) ->
-      if String.length payload < len then
-        Error (Truncated { expected = len; actual = String.length payload })
-      else
-        (* trailing junk beyond the declared length is ignored; rot
-           inside the declared prefix fails the checksum below *)
-        let payload = String.sub payload 0 len in
-        let actual_crc = Integrity.checksum_string payload in
-        if actual_crc <> crc then
-          Error (Corrupted { expected_crc = crc; actual_crc })
-        else (
-          match J.of_string payload with
-          | exception J.Parse_error e -> Error (Malformed (path ^ ": " ^ e))
-          | j -> (
-            match of_json ~arena j with
-            | Ok sn -> Ok sn
-            | Error e -> Error (Malformed e))))
+    (* trailing junk beyond the declared length is ignored; rot inside
+       it fails the checksum *)
+    match Integrity.unframe ~magic text with
+    | Error Integrity.No_header ->
+      Error
+        (Not_a_checkpoint
+           (Printf.sprintf
+              "%s: missing %S header (a pre-corruption-era checkpoint, or \
+               not a checkpoint at all)"
+              path magic))
+    | Error Integrity.Bad_header ->
+      Error
+        (Not_a_checkpoint (Printf.sprintf "%s: malformed %S header" path magic))
+    | Error (Integrity.Truncated { expected; actual }) ->
+      Error (Truncated { expected; actual })
+    | Error (Integrity.Corrupted { expected_crc; actual_crc }) ->
+      Error (Corrupted { expected_crc; actual_crc })
+    | Ok (payload, _) -> (
+      match J.of_string payload with
+      | exception J.Parse_error e -> Error (Malformed (path ^ ": " ^ e))
+      | j -> Result.map_error (fun e -> Malformed e) (of_json ~arena j)))
 
 let equal (a : ME.snapshot) (b : ME.snapshot) = compare a b = 0

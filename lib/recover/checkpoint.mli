@@ -15,18 +15,23 @@ open Dfg
       fingerprint of the instruction graph it was taken from, so loading
       a checkpoint against the wrong program (or a stale format) fails
       loudly instead of resuming garbage;
-    - {e rot-detection}: the header records the payload length and an
+    - {e rot-detection}: the file is one {!Integrity.frame}, whose
+      header records the payload length and an
       {!Integrity.checksum_string} of it, so a truncated or bit-rotted
-      snapshot is rejected with a structured {!load_error} before any
+      snapshot, or one whose header length is negative or not a
+      number, is rejected with a structured {!load_error} before any
       byte reaches the JSON parser. *)
 
 val version : int
-(** Current format version, 4: the snapshot's flat per-port and
+(** Current format version, 5: the snapshot's flat per-port and
     per-cell arrays (the run state both engines share plus the
     machine's side arrays), the queued events in the order they apply,
-    and the crash flag, checkpoint clock, checkpoint and recovery
-    counters and rollback target a resumed crash-faulted run needs.
-    The file header is still [dfsnap2]. *)
+    each as the engine keeps it — due time, kind, the consumer-side
+    global port of its arc, sequence number and, for a delivery,
+    payload and checksum — and the crash flag, checkpoint clock,
+    checkpoint and recovery counters and rollback target a resumed
+    crash-faulted run needs.  Every per-port field is indexed by the
+    same {!Arena} port numbers.  The file header is still [dfsnap2]. *)
 
 val fingerprint : Graph.t -> int
 (** The digest of a graph a document carries, so that loading it
@@ -46,19 +51,21 @@ val of_json :
   (Machine.Machine_engine.snapshot, string) result
 (** Decode a document taken from [arena]'s graph, checking its events
     against the arena as it stands (nothing is lowered again).  Rejects
-    version mismatches (naming both versions: a format-3 document reads
-    [checkpoint format version 3, this build reads 4]), fingerprint
-    mismatches, malformed documents and queued events that travel no
-    arc of the arena (a delivery, retransmission or acknowledge whose
-    cells and port are not a producer, consumer and input port of the
-    graph) with a descriptive error. *)
+    version mismatches (naming both versions: a format-4 document reads
+    [checkpoint format version 4, this build reads 5]), fingerprint
+    mismatches, malformed documents and queued events whose port is no
+    arc port of the arena ({!Arena.is_arc}; the error begins
+    [events[k]]) with a descriptive error.  What else a snapshot must
+    satisfy to fit a machine is {!Machine.Machine_engine.restore}'s
+    check. *)
 
 val save : path:string -> graph:Graph.t -> Machine.Machine_engine.snapshot -> unit
 
 type load_error =
   | Io of string  (** file unreadable ([Sys_error] text) *)
   | Not_a_checkpoint of string
-      (** integrity header missing or garbled — wrong file, or a
+      (** integrity header missing or garbled (its checksum or length
+          not a number, or a negative length) — wrong file, or a
           checkpoint from before the header existed *)
   | Truncated of { expected : int; actual : int }
       (** payload shorter than the header promises (interrupted write,
@@ -67,7 +74,7 @@ type load_error =
       (** payload bytes fail the content checksum (bit rot) *)
   | Malformed of string
       (** checksum passed but the document does not decode: JSON error,
-          version mismatch (an older format such as 3), or
+          version mismatch (an older format such as 4), or
           graph-fingerprint mismatch *)
 
 val load_error_to_string : load_error -> string

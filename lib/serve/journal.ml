@@ -1,18 +1,13 @@
 module J = Obs.Json
 
-(* A journal is a sequence of independently framed records:
-
-     dfjent <crc> <len>\n
-     { ... }\n
-
-   — the same magic+CRC+length discipline Recover.Checkpoint uses for
-   snapshot files, applied per record so an append torn by SIGKILL
-   corrupts only the tail.  Replay stops at the first frame that fails
-   its header, length or checksum: everything before a torn append is
-   trusted, everything after it is not (an append-only log gives no
-   resync point that is safe against a record boundary forged by
-   rotted bytes). *)
-
+(* A journal is a sequence of independently framed records, each an
+   {!Integrity.frame} ([dfjent <crc> <len>], then the JSON payload and
+   a newline) — the frame Recover.Checkpoint writes snapshot files in,
+   applied per record so an append torn by SIGKILL corrupts only the
+   tail.  Replay stops at the first frame that fails its header, length
+   or checksum: everything before a torn append is trusted, everything
+   after it is not (an append-only log gives no resync point that is
+   safe against a record boundary forged by rotted bytes). *)
 let magic = "dfjent"
 
 exception Disk_fault of string
@@ -55,10 +50,7 @@ let entry_of_json j =
   | None, _ -> Error "journal entry without kind"
 
 let frame entry =
-  let payload = J.to_string (entry_to_json entry) ^ "\n" in
-  Printf.sprintf "%s %d %d\n%s" magic
-    (Integrity.checksum_string payload)
-    (String.length payload) payload
+  Integrity.frame ~magic (J.to_string (entry_to_json entry) ^ "\n")
 
 (* ---------------- replay ---------------- *)
 
@@ -69,33 +61,18 @@ type damage = Intact | Damaged of { valid : int; size : int }
    reaches, so a caller can tell a clean journal from one whose tail
    was betrayed — the trigger for peer recovery. *)
 let scan text =
-  let len = String.length text in
   let rec go pos acc =
     let stop () = (List.rev acc, pos) in
-    if pos >= len then stop ()
-    else
-      match String.index_from_opt text pos '\n' with
-      | None -> stop () (* torn header *)
-      | Some nl -> (
-        let header = String.sub text pos (nl - pos) in
-        match String.split_on_char ' ' header with
-        | [ m; crc_s; plen_s ] when m = magic -> (
-          match (int_of_string_opt crc_s, int_of_string_opt plen_s) with
-          | Some crc, Some plen ->
-            let start = nl + 1 in
-            if plen < 0 || start + plen > len then stop () (* torn payload *)
-            else
-              let payload = String.sub text start plen in
-              if Integrity.checksum_string payload <> crc then stop ()
-              else (
-                match J.of_string payload with
-                | exception J.Parse_error _ -> stop ()
-                | doc -> (
-                  match entry_of_json doc with
-                  | Ok e -> go (start + plen) (e :: acc)
-                  | Error _ -> stop ()))
-          | _ -> stop ())
-        | _ -> stop ())
+    (* the end of the text reads as a missing header *)
+    match Integrity.unframe ~magic ~pos text with
+    | Error _ -> stop ()
+    | Ok (payload, next) -> (
+      match J.of_string payload with
+      | exception J.Parse_error _ -> stop ()
+      | doc -> (
+        match entry_of_json doc with
+        | Ok e -> go next (e :: acc)
+        | Error _ -> stop ()))
   in
   go 0 []
 

@@ -14,12 +14,12 @@
     combination turns at-least-once client retries into exactly-once
     results across server crashes.
 
-    On disk every record is independently framed with the same
-    magic+CRC+length discipline {!Recover.Checkpoint} uses for
-    snapshot files ([dfjent <crc> <len>] + payload), so an append torn
-    by SIGKILL corrupts only the tail: {!replay} returns the longest
+    On disk every record is independently framed as one
+    {!Integrity.frame}, the frame {!Recover.Checkpoint} writes snapshot
+    files in ([dfjent <crc> <len>] + payload), so an append torn by
+    SIGKILL corrupts only the tail: {!replay} returns the longest
     intact prefix of records and ignores everything after the first
-    torn, truncated or bit-rotted frame.  {!replay_verified} also says
+    torn, truncated, bit-rotted or negative-length frame.  {!replay_verified} also says
     whether such a refused tail exists — the trigger for rebuilding
     the journal from replication peers (see {!Replica}). *)
 

@@ -425,23 +425,6 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
     | Output _ -> fire_output id
     | Sink -> fire_sink id
   in
-  (* A firing empties every arc port it consumes, and nothing arrives
-     within a step, so a cell that just fired can fire again in the same
-     step only if it is a FIFO (an accept into an empty buffer lets it
-     emit) or its firing may have consumed no arc operand: it has no arc
-     input port, or it is a merge whose control port is a constant. *)
-  let refires id =
-    let b = port_base.!(id) in
-    match ops.(id) with
-    | Opcode.Fifo _ -> true
-    | Opcode.Merge | Opcode.Merge_switch -> port_kind.!(b) = Arena.kind_const
-    | _ ->
-      let p = ref b and e = port_base.!(id + 1) in
-      while !p < e && port_kind.!(!p) = Arena.kind_const do
-        incr p
-      done;
-      !p = e
-  in
   (* ---- dirty set: a preallocated int ring (the in_dirty guard bounds
      occupancy at n) ---- *)
   let dirty = Array.make (max n 1) 0 in
@@ -475,7 +458,7 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
         fired_any := true;
         (* tried again only if it owes no acknowledge and its rule can
            hold again with no new arrival *)
-        if pending_acks.!(id) = 0 && refires id then mark id
+        if pending_acks.!(id) = 0 && Arena.refires a id then mark id
       end
     done;
     if !fired_any then last_progress := !now;

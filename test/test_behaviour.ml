@@ -209,7 +209,7 @@ let test_pinned () =
 (* ---- checkpoint bytes ---- *)
 
 (* Every kernel advanced in slices of 97 time units under 7 machine
-   configurations.  After each pause the snapshot's format-4 JSON text
+   configurations.  After each pause the snapshot's format-5 JSON text
    is appended, and at every other pause the machine is restored from
    that text, so a change to how the engine keeps its event queue or
    computes checksums has to reproduce the same documents and resume

@@ -381,6 +381,31 @@ let test_checkpoint_rejects_rot () =
       | Error e ->
         Alcotest.failf "expected Corrupted, got %s" (CP.load_error_to_string e)
       | Ok _ -> Alcotest.fail "bit-rotted checkpoint must be rejected");
+      (* header lengths that cannot be the payload's: negative, not a
+         number, past the end of the file *)
+      let nl = String.index pristine '\n' + 1 in
+      let payload = String.sub pristine nl (String.length pristine - nl) in
+      let crc = I.checksum_string payload and len = String.length payload in
+      List.iter
+        (fun (label, len_s, ok) ->
+          write_all path (Printf.sprintf "dfsnap2 %d %s\n%s" crc len_s payload);
+          match CP.load ~path ~arena:(Arena.build g) with
+          | Error e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s header length: %s" label
+                 (CP.load_error_to_string e))
+              true (ok e)
+          | Ok _ ->
+            Alcotest.failf "a %s header length must be rejected" label)
+        [ ("negative", "-1",
+           function CP.Not_a_checkpoint _ -> true | _ -> false);
+          ("non-numeric", "ten",
+           function CP.Not_a_checkpoint _ -> true | _ -> false);
+          ("past-the-file", string_of_int (len + 1),
+           function
+           | CP.Truncated { expected; actual } ->
+             expected = len + 1 && actual = len
+           | _ -> false) ];
       (* not a checkpoint at all *)
       write_all path "{\"just\": \"json\"}\n";
       (match CP.load ~path ~arena:(Arena.build g) with
@@ -411,7 +436,7 @@ let test_checkpoint_rejects_rot () =
             (Obs.Json.Obj
                (List.map
                   (fun (k, v) ->
-                    if k = "version" then (k, Obs.Json.Int 3) else (k, v))
+                    if k = "version" then (k, Obs.Json.Int 4) else (k, v))
                   fields))
           ^ "\n"
         | _ -> Alcotest.fail "checkpoint document is not an object"
@@ -422,11 +447,11 @@ let test_checkpoint_rejects_rot () =
       match CP.load ~path ~arena:(Arena.build g) with
       | Error (CP.Malformed e) ->
         Alcotest.(check bool)
-          (Printf.sprintf "version-3 rejection names the version (%s)" e)
-          true (contains e "version 3")
+          (Printf.sprintf "version-4 rejection names the version (%s)" e)
+          true (contains e "version 4")
       | Error e ->
         Alcotest.failf "expected Malformed, got %s" (CP.load_error_to_string e)
-      | Ok _ -> Alcotest.fail "a version-3 checkpoint must be rejected");
+      | Ok _ -> Alcotest.fail "a version-4 checkpoint must be rejected");
   match CP.load ~path:"/nonexistent/dfsim-rot.json" ~arena:(Arena.build g) with
   | Error (CP.Io _) -> ()
   | Error e -> Alcotest.failf "expected Io, got %s" (CP.load_error_to_string e)

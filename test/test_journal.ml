@@ -36,6 +36,35 @@ let test_frame_roundtrip () =
     "all records recovered from an intact image" (frames sample_entries)
     (frames back)
 
+(* A header whose length is negative ends the replay like a torn frame:
+   the records before it are kept, and nothing after it is trusted, not
+   even an intact record. *)
+let test_negative_length_frame () =
+  let intact = String.concat "" (frames sample_entries) in
+  let payload = "{}\n" in
+  let bad =
+    Printf.sprintf "dfjent %d -%d\n%s" (Integrity.checksum_string payload)
+      (String.length payload) payload
+  in
+  let after = Journal.frame (List.hd sample_entries) in
+  let path = Filename.temp_file "dfjournal-neg" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc (intact ^ bad ^ after);
+      close_out oc;
+      let back, damage = Journal.replay_verified path in
+      Alcotest.(check (list string))
+        "the records before the negative length" (frames sample_entries)
+        (frames back);
+      check "the refused tail starts at the negative length" true
+        (damage
+        = Journal.Damaged
+            { valid = String.length intact;
+              size = String.length intact + String.length bad
+                     + String.length after }))
+
 (* --- random journals ------------------------------------------------- *)
 
 let gen_entry =
@@ -480,6 +509,8 @@ let test_checkpoint_prefix_resume () =
 let suite =
   [ Alcotest.test_case "frame: intact image round-trips" `Quick
       test_frame_roundtrip;
+    Alcotest.test_case "frame: replay stops at a negative length" `Quick
+      test_negative_length_frame;
     QCheck_alcotest.to_alcotest torn_tail;
     QCheck_alcotest.to_alcotest bit_rot;
     Alcotest.test_case "fold: response cache + re-run worklist" `Quick

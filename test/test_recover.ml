@@ -492,11 +492,12 @@ let test_resume_matrix () =
     (Printf.sprintf "most runs paused mid-flight (%d)" !resumed)
     true (!resumed >= 100)
 
-(* A checkpoint decoder that accepted any event endpoints let a
-   tampered queue through: a delivery to a cell outside the graph
-   failed mid-run with an index error, one to a port past its cell's
-   arity landed on another cell's port.  Each such event is now an
-   [Error] from [of_json], and [restore] refuses it too. *)
+(* A queued event names the arc it travels by its consumer-side port,
+   and the engine reads producer, consumer cell and local port back from
+   the arena by it, unchecked.  A port past the arena's, a negative one
+   and a constant port (no cell produces into it, so an acknowledge
+   would go to no cell) are each an [Error] from [of_json] naming the
+   event, and [restore] refuses each before it writes anything. *)
 let test_tampered_events_rejected () =
   let k = List.find (fun k -> k.Kernels.name = "hydro") Kernels.all in
   let g, inputs = kernel_feeds k ~n:16 ~waves:2 in
@@ -504,74 +505,56 @@ let test_tampered_events_rejected () =
     Run_config.with_recovery Run_config.default_recovery ME.default_config
   in
   let arch = Machine.Arch.default in
+  let arena = Arena.build g in
   let m = ME.create_cfg cfg ~arch g ~inputs in
   ME.advance m ~until:143;
   let sn = ME.snapshot m in
-  let doc = CP.to_json ~graph:g sn in
-  let events = Obs.Json.get_list (Obs.Json.member "events" doc) in
-  let first tag =
-    let rec go i = function
-      | [] -> Alcotest.failf "no %S event queued at t=143" tag
-      | e :: rest ->
-        if Obs.Json.get_string (Obs.Json.member "t" e) = Some tag then (i, e)
-        else go (i + 1) rest
-    in
-    go 0 events
-  in
-  let int_of name e = Option.get (Obs.Json.get_int (Obs.Json.member name e)) in
-  let n = Graph.node_count g in
-  (* [doc] with field [name] of event [i] set to [v] *)
-  let tamper i name v =
-    let set = function
-      | Obs.Json.Obj fields ->
-        Obs.Json.Obj
-          (List.map
-             (fun (k, x) -> if k = name then (k, Obs.Json.Int v) else (k, x))
-             fields)
-      | j -> j
-    in
-    match doc with
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj
-        (List.map
-           (fun (k, x) ->
-             if k = "events" then
-               (k, Obs.Json.List (List.mapi (fun j e -> if j = i then set e else e) events))
-             else (k, x))
-           fields)
-    | _ -> Alcotest.fail "checkpoint is not an object"
-  in
-  (match CP.of_json ~arena:(Arena.build g) doc with
+  let text () = Obs.Json.to_string (CP.to_json ~graph:g (ME.snapshot m)) in
+  let before = text () in
+  (match CP.of_json ~arena (CP.to_json ~graph:g sn) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "untampered checkpoint rejected: %s" e);
-  let di, d = first "d" and ai, a = first "a" in
-  let dst = int_of "dst" d in
-  List.iter
-    (fun (label, tampered) ->
-      match CP.of_json ~arena:(Arena.build g) tampered with
-      | Ok _ -> Alcotest.failf "%s: accepted" label
-      | Error e ->
-        Alcotest.(check bool) (label ^ " names the event") true
-          (String.length e > 7 && String.sub e 0 7 = "events["))
-    [ ("delivery dst outside the graph", tamper di "dst" n);
-      ("delivery port past the arity", tamper di "port"
-         (Array.length (Graph.node g dst).Graph.inputs));
-      ("delivery src not the producer", tamper di "src"
-         ((int_of "src" d + 1) mod n));
-      ("acknowledge to a cell that is not the producer", tamper ai "dst"
-         ((int_of "dst" a + 1) mod n)) ];
-  (* the engine refuses what the decoder would *)
-  let bad =
-    Array.map
-      (fun (t, ev) ->
+  if Array.length sn.ME.sn_events = 0 then
+    Alcotest.fail "no event queued at t=143";
+  (* [sn] with its first queued event moved to port [p] *)
+  let with_port p =
+    let events = Array.copy sn.ME.sn_events in
+    let t, ev = events.(0) in
+    events.(0) <-
+      ( t,
         match ev with
-        | ME.Deliver d -> (t, ME.Deliver { d with dst = n })
-        | ev -> (t, ev))
-      sn.ME.sn_events
+        | ME.Deliver d -> ME.Deliver { d with port = p }
+        | ME.Ack a -> ME.Ack { a with port = p }
+        | ME.Retransmit r -> ME.Retransmit { r with port = p } );
+    { sn with ME.sn_events = events }
   in
-  match ME.restore (ME.create_cfg cfg ~arch g ~inputs) { sn with ME.sn_events = bad } with
-  | () -> Alcotest.fail "restore accepted a delivery outside the graph"
-  | exception Invalid_argument _ -> ()
+  let const_port =
+    let rec go p =
+      if p >= arena.Arena.n_ports then Alcotest.fail "hydro has no const port"
+      else if arena.Arena.port_kind.(p) = Arena.kind_const then p
+      else go (p + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun (label, p) ->
+      (match CP.of_json ~arena (CP.to_json ~graph:g (with_port p)) with
+      | Ok _ -> Alcotest.failf "%s: decoded" label
+      | Error e ->
+        Alcotest.(check string) (label ^ ": the error names the event")
+          "events[0]" (String.sub e 0 (min 9 (String.length e))));
+      (match ME.restore m (with_port p) with
+      | () -> Alcotest.failf "%s: restored" label
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check string) (label ^ ": snapshot unchanged") before (text ()))
+    [ ("port at n_ports", arena.Arena.n_ports); ("negative port", -1);
+      ("const port with no producer", const_port) ];
+  ME.advance m ~until:max_int;
+  let straight = ME.run_cfg cfg ~arch g ~inputs and resumed = ME.result m in
+  Alcotest.(check int) "end time after refused restores"
+    straight.ME.end_time resumed.ME.end_time;
+  Alcotest.(check bool) "outputs after refused restores" true
+    (straight.ME.outputs = resumed.ME.outputs)
 
 (* [doc] with field [name] mapped through [f] *)
 let map_field doc name f =
@@ -630,7 +613,7 @@ let test_tampered_state_rejected () =
   Alcotest.(check bool) "outputs after refused restores" true
     (straight.ME.outputs = resumed.ME.outputs)
 
-(* Every array a format-4 document carries, cut to its first entry, a
+(* Every array a format-5 document carries, cut to its first entry, a
    FIFO filled past its capacity, a reshaped or missing sanitizer
    section, an event due at the snapshot's time and events listed out
    of time order each decode cleanly.  [restore] refuses each before it writes

@@ -842,7 +842,7 @@ let test_journal_old_checkpoint_reruns () =
         | J.Obj fields ->
           J.Obj
             (List.map
-               (fun (k, v) -> if k = "version" then (k, J.Int 3) else (k, v))
+               (fun (k, v) -> if k = "version" then (k, J.Int 4) else (k, v))
                fields)
         | _ -> Alcotest.fail "checkpoint document is not an object"
       in
