@@ -273,7 +273,7 @@ let checkpoint_digest () =
     K.all;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let expected_checkpoints = "2f516b492b3f59aea3d60752c6a178e2"
+let expected_checkpoints = "b158e419c58305b7131a35d2eb228125"
 
 let test_checkpoints_pinned () =
   let got = checkpoint_digest () in
