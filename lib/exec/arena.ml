@@ -40,8 +40,6 @@ type t = {
    operand). *)
 let dummy_value = Value.Int 0
 
-let arity a cell = a.port_base.(cell + 1) - a.port_base.(cell)
-
 let is_arc a p = p >= 0 && p < a.n_ports && a.port_producer.(p) >= 0
 
 (* Called once per firing by both engines.  [id] is a cell, so every

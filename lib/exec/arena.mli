@@ -46,8 +46,6 @@ val dummy_value : Value.t
 (** Placeholder for value slots that hold no real payload; never
     observable through the engine APIs. *)
 
-val arity : t -> int -> int
-
 val is_arc : t -> int -> bool
 (** [is_arc a p]: [p] is a global port of [a] that a cell produces
     into, so a packet and its acknowledge can travel it — [p] lies in

@@ -56,8 +56,6 @@ let json_of_slots full values =
           (fun i v -> if full i then json_of_value v else J.Null)
           values))
 
-(* Due time, kind tag, port, sequence number and, for a delivery, its
-   payload and checksum. *)
 let json_of_event (at, ev) =
   let tag, port, seq, payload =
     match ev with

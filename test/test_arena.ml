@@ -52,7 +52,7 @@ let test_arena_invariants () =
         checki
           (Printf.sprintf "%s: cell %d arity" k.K.name id)
           (Array.length node.Graph.inputs)
-          (Arena.arity a id);
+          (a.Arena.port_base.(id + 1) - a.Arena.port_base.(id));
         (* port kinds mirror the graph's input connectors *)
         Array.iteri
           (fun i inp ->
