@@ -19,9 +19,10 @@
     files in ([dfjent <crc> <len>] + payload), so an append torn by
     SIGKILL corrupts only the tail: {!replay} returns the longest
     intact prefix of records and ignores everything after the first
-    torn, truncated, bit-rotted or negative-length frame.  {!replay_verified} also says
-    whether such a refused tail exists — the trigger for rebuilding
-    the journal from replication peers (see {!Replica}). *)
+    torn, truncated, bit-rotted or negative-length frame.
+    {!replay_verified} also says whether such a refused tail exists —
+    the trigger for rebuilding the journal from replication peers (see
+    {!Replica}). *)
 
 type entry =
   | Admit of { idem : string; request : Obs.Json.t }
