@@ -1166,7 +1166,9 @@ let with_conn ?deadline socket f =
 
 (* A migrated-in checkpoint whose PE numbers, cursors or per-PE arrays
    do not fit the machine decodes cleanly; the served run answers an
-   error naming the field instead of an index error from the engine. *)
+   error naming the field instead of an index error from the engine.
+   One whose queued event names a port no arc feeds does not decode,
+   and the request is refused as a bad request naming the event. *)
 let test_served_tampered_restore () =
   let run =
     { (P.default_run (P.Kernel { name = "hydro"; size = 8 })) with
@@ -1188,7 +1190,25 @@ let test_served_tampered_restore () =
                 check_string (field ^ ": served error")
                   (Printf.sprintf "Invalid_argument(%S)" expected) msg
               | _ -> Alcotest.failf "%s: no run error" field)
-            (Test_recover.tampered_state_cases ~n_pe:arch.Machine.Arch.n_pe)))
+            (Test_recover.tampered_state_cases ~n_pe:arch.Machine.Arch.n_pe);
+          let n_ports = (Arena.build graph).Arena.n_ports in
+          let restore =
+            Test_recover.map_field doc "events" (function
+              | J.List (e :: rest) ->
+                J.List
+                  (Test_recover.map_field e "port" (fun _ -> J.Int n_ports)
+                  :: rest)
+              | j -> Alcotest.failf "no event queued: %s" (J.to_string j))
+          in
+          let r = { run with P.restore = Some restore } in
+          match P.response_error (Serve.Client.rpc conn (P.Simulate r)) with
+          | Some (Some P.Bad_request, msg) ->
+            check_string "event port: served error"
+              (Printf.sprintf
+                 "restore: events[0]: port %d is not an arc port of the graph"
+                 n_ports)
+              msg
+          | _ -> Alcotest.fail "event port: no bad request"))
 
 let test_fair_dispatch () =
   let journal =
