@@ -63,6 +63,7 @@ type frame_error =
 val unframe :
   magic:string -> ?pos:int -> string -> (string * int, frame_error) result
 (** [unframe ~magic ~pos text] reads the frame that starts at byte [pos]
-    (default 0) of [text]: its payload and the position just past it.
-    Bytes after the payload are not read.  A header line with no
-    newline runs to the end of [text] and has an empty payload. *)
+    (default 0, at most [String.length text]) of [text]: its payload
+    and the position just past it.  Bytes after the payload are not
+    read.  A header line with no newline runs to the end of [text] and
+    has an empty payload; at the end of [text] there is [No_header]. *)
