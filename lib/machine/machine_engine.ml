@@ -567,7 +567,8 @@ let load_events m ~time events =
   Array.iter
     (fun (t, ev) ->
       match ev with
-      | Deliver { port; seq; value; crc } -> schedule_deliver m t port seq value crc
+      | Deliver { port; seq; value; crc } ->
+        schedule_deliver m t port seq value crc
       | Ack { port; seq } -> schedule m t ev_ack port seq
       | Retransmit { port; seq } -> schedule m t ev_retransmit port seq)
     events
