@@ -192,13 +192,16 @@ let slab_clear s =
    time [t] in [base, base + horizon), bucket [t land mask] holds the
    events due at [t] as a FIFO list linked through [next], which is
    indexed by payload (the engine's payloads are slab slots).  Events
-   due later wait in an overflow heap ordered by (time, queue order)
-   and move into their bucket when [start] brings [base] within
-   [horizon] of their time.  A push reaches a bucket only once its time
-   is within [horizon] of [base], so the overflow's events of a time are
-   in their bucket before anything later of that time is queued, and
-   every bucket stays in queue order. *)
+   due later wait in the overflow, a [Df_util.Ipq] keyed by time, which
+   pops equal times in push order; they move into their bucket when
+   [start] brings [base] within [horizon] of their time.  A push reaches
+   a bucket only once its time is within [horizon] of [base], so the
+   overflow's events of a time are in their bucket before anything
+   later of that time is queued, and every bucket stays in queue
+   order. *)
 module Wheel = struct
+  module Ipq = Df_util.Ipq
+
   let horizon = 1024
   let mask = horizon - 1
 
@@ -208,29 +211,21 @@ module Wheel = struct
     mutable next : int array;  (* per payload: the next in its bucket *)
     mutable base : int;
     mutable in_ring : int;
-    (* the overflow heap, three parallel arrays: due time, queue-order
-       stamp, payload *)
-    mutable o_at : int array;
-    mutable o_ord : int array;
-    mutable o_x : int array;
-    mutable o_len : int;
-    mutable o_stamp : int;
+    over : Ipq.t;  (* payloads due at [base + horizon] or later *)
   }
 
   let create () =
     { head = Array.make horizon (-1); tail = Array.make horizon (-1);
-      next = Array.make 16 (-1); base = 0; in_ring = 0;
-      o_at = Array.make 16 0; o_ord = Array.make 16 0; o_x = Array.make 16 0;
-      o_len = 0; o_stamp = 0 }
+      next = Array.make 16 (-1); base = 0; in_ring = 0; over = Ipq.create () }
 
-  let length w = w.in_ring + w.o_len
+  let length w = w.in_ring + Ipq.length w.over
 
   let clear w ~base =
     Array.fill w.head 0 horizon (-1);
     Array.fill w.tail 0 horizon (-1);
     w.base <- base;
     w.in_ring <- 0;
-    w.o_len <- 0
+    Ipq.clear w.over
 
   (* Link [x] at the tail of the bucket of time [t]. *)
   let append w t x =
@@ -246,67 +241,9 @@ module Wheel = struct
     w.tail.!(b) <- x;
     w.in_ring <- w.in_ring + 1
 
-  (* A new entry has the largest stamp, so it moves up only past a later
-     time. *)
-  let o_push w t x =
-    if w.o_len = Array.length w.o_at then begin
-      let grow a =
-        let b = Array.make (2 * w.o_len) 0 in
-        Array.blit a 0 b 0 w.o_len;
-        b
-      in
-      w.o_at <- grow w.o_at;
-      w.o_ord <- grow w.o_ord;
-      w.o_x <- grow w.o_x
-    end;
-    let ord = w.o_stamp in
-    w.o_stamp <- ord + 1;
-    let i = ref w.o_len in
-    w.o_len <- w.o_len + 1;
-    while !i > 0 && w.o_at.((!i - 1) / 2) > t do
-      let p = (!i - 1) / 2 in
-      w.o_at.(!i) <- w.o_at.(p);
-      w.o_ord.(!i) <- w.o_ord.(p);
-      w.o_x.(!i) <- w.o_x.(p);
-      i := p
-    done;
-    w.o_at.(!i) <- t;
-    w.o_ord.(!i) <- ord;
-    w.o_x.(!i) <- x
-
-  (* Overflow entry [i] applies before one due at [t] with stamp [ord]. *)
-  let before w i t ord =
-    w.o_at.(i) < t || (w.o_at.(i) = t && w.o_ord.(i) < ord)
-
-  (* Remove the overflow's first entry: the last one moves down from the
-     root. *)
-  let o_drop w =
-    let n = w.o_len - 1 in
-    w.o_len <- n;
-    if n > 0 then begin
-      let t = w.o_at.(n) and ord = w.o_ord.(n) and x = w.o_x.(n) in
-      let i = ref 0 and continue_ = ref true in
-      while !continue_ do
-        let l = (2 * !i) + 1 in
-        let c =
-          if l + 1 < n && before w (l + 1) w.o_at.(l) w.o_ord.(l) then l + 1
-          else l
-        in
-        if l < n && before w c t ord then begin
-          w.o_at.(!i) <- w.o_at.(c);
-          w.o_ord.(!i) <- w.o_ord.(c);
-          w.o_x.(!i) <- w.o_x.(c);
-          i := c
-        end
-        else continue_ := false
-      done;
-      w.o_at.(!i) <- t;
-      w.o_ord.(!i) <- ord;
-      w.o_x.(!i) <- x
-    end
-
   (* Queue payload [x] at time [t >= base]. *)
-  let push w t x = if t - w.base < horizon then append w t x else o_push w t x
+  let push w t x =
+    if t - w.base < horizon then append w t x else Ipq.push w.over t x
 
   (* The earliest time anything is due, or [-1] when nothing is queued.
      Every bucketed event is due before every overflow event. *)
@@ -318,13 +255,13 @@ module Wheel = struct
       done;
       !t
     end
-    else if w.o_len > 0 then w.o_at.(0)
-    else -1
+    else Ipq.peek_priority w.over
 
   (* The payload that applies first of those due at [t = next_time w],
      and its removal. *)
   let first w t =
-    if t - w.base < horizon then w.head.!(t land mask) else w.o_x.(0)
+    if t - w.base < horizon then w.head.!(t land mask)
+    else Ipq.peek_payload w.over
 
   let unlink_head w b =
     let x = w.head.!(b) in
@@ -336,17 +273,17 @@ module Wheel = struct
 
   let drop_first w t =
     if t - w.base < horizon then ignore (unlink_head w (t land mask))
-    else o_drop w
+    else ignore (Ipq.pop_payload w.over)
 
   (* Make [t = next_time w] the current time: the overflow's events due
      before [t + horizon] move into their buckets, in their order. *)
   let start w t =
     w.base <- t;
     let limit = t + horizon in
-    while w.o_len > 0 && w.o_at.(0) < limit do
-      let at = w.o_at.(0) and x = w.o_x.(0) in
-      o_drop w;
-      append w at x
+    let at = ref (Ipq.peek_priority w.over) in
+    while !at >= 0 && !at < limit do
+      append w !at (Ipq.pop_payload w.over);
+      at := Ipq.peek_priority w.over
     done
 
   (* The next payload due at the current time, removed, or [-1] when
@@ -366,11 +303,7 @@ module Wheel = struct
       done;
       ring := List.rev_append !items !ring
     done;
-    let far =
-      Array.init w.o_len (fun i -> (w.o_at.(i), w.o_ord.(i), w.o_x.(i)))
-    in
-    Array.sort compare far;
-    Array.append (Array.of_list !ring) (Array.map (fun (t, _, x) -> (t, x)) far)
+    Array.append (Array.of_list !ring) (Ipq.to_array w.over)
 end
 
 type t = {

@@ -1,27 +1,31 @@
 (** Allocation-free binary-heap priority queue over [int] payloads.
 
-    The graph engine ([Sim.Engine]) keeps its fault-delayed wakes here
-    as cell ids; the queue keeps them in two parallel [int] arrays so
+    Both engines keep their far-off events here: the graph engine
+    ([Sim.Engine]) its fault-delayed wakes as cell ids, the machine
+    engine's timing wheel ([Machine.Machine_engine.Wheel]) the events
+    due past its horizon as event-slab slots.  The queue keeps three
+    parallel [int] arrays (priority, push stamp, payload), so
     steady-state push/pop allocates nothing (the arrays double on
     overflow, amortized).  Priorities are simulation timestamps, lower
-    pops first.  The machine engine's events are not kept here: its
-    timing wheel ([Machine.Machine_engine.Wheel]) pops equal-time
-    events in the order they were queued, and its snapshots list them
-    in that order.
+    pops first.
 
-    Equal-priority entries pop in an order fixed by the heap layout:
-    sifting moves an entry only past a strictly smaller priority, and
-    the left child wins a tie between children.  The same sequence of
-    pushes and pops therefore always yields the same pop order.
+    Equal priorities pop in the order they were pushed: every push
+    takes the next stamp, and the heap orders entries by (priority,
+    stamp).  This is the machine's equal-time order (what falls due at
+    one time applies in the order it was queued), and the graph
+    engine's delayed wakes pop by it too.  {!clear} restarts the
+    stamps.
 
-    Internally every heap index is below the entry count, which never
-    exceeds the arrays' length, so push, pop and peek index the arrays
-    without bounds checks.  The sift rules, and hence the pop order,
-    are the same as with checked indexing. *)
+    Internally every heap index, into the priority, stamp and payload
+    arrays alike, is below the entry count, which never exceeds the
+    arrays' length, so push, pop and the peeks index them without
+    bounds checks. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
+
+val length : t -> int
 
 val push : t -> int -> int -> unit
 (** [push q prio x] inserts payload [x] with priority [prio]. *)
@@ -30,6 +34,16 @@ val peek_priority : t -> int
 (** Minimum priority, or [-1] when empty (timestamps are
     non-negative). *)
 
-val pop_payload : t -> int
-(** Remove and return a minimum-priority payload.
+val peek_payload : t -> int
+(** The payload {!pop_payload} would return, left in place.
     @raise Invalid_argument when empty. *)
+
+val pop_payload : t -> int
+(** Remove and return the first-pushed payload of minimum priority.
+    @raise Invalid_argument when empty. *)
+
+val clear : t -> unit
+(** Remove every entry. *)
+
+val to_array : t -> (int * int) array
+(** Every [(priority, payload)], in the order they would pop. *)

@@ -394,13 +394,18 @@ let drain_ipq q =
   in
   go []
 
+(* Payloads are push indices: the drain is a stable sort of the pushes
+   by priority, so equal priorities come out in push order. *)
 let prop_pqueue_sorts =
   QCheck.Test.make ~count:200 ~name:"pqueue drains in priority order"
     QCheck.(list (int_bound 1000))
     (fun xs ->
       let q = Df_util.Ipq.create () in
-      List.iter (fun x -> Df_util.Ipq.push q x x) xs;
-      List.map fst (drain_ipq q) = List.sort compare xs)
+      List.iteri (fun i x -> Df_util.Ipq.push q x i) xs;
+      drain_ipq q
+      = List.stable_sort
+          (fun (a, _) (b, _) -> compare a b)
+          (List.mapi (fun i x -> (x, i)) xs))
 
 (* ---- the machine engine's timing wheel ---- *)
 

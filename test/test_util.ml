@@ -32,10 +32,10 @@ let test_pqueue_duplicates () =
   List.iter (fun x -> Ipq.push q 7 x) [ 1; 2; 3 ];
   Ipq.push q 2 0;
   Alcotest.(check (option (pair int int))) "lowest first" (Some (2, 0)) (pop q);
-  (* the three 7s drain in the order the heap layout fixes *)
+  (* the three 7s drain in the order they were pushed *)
   let drained = List.init 3 (fun _ -> pop q) in
   Alcotest.(check (list (option (pair int int)))) "equal priorities"
-    [ Some (7, 2); Some (7, 3); Some (7, 1) ] drained
+    [ Some (7, 1); Some (7, 2); Some (7, 3) ] drained
 
 let test_pqueue_growth () =
   let q = Ipq.create ~capacity:1 () in
