@@ -326,7 +326,7 @@ let inflight_digest () =
     K.all;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let expected_inflight = "12cd07cd325ad1174e2fb609467122d5"
+let expected_inflight = "7a31c00e410013a5669aff2003bec11d"
 
 let test_inflight_pinned () =
   let got = inflight_digest () in
