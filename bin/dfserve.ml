@@ -94,11 +94,11 @@ let main socket tcp journal journal_retain cluster self replicas fsync
           diskfault;
           log }
       in
+      let server = Serve.Server.create config in
       Printf.printf "dfserve: listening on %s%s\n%!" socket
         (match tcp with
         | Some (h, p) -> Printf.sprintf " and tcp %s:%d" h p
         | None -> "");
-      let server = Serve.Server.create config in
       (* membership reload: SIGHUP re-reads the @FILE member list at
          the loop's next iteration *)
       Sys.set_signal Sys.sighup

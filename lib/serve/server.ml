@@ -1031,68 +1031,9 @@ let replay_recovered t (rcv : Journal.recovered) =
 
 (* ---------------- creation ---------------- *)
 
-let create cfg =
-  if cfg.workers < 1 then invalid_arg "Server.create: workers < 1";
-  if cfg.max_pending < 1 then invalid_arg "Server.create: max_pending < 1";
-  if cfg.slice < 1 then invalid_arg "Server.create: slice < 1";
-  if cfg.max_line < 2 then invalid_arg "Server.create: max_line < 2";
-  if cfg.write_timeout <= 0.0 then
-    invalid_arg "Server.create: write_timeout <= 0";
-  if cfg.drain_timeout <= 0.0 then
-    invalid_arg "Server.create: drain_timeout <= 0";
-  (match cfg.idle_timeout with
-  | Some i when i <= 0.0 -> invalid_arg "Server.create: idle_timeout <= 0"
-  | _ -> ());
-  if cfg.replicas < 1 then invalid_arg "Server.create: replicas < 1";
-  (* cluster membership: a member must know its own listen address
-     (rendezvous placement keys on it) and must keep a journal (it
-     holds peers' replica segments next to its own WAL) *)
-  let cluster_members, cluster_file =
-    match cfg.cluster with
-    | None -> (None, None)
-    | Some spec -> (
-      let file =
-        if String.length spec > 1 && spec.[0] = '@' then
-          Some (String.sub spec 1 (String.length spec - 1))
-        else None
-      in
-      match Runspec.members_of_string spec with
-      | Ok ms -> (Some ms, file)
-      | Error e -> invalid_arg ("Server.create: cluster: " ^ e))
-  in
-  (match cluster_members with
-  | Some _ when cfg.self_addr = None ->
-    invalid_arg "Server.create: a cluster member needs its self address"
-  | Some _ when cfg.journal_path = None ->
-    invalid_arg "Server.create: a cluster member needs a journal"
-  | _ -> ());
-  (* replicated members default to synced appends: an acknowledged
-     record should survive power loss, not just SIGKILL *)
-  let fsync =
-    match cfg.fsync with Some b -> b | None -> cluster_members <> None
-  in
-  let unix_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
-  Unix.bind unix_fd (Unix.ADDR_UNIX cfg.socket_path);
-  Unix.listen unix_fd 64;
-  let tcp_fd =
-    match cfg.tcp with
-    | None -> None
-    | Some (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         Unix.bind fd (Unix.ADDR_INET (inet_of host, port));
-         Unix.listen fd 64
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         (try Unix.close unix_fd with Unix.Unix_error _ -> ());
-         raise e);
-      Some fd
-  in
-  (match cfg.journal_retain with
-  | Some r when r < 0 -> invalid_arg "Server.create: journal_retain < 0"
-  | _ -> ());
+(* The server on its bound listeners: the replica set, the journal
+   (replayed, and rebuilt from peers when lost), the worker pool. *)
+let open_bound cfg ~cluster_members ~cluster_file ~fsync ~unix_fd ~tcp_fd =
   let replica =
     match (cluster_members, cfg.self_addr) with
     | Some members, Some self ->
@@ -1197,6 +1138,76 @@ let create cfg =
       (List.length p));
   replay_recovered t recovered;
   t
+
+let create cfg =
+  if cfg.workers < 1 then invalid_arg "Server.create: workers < 1";
+  if cfg.max_pending < 1 then invalid_arg "Server.create: max_pending < 1";
+  if cfg.slice < 1 then invalid_arg "Server.create: slice < 1";
+  if cfg.max_line < 2 then invalid_arg "Server.create: max_line < 2";
+  if cfg.write_timeout <= 0.0 then
+    invalid_arg "Server.create: write_timeout <= 0";
+  if cfg.drain_timeout <= 0.0 then
+    invalid_arg "Server.create: drain_timeout <= 0";
+  (match cfg.idle_timeout with
+  | Some i when i <= 0.0 -> invalid_arg "Server.create: idle_timeout <= 0"
+  | _ -> ());
+  if cfg.replicas < 1 then invalid_arg "Server.create: replicas < 1";
+  (match cfg.journal_retain with
+  | Some r when r < 0 -> invalid_arg "Server.create: journal_retain < 0"
+  | _ -> ());
+  (* cluster membership: a member must know its own listen address
+     (rendezvous placement keys on it) and must keep a journal (it
+     holds peers' replica segments next to its own WAL) *)
+  let cluster_members, cluster_file =
+    match cfg.cluster with
+    | None -> (None, None)
+    | Some spec -> (
+      let file =
+        if String.length spec > 1 && spec.[0] = '@' then
+          Some (String.sub spec 1 (String.length spec - 1))
+        else None
+      in
+      match Runspec.members_of_string spec with
+      | Ok ms -> (Some ms, file)
+      | Error e -> invalid_arg ("Server.create: cluster: " ^ e))
+  in
+  (match cluster_members with
+  | Some _ when cfg.self_addr = None ->
+    invalid_arg "Server.create: a cluster member needs its self address"
+  | Some _ when cfg.journal_path = None ->
+    invalid_arg "Server.create: a cluster member needs a journal"
+  | _ -> ());
+  (* replicated members default to synced appends: an acknowledged
+     record should survive power loss, not just SIGKILL *)
+  let fsync =
+    match cfg.fsync with Some b -> b | None -> cluster_members <> None
+  in
+  let unix_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
+  (* from the bind on, a step that fails closes every listener opened so
+     far and removes the socket file *)
+  let listeners = ref [ unix_fd ] in
+  try
+    Unix.bind unix_fd (Unix.ADDR_UNIX cfg.socket_path);
+    Unix.listen unix_fd 64;
+    let tcp_fd =
+      match cfg.tcp with
+      | None -> None
+      | Some (host, port) ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        listeners := fd :: !listeners;
+        Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        Unix.bind fd (Unix.ADDR_INET (inet_of host, port));
+        Unix.listen fd 64;
+        Some fd
+    in
+    open_bound cfg ~cluster_members ~cluster_file ~fsync ~unix_fd ~tcp_fd
+  with e ->
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      !listeners;
+    (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
+    raise e
 
 let tcp_port t =
   match t.tcp_fd with

@@ -119,15 +119,19 @@ val default_config : socket_path:string -> config
 type t
 
 val create : config -> t
-(** Bind and listen (replacing any stale socket file), open and replay
-    the journal if configured, and spawn the worker pool.  A cluster
-    member whose journal is missing or damaged first rebuilds it from
-    its peers' replicas ({!Replica.recover_from_peers}): the dedup
-    window and every pending admission survive the loss of the disk,
-    machine jobs resuming from their replicated checkpoints.
+(** Check the configuration, then bind and listen (replacing any stale
+    socket file), open and replay the journal if configured, and spawn
+    the worker pool.  A cluster member whose journal is missing or
+    damaged first rebuilds it from its peers' replicas
+    ({!Replica.recover_from_peers}): the dedup window and every pending
+    admission survive the loss of the disk, machine jobs resuming from
+    their replicated checkpoints.  A configuration refused by its field
+    checks leaves the socket path untouched; a failure after the bind
+    closes the listeners and removes the socket file.
     @raise Unix.Unix_error when a path or port is unusable.
-    @raise Invalid_argument on an inconsistent cluster config (no
-    [self_addr], no journal, self not in the member list). *)
+    @raise Invalid_argument on a field out of range or an inconsistent
+    cluster config (no [self_addr], no journal, self not in the member
+    list). *)
 
 val tcp_port : t -> int option
 (** The bound TCP port, when a [tcp] listener was configured — the way

@@ -1444,6 +1444,51 @@ let test_config_of_run_checks () =
   | Error e -> check_string "the error names the key" "watchdog must be > 0" e
   | Ok _ -> Alcotest.fail "config_of_run accepted a zero watchdog"
 
+(* A configuration refused by its field checks touches nothing: a file
+   already at the socket path keeps its bytes. *)
+let test_refused_config_keeps_socket_path () =
+  let path = Filename.temp_file "dfserve-refused" ".sock" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "keep me");
+  let config =
+    { (Serve.Server.default_config ~socket_path:path) with
+      Serve.Server.journal_path = Some (path ^ ".wal");
+      journal_retain = Some (-1) }
+  in
+  Alcotest.check_raises "refused"
+    (Invalid_argument "Server.create: journal_retain < 0") (fun () ->
+      ignore (Serve.Server.create config));
+  check_string "the file at the socket path is untouched" "keep me"
+    (In_channel.with_open_bin path In_channel.input_all);
+  check "no journal opened" false (Sys.file_exists (path ^ ".wal"));
+  Sys.remove path
+
+(* A TCP port already in use fails [create] after the Unix socket is
+   bound: the socket file goes with it. *)
+let test_busy_tcp_port_leaves_no_socket () =
+  let busy = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close busy)
+    (fun () ->
+      Unix.bind busy (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen busy 1;
+      let port =
+        match Unix.getsockname busy with
+        | Unix.ADDR_INET (_, p) -> p
+        | _ -> Alcotest.fail "no TCP port"
+      in
+      let socket =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "dfserve-test-%d-busy.sock" (Unix.getpid ()))
+      in
+      let config =
+        { (Serve.Server.default_config ~socket_path:socket) with
+          Serve.Server.tcp = Some ("127.0.0.1", port) }
+      in
+      (match Serve.Server.create config with
+      | _ -> Alcotest.fail "create bound a busy TCP port"
+      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+      check "no socket file left" false (Sys.file_exists socket))
+
 let test_job_of_run () =
   let subject =
     Runspec.compile_subject (Kernels.find "hydro") ~size:8 ~waves:3
@@ -1715,4 +1760,8 @@ let suite =
       `Quick (test_oversize_request_answered ~tcp:true);
     Alcotest.test_case "server: config_of_run refuses a zero watchdog"
       `Quick test_config_of_run_checks;
+    Alcotest.test_case "server: a refused config leaves the socket path alone"
+      `Quick test_refused_config_keeps_socket_path;
+    Alcotest.test_case "server: a busy TCP port leaves no socket file"
+      `Quick test_busy_tcp_port_leaves_no_socket;
   ]
