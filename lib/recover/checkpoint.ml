@@ -32,15 +32,34 @@ let fingerprint g =
   !h land max_int
 
 (* ------------------------------------------------------------------ *)
-(* encoding                                                           *)
+(* packet values, as checkpoints and the service's wire carry them     *)
 (* ------------------------------------------------------------------ *)
 
-let json_of_value = function
+let value_to_json = function
   | Value.Int i -> J.Obj [ ("i", J.Int i) ]
   | Value.Bool b -> J.Obj [ ("b", J.Bool b) ]
   | Value.Real f ->
     (* %h: hexadecimal float literal — exact, unlike any decimal form *)
     J.Obj [ ("r", J.String (Printf.sprintf "%h" f)) ]
+
+let value_of_json = function
+  | J.Obj [ ("i", J.Int i) ] -> Ok (Value.Int i)
+  | J.Obj [ ("b", J.Bool b) ] -> Ok (Value.Bool b)
+  | J.Obj [ ("r", J.String s) ] -> (
+    match float_of_string_opt s with
+    | Some f -> Ok (Value.Real f)
+    | None -> Error (Printf.sprintf "bad real literal %S" s))
+  | j -> Error (Printf.sprintf "bad value %s" (J.to_string j))
+
+let packet_to_json (t, v) = J.List [ J.Int t; value_to_json v ]
+
+let packet_of_json = function
+  | J.List [ J.Int t; v ] -> Result.map (fun v -> (t, v)) (value_of_json v)
+  | p -> Error (Printf.sprintf "bad packet %s" (J.to_string p))
+
+(* ------------------------------------------------------------------ *)
+(* encoding                                                           *)
+(* ------------------------------------------------------------------ *)
 
 let json_of_array f a = J.List (Array.to_list (Array.map f a))
 
@@ -53,14 +72,14 @@ let json_of_slots full values =
   J.List
     (Array.to_list
        (Array.mapi
-          (fun i v -> if full i then json_of_value v else J.Null)
+          (fun i v -> if full i then value_to_json v else J.Null)
           values))
 
 let json_of_event (at, ev) =
   let tag, port, seq, payload =
     match ev with
     | ME.Deliver { port; seq; value; crc } ->
-      ("d", port, seq, [ ("v", json_of_value value); ("crc", J.Int crc) ])
+      ("d", port, seq, [ ("v", value_to_json value); ("crc", J.Int crc) ])
     | ME.Ack { port; seq } -> ("a", port, seq, [])
     | ME.Retransmit { port; seq } -> ("r", port, seq, [])
   in
@@ -105,12 +124,10 @@ let state_fields (s : _ ME.snap) =
     ("ops", json_of_slots (Array.get r.Run_state.present) r.Run_state.value);
     ("acks", json_of_int_array r.Run_state.pending_acks);
     ("cur", json_of_int_array r.Run_state.cursor);
-    ("fifo", json_of_array (json_of_array json_of_value) r.Run_state.fifo_buf);
+    ("fifo", json_of_array (json_of_array value_to_json) r.Run_state.fifo_buf);
     ("col",
      json_of_array
-       (fun pkts ->
-         J.List
-           (List.map (fun (t, v) -> J.List [ J.Int t; json_of_value v ]) pkts))
+       (fun pkts -> J.List (List.map packet_to_json pkts))
        r.Run_state.collected);
     ("pe", json_of_int_array s.ME.sn_pe);
     ("cons", json_of_int_array s.ME.sn_cons_seq);
@@ -171,23 +188,14 @@ let array_field name f j =
 
 let int_array name j = array_field name (get_int name) j
 
-let value_of_json name j =
-  match (J.get_int (J.member "i" j), J.get_bool (J.member "b" j),
-         J.get_string (J.member "r" j))
-  with
-  | Some i, _, _ -> Value.Int i
-  | _, Some b, _ -> Value.Bool b
-  | _, _, Some s -> (
-    match float_of_string_opt s with
-    | Some f -> Value.Real f
-    | None -> fail "%s: bad hex float %S" name s)
-  | _ -> fail "%s: expected a value object" name
+let get_value name j =
+  match value_of_json j with Ok v -> v | Error e -> fail "%s: %s" name e
 
 (* the inverse of [json_of_slots]: presence and values *)
 let slots_field name j =
   let slots =
     array_field name
-      (function J.Null -> None | v -> Some (value_of_json name v))
+      (function J.Null -> None | v -> Some (get_value name v))
       j
   in
   ( Array.map Option.is_some slots,
@@ -204,7 +212,7 @@ let event_of_json arena k j =
     match get_string "t" (field "t" j) with
     | "d" ->
       ME.Deliver
-        { port; seq; value = value_of_json "v" (field "v" j);
+        { port; seq; value = get_value "v" (field "v" j);
           crc = int_field "crc" j }
     | "a" -> ME.Ack { port; seq }
     | "r" -> ME.Retransmit { port; seq }
@@ -267,7 +275,7 @@ let state_of_json arena j : ME.state =
   let fifo_buf =
     array_field "fifo"
       (fun q ->
-        J.get_list q |> List.map (value_of_json "fifo") |> Array.of_list)
+        J.get_list q |> List.map (get_value "fifo") |> Array.of_list)
       j
   in
   let collected =
@@ -275,9 +283,9 @@ let state_of_json arena j : ME.state =
       (fun pkts ->
         J.get_list pkts
         |> List.map (fun p ->
-               match J.get_list p with
-               | [ t; v ] -> (get_int "col.time" t, value_of_json "col.value" v)
-               | _ -> fail "col: expected [time, value] pair"))
+               match packet_of_json p with
+               | Ok pkt -> pkt
+               | Error e -> fail "col: %s" e))
       j
   in
   let _, out_value = slots_field "outv" j in

@@ -1,22 +1,11 @@
 open Dfg
 module J = Obs.Json
+module CP = Recover.Checkpoint
 
 (* ---------------- values ---------------- *)
 
-let value_to_json = function
-  | Value.Int i -> J.Obj [ ("i", J.Int i) ]
-  | Value.Bool b -> J.Obj [ ("b", J.Bool b) ]
-  | Value.Real r -> J.Obj [ ("r", J.String (Printf.sprintf "%h" r)) ]
-
-let value_of_json j =
-  match j with
-  | J.Obj [ ("i", J.Int i) ] -> Ok (Value.Int i)
-  | J.Obj [ ("b", J.Bool b) ] -> Ok (Value.Bool b)
-  | J.Obj [ ("r", J.String s) ] -> (
-    match float_of_string_opt s with
-    | Some r -> Ok (Value.Real r)
-    | None -> Error (Printf.sprintf "bad real literal %S" s))
-  | _ -> Error (Printf.sprintf "bad value %s" (J.to_string j))
+let value_to_json = CP.value_to_json
+let value_of_json = CP.value_of_json
 
 let rec result_map f = function
   | [] -> Ok []
@@ -31,11 +20,7 @@ let outputs_to_json outputs =
        (fun (name, packets) ->
          J.Obj
            [ ("name", J.String name);
-             ( "packets",
-               J.List
-                 (List.map
-                    (fun (t, v) -> J.List [ J.Int t; value_to_json v ])
-                    packets) ) ])
+             ("packets", J.List (List.map CP.packet_to_json packets)) ])
        outputs)
 
 let outputs_of_json j =
@@ -45,16 +30,7 @@ let outputs_of_json j =
       (fun s ->
         match (J.get_string (J.member "name" s), J.member "packets" s) with
         | Some name, J.List packets -> (
-          match
-            result_map
-              (function
-                | J.List [ J.Int t; v ] -> (
-                  match value_of_json v with
-                  | Ok v -> Ok (t, v)
-                  | Error _ as e -> e)
-                | p -> Error (Printf.sprintf "bad packet %s" (J.to_string p)))
-              packets
-          with
+          match result_map CP.packet_of_json packets with
           | Ok packets -> Ok (name, packets)
           | Error _ as e -> e)
         | _ -> Error (Printf.sprintf "bad stream %s" (J.to_string s)))

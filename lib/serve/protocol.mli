@@ -166,9 +166,11 @@ val response_error : Obs.Json.t -> (error_kind option * string) option
 (** {1 Values and output streams on the wire} *)
 
 val value_to_json : Value.t -> Obs.Json.t
-(** [{"i":n}], [{"b":b}] or [{"r":"<%h literal>"}]. *)
+(** {!Recover.Checkpoint.value_to_json}: [{"i":n}], [{"b":b}] or
+    [{"r":"<%h literal>"}]. *)
 
 val value_of_json : Obs.Json.t -> (Value.t, string) result
+(** {!Recover.Checkpoint.value_of_json}. *)
 
 val outputs_to_json : (string * (int * Value.t) list) list -> Obs.Json.t
 (** [[{"name":s,"packets":[[t,value],...]},...]] — arrival order

@@ -613,6 +613,35 @@ let test_tampered_state_rejected () =
   Alcotest.(check bool) "outputs after refused restores" true
     (straight.ME.outputs = resumed.ME.outputs)
 
+(* A value object is exactly one member: an operand slot whose object
+   carries a second one is refused by the decoder, naming the field. *)
+let test_value_extra_member_rejected () =
+  let k = List.find (fun k -> k.Kernels.name = "hydro") Kernels.all in
+  let g, inputs = kernel_feeds k ~n:8 ~waves:4 in
+  let m =
+    ME.create_cfg ME.default_config ~arch:Machine.Arch.default g ~inputs
+  in
+  ME.advance m ~until:50;
+  let doc = CP.to_json ~graph:g (ME.snapshot m) in
+  let widened = ref false in
+  let widen = function
+    | Obs.Json.Obj kvs when not !widened ->
+      widened := true;
+      Obs.Json.Obj (kvs @ [ ("x", Obs.Json.Int 0) ])
+    | v -> v
+  in
+  let doc =
+    map_field doc "ops" (function
+      | Obs.Json.List slots -> Obs.Json.List (List.map widen slots)
+      | j -> j)
+  in
+  Alcotest.(check bool) "a slot was widened" true !widened;
+  match CP.of_json ~arena:(Arena.build g) doc with
+  | Ok _ -> Alcotest.fail "a value object with two members decoded"
+  | Error e ->
+    Alcotest.(check bool) ("the error names ops: " ^ e) true
+      (String.length e >= 4 && String.sub e 0 4 = "ops:")
+
 (* Every array a format-5 document carries, cut to its first entry, a
    FIFO filled past its capacity, a reshaped or missing sanitizer
    section, an event due at the snapshot's time and events listed out
@@ -803,4 +832,6 @@ let suite =
       test_one_validity_check;
     Alcotest.test_case "timers past the queue's horizon: resumed = straight"
       `Quick test_overflow_timers_resume;
+    Alcotest.test_case "a value object with an extra member is refused"
+      `Quick test_value_extra_member_rejected;
   ]
