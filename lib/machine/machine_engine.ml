@@ -212,19 +212,24 @@ module Wheel = struct
     mutable base : int;
     mutable in_ring : int;
     over : Ipq.t;  (* payloads due at [base + horizon] or later *)
+    mutable in_over : int;
+        (* [Ipq.length over], kept here so that a time step makes no call
+           into [Ipq] while the overflow is empty *)
   }
 
   let create () =
     { head = Array.make horizon (-1); tail = Array.make horizon (-1);
-      next = Array.make 16 (-1); base = 0; in_ring = 0; over = Ipq.create () }
+      next = Array.make 16 (-1); base = 0; in_ring = 0; over = Ipq.create ();
+      in_over = 0 }
 
-  let length w = w.in_ring + Ipq.length w.over
+  let length w = w.in_ring + w.in_over
 
   let clear w ~base =
     Array.fill w.head 0 horizon (-1);
     Array.fill w.tail 0 horizon (-1);
     w.base <- base;
     w.in_ring <- 0;
+    w.in_over <- 0;
     Ipq.clear w.over
 
   (* Link [x] at the tail of the bucket of time [t]. *)
@@ -243,7 +248,11 @@ module Wheel = struct
 
   (* Queue payload [x] at time [t >= base]. *)
   let push w t x =
-    if t - w.base < horizon then append w t x else Ipq.push w.over t x
+    if t - w.base < horizon then append w t x
+    else begin
+      Ipq.push w.over t x;
+      w.in_over <- w.in_over + 1
+    end
 
   (* The earliest time anything is due, or [-1] when nothing is queued.
      Every bucketed event is due before every overflow event. *)
@@ -271,19 +280,22 @@ module Wheel = struct
     w.in_ring <- w.in_ring - 1;
     x
 
+  let pop_over w =
+    w.in_over <- w.in_over - 1;
+    Ipq.pop_payload w.over
+
   let drop_first w t =
     if t - w.base < horizon then ignore (unlink_head w (t land mask))
-    else ignore (Ipq.pop_payload w.over)
+    else ignore (pop_over w)
 
   (* Make [t = next_time w] the current time: the overflow's events due
      before [t + horizon] move into their buckets, in their order. *)
   let start w t =
     w.base <- t;
     let limit = t + horizon in
-    let at = ref (Ipq.peek_priority w.over) in
-    while !at >= 0 && !at < limit do
-      append w !at (Ipq.pop_payload w.over);
-      at := Ipq.peek_priority w.over
+    while w.in_over > 0 && Ipq.peek_priority w.over < limit do
+      let at = Ipq.peek_priority w.over in
+      append w at (pop_over w)
     done
 
   (* The next payload due at the current time, removed, or [-1] when
