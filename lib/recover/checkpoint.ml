@@ -32,7 +32,7 @@ let fingerprint g =
   !h land max_int
 
 (* ------------------------------------------------------------------ *)
-(* packet values, as checkpoints and the service's wire carry them     *)
+(* encoding                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let value_to_json = function
@@ -42,24 +42,7 @@ let value_to_json = function
     (* %h: hexadecimal float literal — exact, unlike any decimal form *)
     J.Obj [ ("r", J.String (Printf.sprintf "%h" f)) ]
 
-let value_of_json = function
-  | J.Obj [ ("i", J.Int i) ] -> Ok (Value.Int i)
-  | J.Obj [ ("b", J.Bool b) ] -> Ok (Value.Bool b)
-  | J.Obj [ ("r", J.String s) ] -> (
-    match float_of_string_opt s with
-    | Some f -> Ok (Value.Real f)
-    | None -> Error (Printf.sprintf "bad real literal %S" s))
-  | j -> Error (Printf.sprintf "bad value %s" (J.to_string j))
-
 let packet_to_json (t, v) = J.List [ J.Int t; value_to_json v ]
-
-let packet_of_json = function
-  | J.List [ J.Int t; v ] -> Result.map (fun v -> (t, v)) (value_of_json v)
-  | p -> Error (Printf.sprintf "bad packet %s" (J.to_string p))
-
-(* ------------------------------------------------------------------ *)
-(* encoding                                                           *)
-(* ------------------------------------------------------------------ *)
 
 let json_of_array f a = J.List (Array.to_list (Array.map f a))
 
@@ -187,6 +170,19 @@ let array_field name f j =
   field name j |> J.get_list |> List.map f |> Array.of_list
 
 let int_array name j = array_field name (get_int name) j
+
+let value_of_json = function
+  | J.Obj [ ("i", J.Int i) ] -> Ok (Value.Int i)
+  | J.Obj [ ("b", J.Bool b) ] -> Ok (Value.Bool b)
+  | J.Obj [ ("r", J.String s) ] -> (
+    match float_of_string_opt s with
+    | Some f -> Ok (Value.Real f)
+    | None -> Error (Printf.sprintf "bad real literal %S" s))
+  | j -> Error (Printf.sprintf "bad value %s" (J.to_string j))
+
+let packet_of_json = function
+  | J.List [ J.Int t; v ] -> Result.map (fun v -> (t, v)) (value_of_json v)
+  | p -> Error (Printf.sprintf "bad packet %s" (J.to_string p))
 
 let get_value name j =
   match value_of_json j with Ok v -> v | Error e -> fail "%s: %s" name e

@@ -22,26 +22,17 @@ open Dfg
       number, is rejected with a structured {!load_error} before any
       byte reaches the JSON parser. *)
 
-(** {1 Packet values}
-
-    The one JSON form of a packet value, which checkpoints and the
-    service's wire ({!Serve.Protocol}) both carry. *)
-
 val value_to_json : Value.t -> Obs.Json.t
-(** [{"i":n}], [{"b":b}] or [{"r":"<%h literal>"}]: one member, a real
-    as its exact hexadecimal literal. *)
+(** A packet value as checkpoints and the service's wire carry it:
+    [{"i":n}], [{"b":b}] or [{"r":"<%h literal>"}]. *)
 
 val value_of_json : Obs.Json.t -> (Value.t, string) result
-(** The inverse of {!value_to_json}: an object of exactly one member
-    among [i], [b] and [r], of the right type. *)
+(** Exactly one member among [i], [b] and [r], of its type. *)
 
 val packet_to_json : int * Value.t -> Obs.Json.t
 (** A [(time, value)] packet as [[time, value]]. *)
 
 val packet_of_json : Obs.Json.t -> (int * Value.t, string) result
-(** The inverse of {!packet_to_json}. *)
-
-(** {1 Checkpoints} *)
 
 val version : int
 (** Current format version, 5: the snapshot's flat per-port and

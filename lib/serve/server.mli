@@ -125,9 +125,8 @@ val create : config -> t
     damaged first rebuilds it from its peers' replicas
     ({!Replica.recover_from_peers}): the dedup window and every pending
     admission survive the loss of the disk, machine jobs resuming from
-    their replicated checkpoints.  A configuration refused by its field
-    checks leaves the socket path untouched; a failure after the bind
-    closes the listeners and removes the socket file.
+    their replicated checkpoints.  A refused configuration leaves the
+    socket path untouched; a failure after the bind removes the socket.
     @raise Unix.Unix_error when a path or port is unusable.
     @raise Invalid_argument on a field out of range or an inconsistent
     cluster config (no [self_addr], no journal, self not in the member

@@ -5,12 +5,9 @@
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
-(* Three parallel arrays: priority, push stamp, payload.  Stamps grow
-   with every push, so (priority, stamp) orders the entries totally and
-   ties pop in push order. *)
 type t = {
   mutable prio : int array;
-  mutable ord : int array;
+  mutable ord : int array;  (* push stamps: (prio, ord) orders entries *)
   mutable payload : int array;
   mutable len : int;
   mutable stamp : int;
@@ -20,8 +17,6 @@ let create ?(capacity = 16) () =
   let capacity = max capacity 1 in
   { prio = Array.make capacity 0; ord = Array.make capacity 0;
     payload = Array.make capacity 0; len = 0; stamp = 0 }
-
-let length q = q.len
 
 let clear q =
   q.len <- 0;

@@ -1,31 +1,24 @@
 (** Allocation-free binary-heap priority queue over [int] payloads.
 
     Both engines keep their far-off events here: the graph engine
-    ([Sim.Engine]) its fault-delayed wakes as cell ids, the machine
-    engine's timing wheel ([Machine.Machine_engine.Wheel]) the events
-    due past its horizon as event-slab slots.  The queue keeps three
-    parallel [int] arrays (priority, push stamp, payload), so
-    steady-state push/pop allocates nothing (the arrays double on
-    overflow, amortized).  Priorities are simulation timestamps, lower
-    pops first.
+    ([Sim.Engine]) its fault-delayed wakes as cell ids, the machine's
+    timing wheel ([Machine.Machine_engine.Wheel]) the events due past
+    its horizon as event-slab slots.  Three parallel [int] arrays
+    (priority, push stamp, payload) double when full, so steady-state
+    push/pop allocates nothing.  Priorities are simulation timestamps,
+    lower pops first.
 
-    Equal priorities pop in the order they were pushed: every push
-    takes the next stamp, and the heap orders entries by (priority,
-    stamp).  This is the machine's equal-time order (what falls due at
-    one time applies in the order it was queued), and the graph
-    engine's delayed wakes pop by it too.  {!clear} restarts the
-    stamps.
+    Equal priorities pop in push order, the engines' equal-time order:
+    every push takes the next stamp, and the heap orders entries by
+    (priority, stamp).
 
-    Internally every heap index, into the priority, stamp and payload
-    arrays alike, is below the entry count, which never exceeds the
-    arrays' length, so push, pop and the peeks index them without
-    bounds checks. *)
+    Every heap index, into any of the three arrays, is below the entry
+    count, which never exceeds the arrays' length, so the heap indexes
+    them without bounds checks. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
-
-val length : t -> int
 
 val push : t -> int -> int -> unit
 (** [push q prio x] inserts payload [x] with priority [prio]. *)
