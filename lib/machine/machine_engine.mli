@@ -360,10 +360,10 @@ module Wheel : sig
   val horizon : int
   (** 1024 buckets, one time each: an event due less than [horizon]
       after the current time is linked into its time's bucket at once;
-      a later one waits in an overflow heap ordered by (time, queue
-      order) until {!start} brings it within the horizon.  The horizon
-      covers the default latencies and the default recovery's longest
-      backoff (16 × 48). *)
+      a later one waits in the overflow, a {!Df_util.Ipq} keyed by time
+      (equal times pop in push order), until {!start} brings it within
+      the horizon.  The horizon covers the default latencies and the
+      default recovery's longest backoff (16 × 48). *)
 
   val create : unit -> t
   (** An empty queue at time 0. *)
