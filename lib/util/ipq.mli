@@ -8,8 +8,9 @@
     push/pop allocates nothing.  Priorities are simulation timestamps,
     lower pops first.
 
-    Equal priorities pop in push order, the engines' equal-time order:
-    every push takes the next stamp, and the heap orders entries by
+    Equal priorities pop in push order, the machine's order rule (what
+    falls due at one time applies in the order it was queued): every
+    push takes the next stamp, and the heap orders entries by
     (priority, stamp).
 
     Every heap index, into any of the three arrays, is below the entry
