@@ -213,8 +213,8 @@ module Wheel = struct
     mutable in_ring : int;
     over : Ipq.t;  (* payloads due at [base + horizon] or later *)
     mutable in_over : int;
-        (* [Ipq.length over], kept here so that a time step makes no call
-           into [Ipq] while the overflow is empty *)
+        (* the overflow's entry count, kept here so that a time step
+           makes no call into [Ipq] while the overflow is empty *)
   }
 
   let create () =
