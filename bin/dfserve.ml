@@ -95,10 +95,12 @@ let main socket tcp journal journal_retain cluster self replicas fsync
           log }
       in
       let server = Serve.Server.create config in
+      (* the port bound, which differs from the one asked for under
+         --tcp HOST:0 *)
       Printf.printf "dfserve: listening on %s%s\n%!" socket
-        (match tcp with
-        | Some (h, p) -> Printf.sprintf " and tcp %s:%d" h p
-        | None -> "");
+        (match (tcp, Serve.Server.tcp_port server) with
+        | Some (h, _), Some p -> Printf.sprintf " and tcp %s:%d" h p
+        | _ -> "");
       (* membership reload: SIGHUP re-reads the @FILE member list at
          the loop's next iteration *)
       Sys.set_signal Sys.sighup

@@ -31,13 +31,19 @@ type t = {
   slot_base : int array;  (* length n+1 *)
   dest_base : int array;  (* length slot_base.(n)+1 *)
   dest_port : int array;  (* global destination port per dest entry *)
+  (* ---- per-cell run-state layouts: a FIFO's ring slots
+     fifo_base.(c) .. fifo_base.(c+1) - 1, a Bool_source's one-period
+     bit table ctl_base.(c) .. ctl_base.(c+1) - 1 in ctl_bits ---- *)
+  fifo_base : int array;  (* length n+1 *)
+  ctl_base : int array;  (* length n+1 *)
+  ctl_bits : Bytes.t;
   inputs : (string * int) list;
   outputs : (string * int) list;
 }
 
-(* Placeholder stored where no real payload exists (plain-arc
-   [port_value] entries, and run-state value slots that hold no
-   operand). *)
+(* Placeholder stored where no real payload exists: plain-arc
+   [port_value] entries, and a snapshot's empty ports and resend slots
+   with nothing to resend. *)
 let dummy_value = Value.Int 0
 
 let is_arc a p = p >= 0 && p < a.n_ports && a.port_producer.(p) >= 0
@@ -57,6 +63,31 @@ let refires a id =
       incr p
     done;
     !p = e
+
+(* Position [k] of a Bool_source's control sequence, read off its bit
+   table instead of folding the sequence's segment list. *)
+let control a id k =
+  let base = a.ctl_base.!(id) in
+  let period = a.ctl_base.!(id + 1) - base in
+  let k =
+    match a.ops.!(id) with
+    | Opcode.Bool_source s when s.Ctlseq.cyclic -> k mod period
+    | _ -> k
+  in
+  if k >= period then -1
+  else
+    let bit = base + k in
+    (Char.code (Bytes.unsafe_get a.ctl_bits (bit lsr 3)) lsr (bit land 7))
+    land 1
+
+(* Prefix sums of [size] over the cells. *)
+let bases ops size =
+  let n = Array.length ops in
+  let base = Array.make (n + 1) 0 in
+  for id = 0 to n - 1 do
+    base.(id + 1) <- base.(id) + size ops.(id)
+  done;
+  base
 
 let build g =
   (match Graph.validate g with
@@ -96,10 +127,36 @@ let build g =
         v.View.port_base.(v.View.dest_cell.(a)) + v.View.dest_port.(a)
     done
   done;
+  let ops = Array.init n (View.op v) in
+  let fifo_base =
+    bases ops (function Opcode.Fifo k -> max k 1 | _ -> 0)
+  in
+  let ctl_base =
+    bases ops (function Opcode.Bool_source s -> Ctlseq.period s | _ -> 0)
+  in
+  let ctl_bits = Bytes.make ((ctl_base.(n) + 7) / 8) '\000' in
+  Array.iteri
+    (fun id op ->
+      match op with
+      | Opcode.Bool_source s ->
+        let bit = ref ctl_base.(id) in
+        List.iter
+          (fun { Ctlseq.value; count } ->
+            for b = !bit to !bit + count - 1 do
+              if value then
+                Bytes.set ctl_bits (b lsr 3)
+                  (Char.chr
+                     (Char.code (Bytes.get ctl_bits (b lsr 3))
+                     lor (1 lsl (b land 7))))
+            done;
+            bit := !bit + count)
+          s.Ctlseq.segments
+      | _ -> ())
+    ops;
   {
     graph = g;
     n;
-    ops = Array.init n (View.op v);
+    ops;
     labels = Array.init n (fun id -> (Graph.node g id).Graph.label);
     n_ports;
     port_base = v.View.port_base;
@@ -111,6 +168,9 @@ let build g =
     slot_base = v.View.slot_base;
     dest_base = v.View.dest_base;
     dest_port;
+    fifo_base;
+    ctl_base;
+    ctl_bits;
     inputs = Graph.inputs g;
     outputs = Graph.outputs g;
   }

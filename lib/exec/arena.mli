@@ -6,7 +6,10 @@
     engines' hot loops index into.  The arena is purely static: dynamic
     run state (operand presence, pending acknowledges, FIFO contents)
     is a {!Run_state.t}, parallel arrays of the same dimensions that
-    both engines share.
+    both engines share.  The arena also fixes where that state puts
+    each FIFO's ring ([fifo_base]), and holds each [Bool_source]'s
+    control sequence as a bit table, so a firing reads its next bit
+    without walking the sequence's segments.
 
     Numbering: cell [c]'s local input port [k] is global port
     [port_base.(c) + k]; its output slot [s] is global slot
@@ -38,6 +41,15 @@ type t = {
   slot_base : int array;  (** length [n+1]; prefix sums of out_slots *)
   dest_base : int array;  (** length [slot_base.(n)+1] *)
   dest_port : int array;  (** global destination port per dest entry *)
+  fifo_base : int array;
+      (** length [n+1]; a [Fifo k] cell's ring is run-state FIFO slots
+          [fifo_base.(c)] through [fifo_base.(c+1) - 1], [max k 1] of
+          them; other cells have none *)
+  ctl_base : int array;
+      (** length [n+1]; a [Bool_source] cell's one-period bit table is
+          bits [ctl_base.(c)] through [ctl_base.(c+1) - 1] of
+          [ctl_bits], read through {!control} *)
+  ctl_bits : Bytes.t;  (** bit [i] is bit [i land 7] of byte [i lsr 3] *)
   inputs : (string * int) list;
   outputs : (string * int) list;
 }
@@ -60,6 +72,11 @@ val refires : t -> int -> bool
     may have consumed no arc operand (no arc input port, or a merge
     whose control port is a constant) can.  Both engines retry a cell
     that fired only when this holds and it owes no acknowledge. *)
+
+val control : t -> int -> int -> int
+(** [control a cell k]: position [k] of the [Bool_source] [cell]'s
+    control sequence as [1] (true) or [0] (false), or [-1] once a
+    finite sequence is exhausted — [Ctlseq.nth] off the bit table. *)
 
 val build : Graph.t -> t
 (** @raise Invalid_argument on an invalid graph (same checks as

@@ -9,14 +9,23 @@ module SR = Fault.Stall_report
 
 type t = {
   present : bool array;
-  value : Value.t array;
+  op : Operand.t;
   pending_acks : int array;
   stream : Value.t array array;
   cursor : int array;
-  fifo_buf : Value.t array array;
+  ring : Operand.t;
   fifo_head : int array;
   fifo_len : int array;
   collected : (int * Value.t) list array;
+}
+
+type snapshot = {
+  s_present : bool array;
+  s_value : Value.t array;
+  s_acks : int array;
+  s_cursor : int array;
+  s_fifo : Value.t array array;
+  s_collected : (int * Value.t) list array;
 }
 
 let create ~who (a : Arena.t) ~inputs =
@@ -24,11 +33,11 @@ let create ~who (a : Arena.t) ~inputs =
   let st =
     {
       present = Array.make n_ports false;
-      value = Array.make n_ports Arena.dummy_value;
+      op = Operand.create n_ports;
       pending_acks = Array.make n 0;
       stream = Array.make n [||];
       cursor = Array.make n 0;
-      fifo_buf = Array.make n [||];
+      ring = Operand.create (max a.Arena.fifo_base.(a.Arena.n) 1);
       fifo_head = Array.make n 0;
       fifo_len = Array.make n 0;
       collected = Array.make n [];
@@ -40,7 +49,7 @@ let create ~who (a : Arena.t) ~inputs =
       (* const ports stay present for the whole run; init ports start
          present and their producer starts owing an acknowledge *)
       st.present.(p) <- true;
-      st.value.(p) <- a.Arena.port_value.(p);
+      Operand.set st.op p a.Arena.port_value.(p);
       let src = a.Arena.port_producer.(p) in
       if kind = Arena.kind_init && src >= 0 then
         st.pending_acks.(src) <- st.pending_acks.(src) + 1
@@ -51,8 +60,6 @@ let create ~who (a : Arena.t) ~inputs =
     | Opcode.Input name ->
       st.stream.(id) <-
         Array.of_list (Df_util.Conventions.lookup_feed ~who inputs name)
-    | Opcode.Fifo k ->
-      st.fifo_buf.(id) <- Array.make (max k 1) Arena.dummy_value
     | _ -> ()
   done;
   List.iter
@@ -76,7 +83,9 @@ let stall ?dead_pes tracer ~track (a : Arena.t) st ~time ~reason =
     for p = a.Arena.port_base.(id) to a.Arena.port_base.(id + 1) - 1 do
       if a.Arena.port_kind.(p) <> Arena.kind_const then
         if st.present.(p) then
-          held := (a.Arena.port_sub.(p), Value.to_string st.value.(p)) :: !held
+          held :=
+            (a.Arena.port_sub.(p), Value.to_string (Operand.get st.op p))
+            :: !held
         else begin
           missing := a.Arena.port_sub.(p) :: !missing;
           let src = a.Arena.port_producer.(p) in
@@ -129,42 +138,42 @@ let outputs (a : Arena.t) st =
     (fun (name, id) -> (name, List.rev st.collected.(id)))
     a.Arena.outputs
 
-let snapshot st =
-  let fifo_buf =
-    Array.mapi
-      (fun id buf ->
-        let cap = Array.length buf in
-        Array.init st.fifo_len.(id) (fun i ->
-            let j = st.fifo_head.(id) + i in
-            buf.(if j >= cap then j - cap else j)))
-      st.fifo_buf
-  in
+(* FIFO [id]'s [k]-th oldest item, as a ring slot *)
+let ring_slot (a : Arena.t) st id k =
+  let base = a.Arena.fifo_base.(id) in
+  let cap = a.Arena.fifo_base.(id + 1) - base in
+  let j = st.fifo_head.(id) + k in
+  base + if j >= cap then j - cap else j
+
+let snapshot (a : Arena.t) st =
   {
-    present = Array.copy st.present;
-    value =
+    s_present = Array.copy st.present;
+    s_value =
       Array.mapi
-        (fun p v -> if st.present.(p) then v else Arena.dummy_value)
-        st.value;
-    pending_acks = Array.copy st.pending_acks;
-    stream = [||];
-    cursor = Array.copy st.cursor;
-    fifo_buf;
-    fifo_head = Array.make (Array.length st.fifo_head) 0;
-    fifo_len = Array.copy st.fifo_len;
-    collected = Array.copy st.collected;
+        (fun p full -> if full then Operand.get st.op p else Arena.dummy_value)
+        st.present;
+    s_acks = Array.copy st.pending_acks;
+    s_cursor = Array.copy st.cursor;
+    s_fifo =
+      Array.init (Array.length st.fifo_len) (fun id ->
+          Array.init st.fifo_len.(id) (fun k ->
+              Operand.get st.ring (ring_slot a st id k)));
+    s_collected = Array.copy st.collected;
   }
 
-let restore st snap =
+let restore (a : Arena.t) st snap =
   let blit src dst = Array.blit src 0 dst 0 (Array.length dst) in
   Array.iteri
     (fun id items ->
-      let len = Array.length items in
-      Array.blit items 0 st.fifo_buf.(id) 0 len;
       st.fifo_head.(id) <- 0;
-      st.fifo_len.(id) <- len)
-    snap.fifo_buf;
-  blit snap.present st.present;
-  blit snap.value st.value;
-  blit snap.pending_acks st.pending_acks;
-  blit snap.cursor st.cursor;
-  blit snap.collected st.collected
+      st.fifo_len.(id) <- Array.length items;
+      Array.iteri
+        (fun k v -> Operand.set st.ring (a.Arena.fifo_base.(id) + k) v)
+        items)
+    snap.s_fifo;
+  blit snap.s_present st.present;
+  Array.iteri (fun p full -> if full then Operand.set st.op p snap.s_value.(p))
+    snap.s_present;
+  blit snap.s_acks st.pending_acks;
+  blit snap.s_cursor st.cursor;
+  blit snap.s_collected st.collected

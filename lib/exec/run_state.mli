@@ -2,7 +2,10 @@
 
     Both engines fire cells by the paper's one rule over one kind of
     state — an operand slot per input port and a count of owed
-    acknowledges per cell — and differ only in timing.  This module
+    acknowledges per cell — and differ only in timing.  Operands and
+    FIFO items sit unboxed in {!Operand} slot sets; an [Input]'s
+    stream and an [Output]'s packets stay [Value.t], the run's edges.
+    This module
     holds that state, shared by {!Sim.Engine} and
     {!Machine.Machine_engine}, and the code built on it: creating it at
     program load, the sanitizer's quiescence [held] check, stall
@@ -17,13 +20,15 @@ open Dfg
 
 type t = {
   present : bool array;  (** per port: the operand slot is full *)
-  value : Value.t array;
+  op : Operand.t;
       (** per port: the operand, meaningful only while [present] *)
   pending_acks : int array;  (** per cell: acknowledges still owed *)
   stream : Value.t array array;  (** per cell: an [Input]'s packets *)
   cursor : int array;
       (** per cell: packets an [Input], [Iota] or [Bool_source] has sent *)
-  fifo_buf : Value.t array array;  (** per cell: a [Fifo]'s ring buffer *)
+  ring : Operand.t;
+      (** the FIFOs' rings: cell [c]'s is slots [Arena.fifo_base.(c)]
+          through [Arena.fifo_base.(c+1) - 1] *)
   fifo_head : int array;  (** per cell: ring index of the oldest item *)
   fifo_len : int array;  (** per cell: items queued *)
   collected : (int * Value.t) list array;
@@ -62,16 +67,25 @@ val stall :
 val outputs : Arena.t -> t -> (string * (int * Value.t) list) list
 (** Each output stream's [(time, value)] packets in arrival order. *)
 
-val snapshot : t -> t
-(** A deep copy in canonical form, so equal states compare equal and a
-    snapshot survives serialization exactly: value slots of empty ports
-    hold {!Arena.dummy_value}, each FIFO ring is trimmed to its items
-    starting at index 0, and [stream] is [[||]] — input streams are the
-    run's inputs, rebuilt by {!create}, not state. *)
+type snapshot = {
+  s_present : bool array;
+  s_value : Value.t array;
+      (** per port: the operand, boxed; {!Arena.dummy_value} where
+          [s_present] is false *)
+  s_acks : int array;
+  s_cursor : int array;
+  s_fifo : Value.t array array;  (** per cell: a FIFO's items, oldest first *)
+  s_collected : (int * Value.t) list array;
+}
+(** The run state in canonical, boxed form, so equal states compare
+    equal and a snapshot survives serialization exactly.  Input streams
+    are the run's inputs, rebuilt by {!create}, not state. *)
 
-val restore : t -> t -> unit
-(** [restore st snap] overwrites [st] with the {!snapshot} [snap],
-    keeping [st]'s streams and FIFO capacities.  It checks nothing:
-    [snap]'s arrays must have [st]'s lengths and its FIFOs fit their
-    capacities, which [Machine_engine.restore], its one caller, checks
-    first. *)
+val snapshot : Arena.t -> t -> snapshot
+(** A deep copy, each operand and FIFO item boxed from its slot. *)
+
+val restore : Arena.t -> t -> snapshot -> unit
+(** [restore a st snap] overwrites [st] with [snap], keeping [st]'s
+    streams.  It checks nothing: [snap]'s arrays must have [st]'s
+    lengths and its FIFOs fit their capacities, which
+    [Machine_engine.restore], its one caller, checks first. *)

@@ -4,12 +4,15 @@ module San = Fault.Sanitizer
 module SR = Fault.Stall_report
 
 (* Bounds-unchecked indexing for the dispatch path.  Every index written
-   with [.!()] is a cell, port, slot, PE or event-slab number that the
-   engine itself produced or that [restore] checked before writing
-   anything: cells, ports and slots come from [Arena.build]; a slab slot
-   from the slab's free stack, which holds only slots below its
-   capacity; a queued event's port is an arc port of the arena and a
-   cell's PE lies in [0, n_pe), from placement or from [check_state].
+   with [.!()] or passed to [copy] is a cell, port, slot, FIFO ring
+   slot, PE or event-slab number that the engine itself produced or
+   that [restore] checked before writing anything: cells, ports, slots
+   and ring slots come from [Arena.build] (a FIFO's ring index stays
+   below its capacity, and [check_state] refuses a FIFO holding more);
+   a slab slot from the slab's free stack, which holds only slots below
+   its capacity; a queued event's port is an arc port of the arena and
+   a cell's PE lies in [0, n_pe), from placement or from
+   [check_state].
    The arrays indexed are the arena's and the machine's own, whose
    lengths never change after [create_arena] ([restore] blits into them
    and checks the lengths first), and the event queue's, which it
@@ -18,6 +21,16 @@ module SR = Fault.Stall_report
    cost time (this build has no flambda to eliminate it). *)
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+(* Slot [i] of [src] into slot [j] of [dst], unchecked: port, ring,
+   slab, resend and register slots, numbered as above.  Here and not
+   in [Operand], whose functions are calls this build does not
+   inline. *)
+let[@inline] copy (src : Operand.t) i (dst : Operand.t) j =
+  Bytes.unsafe_set dst.Operand.tag j (Bytes.unsafe_get src.Operand.tag i);
+  dst.Operand.int.!(j) <- src.Operand.int.!(i);
+  Float.Array.unsafe_set dst.Operand.real j
+    (Float.Array.unsafe_get src.Operand.real i)
 
 type stats = {
   dispatches : int;
@@ -80,7 +93,7 @@ let pool_start pool t =
   start
 
 (* Per-PE dispatch servers. *)
-let pe_start pes pe t =
+let[@inline] pe_start pes pe t =
   let start = max t pes.!(pe) in
   pes.!(pe) <- start + 1;
   start
@@ -96,7 +109,7 @@ type 'resume snap = {
   sn_time : int;
   sn_last_progress : int;
   sn_stats : stats;
-  sn_run : Run_state.t;
+  sn_run : Run_state.snapshot;
   sn_pe : int array;
   sn_cons_seq : int array;
   sn_recv_seq : int array;
@@ -128,15 +141,16 @@ type snapshot = resume snap
 (* The event slab.  A queued event is an int: the index of a slot in
    these flat arrays, which [events] orders by time.  A slot holds what
    the arena cannot tell: the event kind, the consumer-side global port,
-   the sequence number and, for a delivery, the payload and its
-   producer-side checksum.  Producer, consumer cell and local port are
-   [port_producer], [port_cell] and [port_sub] of that port.  Free slots
-   sit on a stack; the arrays double when it runs out. *)
+   the sequence number and, for a delivery, the payload (in [payload]'s
+   slots) and its producer-side checksum.  Producer, consumer cell and
+   local port are [port_producer], [port_cell] and [port_sub] of that
+   port.  Free slots sit on a stack; the arrays double when it runs
+   out. *)
 type slab = {
   mutable kind : Bytes.t;
   mutable port : int array;
   mutable seq : int array;
-  mutable value : Value.t array;  (* deliveries only *)
+  mutable payload : Operand.t;  (* deliveries only *)
   mutable crc : int array;  (* deliveries only, and only when [crc_on] *)
   mutable free : int array;
   mutable n_free : int;
@@ -149,7 +163,7 @@ let ev_retransmit = '\002'
 (* A slab of [cap] slots, all free. *)
 let slab_create cap =
   { kind = Bytes.make cap ev_retransmit; port = Array.make cap 0;
-    seq = Array.make cap 0; value = Array.make cap Arena.dummy_value;
+    seq = Array.make cap 0; payload = Operand.create cap;
     crc = Array.make cap 0; free = Array.init cap (fun k -> cap - 1 - k);
     n_free = cap }
 
@@ -161,22 +175,22 @@ let slab_grow s =
   Bytes.blit s.kind 0 b.kind 0 cap;
   Array.blit s.port 0 b.port 0 cap;
   Array.blit s.seq 0 b.seq 0 cap;
-  Array.blit s.value 0 b.value 0 cap;
+  Operand.blit s.payload 0 b.payload 0 cap;
   Array.blit s.crc 0 b.crc 0 cap;
   s.kind <- b.kind;
   s.port <- b.port;
   s.seq <- b.seq;
-  s.value <- b.value;
+  s.payload <- b.payload;
   s.crc <- b.crc;
   s.free <- b.free;
   s.n_free <- cap
 
-let take_slot s =
+let[@inline] take_slot s =
   if s.n_free = 0 then slab_grow s;
   s.n_free <- s.n_free - 1;
   s.free.!(s.n_free)
 
-let free_slot s i =
+let[@inline] free_slot s i =
   s.free.!(s.n_free) <- i;
   s.n_free <- s.n_free + 1
 
@@ -198,14 +212,14 @@ let slab_clear s =
    a bucket only once its time is within [horizon] of [base], so the
    overflow's events of a time are in their bucket before anything
    later of that time is queued, and every bucket stays in queue
-   order. *)
+   order.  The horizon is a power of two, sized per run. *)
 module Wheel = struct
   module Ipq = Df_util.Ipq
 
-  let horizon = 1024
-  let mask = horizon - 1
+  let max_horizon = 1024
 
   type t = {
+    mask : int;  (* the horizon - 1 *)
     head : int array;  (* per bucket: its first payload, or -1 *)
     tail : int array;  (* per bucket: its last payload, or -1 *)
     mutable next : int array;  (* per payload: the next in its bucket *)
@@ -217,16 +231,22 @@ module Wheel = struct
            makes no call into [Ipq] while the overflow is empty *)
   }
 
-  let create () =
-    { head = Array.make horizon (-1); tail = Array.make horizon (-1);
+  let create span =
+    let h = ref 1 in
+    while !h < span && !h < max_horizon do
+      h := 2 * !h
+    done;
+    { mask = !h - 1; head = Array.make !h (-1); tail = Array.make !h (-1);
       next = Array.make 16 (-1); base = 0; in_ring = 0; over = Ipq.create ();
       in_over = 0 }
+
+  let horizon w = w.mask + 1
 
   let length w = w.in_ring + w.in_over
 
   let clear w ~base =
-    Array.fill w.head 0 horizon (-1);
-    Array.fill w.tail 0 horizon (-1);
+    Array.fill w.head 0 (horizon w) (-1);
+    Array.fill w.tail 0 (horizon w) (-1);
     w.base <- base;
     w.in_ring <- 0;
     w.in_over <- 0;
@@ -239,7 +259,7 @@ module Wheel = struct
       Array.blit w.next 0 next 0 (Array.length w.next);
       w.next <- next
     end;
-    let b = t land mask in
+    let b = t land w.mask in
     w.next.!(x) <- -1;
     let last = w.tail.!(b) in
     if last < 0 then w.head.!(b) <- x else w.next.!(last) <- x;
@@ -247,8 +267,8 @@ module Wheel = struct
     w.in_ring <- w.in_ring + 1
 
   (* Queue payload [x] at time [t >= base]. *)
-  let push w t x =
-    if t - w.base < horizon then append w t x
+  let[@inline] push w t x =
+    if t - w.base <= w.mask then append w t x
     else begin
       Ipq.push w.over t x;
       w.in_over <- w.in_over + 1
@@ -259,7 +279,7 @@ module Wheel = struct
   let next_time w =
     if w.in_ring > 0 then begin
       let t = ref w.base in
-      while w.head.!(!t land mask) < 0 do
+      while w.head.!(!t land w.mask) < 0 do
         incr t
       done;
       !t
@@ -269,10 +289,10 @@ module Wheel = struct
   (* The payload that applies first of those due at [t = next_time w],
      and its removal. *)
   let first w t =
-    if t - w.base < horizon then w.head.!(t land mask)
+    if t - w.base <= w.mask then w.head.!(t land w.mask)
     else Ipq.peek_payload w.over
 
-  let unlink_head w b =
+  let[@inline] unlink_head w b =
     let x = w.head.!(b) in
     let nx = w.next.!(x) in
     w.head.!(b) <- nx;
@@ -285,14 +305,14 @@ module Wheel = struct
     Ipq.pop_payload w.over
 
   let drop_first w t =
-    if t - w.base < horizon then ignore (unlink_head w (t land mask))
+    if t - w.base <= w.mask then ignore (unlink_head w (t land w.mask))
     else ignore (pop_over w)
 
   (* Make [t = next_time w] the current time: the overflow's events due
      before [t + horizon] move into their buckets, in their order. *)
   let start w t =
     w.base <- t;
-    let limit = t + horizon in
+    let limit = t + horizon w in
     while w.in_over > 0 && Ipq.peek_priority w.over < limit do
       let at = Ipq.peek_priority w.over in
       append w at (pop_over w)
@@ -300,15 +320,15 @@ module Wheel = struct
 
   (* The next payload due at the current time, removed, or [-1] when
      none is left. *)
-  let take w =
-    let b = w.base land mask in
+  let[@inline] take w =
+    let b = w.base land w.mask in
     if w.head.!(b) < 0 then -1 else unlink_head w b
 
   (* Every queued [(time, payload)], in the order they apply. *)
   let to_array w =
     let ring = ref [] in
-    for t = w.base + horizon - 1 downto w.base do
-      let items = ref [] and x = ref w.head.(t land mask) in
+    for t = w.base + w.mask downto w.base do
+      let items = ref [] and x = ref w.head.(t land w.mask) in
       while !x >= 0 do
         items := (t, !x) :: !items;
         x := w.next.(!x)
@@ -351,12 +371,15 @@ type t = {
   recv_seq : int array;  (* packets accepted *)
   sent : int array;  (* packets the port's producer sent *)
   out_attempts : int array;  (* resends of the unacknowledged packet, or -1 *)
-  out_value : Value.t array;  (* that packet's payload *)
+  outv : Operand.t;  (* that packet's payload *)
   (* sequence number of a packet discarded as corrupt and not yet
      replaced by a clean copy (-1: none) — consulted when a
      retransmission lands so the heal is visible in trace and counters *)
   corrupt_pend : int array;
   events : Wheel.t;  (* slab slots by time *)
+  reg : Operand.t;
+      (* the result register: a firing's result, copied to each
+         destination, and a restored delivery's payload *)
   slab : slab;
   pes : int array;
   fus : pool;
@@ -411,7 +434,7 @@ let stats_of m : stats =
 
 (* A slab slot holding an event of [kind] for global port [p]; the
    caller queues it, and parks a delivery's payload in it. *)
-let new_event m kind p seq =
+let[@inline] new_event m kind p seq =
   let s = m.slab in
   let i = take_slot s in
   Bytes.unsafe_set s.kind i kind;
@@ -420,13 +443,16 @@ let new_event m kind p seq =
   if kind <> ev_retransmit then m.live_events <- m.live_events + 1;
   i
 
-let schedule m t kind p seq = Wheel.push m.events t (new_event m kind p seq)
+let[@inline] schedule m t kind p seq =
+  Wheel.push m.events t (new_event m kind p seq)
 
-let schedule_deliver m t p seq value crc =
+(* A delivery carrying slot [vi] of [vs]; returns its slab slot. *)
+let schedule_deliver m t p seq vs vi crc =
   let i = new_event m ev_deliver p seq in
-  m.slab.value.!(i) <- value;
+  copy vs vi m.slab.payload i;
   m.slab.crc.!(i) <- crc;
-  Wheel.push m.events t i
+  Wheel.push m.events t i;
+  i
 
 (* ------------------------------------------------------------------ *)
 (* snapshot / restore                                                 *)
@@ -440,7 +466,7 @@ let event_of_slot m i =
   let port = s.port.(i) and seq = s.seq.(i) in
   let kind = Bytes.get s.kind i in
   if kind = ev_deliver then
-    let value = s.value.(i) in
+    let value = Operand.get s.payload i in
     Deliver
       { port; seq; value;
         crc = (if m.crc_on then s.crc.(i) else Integrity.checksum_value value) }
@@ -455,7 +481,7 @@ let state m : state =
     sn_time = m.now;
     sn_last_progress = m.last_progress;
     sn_stats = stats_of m;
-    sn_run = Run_state.snapshot m.st;
+    sn_run = Run_state.snapshot m.arena m.st;
     sn_pe = Array.copy m.pe;
     sn_cons_seq = Array.copy m.cons_seq;
     sn_recv_seq = Array.copy m.recv_seq;
@@ -464,8 +490,9 @@ let state m : state =
     (* canonical: payload slots of acknowledged packets are blanked *)
     sn_out_value =
       Array.mapi
-        (fun p v -> if m.out_attempts.(p) >= 0 then v else Arena.dummy_value)
-        m.out_value;
+        (fun p att ->
+          if att >= 0 then Operand.get m.outv p else Arena.dummy_value)
+        m.out_attempts;
     sn_corrupt_pend = Array.copy m.corrupt_pend;
     sn_events = events_of_slab m;
     sn_pes = Array.copy m.pes;
@@ -513,7 +540,8 @@ let load_events m ~time events =
     (fun (t, ev) ->
       match ev with
       | Deliver { port; seq; value; crc } ->
-        schedule_deliver m t port seq value crc
+        Operand.set m.reg 0 value;
+        ignore (schedule_deliver m t port seq m.reg 0 crc)
       | Ack { port; seq } -> schedule m t ev_ack port seq
       | Retransmit { port; seq } -> schedule m t ev_retransmit port seq)
     events
@@ -537,17 +565,17 @@ let check_state m (s : _ snap) =
         (Array.length mine) what
   in
   fits "pe" s.sn_pe m.pe "cells";
-  fits "acks" r.Run_state.pending_acks st.Run_state.pending_acks "cells";
-  fits "cur" r.Run_state.cursor st.Run_state.cursor "cells";
-  fits "fifo" r.Run_state.fifo_buf st.Run_state.fifo_buf "cells";
-  fits "col" r.Run_state.collected st.Run_state.collected "cells";
-  fits "ops" r.Run_state.present st.Run_state.present "ports";
-  fits "ops" r.Run_state.value st.Run_state.value "ports";
+  fits "acks" r.Run_state.s_acks st.Run_state.pending_acks "cells";
+  fits "cur" r.Run_state.s_cursor st.Run_state.cursor "cells";
+  fits "fifo" r.Run_state.s_fifo st.Run_state.fifo_len "cells";
+  fits "col" r.Run_state.s_collected st.Run_state.collected "cells";
+  fits "ops" r.Run_state.s_present st.Run_state.present "ports";
+  fits "ops" r.Run_state.s_value st.Run_state.present "ports";
   fits "cons" s.sn_cons_seq m.cons_seq "ports";
   fits "recv" s.sn_recv_seq m.recv_seq "ports";
   fits "sent" s.sn_sent m.sent "ports";
   fits "att" s.sn_out_attempts m.out_attempts "ports";
-  fits "outv" s.sn_out_value m.out_value "ports";
+  fits "outv" s.sn_out_value m.out_attempts "ports";
   fits "cpend" s.sn_corrupt_pend m.corrupt_pend "ports";
   let n_pe = Array.length m.pes in
   if
@@ -569,14 +597,15 @@ let check_state m (s : _ snap) =
   per_pe "pe_dispatches" (Array.length s.sn_stats.pe_dispatches);
   Array.iteri
     (fun id c -> if c < 0 then fail "cur of cell %d is %d, below 0" id c)
-    r.Run_state.cursor;
+    r.Run_state.s_cursor;
+  let fifo_base = m.arena.Arena.fifo_base in
   Array.iteri
     (fun id items ->
-      let cap = Array.length st.Run_state.fifo_buf.(id) in
+      let cap = fifo_base.(id + 1) - fifo_base.(id) in
       if Array.length items > cap then
         fail "fifo of cell %d holds %d items, its capacity is %d" id
           (Array.length items) cap)
-    r.Run_state.fifo_buf;
+    r.Run_state.s_fifo;
   Option.iter (fail "sanitizer: %s") (San.misfit m.sanitizer s.sn_sanitizer);
   (* every queued event is due after the snapshot's time, listed in the
      order the events apply, and travels an arc of the arena *)
@@ -600,7 +629,7 @@ let check_state m (s : _ snap) =
    checkpoint/recovery counters are left to the caller. *)
 let restore_state m (s : _ snap) =
   check_state m s;
-  Run_state.restore m.st s.sn_run;
+  Run_state.restore m.arena m.st s.sn_run;
   let blit src dst = Array.blit src 0 dst 0 (Array.length dst) in
   m.now <- s.sn_time;
   m.last_progress <- s.sn_last_progress;
@@ -609,7 +638,9 @@ let restore_state m (s : _ snap) =
   blit s.sn_recv_seq m.recv_seq;
   blit s.sn_sent m.sent;
   blit s.sn_out_attempts m.out_attempts;
-  blit s.sn_out_value m.out_value;
+  Array.iteri
+    (fun p att -> if att >= 0 then Operand.set m.outv p s.sn_out_value.(p))
+    s.sn_out_attempts;
   blit s.sn_corrupt_pend m.corrupt_pend;
   load_events m ~time:s.sn_time s.sn_events;
   blit s.sn_pes m.pes;
@@ -652,6 +683,29 @@ let restore m (sn : snapshot) =
 let default_max_time = 30_000_000
 
 let default_config = Run_config.(default |> with_max_time default_max_time)
+
+(* How far past the current time the run can queue an event, for
+   sizing the timing wheel: a dispatch, an FU operation, an array-memory
+   write and read and the network, with the fault plan's extra delays,
+   stalls and slowdowns; about one operation per cell waiting in the PE,
+   FU and AM queues; and with a recovery policy its longest backoff.
+   Events past the wheel's horizon wait in its overflow, so this bounds
+   only how many do, never what a run computes. *)
+let wheel_span (cfg : Run_config.t) ~(arch : Arch.t) (a : Arena.t) =
+  let faults =
+    match cfg.Run_config.fault with
+    | None -> 0
+    | Some f ->
+      let s = FP.spec f in
+      s.FP.delay_max + s.FP.stall_max + s.FP.fu_slow + (2 * s.FP.am_slow)
+  in
+  let backoff =
+    match cfg.Run_config.recovery with
+    | None -> 0
+    | Some r -> 16 * r.Run_config.retransmit_after
+  in
+  1 + arch.Arch.fu_latency + (2 * arch.Arch.am_latency) + arch.Arch.rn_latency
+  + faults + a.Arena.n + backoff
 
 let create_arena (cfg : Run_config.t) ~(arch : Arch.t) (a : Arena.t) ~inputs =
   let max_time = cfg.Run_config.max_time in
@@ -708,9 +762,10 @@ let create_arena (cfg : Run_config.t) ~(arch : Arch.t) (a : Arena.t) ~inputs =
       recv_seq = Array.make n_ports 0;
       sent = Array.make n_ports 0;
       out_attempts = Array.make n_ports (-1);
-      out_value = Array.make n_ports Arena.dummy_value;
+      outv = Operand.create n_ports;
       corrupt_pend = Array.make n_ports (-1);
-      events = Wheel.create ();
+      events = Wheel.create (wheel_span cfg ~arch a);
+      reg = Operand.create 1;
       slab = slab_create 16;
       pes = Array.make n_pe 0;
       fus = pool_create arch.Arch.n_fu;
@@ -756,7 +811,7 @@ let create_arena (cfg : Run_config.t) ~(arch : Arch.t) (a : Arena.t) ~inputs =
         if src >= 0 then begin
           m.sent.(p) <- 1;
           m.out_attempts.(p) <- 0;
-          m.out_value.(p) <- a.Arena.port_value.(p);
+          Operand.set m.outv p a.Arena.port_value.(p);
           schedule m r.retransmit_after ev_retransmit p 0
         end
       end
@@ -791,7 +846,7 @@ let emit_violation m (v : Fault.Violation.t) =
            kind = Fault.Violation.kind_name v.Fault.Violation.v_kind;
            detail = v.Fault.Violation.v_detail })
 
-let mark m id =
+let[@inline] mark m id =
   if Bytes.unsafe_get m.in_dirty id = '\000' then begin
     Bytes.unsafe_set m.in_dirty id '\001';
     let n = Array.length m.dirty in
@@ -801,13 +856,15 @@ let mark m id =
   end
 
 (* Deliver one result packet copy to global port [p] ([port] of cell
-   [dst]), subject to network faults.  [seq] identifies the packet on
-   its channel when recovery is on.  The checksum travels with the
-   packet as computed by the producer; a corruption fault flips a
-   payload bit *after* that, so the mismatch is observable at the
-   consumer iff integrity checking is on. *)
-let deliver_packet m ~src ~p ~dst ~port ~seq ~value ~base =
-  let crc = if m.crc_on then Integrity.checksum_value value else 0 in
+   [dst]), carrying slot [vi] of [vs], subject to network faults.
+   [seq] identifies the packet on its channel when recovery is on.  The
+   checksum travels with the packet as computed by the producer; a
+   corruption fault flips a payload bit *after* that, so the mismatch
+   is observable at the consumer iff integrity checking is on. *)
+let deliver_packet m ~src ~p ~dst ~port ~seq vs vi ~base =
+  let crc =
+    if m.crc_on then Integrity.checksum_value (Operand.get vs vi) else 0
+  in
   let deliver_at =
     match m.fault with
     | None -> base
@@ -826,28 +883,28 @@ let deliver_packet m ~src ~p ~dst ~port ~seq ~value ~base =
        consumer starves; with recovery the retransmission timer resends *)
     emit_fault m "drop" ~src ~dst ~extra:0
   else begin
-    let value =
-      match m.fault with
-      | None -> value
-      | Some f -> (
-        match FP.corrupt_result f ~time:base ~src ~dst ~port value with
-        | None -> value
-        | Some corrupted ->
-          m.corruptions <- m.corruptions + 1;
-          if m.tracer_on then
-            Obs.Tracer.emit m.tracer
-              (Obs.Event.Corrupt_injected
-                 { time = base; track = m.pe.(dst); src; dst; port;
-                   was = Value.to_string value;
-                   became = Value.to_string corrupted });
-          corrupted)
-    in
-    schedule_deliver m deliver_at p seq value crc;
+    let i = schedule_deliver m deliver_at p seq vs vi crc in
+    (match m.fault with
+    | None -> ()
+    | Some f -> (
+      let payload = m.slab.payload in
+      let value = Operand.get payload i in
+      match FP.corrupt_result f ~time:base ~src ~dst ~port value with
+      | None -> ()
+      | Some corrupted ->
+        m.corruptions <- m.corruptions + 1;
+        if m.tracer_on then
+          Obs.Tracer.emit m.tracer
+            (Obs.Event.Corrupt_injected
+               { time = base; track = m.pe.(dst); src; dst; port;
+                 was = Value.to_string value;
+                 became = Value.to_string corrupted });
+        Operand.set payload i corrupted));
     if m.tracer_on then
       Obs.Tracer.emit m.tracer
         (Obs.Event.Deliver
            { time = deliver_at; track = m.pe.(dst); src; dst; port;
-             value = Value.to_string value })
+             value = Value.to_string (Operand.get m.slab.payload i) })
   end;
   deliver_at
 
@@ -857,10 +914,10 @@ let am_latency m src ~ready_at =
     | None -> 0
     | Some f -> FP.am_extra f ~node:src ~time:ready_at)
 
-(* Fire a cell: PE dispatch, optional FU execution, then packet
-   delivery through RN or AM depending on the policy and whether the
-   producer is a block boundary. *)
-let send m src slot value ~ready_at =
+(* Send the result register through output slot [slot] of [src]:
+   packet delivery through RN or AM depending on the policy and whether
+   the producer is a block boundary. *)
+let send m src slot ~ready_at =
   let a = m.arena in
   let s = a.Arena.slot_base.!(src) + slot in
   let db = a.Arena.dest_base.!(s) and de = a.Arena.dest_base.!(s + 1) in
@@ -891,12 +948,13 @@ let send m src slot value ~ready_at =
         let seq = m.sent.!(gp) in
         m.sent.!(gp) <- seq + 1;
         m.out_attempts.!(gp) <- 0;
-        m.out_value.!(gp) <- value;
+        copy m.reg 0 m.outv gp;
         schedule m (ready_at + r.retransmit_after) ev_retransmit gp seq;
         seq
     in
     let deliver_at =
-      deliver_packet m ~src ~p:gp ~dst:ep_node ~port:ep_port ~seq ~value ~base
+      deliver_packet m ~src ~p:gp ~dst:ep_node ~port:ep_port ~seq m.reg 0
+        ~base
     in
     (* a misbehaving routing network may deliver the same result
        packet twice — without recovery, the breach the sanitizer
@@ -906,8 +964,9 @@ let send m src slot value ~ready_at =
       when FP.duplicate f ~time:ready_at ~src ~dst:ep_node ~port:ep_port ->
       m.result_packets <- m.result_packets + 1;
       emit_fault m "dup" ~src ~dst:ep_node ~extra:0;
-      schedule_deliver m (deliver_at + 1) gp seq value
-        (Integrity.checksum_value value)
+      ignore
+        (schedule_deliver m (deliver_at + 1) gp seq m.reg 0
+           (Integrity.checksum_value (Operand.get m.reg 0)))
     | _ -> ()
   done;
   if m.san_on then
@@ -998,53 +1057,57 @@ let dispatch m id =
   done_at
 
 (* ---- firing rules, one helper per opcode family; [b] is the cell's
-   first global port ---- *)
+   first global port.  Each leaves its result in [m.reg] before it
+   consumes anything. ---- *)
 
-let finish_compute m id b value =
+let finish_compute m id b =
   let done_at = dispatch m id in
   for p = b to m.arena.Arena.port_base.!(id + 1) - 1 do
     consume m p ~acked_at:done_at
   done;
-  send m id 0 value ~ready_at:done_at;
+  send m id 0 ~ready_at:done_at;
   true
 
 let fire_gate m id b ~tgate =
-  let present = m.st.Run_state.present and v = m.st.Run_state.value in
+  let st = m.st in
+  let present = st.Run_state.present in
   if present.!(b) && present.!(b + 1) then begin
-    let ctl = Value.to_bool v.!(b) in
-    let data = v.!(b + 1) in
+    let ctl = Operand.bool st.Run_state.op b in
+    copy st.Run_state.op (b + 1) m.reg 0;
     let pass = if tgate then ctl else not ctl in
     let done_at = dispatch m id in
     consume m b ~acked_at:done_at;
     consume m (b + 1) ~acked_at:done_at;
-    if pass then send m id 0 data ~ready_at:done_at;
+    if pass then send m id 0 ~ready_at:done_at;
     true
   end
   else false
 
 let fire_switch m id b =
-  let present = m.st.Run_state.present and v = m.st.Run_state.value in
+  let st = m.st in
+  let present = st.Run_state.present in
   if present.!(b) && present.!(b + 1) then begin
-    let ctl = Value.to_bool v.!(b) in
-    let data = v.!(b + 1) in
+    let ctl = Operand.bool st.Run_state.op b in
+    copy st.Run_state.op (b + 1) m.reg 0;
     let done_at = dispatch m id in
     consume m b ~acked_at:done_at;
     consume m (b + 1) ~acked_at:done_at;
-    send m id (if ctl then 0 else 1) data ~ready_at:done_at;
+    send m id (if ctl then 0 else 1) ~ready_at:done_at;
     true
   end
   else false
 
 let fire_merge m id b =
-  let present = m.st.Run_state.present and v = m.st.Run_state.value in
+  let st = m.st in
+  let present = st.Run_state.present in
   if present.!(b) then begin
-    let sel = if Value.to_bool v.!(b) then 1 else 2 in
+    let sel = if Operand.bool st.Run_state.op b then 1 else 2 in
     if present.!(b + sel) then begin
-      let data = v.!(b + sel) in
+      copy st.Run_state.op (b + sel) m.reg 0;
       let done_at = dispatch m id in
       consume m b ~acked_at:done_at;
       consume m (b + sel) ~acked_at:done_at;
-      send m id 0 data ~ready_at:done_at;
+      send m id 0 ~ready_at:done_at;
       true
     end
     else false
@@ -1052,18 +1115,19 @@ let fire_merge m id b =
   else false
 
 let fire_merge_switch m id b =
-  let present = m.st.Run_state.present and v = m.st.Run_state.value in
+  let st = m.st in
+  let present = st.Run_state.present in
   if present.!(b) && present.!(b + 3) then begin
-    let sel = if Value.to_bool v.!(b) then 1 else 2 in
+    let sel = if Operand.bool st.Run_state.op b then 1 else 2 in
     if present.!(b + sel) then begin
-      let data = v.!(b + sel) in
-      let d = Value.to_bool v.!(b + 3) in
+      let d = Operand.bool st.Run_state.op (b + 3) in
+      copy st.Run_state.op (b + sel) m.reg 0;
       let done_at = dispatch m id in
       consume m b ~acked_at:done_at;
       consume m (b + sel) ~acked_at:done_at;
       consume m (b + 3) ~acked_at:done_at;
-      send m id 0 data ~ready_at:done_at;
-      if d then send m id 1 data ~ready_at:done_at;
+      send m id 0 ~ready_at:done_at;
+      if d then send m id 1 ~ready_at:done_at;
       true
     end
     else false
@@ -1072,42 +1136,43 @@ let fire_merge_switch m id b =
 
 let fire_fifo m id b k ~acks_clear =
   let st = m.st in
-  let buf = st.Run_state.fifo_buf.!(id) in
+  let ring = st.Run_state.ring in
+  let fifo_base = m.arena.Arena.fifo_base in
+  let base = fifo_base.!(id) in
+  let cap = fifo_base.!(id + 1) - base in
   let progressed = ref false in
   if acks_clear && st.Run_state.fifo_len.!(id) > 0 then begin
     let h = st.Run_state.fifo_head.!(id) in
-    let v = buf.(h) in
-    st.Run_state.fifo_head.!(id) <-
-      (if h + 1 = Array.length buf then 0 else h + 1);
+    copy ring (base + h) m.reg 0;
+    st.Run_state.fifo_head.!(id) <- (if h + 1 = cap then 0 else h + 1);
     st.Run_state.fifo_len.!(id) <- st.Run_state.fifo_len.!(id) - 1;
     let done_at = dispatch m id in
-    send m id 0 v ~ready_at:done_at;
+    send m id 0 ~ready_at:done_at;
     progressed := true
   end;
   if st.Run_state.present.!(b) && st.Run_state.fifo_len.!(id) < k then begin
     let tail = st.Run_state.fifo_head.!(id) + st.Run_state.fifo_len.!(id) in
-    let tail =
-      if tail >= Array.length buf then tail - Array.length buf else tail
-    in
-    buf.(tail) <- st.Run_state.value.!(b);
+    let tail = if tail >= cap then tail - cap else tail in
+    copy st.Run_state.op b ring (base + tail);
     st.Run_state.fifo_len.!(id) <- st.Run_state.fifo_len.!(id) + 1;
     consume m b ~acked_at:m.now;
     progressed := true
   end;
   !progressed
 
-(* Emit the next packet of a generator ([Input], [Iota], [Bool_source]). *)
-let fire_source m id v =
+(* Emit the next packet of a generator ([Input], [Iota], [Bool_source]),
+   whose value is in the register. *)
+let fire_source m id =
   m.st.Run_state.cursor.!(id) <- m.st.Run_state.cursor.!(id) + 1;
   let done_at = dispatch m id in
-  send m id 0 v ~ready_at:done_at;
+  send m id 0 ~ready_at:done_at;
   true
 
 let fire_output m id b =
   let st = m.st in
   if st.Run_state.present.!(b) then begin
     st.Run_state.collected.!(id) <-
-      (m.now, st.Run_state.value.!(b)) :: st.Run_state.collected.!(id);
+      (m.now, Operand.get st.Run_state.op b) :: st.Run_state.collected.!(id);
     (if m.san_on then
        match San.on_output m.sanitizer ~time:m.now ~node:id with
        | Some viol -> emit_violation m viol
@@ -1131,52 +1196,64 @@ let try_fire m id =
   if m.pe_dead.!(m.pe.!(id)) then false
   else
     let st = m.st in
-    let present = st.Run_state.present and v = st.Run_state.value in
+    let present = st.Run_state.present and op = st.Run_state.op in
+    let reg = m.reg in
     let acks_clear = st.Run_state.pending_acks.!(id) = 0 in
     let b = m.arena.Arena.port_base.!(id) in
     match m.arena.Arena.ops.!(id) with
-    | Id -> acks_clear && present.!(b) && finish_compute m id b v.!(b)
-    | Arith op ->
+    | Id ->
+      acks_clear && present.!(b)
+      && (copy op b reg 0;
+          finish_compute m id b)
+    | Arith o ->
       acks_clear && present.!(b) && present.!(b + 1)
-      && finish_compute m id b (Opcode.apply_arith op v.!(b) v.!(b + 1))
-    | Compare op ->
+      && (Operand.arith o op b (b + 1) reg;
+          finish_compute m id b)
+    | Compare o ->
       acks_clear && present.!(b) && present.!(b + 1)
-      && finish_compute m id b (Opcode.apply_cmp op v.!(b) v.!(b + 1))
-    | Logic op ->
+      && (Operand.compare o op b (b + 1) reg;
+          finish_compute m id b)
+    | Logic o ->
       acks_clear && present.!(b) && present.!(b + 1)
-      && finish_compute m id b (Opcode.apply_logic op v.!(b) v.!(b + 1))
+      && (Operand.logic o op b (b + 1) reg;
+          finish_compute m id b)
     | Math mf ->
       acks_clear && present.!(b)
-      && finish_compute m id b (Opcode.apply_math mf v.!(b))
+      && (Operand.math mf op b reg;
+          finish_compute m id b)
     | Neg ->
       acks_clear && present.!(b)
-      && finish_compute m id b
-           (match v.!(b) with
-           | Value.Int i -> Value.Int (-i)
-           | Value.Real f -> Value.Real (-.f)
-           | Value.Bool _ -> invalid_arg "NEG of boolean")
+      && (if Operand.neg op b reg then finish_compute m id b
+          else invalid_arg "NEG of boolean")
     | Not ->
       acks_clear && present.!(b)
-      && finish_compute m id b (Value.Bool (not (Value.to_bool v.!(b))))
+      && (Operand.not_ op b reg;
+          finish_compute m id b)
     | Tgate -> acks_clear && fire_gate m id b ~tgate:true
     | Fgate -> acks_clear && fire_gate m id b ~tgate:false
     | Switch -> acks_clear && fire_switch m id b
     | Merge -> acks_clear && fire_merge m id b
     | Merge_switch -> acks_clear && fire_merge_switch m id b
     | Fifo k -> fire_fifo m id b k ~acks_clear
-    | Bool_source seq -> (
+    | Bool_source _ ->
       acks_clear
       &&
-      match Ctlseq.nth seq st.Run_state.cursor.!(id) with
-      | None -> false
-      | Some bit -> fire_source m id (Value.Bool bit))
+      let bit = Arena.control m.arena id st.Run_state.cursor.!(id) in
+      bit >= 0
+      && (Bytes.unsafe_set reg.Operand.tag 0 Operand.tag_bool;
+          reg.Operand.int.!(0) <- bit;
+          fire_source m id)
     | Iota { lo; hi; rep } ->
       acks_clear
-      && fire_source m id
-           (Value.Int (lo + (st.Run_state.cursor.!(id) / rep mod (hi - lo + 1))))
+      && (Bytes.unsafe_set reg.Operand.tag 0 Operand.tag_int;
+          reg.Operand.int.!(0) <-
+            lo + (st.Run_state.cursor.!(id) / rep mod (hi - lo + 1));
+          fire_source m id)
     | Input _ ->
       let stream = st.Run_state.stream.!(id) and i = st.Run_state.cursor.!(id) in
-      acks_clear && i < Array.length stream && fire_source m id stream.(i)
+      acks_clear && i < Array.length stream
+      && (Operand.set reg 0 stream.(i);
+          fire_source m id)
     | Output _ -> fire_output m id b
     | Sink -> fire_sink m id b
 
@@ -1187,19 +1264,22 @@ let outstanding m p ~seq = m.out_attempts.!(p) >= 0 && m.sent.!(p) - 1 = seq
 
 let resident m p ~seq = m.recv_seq.!(p) > seq && m.cons_seq.!(p) <= seq
 
-let acked m dst =
+let[@inline] acked m dst =
   match if m.san_on then San.on_ack m.sanitizer ~time:m.now ~dst else None with
   | Some v -> emit_violation m v
   | None ->
     m.st.Run_state.pending_acks.!(dst) <- m.st.Run_state.pending_acks.!(dst) - 1
 
-(* Delivery of packet [seq] (payload [value], producer checksum [crc])
-   to global port [p]. *)
-let apply_deliver m p seq value crc =
+(* Delivery of packet [seq] (payload in slab slot [i], producer
+   checksum [crc]) to global port [p]. *)
+let apply_deliver m p seq i crc =
   let a = m.arena in
   let src = a.Arena.port_producer.!(p) in
   let dst = a.Arena.port_cell.!(p) and port = a.Arena.port_sub.!(p) in
-  if m.integrity && not (Integrity.verify_value value crc) then begin
+  if
+    m.integrity
+    && not (Integrity.verify_value (Operand.get m.slab.payload i) crc)
+  then begin
     (* checksum mismatch: the payload was corrupted in flight.  Discard
        the packet — from here on it behaves exactly like a drop, so
        without recovery the consumer starves (and the wedge surfaces
@@ -1248,7 +1328,7 @@ let apply_deliver m p seq value crc =
       end
       else begin
         m.st.Run_state.present.!(p) <- true;
-        m.st.Run_state.value.!(p) <- value
+        copy m.slab.payload i m.st.Run_state.op p
       end);
     mark m dst
   end
@@ -1301,7 +1381,7 @@ let apply_retransmit m p seq =
                { time = m.now; track = m.pe.(src); src; dst; port;
                  attempt = attempts });
         ignore
-          (deliver_packet m ~src ~p ~dst ~port ~seq ~value:m.out_value.!(p)
+          (deliver_packet m ~src ~p ~dst ~port ~seq m.outv p
              ~base:(m.now + m.arch.Arch.rn_latency));
         schedule m (m.now + retry_delay r attempts) ev_retransmit p seq;
         (* an active resend is protocol liveness, not silence: the
@@ -1315,20 +1395,20 @@ let apply_retransmit m p seq =
          wedge surfaces as a stall / conservation violation *)
     end
 
-(* Apply the event in slab slot [i].  The slot is read out and freed
-   first: applying may queue new events, which may reuse it. *)
+(* Apply the event in slab slot [i], then free the slot: a delivery's
+   payload is read from it, and events queued meanwhile take other
+   slots. *)
 let apply_event m i =
   let s = m.slab in
   let kind = Bytes.unsafe_get s.kind i in
   let p = s.port.!(i) and seq = s.seq.!(i) in
-  let value = s.value.!(i) and crc = s.crc.!(i) in
-  free_slot s i;
   if kind = ev_retransmit then apply_retransmit m p seq
   else begin
     m.live_events <- m.live_events - 1;
-    if kind = ev_deliver then apply_deliver m p seq value crc
+    if kind = ev_deliver then apply_deliver m p seq i s.crc.!(i)
     else apply_ack m p seq
-  end
+  end;
+  free_slot s i
 
 (* True when every unacknowledged packet in the system is already
    resident, unconsumed, at its consumer.  Resending any of them can

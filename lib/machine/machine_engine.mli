@@ -39,10 +39,14 @@ open Dfg
     engines share in the {!Run_state} layout: operand slots per port,
     owed acknowledges per cell, FIFO rings, input cursors.  What only
     the machine has — the hosting PE per cell and the recovery
-    protocol's sequence numbers per port — lives in flat side arrays
-    beside it.  Queued events are ints: slots of a flat event slab,
-    ordered by time in a timing wheel ({!Wheel}), so steady state
-    allocates nothing per packet (docs/ENGINE.md).
+    protocol's sequence numbers and resend payloads per port — lives in
+    flat side arrays beside it.  Queued events are ints: slots of a
+    flat event slab, ordered by time in a timing wheel ({!Wheel}) sized
+    per run.  Operands, queued payloads and resend payloads sit
+    unboxed in {!Operand} slots, and a firing's result goes through a
+    result register, so a dispatch allocates nothing unless it is an
+    [Output]'s, which conses its boxed [(time, value)]
+    (docs/ENGINE.md).
 
     Events that fall due at the same time apply in the order they were
     queued.  That order decides which ready cell gets a PE slot, an FU
@@ -144,14 +148,15 @@ type event =
 
     A snapshot copies the whole run state: the {!Run_state} layout the
     graph engine shares, plus flat arrays for what only the machine
-    has, the event queue, resource pools and counters.  Per-port arrays
-    are indexed by the {!Arena}'s global port numbers. *)
+    has, the event queue, resource pools and counters, with every
+    operand and payload boxed from its slot.  Per-port arrays are
+    indexed by the {!Arena}'s global port numbers. *)
 
 type 'resume snap = {
   sn_time : int;
   sn_last_progress : int;
   sn_stats : stats;
-  sn_run : Run_state.t;  (** canonical form, see {!Run_state.snapshot} *)
+  sn_run : Run_state.snapshot;  (** canonical and boxed *)
   sn_pe : int array;  (** per cell: hosting processing element *)
   sn_cons_seq : int array;  (** per port: packets consumed *)
   sn_recv_seq : int array;  (** per port: packets accepted (recovery) *)
@@ -161,8 +166,8 @@ type 'resume snap = {
           [sent - 1] — or [-1] when none awaits an acknowledge
           (recovery) *)
   sn_out_value : Value.t array;
-      (** per port: that packet's payload; {!Arena.dummy_value} when
-          none *)
+      (** per port: that packet's payload, boxed; {!Arena.dummy_value}
+          when none *)
   sn_corrupt_pend : int array;
       (** per port: sequence number of a packet discarded as corrupt and
           not yet healed, or [-1] *)
@@ -353,20 +358,24 @@ val output_times : result -> string -> int list
     tests.  Payloads are non-negative ints (the engine's are event-slab
     slots); the queue has a current time, which {!Wheel.start}
     advances.  Events due at one time come out in the order they were
-    pushed. *)
+    pushed, whatever the wheel's horizon. *)
 module Wheel : sig
   type t
 
-  val horizon : int
-  (** 1024 buckets, one time each: an event due less than [horizon]
-      after the current time is linked into its time's bucket at once;
-      a later one waits in the overflow, a {!Df_util.Ipq} keyed by time
-      (equal times pop in push order), until {!start} brings it within
-      the horizon.  The horizon covers the default latencies and the
-      default recovery's longest backoff (16 × 48). *)
+  val max_horizon : int
+  (** 1024, the longest horizon a wheel has. *)
 
-  val create : unit -> t
-  (** An empty queue at time 0. *)
+  val create : int -> t
+  (** [create span]: an empty queue at time 0 whose horizon is the
+      least power of two at or above [span], at most {!max_horizon}.
+      An event due less than the horizon after the current time is
+      linked into its time's bucket at once; a later one waits in the
+      overflow, a {!Df_util.Ipq} keyed by time (equal times pop in push
+      order), until {!start} brings it within the horizon.  A machine
+      sizes its wheel from the latencies, queues, fault delays and
+      recovery backoff its run can schedule, so a run without a
+      recovery policy on a graph of a few dozen cells keeps the
+      wheel's two bucket arrays in the minor heap. *)
 
   val length : t -> int
 

@@ -104,14 +104,15 @@ let state_fields (s : _ ME.snap) =
   let r = s.ME.sn_run in
   [ ("time", J.Int s.ME.sn_time);
     ("last_progress", J.Int s.ME.sn_last_progress);
-    ("ops", json_of_slots (Array.get r.Run_state.present) r.Run_state.value);
-    ("acks", json_of_int_array r.Run_state.pending_acks);
-    ("cur", json_of_int_array r.Run_state.cursor);
-    ("fifo", json_of_array (json_of_array value_to_json) r.Run_state.fifo_buf);
+    ("ops",
+     json_of_slots (Array.get r.Run_state.s_present) r.Run_state.s_value);
+    ("acks", json_of_int_array r.Run_state.s_acks);
+    ("cur", json_of_int_array r.Run_state.s_cursor);
+    ("fifo", json_of_array (json_of_array value_to_json) r.Run_state.s_fifo);
     ("col",
      json_of_array
        (fun pkts -> J.List (List.map packet_to_json pkts))
-       r.Run_state.collected);
+       r.Run_state.s_collected);
     ("pe", json_of_int_array s.ME.sn_pe);
     ("cons", json_of_int_array s.ME.sn_cons_seq);
     ("recv", json_of_int_array s.ME.sn_recv_seq);
@@ -268,7 +269,7 @@ let sanitizer_of_json = function
 let state_of_json arena j : ME.state =
   let present, value = slots_field "ops" j in
   let acks = int_array "acks" j in
-  let fifo_buf =
+  let fifo =
     array_field "fifo"
       (fun q ->
         J.get_list q |> List.map (get_value "fifo") |> Array.of_list)
@@ -295,15 +296,12 @@ let state_of_json arena j : ME.state =
     sn_stats = stats_of_json (field "stats" j);
     sn_run =
       {
-        Run_state.present;
-        value;
-        pending_acks = acks;
-        stream = [||];
-        cursor = int_array "cur" j;
-        fifo_buf;
-        fifo_head = Array.make (Array.length fifo_buf) 0;
-        fifo_len = Array.map Array.length fifo_buf;
-        collected;
+        Run_state.s_present = present;
+        s_value = value;
+        s_acks = acks;
+        s_cursor = int_array "cur" j;
+        s_fifo = fifo;
+        s_collected = collected;
       };
     sn_pe = int_array "pe" j;
     sn_cons_seq = int_array "cons" j;

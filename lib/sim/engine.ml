@@ -18,23 +18,35 @@ type result = {
 let protocol fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 
 (* Bounds-unchecked indexing for the hot loop.  Every index written with
-   [.!()] is an arena-internal invariant — a port / cell / slot number
-   produced by [Arena.build] and never taken from user input — so the
-   runtime check would only cost time (this build has no flambda to
-   eliminate it). *)
+   [.!()] or passed to [copy] is an arena-internal invariant — a port /
+   cell / slot / FIFO ring slot number produced by [Arena.build] (a
+   FIFO's ring index stays below its capacity) and never taken from
+   user input — so the runtime check would only cost time (this build
+   has no flambda to eliminate it). *)
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+(* Slot [i] of [src] into slot [j] of [dst], unchecked: port, ring and
+   register slots.  Here and not in [Operand], whose functions are calls
+   this build does not inline. *)
+let[@inline] copy (src : Operand.t) i (dst : Operand.t) j =
+  Bytes.unsafe_set dst.Operand.tag j (Bytes.unsafe_get src.Operand.tag i);
+  dst.Operand.int.!(j) <- src.Operand.int.!(i);
+  Float.Array.unsafe_set dst.Operand.real j
+    (Float.Array.unsafe_get src.Operand.real i)
 
 (* The hot loop runs entirely on the flat arena: dynamic state is a set
    of parallel arrays indexed by the arena's global port / cell numbers.
    A firing applies its effects at once, each stamped with the time it
    takes effect, so there is no event pass:
 
-   - a result packet lands in its destination port when it is sent, and
-     [arrive.(p)] holds its arrival time; the port reads full only once
-     [now] reaches that.  The port is always empty at send time, because
-     a producer cannot refire until its previous packet on the arc was
-     consumed and acknowledged.
+   - a firing computes its result into the register [reg] (an
+     {!Operand} slot set of length 1), and the packet lands in each
+     destination port's slots when it is sent; [arrive.(p)] holds its
+     arrival time, and the port reads full only once [now] reaches
+     that.  The port is always empty at send time, because a producer
+     cannot refire until its previous packet on the arc was consumed
+     and acknowledged.
    - an acknowledge decrements the producer's [pending_acks] when the
      consumer fires, and [ack_ready] keeps the latest arrival time among
      them: a cell's acknowledges are in once the count is 0 and [now]
@@ -73,12 +85,13 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
   (* ---- dynamic state ---- *)
   let st = Run_state.create ~who:"Engine.run" a ~inputs in
   let present = st.Run_state.present in
-  let pvalue = st.Run_state.value in
+  let op = st.Run_state.op in
   let pending_acks = st.Run_state.pending_acks in
   let cursor = st.Run_state.cursor in
   let stream = st.Run_state.stream in
   let collected = st.Run_state.collected in
-  let fifo_buf = st.Run_state.fifo_buf in
+  let ring = st.Run_state.ring in
+  let fifo_base = a.Arena.fifo_base in
   let fifo_head = st.Run_state.fifo_head in
   let fifo_len = st.Run_state.fifo_len in
   let n_ports = max a.Arena.n_ports 1 in
@@ -91,7 +104,9 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
   let woken = Array.make (max n 1) (-1) in
   let far = Df_util.Ipq.create () in
   let now = ref 0 in
-  let wake id at =
+  (* the result register: a firing's result, copied to each destination *)
+  let reg = Operand.create 1 in
+  let[@inline] wake id at =
     if at > !now + 1 then Df_util.Ipq.push far at id
     else if woken.!(id) <> at then begin
       woken.!(id) <- at;
@@ -123,12 +138,12 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
              kind = Fault.Violation.kind_name v.Fault.Violation.v_kind;
              detail = v.Fault.Violation.v_detail })
   in
-  let land_packet p value at =
+  let[@inline] land_packet p at =
     present.!(p) <- true;
-    pvalue.!(p) <- value;
+    copy reg 0 op p;
     arrive.!(p) <- at
   in
-  let send id slot value =
+  let send id slot =
     let s = slot_base.!(id) + slot in
     let db = dest_base.!(s) and de = dest_base.!(s + 1) in
     for d = db to de - 1 do
@@ -151,27 +166,27 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
              ~port:port_sub.(p)
          with
          | Some v -> emit_violation v (* drop: engine state is untrustworthy *)
-         | None -> if not present.(p) then land_packet p value at)
+         | None -> if not present.(p) then land_packet p at)
        else if present.!(p) then
          protocol "arc capacity violated: %s#%d port %d received while full"
            labels.(dst) dst port_sub.(p)
-       else land_packet p value at);
+       else land_packet p at);
       wake dst at;
       if tracer_on then
         Obs.Tracer.emit tracer
           (Obs.Event.Deliver
              { time = at; track = dst; src = id; dst; port = port_sub.(p);
-               value = Value.to_string value })
+               value = Value.to_string (Operand.get reg 0) })
     done;
     if san_on then San.on_send sanitizer ~time:!now ~node:id ~count:(de - db);
     pending_acks.!(id) <- pending_acks.!(id) + (de - db)
   in
-  let take_ack p src at =
+  let[@inline] take_ack p src at =
     pending_acks.!(src) <- pending_acks.!(src) - 1;
     ack_at.!(p) <- at;
     if at > ack_ready.!(src) then ack_ready.!(src) <- at
   in
-  let consume_port p =
+  let[@inline] consume_port p =
     if port_kind.!(p) <> Arena.kind_const then begin
       let id = port_cell.!(p) in
       if san_on then (
@@ -206,7 +221,7 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
       end
     end
   in
-  let record_fire id =
+  let[@inline] record_fire id =
     if tracer_on then
       Obs.Tracer.emit tracer
         (Obs.Event.Fire
@@ -215,26 +230,27 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
     fire_counts.!(id) <- fire_counts.!(id) + 1;
     if record_firings then fire_times.(id) <- !now :: fire_times.(id)
   in
-  (* ---- firing rules, one helper per opcode family ---- *)
-  let fire_compute id b result =
+  (* ---- firing rules, one helper per opcode family; each leaves its
+     result in [reg] before it consumes anything ---- *)
+  let fire_compute id b =
     record_fire id;
     let e = port_base.!(id + 1) in
     for p = b to e - 1 do
       consume_port p
     done;
-    send id 0 result;
+    send id 0;
     true
   in
   let fire_gate id tgate =
     let b = port_base.!(id) in
     if acks_in id && full b && full (b + 1) then begin
-      let ctl = Value.to_bool pvalue.!(b) in
-      let data = pvalue.!(b + 1) in
+      let ctl = Operand.bool op b in
+      copy op (b + 1) reg 0;
       let pass = if tgate then ctl else not ctl in
       record_fire id;
       consume_port b;
       consume_port (b + 1);
-      if pass then send id 0 data;
+      if pass then send id 0;
       true
     end
     else false
@@ -242,12 +258,12 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
   let fire_switch id =
     let b = port_base.!(id) in
     if acks_in id && full b && full (b + 1) then begin
-      let ctl = Value.to_bool pvalue.!(b) in
-      let data = pvalue.!(b + 1) in
+      let ctl = Operand.bool op b in
+      copy op (b + 1) reg 0;
       record_fire id;
       consume_port b;
       consume_port (b + 1);
-      send id (if ctl then 0 else 1) data;
+      send id (if ctl then 0 else 1);
       true
     end
     else false
@@ -255,13 +271,13 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
   let fire_merge id =
     let b = port_base.!(id) in
     if acks_in id && full b then begin
-      let sel = if Value.to_bool pvalue.!(b) then 1 else 2 in
+      let sel = if Operand.bool op b then 1 else 2 in
       if full (b + sel) then begin
-        let data = pvalue.!(b + sel) in
+        copy op (b + sel) reg 0;
         record_fire id;
         consume_port b;
         consume_port (b + sel);
-        send id 0 data;
+        send id 0;
         true
       end
       else false
@@ -274,16 +290,16 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
        unconditionally and to slot 1 only when D is true. *)
     let b = port_base.!(id) in
     if acks_in id && full b && full (b + 3) then begin
-      let sel = if Value.to_bool pvalue.!(b) then 1 else 2 in
+      let sel = if Operand.bool op b then 1 else 2 in
       if full (b + sel) then begin
-        let data = pvalue.!(b + sel) in
-        let d = Value.to_bool pvalue.!(b + 3) in
+        let d = Operand.bool op (b + 3) in
+        copy op (b + sel) reg 0;
         record_fire id;
         consume_port b;
         consume_port (b + sel);
         consume_port (b + 3);
-        send id 0 data;
-        if d then send id 1 data;
+        send id 0;
+        if d then send id 1;
         true
       end
       else false
@@ -292,26 +308,25 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
   in
   let fire_fifo id k =
     let progressed = ref false in
+    let base = fifo_base.!(id) in
+    let cap = fifo_base.!(id + 1) - base in
     (* emit side *)
-    if acks_in id && fifo_len.(id) > 0 then begin
-      let buf = fifo_buf.(id) in
-      let h = fifo_head.(id) in
-      let v = buf.(h) in
-      fifo_head.(id) <- (if h + 1 = Array.length buf then 0 else h + 1);
-      fifo_len.(id) <- fifo_len.(id) - 1;
+    if acks_in id && fifo_len.!(id) > 0 then begin
+      let h = fifo_head.!(id) in
+      copy ring (base + h) reg 0;
+      fifo_head.!(id) <- (if h + 1 = cap then 0 else h + 1);
+      fifo_len.!(id) <- fifo_len.!(id) - 1;
       record_fire id;
-      send id 0 v;
+      send id 0;
       progressed := true
     end;
     (* accept side *)
     let b = port_base.!(id) in
-    if full b && fifo_len.(id) < k then begin
-      let buf = fifo_buf.(id) in
-      let tail = fifo_head.(id) + fifo_len.(id) in
-      let tail = if tail >= Array.length buf then tail - Array.length buf
-                 else tail in
-      buf.(tail) <- pvalue.(b);
-      fifo_len.(id) <- fifo_len.(id) + 1;
+    if full b && fifo_len.!(id) < k then begin
+      let tail = fifo_head.!(id) + fifo_len.!(id) in
+      let tail = if tail >= cap then tail - cap else tail in
+      copy op b ring (base + tail);
+      fifo_len.!(id) <- fifo_len.!(id) + 1;
       consume_port b;
       progressed := true
     end;
@@ -320,32 +335,36 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
   let fire_iota id lo hi rep =
     if acks_in id then begin
       let span = hi - lo + 1 in
-      let v = lo + (cursor.(id) / rep mod span) in
-      cursor.(id) <- cursor.(id) + 1;
+      Bytes.unsafe_set reg.Operand.tag 0 Operand.tag_int;
+      reg.Operand.int.!(0) <- lo + (cursor.!(id) / rep mod span);
+      cursor.!(id) <- cursor.!(id) + 1;
       record_fire id;
-      send id 0 (Value.Int v);
+      send id 0;
       true
     end
     else false
   in
-  let fire_bool_source id seq =
+  let fire_bool_source id =
     if acks_in id then begin
-      match Ctlseq.nth seq cursor.(id) with
-      | None -> false
-      | Some b ->
-        cursor.(id) <- cursor.(id) + 1;
+      let bit = Arena.control a id cursor.!(id) in
+      if bit < 0 then false
+      else begin
+        Bytes.unsafe_set reg.Operand.tag 0 Operand.tag_bool;
+        reg.Operand.int.!(0) <- bit;
+        cursor.!(id) <- cursor.!(id) + 1;
         record_fire id;
-        send id 0 (Value.Bool b);
+        send id 0;
         true
+      end
     end
     else false
   in
   let fire_input id =
     if acks_in id && cursor.!(id) < Array.length stream.!(id) then begin
-      let v = stream.!(id).!(cursor.!(id)) in
+      Operand.set reg 0 stream.!(id).!(cursor.!(id));
       cursor.!(id) <- cursor.!(id) + 1;
       record_fire id;
-      send id 0 v;
+      send id 0;
       true
     end
     else false
@@ -353,7 +372,7 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
   let fire_output id =
     let b = port_base.!(id) in
     if full b then begin
-      collected.(id) <- (!now, pvalue.(b)) :: collected.(id);
+      collected.(id) <- (!now, Operand.get op b) :: collected.(id);
       (if san_on then
          match San.on_output sanitizer ~time:!now ~node:id with
          | Some viol -> emit_violation viol
@@ -375,43 +394,54 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
   in
   let try_fire id =
     let open Opcode in
-    match ops.(id) with
+    match ops.!(id) with
     | Id ->
       let b = port_base.!(id) in
-      if acks_in id && full b then fire_compute id b pvalue.!(b) else false
-    | Arith op ->
-      let b = port_base.!(id) in
-      if acks_in id && full b && full (b + 1) then
-        fire_compute id b (Opcode.apply_arith op pvalue.!(b) pvalue.!(b + 1))
+      if acks_in id && full b then begin
+        copy op b reg 0;
+        fire_compute id b
+      end
       else false
-    | Compare op ->
+    | Arith o ->
       let b = port_base.!(id) in
-      if acks_in id && full b && full (b + 1) then
-        fire_compute id b (Opcode.apply_cmp op pvalue.!(b) pvalue.!(b + 1))
+      if acks_in id && full b && full (b + 1) then begin
+        Operand.arith o op b (b + 1) reg;
+        fire_compute id b
+      end
       else false
-    | Logic op ->
+    | Compare o ->
       let b = port_base.!(id) in
-      if acks_in id && full b && full (b + 1) then
-        fire_compute id b (Opcode.apply_logic op pvalue.!(b) pvalue.!(b + 1))
+      if acks_in id && full b && full (b + 1) then begin
+        Operand.compare o op b (b + 1) reg;
+        fire_compute id b
+      end
+      else false
+    | Logic o ->
+      let b = port_base.!(id) in
+      if acks_in id && full b && full (b + 1) then begin
+        Operand.logic o op b (b + 1) reg;
+        fire_compute id b
+      end
       else false
     | Math m ->
       let b = port_base.!(id) in
-      if acks_in id && full b then
-        fire_compute id b (Opcode.apply_math m pvalue.!(b))
+      if acks_in id && full b then begin
+        Operand.math m op b reg;
+        fire_compute id b
+      end
       else false
     | Neg ->
       let b = port_base.!(id) in
       if acks_in id && full b then
-        fire_compute id b
-          (match pvalue.!(b) with
-          | Value.Int i -> Value.Int (-i)
-          | Value.Real f -> Value.Real (-.f)
-          | Value.Bool _ -> protocol "NEG of a boolean at %s" labels.(id))
+        if Operand.neg op b reg then fire_compute id b
+        else protocol "NEG of a boolean at %s" labels.(id)
       else false
     | Not ->
       let b = port_base.!(id) in
-      if acks_in id && full b then
-        fire_compute id b (Value.Bool (not (Value.to_bool pvalue.!(b))))
+      if acks_in id && full b then begin
+        Operand.not_ op b reg;
+        fire_compute id b
+      end
       else false
     | Tgate -> fire_gate id true
     | Fgate -> fire_gate id false
@@ -420,7 +450,7 @@ let run_arena (cfg : Run_config.t) (a : Arena.t) ~inputs =
     | Merge_switch -> fire_merge_switch id
     | Fifo k -> fire_fifo id k
     | Iota { lo; hi; rep } -> fire_iota id lo hi rep
-    | Bool_source seq -> fire_bool_source id seq
+    | Bool_source _ -> fire_bool_source id
     | Input _ -> fire_input id
     | Output _ -> fire_output id
     | Sink -> fire_sink id

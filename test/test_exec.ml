@@ -371,6 +371,59 @@ let test_pool_shutdown () =
   | Exec.Pool.Cancelled -> ()
   | _ -> Alcotest.fail "post-shutdown submit settles Cancelled"
 
+(* A firing allocates nothing: both engines keep operands in unboxed
+   slots.  What a run allocates in the minor heap grows with its waves
+   only by its output packets: each Output firing's boxed (time, value)
+   pair and the list cell holding it, and the cell the result's list is
+   reversed into.  Counted as the minor words that 32 more waves add, so
+   a run's set-up cancels out; the input streams of both runs are past
+   the minor heap's largest block, so neither side counts them. *)
+let test_firing_allocates_nothing () =
+  let size = 32 in
+  let boxed = function Dfg.Value.Int _ -> 2 | Real _ -> 4 | Bool _ -> 0 in
+  List.iter
+    (fun (k : K.kernel) ->
+      let _, cp =
+        D.compile_source ~scalar_inputs:k.K.scalar_inputs (k.K.source size)
+      in
+      let a = Arena.build cp.Compiler.Program_compile.cp_graph in
+      let wave = K.seeded_inputs k size in
+      let graph inputs =
+        let r = Sim.Engine.run_arena Run_config.default a ~inputs in
+        (Array.fold_left ( + ) 0 r.Sim.Engine.fire_counts, r.Sim.Engine.outputs)
+      in
+      let machine inputs =
+        let r =
+          ME.run_arena ME.default_config ~arch:Machine.Arch.default a ~inputs
+        in
+        (r.ME.stats.ME.dispatches, r.ME.outputs)
+      in
+      List.iter
+        (fun (engine, run) ->
+          (* minor words beyond the output packets', and firings *)
+          let words waves =
+            let inputs = D.feeds ~waves cp wave in
+            ignore (run inputs);
+            let before = Gc.minor_words () in
+            let firings, outputs = run inputs in
+            let words = Gc.minor_words () -. before in
+            let packets =
+              List.fold_left
+                (fun acc (_, pkts) ->
+                  List.fold_left (fun acc (_, v) -> acc + 9 + boxed v) acc pkts)
+                0 outputs
+            in
+            (words -. float_of_int packets, firings)
+          in
+          let w16, f16 = words 16 and w48, f48 = words 48 in
+          let per_firing = (w48 -. w16) /. float_of_int (f48 - f16) in
+          if per_firing > 0.05 then
+            Alcotest.failf
+              "%s, %s: %.3f minor words per firing beyond the output packets"
+              k.K.name engine per_firing)
+        [ ("graph engine", graph); ("machine engine", machine) ])
+    K.all
+
 let suite =
   [
     Alcotest.test_case "parallel == sequential (all kernels, 2/4/8 workers)"
@@ -390,4 +443,6 @@ let suite =
       test_pool_shutdown;
     Alcotest.test_case "one config, many runs" `Quick
       test_one_config_many_runs;
+    Alcotest.test_case "a firing allocates nothing beyond output packets"
+      `Quick test_firing_allocates_nothing;
   ]

@@ -411,23 +411,40 @@ let prop_pqueue_sorts =
 
 module W = Machine.Machine_engine.Wheel
 
-(* Queue operations: [Some d] pushes the next payload due [d] after the
+(* A wheel's horizon, a power of two up to the largest, and queue
+   operations: [Some d] pushes the next payload due [d] after the
    current time, [None] pops.  Small delays are the latencies that make
    ties; the longest lie past the wheel's horizon, where a recovery
    timeout far beyond it puts its retransmission timers, and come in
    ties of their own. *)
+let gen_wheel_ops h =
+  QCheck.Gen.(
+    list_size (int_range 0 300)
+      (frequency
+         [ (2, return None);
+           (3, map Option.some (int_bound 3));
+           (1, map Option.some (int_bound (2 * h)));
+           (1, map (fun d -> Some ((3 * h) + d)) (int_bound 2)) ]))
+
+let gen_horizon =
+  QCheck.Gen.(map (fun k -> 1 lsl k) (int_bound 10))
+
+let print_ops = QCheck.Print.(list (option int))
+let shrink_ops = QCheck.Shrink.(list ~shrink:(option int))
+
 let arb_wheel_ops =
-  let h = W.horizon in
   QCheck.make
-    ~print:QCheck.Print.(list (option int))
-    ~shrink:QCheck.Shrink.(list ~shrink:(option int))
+    ~print:QCheck.Print.(pair int print_ops)
+    ~shrink:QCheck.Shrink.(pair nil shrink_ops)
+    QCheck.Gen.(gen_horizon >>= fun h -> pair (return h) (gen_wheel_ops h))
+
+let arb_wheel_ops2 =
+  QCheck.make
+    ~print:QCheck.Print.(triple int print_ops print_ops)
+    ~shrink:QCheck.Shrink.(triple nil shrink_ops shrink_ops)
     QCheck.Gen.(
-      list_size (int_range 0 300)
-        (frequency
-           [ (2, return None);
-             (3, map Option.some (int_bound 3));
-             (1, map Option.some (int_bound (2 * h)));
-             (1, map (fun d -> Some ((3 * h) + d)) (int_bound 2)) ]))
+      gen_horizon >>= fun h -> triple (return h) (gen_wheel_ops h)
+        (gen_wheel_ops h))
 
 (* The next event as the engine takes it: its time becomes current. *)
 let wheel_pop w =
@@ -465,8 +482,8 @@ let rec drain_wheel w =
    what is queued by time. *)
 let prop_wheel_order =
   QCheck.Test.make ~count:300 ~name:"wheel pops in (time, queue order)"
-    arb_wheel_ops (fun ops ->
-      let w = W.create () in
+    arb_wheel_ops (fun (h, ops) ->
+      let w = W.create h in
       let by_time = List.stable_sort (fun (a, _) (b, _) -> compare a b) in
       let now = ref 0 and queued = ref [] and next = ref 0 in
       List.for_all
@@ -494,11 +511,11 @@ let prop_wheel_order =
 let prop_wheel_reload =
   QCheck.Test.make ~count:300
     ~name:"wheel listed and reloaded pops the rest as the original"
-    QCheck.(pair arb_wheel_ops arb_wheel_ops)
-    (fun (before, after) ->
-      let w = W.create () in
+    arb_wheel_ops2
+    (fun (h, before, after) ->
+      let w = W.create h in
       let _, now = play_wheel w ~now:0 ~next:0 before in
-      let copy = W.create () in
+      let copy = W.create h in
       W.clear copy ~base:now;
       Array.iter (fun (t, x) -> W.push copy t x) (W.to_array w);
       let next = List.length before in
@@ -518,6 +535,107 @@ let prop_ctlseq_nth_vs_list =
         (fun k v -> Ctlseq.nth seq k = Some v)
         (List.init (List.length listed) Fun.id)
         listed)
+
+(* Each Bool_source's bit table in the arena reads as [Ctlseq.nth],
+   past the end of a finite sequence included. *)
+let prop_arena_control_vs_nth =
+  QCheck.Test.make ~count:200 ~name:"arena control table agrees with ctlseq nth"
+    QCheck.(pair (list (pair bool (int_bound 5))) bool)
+    (fun (runs, cyclic) ->
+      let total = List.fold_left (fun a (_, c) -> a + c) 0 runs in
+      QCheck.assume (total > 0);
+      let seq = Ctlseq.make ~cyclic runs in
+      (* a table of 3 bits before it, so its own starts mid-byte *)
+      let g = Graph.create () in
+      let source seq =
+        let src = Graph.add g (Opcode.Bool_source seq) [||] in
+        let sink = Graph.add g Opcode.Sink [| Graph.In_arc |] in
+        Graph.connect g ~src ~dst:sink ~port:0;
+        src
+      in
+      ignore (source (Ctlseq.make ~cyclic:true [ (true, 1); (false, 2) ]));
+      let src = source seq in
+      let a = Arena.build g in
+      List.for_all
+        (fun k ->
+          Arena.control a src k
+          = match Ctlseq.nth seq k with
+            | Some b -> Bool.to_int b
+            | None -> -1)
+        (List.init ((2 * total) + 3) Fun.id))
+
+(* The engines' value rules on slots ([Operand]) are [Opcode.apply_*]:
+   on every pair of operand kinds, with the integers and reals where
+   rules differ (0, negatives, [max_int], NaN, signed zeros and
+   infinities), each gives the same value, reals compared by their
+   bits, or raises the same [Value.Type_clash]. *)
+let prop_slot_rules =
+  let open QCheck.Gen in
+  let operand =
+    frequency
+      [ (3,
+         oneofl
+           Value.
+             [ Int 0; Int 1; Int (-1); Int (-7); Int 3; Int max_int;
+               Int min_int; Real Float.nan; Real 0.; Real (-0.);
+               Real Float.infinity; Real Float.neg_infinity; Real 1.5;
+               Real (-2.25); Bool true; Bool false ]);
+        (1, map (fun i -> Value.Int i) int);
+        (1, map (fun f -> Value.Real f) float) ]
+  in
+  let rule =
+    oneofl
+      (List.map (fun o -> `Arith o) Opcode.[ Add; Sub; Mul; Div; Min; Max; Mod ]
+      @ List.map (fun c -> `Compare c) Opcode.[ Lt; Le; Gt; Ge; Eq; Ne ]
+      @ List.map (fun l -> `Logic l) Opcode.[ And; Or ]
+      @ List.map (fun m -> `Math m) Opcode.[ Sqrt; Abs; Exp; Ln; Sin; Cos ])
+  in
+  let name = function
+    | `Arith o -> Opcode.arith_name o
+    | `Compare c -> Opcode.cmp_name c
+    | `Logic l -> Opcode.logic_name l
+    | `Math m -> Opcode.math_name m
+  in
+  let show v =
+    Printf.sprintf "%s%s" (Value.to_string v)
+      (match v with Value.Real f -> Printf.sprintf " (%h)" f | _ -> "")
+  in
+  QCheck.Test.make ~count:2000 ~name:"slot value rules equal Opcode.apply_*"
+    (QCheck.make
+       ~print:(fun (r, a, b) ->
+         Printf.sprintf "%s %s %s" (name r) (show a) (show b))
+       (triple rule operand operand))
+    (fun (rule, a, b) ->
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception Value.Type_clash msg -> Error msg
+      in
+      let reference () =
+        match rule with
+        | `Arith o -> Opcode.apply_arith o a b
+        | `Compare c -> Opcode.apply_cmp c a b
+        | `Logic l -> Opcode.apply_logic l a b
+        | `Math m -> Opcode.apply_math m a
+      in
+      let slots () =
+        let s = Operand.create 2 and r = Operand.create 1 in
+        Operand.set s 0 a;
+        Operand.set s 1 b;
+        (match rule with
+        | `Arith o -> Operand.arith o s 0 1 r
+        | `Compare c -> Operand.compare c s 0 1 r
+        | `Logic l -> Operand.logic l s 0 1 r
+        | `Math m -> Operand.math m s 0 r);
+        Operand.get r 0
+      in
+      match (outcome reference, outcome slots) with
+      | Ok (Value.Real x), Ok (Value.Real y) ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      | Ok x, Ok y -> x = y
+      | Error m, Error m' -> m = m'
+      | Ok v, Error m | Error m, Ok v ->
+        QCheck.Test.fail_reportf "one gives %s, the other raises %S" (show v) m)
 
 let prop_companion_associative =
   QCheck.Test.make ~count:300 ~name:"companion function associativity"
@@ -891,6 +1009,8 @@ let suite =
       prop_wheel_order;
       prop_wheel_reload;
       prop_ctlseq_nth_vs_list;
+      prop_arena_control_vs_nth;
+      prop_slot_rules;
       prop_companion_associative;
       prop_mcf_certificate;
       prop_balancer_duality;

@@ -765,7 +765,7 @@ let test_overflow_timers_resume () =
                (FP.make { FP.none with FP.seed = 3; drop_ack_prob = 0.05 })
           |> with_recovery
                { default_recovery with
-                 retransmit_after = 3 * ME.Wheel.horizon })
+                 retransmit_after = 3 * ME.Wheel.max_horizon })
       in
       let straight = ME.run_cfg cfg ~arch g ~inputs in
       let clean = ME.run_cfg ME.default_config ~arch g ~inputs in
