@@ -96,36 +96,3 @@ let track = function
   | Corrupt_injected { track; _ } | Corrupt_detected { track; _ }
   | Corrupt_healed { track; _ } ->
     track
-
-let describe = function
-  | Fire { time; node; label; op; dur; _ } ->
-    Printf.sprintf "[t=%d] FIRE %s#%d (%s, dur %d)" time label node op dur
-  | Deliver { time; src; dst; port; value; _ } ->
-    Printf.sprintf "[t=%d] DELIVER #%d -> #%d.%d = %s" time src dst port value
-  | Ack { time; src; dst; _ } ->
-    Printf.sprintf "[t=%d] ACK #%d -> #%d" time src dst
-  | Stall { time; node; label; reason; _ } ->
-    Printf.sprintf "[t=%d] STALL %s#%d: %s" time label node reason
-  | Fault_injected { time; kind; src; dst; extra; _ } ->
-    Printf.sprintf "[t=%d] FAULT %s #%d -> #%d (+%d)" time kind src dst extra
-  | Violation { time; node; label; kind; detail; _ } ->
-    Printf.sprintf "[t=%d] VIOLATION %s at %s#%d: %s" time kind label node
-      detail
-  | Checkpoint { time; seq; in_flight; _ } ->
-    Printf.sprintf "[t=%d] CHECKPOINT #%d (%d packets in flight)" time seq
-      in_flight
-  | Recovery { time; pe; restored_to; remapped; _ } ->
-    Printf.sprintf "[t=%d] RECOVERY PE %d crashed; rolled back to t=%d, %d \
-                    cell(s) re-hosted" time pe restored_to remapped
-  | Retransmit { time; src; dst; port; attempt; _ } ->
-    Printf.sprintf "[t=%d] RETRANSMIT #%d -> #%d.%d (attempt %d)" time src dst
-      port attempt
-  | Corrupt_injected { time; src; dst; port; was; became; _ } ->
-    Printf.sprintf "[t=%d] CORRUPT #%d -> #%d.%d: %s flipped to %s" time src
-      dst port was became
-  | Corrupt_detected { time; src; dst; port; seq; _ } ->
-    Printf.sprintf "[t=%d] CORRUPT-DETECTED #%d -> #%d.%d seq %d (discarded)"
-      time src dst port seq
-  | Corrupt_healed { time; src; dst; port; seq; _ } ->
-    Printf.sprintf "[t=%d] CORRUPT-HEALED #%d -> #%d.%d seq %d (clean resend \
-                    accepted)" time src dst port seq

@@ -105,6 +105,3 @@ type t =
 
 val time : t -> int
 val track : t -> int
-
-val describe : t -> string
-(** One-line human-readable rendering (for debugging and logs). *)

@@ -33,7 +33,6 @@ type t = {
   members : member array;
   deadline : float;
   retry : Client.retry;
-  mutable submits : int;
   mutable failovers : int;
 }
 
@@ -44,12 +43,10 @@ let create ?(deadline = 30.0) ?(retry = Client.default_retry) addrs =
         (List.map (fun addr -> { addr; health = Up; fails = 0 }) addrs);
     deadline;
     retry;
-    submits = 0;
     failovers = 0 }
 
 let health t = Array.to_list (Array.map (fun m -> (m.addr, m.health)) t.members)
 let failovers t = t.failovers
-let submits t = t.submits
 
 (* two consecutive failures demote a member all the way; any success
    restores it — a member that flaps pays with routing priority only
@@ -67,8 +64,6 @@ let mark_failed m =
 (* delegate to the replica layer's string-keyed hash (the bytes hashed
    are identical), so client-side routing and server-side replica
    placement can never drift apart *)
-let score ~key addr = Replica.score ~key:(string_of_int key) addr
-
 let rendezvous_order ~key addrs =
   Replica.rendezvous_order ~key:(string_of_int key) addrs
 
@@ -129,7 +124,6 @@ let member_retry t m =
         1_000_000_000 }
 
 let submit t ~key req =
-  t.submits <- t.submits + 1;
   let rec go tried = function
     | [] ->
       failwith

@@ -55,19 +55,14 @@ val health : t -> (string * health) list
 val failovers : t -> int
 (** Submissions that had to move past at least one failed member. *)
 
-val submits : t -> int
-
 val routing_key : Protocol.program -> int
 (** {!Server.program_key}, with unknown kernels mapped to a fixed key
     (any member will reject them identically). *)
 
-val score : key:int -> string -> int
-(** The rendezvous weight of one member for one routing key. *)
-
 val rendezvous_order : key:int -> string list -> string list
-(** Member addresses sorted by descending {!score} (ties broken by
-    address), ignoring health.  Deterministic; removing an address
-    never reorders the survivors. *)
+(** Member addresses sorted by descending {!Replica.score} of the
+    key's decimal text (ties broken by address), ignoring health.
+    Deterministic; removing an address never reorders the survivors. *)
 
 val probe : ?deadline:float -> t -> (string * (Obs.Json.t, string) Result.t) list
 (** One [stats] round-trip per member ([deadline] default 2 s, no

@@ -30,7 +30,7 @@ val none : spec
 
 val hostile : seed:int -> spec
 (** Every mode armed at a few percent, syncs briefly stalled — the
-    selftest's lying disk. *)
+    lying disk faultcheck's --serve member journals on. *)
 
 val validate : spec -> unit
 (** @raise Invalid_argument on a probability outside [0,1] or a

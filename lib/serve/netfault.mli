@@ -1,15 +1,15 @@
 (** Seeded wire-fault injection for the dfserve transport.
 
-    A hostile network, as a deterministic function: when a client (or
-    the selftest) arms a [spec], each outgoing request line consults
-    {!action} — keyed by (seed, connection number, operation number),
-    the same stateless-hash discipline {!Fault.Fault_plan} uses — and
-    is either sent intact, dropped with the connection, truncated
-    mid-frame, prefixed with newline-free garbage bytes, or stalled
-    partway through the write.  The retry layer above
-    ({!Client.resilient_rpc}) must heal every one of these into an
-    exactly-once result; the server must survive all of them with
-    structured errors or clean deadline closes. *)
+    A hostile network, as a deterministic function: when a client (as
+    faultcheck's --serve churn does) arms a [spec], each outgoing
+    request line consults {!action} — keyed by (seed, connection
+    number, operation number), the same stateless-hash discipline
+    {!Fault.Fault_plan} uses — and is either sent intact, dropped with
+    the connection, truncated mid-frame, prefixed with newline-free
+    garbage bytes, or stalled partway through the write.  The retry
+    layer above ({!Client.resilient_rpc}) must heal every one of these
+    into an exactly-once result; the server must survive all of them
+    with structured errors or clean deadline closes. *)
 
 type spec = {
   nf_seed : int;

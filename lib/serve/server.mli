@@ -178,7 +178,7 @@ val job_of_run :
     or waves synthesized with {!Runspec.synth_wave} from a source
     program's [input_seed] — fed through {!Compiler.Driver.feeds}.
     [compiled] must be the request's program compiled.  The server's
-    admission and journal-replay paths, the selftest and [dfsim] all
+    admission and journal-replay paths, faultcheck and [dfsim] all
     build their jobs here, so a served run and a standalone run of the
     same request are the same job.
 
