@@ -12,7 +12,7 @@ let default_socket () =
 
 let main socket tcp journal journal_retain cluster self replicas fsync
     diskfault max_line idle_timeout write_timeout drain_timeout workers
-    max_pending cache slice log_file _verbose =
+    max_pending cache slice log_file =
   (* a peer that vanishes mid-write must be an EPIPE, not a kill *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let tcp_ok =
@@ -76,11 +76,11 @@ let main socket tcp journal journal_retain cluster self replicas fsync
 
 let main_safe socket tcp journal journal_retain cluster self replicas fsync
     diskfault max_line idle_timeout write_timeout drain_timeout workers
-    max_pending cache slice log_file verbose =
+    max_pending cache slice log_file =
   try
     main socket tcp journal journal_retain cluster self replicas fsync
       diskfault max_line idle_timeout write_timeout drain_timeout workers
-      max_pending cache slice log_file verbose
+      max_pending cache slice log_file
   with
   | Failure msg | Invalid_argument msg -> `Error (false, msg)
   | Unix.Unix_error (e, fn, arg) ->
@@ -208,16 +208,11 @@ let cmd =
     Arg.(value & opt (some string) None
          & info [ "log" ] ~docv:"FILE" ~doc:"append lifecycle log lines here")
   in
-  let verbose =
-    Arg.(value & flag
-         & info [ "verbose"; "v" ]
-             ~doc:"log to stderr (what the server does without --log)")
-  in
   let term =
     Term.(ret (const main_safe $ socket $ tcp $ journal $ journal_retain
                $ cluster $ self $ replicas $ fsync $ diskfault $ max_line
                $ idle_timeout $ write_timeout $ drain_timeout $ workers
-               $ max_pending $ cache $ slice $ log_file $ verbose))
+               $ max_pending $ cache $ slice $ log_file))
   in
   Cmd.v
     (Cmd.info "dfserve" ~version:"1.0"

@@ -1,9 +1,6 @@
 open Dfg
-module Mincost_flow = Mcf.Mincost_flow
 
 exception Cyclic
-
-let default_weight = Analysis.node_delay
 
 let no_skip _ _ = false
 
@@ -48,18 +45,11 @@ let arcs_of_view (v : View.t) ~w ~skip =
     { a with src = Array.sub a.src 0 !k; dst = Array.sub a.dst 0 !k;
       w = Array.sub a.w 0 !k }
 
-let weights ?(weight = default_weight) g =
-  Array.init (Graph.node_count g) (fun u -> weight (Graph.node g u))
+let weights g =
+  Array.init (Graph.node_count g) (fun u ->
+      Analysis.node_delay (Graph.node g u))
 
-let arcs_of ?weight g =
-  arcs_of_view (View.of_graph g) ~w:(weights ?weight g) ~skip:no_skip
-
-let feasible a levels =
-  let ok = ref true in
-  Array.iteri
-    (fun i u -> if levels.(a.dst.(i)) - levels.(u) < a.w.(i) then ok := false)
-    a.src;
-  !ok
+let arcs_of g = arcs_of_view (View.of_graph g) ~w:(weights g) ~skip:no_skip
 
 (* The arc indices grouped by cell [ends.(i)]: cell u's are
    idx.(base.(u) .. base.(u+1) - 1), ascending. *)
@@ -99,14 +89,15 @@ let naive_levels_arcs a =
     order;
   levels
 
-let naive_levels ?weight g = naive_levels_arcs (arcs_of ?weight g)
+let naive_levels g = naive_levels_arcs (arcs_of g)
 
-let is_feasible ?weight g levels = feasible (arcs_of ?weight g) levels
+let slacks g levels =
+  let a = arcs_of g in
+  Array.mapi (fun i u -> levels.(a.dst.(i)) - levels.(u) - a.w.(i)) a.src
 
-let buffer_cost ?weight g levels =
-  let a = arcs_of ?weight g in
-  Array.fold_left ( + ) 0
-    (Array.mapi (fun i u -> levels.(a.dst.(i)) - levels.(u) - a.w.(i)) a.src)
+let is_feasible g levels = Array.for_all (fun s -> s >= 0) (slacks g levels)
+
+let buffer_cost g levels = Array.fold_left ( + ) 0 (slacks g levels)
 
 let reduce_levels_arcs a levels =
   let levels = Array.copy levels in
@@ -150,92 +141,77 @@ let reduce_levels_arcs a levels =
   done;
   levels
 
-let reduce_levels ?weight g levels =
-  reduce_levels_arcs (arcs_of ?weight g) levels
+let reduce_levels g levels = reduce_levels_arcs (arcs_of g) levels
 
 (* Optimal balancing as the LP dual of min-cost flow; see
    docs/THEORY.md §3.  The primal is  min Σ c_v l_v  s.t.  l_v - l_u >= w
    with c_v = indeg - outdeg; the dual is an exact-balance transshipment
-   with per-arc reward w.  Its cells' arcs cost -w, with a capacity above
-   the total supply, which bounds the flow on any one arc. *)
-let cell_network a =
-  let net = Mincost_flow.create (a.n + 2) in
-  let capacity = (4 * Array.length a.src) + a.n + 16 in
-  Array.iteri
-    (fun i u ->
-      ignore
-        (Mincost_flow.add_arc net ~src:u ~dst:a.dst.(i) ~capacity
-           ~cost:(-a.w.(i))))
-    a.src;
-  net
+   with per-arc reward w.  A refused certificate is a solver bug, raised
+   as Failure, so no caller takes the levels for optimal. *)
+let certify what a levels flow =
+  match
+    Mcf.Network_simplex.certify ~src:a.src ~dst:a.dst ~weight:a.w ~levels flow
+  with
+  | Ok () -> ()
+  | Error e -> failwith ("Balancer: " ^ what ^ " levels not certified: " ^ e)
 
-(* The reference solve: successive shortest paths from a source feeding
-   every cell with supply to a sink draining every cell with demand. *)
-let solve_flow_arcs a =
-  ignore (naive_levels_arcs a);
-  let net = cell_network a in
-  let source = a.n and sink = a.n + 1 in
-  let out_base, _ = group a.n a.src and in_base, _ = group a.n a.dst in
-  let c = Array.init a.n (fun v ->
-      in_base.(v + 1) - in_base.(v) - out_base.(v + 1) + out_base.(v)) in
-  let supply_total = ref 0 in
-  Array.iteri
-    (fun v cv ->
-      if cv > 0 then begin
-        ignore
-          (Mincost_flow.add_arc net ~src:v ~dst:sink ~capacity:cv ~cost:0);
-        supply_total := !supply_total + cv
+(* The canonical optimal levels: the least levels >= 0 that keep every
+   arc feasible and every arc with flow tight, i.e. the shortest
+   distances from 0 at every cell in [flow]'s residual network (each arc
+   forward at -w, each arc with flow backward at +w), negated.  They are
+   the same for every optimal flow (docs/THEORY.md §3), so the levels do
+   not depend on the solver.  Bellman-Ford in arc order; it ends because
+   the flow has just certified levels that meet all these constraints,
+   so the residual network has no negative cycle. *)
+let canonical_levels a flow =
+  let levels = Array.make a.n 0 and changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to Array.length a.src - 1 do
+      let u = a.src.(i) and v = a.dst.(i) and w = a.w.(i) in
+      if levels.(v) < levels.(u) + w then begin
+        levels.(v) <- levels.(u) + w;
+        changed := true
+      end;
+      if flow.(i) > 0 && levels.(u) < levels.(v) - w then begin
+        levels.(u) <- levels.(v) - w;
+        changed := true
       end
-      else if cv < 0 then
-        ignore
-          (Mincost_flow.add_arc net ~src:source ~dst:v ~capacity:(-cv)
-             ~cost:0))
-    c;
-  let solution = Mincost_flow.min_cost_max_flow net ~source ~sink in
-  if solution.Mincost_flow.flow <> !supply_total then
-    failwith "Balancer: dual transshipment infeasible (graph bug)";
-  solution
-
-(* Network simplex from the longest-path levels finds an optimal flow;
-   the levels are then read off that flow's residual network as
-   potentials, a Bellman-Ford from 0 at every cell.  Those do not depend
-   on which optimal flow was found (docs/THEORY.md §3), so they are the
-   levels the reference solve gives too.  The reference's source and
-   sink arcs are left out: an optimal flow saturates them, so they add
-   no residual arc between cells and change no cell's potential. *)
-let optimal_levels_of a =
-  let start = naive_levels_arcs a in
-  let flow =
-    Mcf.Network_simplex.optimal_flow ~src:a.src ~dst:a.dst ~weight:a.w start
-  in
-  let net = cell_network a in
-  Array.iteri (Mincost_flow.set_flow net) flow;
-  match Mincost_flow.potentials net with
-  | None -> failwith "Balancer: negative cycle in optimal residual network"
-  | Some pi ->
-    let levels = Array.init a.n (fun v -> -pi.(v)) in
-    let lowest = Array.fold_left min 0 levels in
-    Array.map (fun l -> l - lowest) levels
-
-let optimal_levels_arcs n arcs = optimal_levels_of (arcs_of_list n arcs)
-
-let optimal_levels ?weight g =
-  let a = arcs_of ?weight g in
-  let levels = optimal_levels_of a in
-  if not (feasible a levels) then
-    failwith "Balancer: optimal levels infeasible (duality bug)";
+    done
+  done;
   levels
 
-let dual_lower_bound ?weight g =
-  let a = arcs_of ?weight g in
-  let solution = solve_flow_arcs a in
-  -solution.Mincost_flow.cost - Array.fold_left ( + ) 0 a.w
+(* The one optimal solve: network simplex from the longest-path levels
+   finds optimal levels and an optimal flow, the flow certifies those
+   levels, and then the canonical levels read off it. *)
+let optimal_levels_of a =
+  let levels = naive_levels_arcs a in
+  let flow =
+    Mcf.Network_simplex.optimal_flow ~src:a.src ~dst:a.dst ~weight:a.w levels
+  in
+  certify "network simplex" a levels flow;
+  let canonical = canonical_levels a flow in
+  certify "canonical" a canonical flow;
+  (canonical, flow)
+
+let optimal_levels_arcs n arcs = fst (optimal_levels_of (arcs_of_list n arcs))
+
+let optimal_levels g = fst (optimal_levels_of (arcs_of g))
+
+(* Σ w·f - Σ w: the dual objective of the certified flow, equal to the
+   buffer count of its levels. *)
+let dual_lower_bound g =
+  let a = arcs_of g in
+  let _, flow = optimal_levels_of a in
+  let objective = ref 0 in
+  Array.iteri (fun i w -> objective := !objective + (w * (flow.(i) - 1))) a.w;
+  !objective
 
 let levels_by strategy a =
   match strategy with
   | `Naive -> naive_levels_arcs a
   | `Reduced -> reduce_levels_arcs a (naive_levels_arcs a)
-  | `Optimal -> optimal_levels_of a
+  | `Optimal -> fst (optimal_levels_of a)
 
 (* The one build of a balanced graph: [v]'s cells keep their ids, and
    every arc, in the order of Graph's destination lists, is connected

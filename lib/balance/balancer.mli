@@ -22,10 +22,12 @@ open Dfg
       buffering in many cases");
     - {!optimal_levels} — minimum total buffering, solved exactly as the
       LP dual of a min-cost flow problem: network simplex
-      ({!Mcf.Network_simplex}) finds an optimal flow, and the levels are
-      its residual network's potentials ({!Mcf.Mincost_flow.potentials}).
-      {!dual_lower_bound} solves the same flow problem independently, by
-      successive shortest paths, as the reference.
+      ({!Mcf.Network_simplex}) finds optimal levels and an optimal flow,
+      the flow certifies them ({!Mcf.Network_simplex.certify}), and the
+      levels returned are the canonical ones read off that flow, which
+      it certifies too.  A refused certificate raises [Failure]: no
+      caller, the compiler included, gets levels that are not proven
+      optimal.
 
     Everything here runs on a frozen {!Dfg.View.t} and flat arc arrays:
     the graph functions freeze their graph once, ring analysis
@@ -37,21 +39,23 @@ exception Cyclic
 (** Raised when the graph has feedback cycles (balance for-iter loops with
     the companion transformation instead, Section 7). *)
 
-val naive_levels : ?weight:(Graph.node -> int) -> Graph.t -> int array
-(** Longest-path levels.  [weight] gives each node's contribution to the
-    paths through it (default {!Analysis.node_delay}). @raise Cyclic *)
+val naive_levels : Graph.t -> int array
+(** Longest-path levels, each node adding {!Analysis.node_delay} to the
+    paths through it. @raise Cyclic *)
 
-val reduce_levels :
-  ?weight:(Graph.node -> int) -> Graph.t -> int array -> int array
+val reduce_levels : Graph.t -> int array -> int array
 (** Iterated coordinate descent: move each unpinned cell to the end of its
     feasible interval that lowers total slack; repeat to a fixpoint.
     Input is any feasible assignment; result is feasible and no worse. *)
 
-val optimal_levels : ?weight:(Graph.node -> int) -> Graph.t -> int array
+val optimal_levels : Graph.t -> int array
 (** Minimum-total-slack levels (exact optimum): network simplex from
-    {!naive_levels}, then the greatest optimal dual below 0 read off its
-    flow, which is the same for every optimal flow (docs/THEORY.md §3),
-    so the levels do not depend on the solver.  @raise Cyclic *)
+    {!naive_levels}, then the least optimal levels [>= 0], read off its
+    flow by a Bellman-Ford; they are the same for every optimal flow
+    (docs/THEORY.md §3), so the levels do not depend on the solver.
+    Both the solver's levels and these are certified against the flow.
+    @raise Cyclic
+    @raise Failure if a certificate is refused (a solver bug). *)
 
 val optimal_levels_arcs : int -> (int * int * int) list -> int array
 (** The solve behind {!optimal_levels} and [`Optimal] {!phase_balance},
@@ -59,10 +63,10 @@ val optimal_levels_arcs : int -> (int * int * int) list -> int array
     [level dst - level src >= weight]; parallel arcs and negative weights
     are allowed.  @raise Cyclic when the arcs contain a cycle. *)
 
-val is_feasible : ?weight:(Graph.node -> int) -> Graph.t -> int array -> bool
+val is_feasible : Graph.t -> int array -> bool
 (** Every arc satisfies the level constraint. *)
 
-val buffer_cost : ?weight:(Graph.node -> int) -> Graph.t -> int array -> int
+val buffer_cost : Graph.t -> int array -> int
 (** Total slack = number of buffer stages the assignment implies. *)
 
 val balance : ?strategy:[ `Naive | `Reduced | `Optimal ] -> Graph.t -> Graph.t
@@ -94,11 +98,11 @@ val phase_balance_view :
     contracted and balanced on the view's flat arrays, and the balanced
     graph is built once, with the view's cells first. *)
 
-val dual_lower_bound : ?weight:(Graph.node -> int) -> Graph.t -> int
-(** The min-cost-flow dual objective: a certified lower bound on the
-    buffer stages any balancing needs.  It is the independent reference
-    for {!optimal_levels}: a different algorithm (successive shortest
-    paths, {!Mcf.Mincost_flow.min_cost_max_flow}) on the same
-    transshipment.  Equals [buffer_cost g (optimal_levels g)] by strong
-    duality — asserted in the test suite and by experiment E10.
-    @raise Cyclic *)
+val dual_lower_bound : Graph.t -> int
+(** The min-cost-flow dual objective [Σ w·f - Σ w] of the flow that
+    certifies {!optimal_levels}: by weak duality a lower bound on the
+    buffer stages any balancing needs, whichever solver found the flow,
+    and equal to [buffer_cost g (optimal_levels g)] since the flow is
+    certified optimal.  Experiment E10 tabulates it; the test suite
+    checks it against successive shortest paths, an independent solver
+    kept in test/.  @raise Cyclic *)

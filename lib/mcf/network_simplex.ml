@@ -331,3 +331,41 @@ let optimal_flow ~src ~dst ~weight levels =
   in
   loop 0;
   Array.init m (fun a -> if in_tree t a then t.cut.(a) else 0)
+
+let arc_fault a u v fmt =
+  Printf.ksprintf
+    (fun fault -> Error (Printf.sprintf "arc %d (%d -> %d) %s" a u v fault))
+    fmt
+
+(* [net.(x)] sums Σ in (f - 1) - Σ out (f - 1), which is zero exactly
+   when x's flow in - out is its indegree - outdegree. *)
+let certify ~src ~dst ~weight ~levels flow =
+  let m = Array.length src in
+  if Array.length dst <> m || Array.length weight <> m
+     || Array.length flow <> m
+  then invalid_arg "Network_simplex.certify: arc arrays differ in length";
+  let net = Array.make (Array.length levels) 0 in
+  let rec arcs a =
+    if a = m then nodes 0
+    else
+      let u = src.(a) and v = dst.(a) and f = flow.(a) in
+      let s = levels.(v) - levels.(u) - weight.(a) in
+      if f < 0 then arc_fault a u v "carries flow %d" f
+      else if s < 0 then arc_fault a u v "is infeasible (slack %d)" s
+      else if s > 0 && f > 0 then
+        arc_fault a u v "carries flow %d at slack %d" f s
+      else begin
+        net.(u) <- net.(u) - (f - 1);
+        net.(v) <- net.(v) + (f - 1);
+        arcs (a + 1)
+      end
+  and nodes x =
+    if x = Array.length net then Ok ()
+    else if net.(x) <> 0 then
+      Error
+        (Printf.sprintf
+           "node %d: flow in - out differs from indegree - outdegree by %d"
+           x net.(x))
+    else nodes (x + 1)
+  in
+  arcs 0

@@ -10,7 +10,9 @@
     spanning tree of tight arcs (slack 0) in every connected component,
     give each tree arc its cut value, and pivot a tree arc of negative
     cut value out for the least-slack arc across its cut until none is
-    left.  The cut values are then an optimal flow of the transshipment.
+    left.  The cut values are then an optimal flow of the transshipment,
+    and {!certify} checks in one pass over the arcs that the flow and
+    the levels prove each other optimal.
 
     A solve costs one tree build, whose merges each scan the arcs
     leaving the tree grown so far, plus per pivot one scan of the tree
@@ -31,3 +33,22 @@ val optimal_flow :
     @raise Invalid_argument if the arrays disagree in length, an
     endpoint is out of range, an arc is a self-loop or [levels] is
     infeasible. *)
+
+val certify :
+  src:int array ->
+  dst:int array ->
+  weight:int array ->
+  levels:int array ->
+  int array ->
+  (unit, string) result
+(** [certify ~src ~dst ~weight ~levels flow] checks the complementary
+    slackness certificate of the LP above: every arc carries
+    [flow.(a) >= 0], is feasible under [levels] and carries no flow
+    unless [levels] leave it tight, and every node's [Σ in - Σ out] is
+    its [indegree - outdegree].  Then the levels' objective equals the
+    flow's dual objective, which bounds every feasible assignment's
+    objective from below (weak duality), so both are optimal.  [Error]
+    names the first arc at fault or, when every arc passes, the first
+    node.
+    @raise Invalid_argument if the arrays disagree in length or an
+    endpoint is out of range. *)

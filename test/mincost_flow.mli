@@ -1,16 +1,14 @@
-(** Minimum-cost flow, the optimization substrate behind the paper's
-    optimal balancing result: "the optimum balancing of a graph (using
-    minimum number of buffer stages) is equivalent to the linear
-    programming dual of the min-cost flow problem" (Section 8,
+(** Minimum-cost flow by successive shortest paths: the test oracle for
+    the paper's optimal balancing result, "the optimum balancing of a
+    graph (using minimum number of buffer stages) is equivalent to the
+    linear programming dual of the min-cost flow problem" (Section 8,
     conclusion 3).
 
-    Since balancing's optimal flow comes from {!Network_simplex}, this
-    module has two roles there.  {!potentials} is the canonicalizer: it
-    reads the optimal levels off the residual network of any optimal
-    flow (set with {!set_flow}).  {!min_cost_max_flow} is the reference:
-    a different algorithm for the same transshipment, behind
-    [Balancer.dual_lower_bound], which experiment E10 and the tier-1
-    properties compare with the network-simplex optimum.
+    Balancing solves that flow problem by [Mcf.Network_simplex] and
+    certifies each optimum with its own flow.  This is a different
+    algorithm for the same transshipment, so the tests compare the two:
+    its flow's dual objective with the balancer's buffer count, and the
+    potentials of its residual network with the balancer's levels.
 
     {!min_cost_max_flow} is primal-dual: one Bellman-Ford ({!potentials})
     gives starting node potentials, so negative arc costs are accepted as
@@ -28,8 +26,6 @@ type t
 val create : int -> t
 (** [create n] - an empty network on nodes [0 .. n-1]. *)
 
-val node_count : t -> int
-
 val add_arc : t -> src:int -> dst:int -> capacity:int -> cost:int -> int
 (** Add a directed arc; returns an arc id for {!flow_on}.
     @raise Invalid_argument on bad endpoints or negative capacity. *)
@@ -43,11 +39,6 @@ val min_cost_max_flow : t -> source:int -> sink:int -> solution
 
 val flow_on : t -> int -> int
 (** Flow currently assigned to an arc id. *)
-
-val set_flow : t -> int -> int -> unit
-(** [set_flow t id f] assigns flow [f] to an arc id, so that
-    {!potentials} can read the optimal duals off a flow another solver
-    found. @raise Invalid_argument unless [0 <= f <= capacity]. *)
 
 val residual_shortest_distances : t -> root:int -> int array option
 (** Bellman-Ford distances from [root] in the residual network of the

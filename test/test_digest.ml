@@ -1,9 +1,10 @@
 (* Compiled graphs pinned across commits: one MD5 over the Dfg.Text form
    of every kernel compiled at three sizes and of random DAGs balanced
-   both ways the compiler can.  Optimal levels come from
-   [Mincost_flow.potentials], which by complementary slackness do not
-   depend on which optimal flow the solver finds, so a rewrite of the
-   flow solver must leave this digest as it is.  A change that alters
+   both ways the compiler can.  Optimal levels are the canonical ones the
+   balancer reads off the solver's flow (the least levels >= 0 tight on
+   every arc with flow), which by complementary slackness do not depend
+   on which optimal flow the solver finds, so a rewrite of the flow
+   solver must leave this digest as it is.  A change that alters
    compiled graphs on purpose re-records it: the failure message prints
    the digest the build under test produced. *)
 

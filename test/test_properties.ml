@@ -213,8 +213,8 @@ let prop_schemes_agree =
    compared with the interpreter. *)
 let gen_pipe_program =
   let open QCheck.Gen in
-  let forall_body prev var =
-    oneofl
+  let forall_body body prev var =
+    List.nth
       [
         Printf.sprintf "0.5 * (%s[%s-1] + %s[%s+1])" prev var prev var;
         Printf.sprintf "%s[%s] - 0.25 * %s[%s-1]" prev var prev var;
@@ -223,6 +223,7 @@ let gen_pipe_program =
           prev var prev var;
         Printf.sprintf "min(%s[%s+1], 1.) + 0.125" prev var;
       ]
+      body
   in
   let block_count = int_range 2 4 in
   map2
@@ -243,12 +244,12 @@ input A0 : array[real] [0, n];
           let choice = List.nth choices ((k - 1) mod List.length choices) in
           let produced_lo, produced_hi =
             match choice with
-            | `Forall body_of ->
+            | `Forall body ->
               Buffer.add_string buf
                 (Printf.sprintf
                    "%s : array[real] := forall i in [%d, %d] construct %s endall;\n"
                    name (lo + 1) (hi - 1)
-                   (body_of prev "i"));
+                   (forall_body body prev "i"));
               (lo + 1, hi - 1)
             | `Foriter ->
               (* counter lo+1 .. hi-2; the definition part also reads
@@ -266,12 +267,22 @@ input A0 : array[real] [0, n];
       Buffer.contents buf)
     block_count
     (list_size (int_range 2 4)
-       (oneofl
-          [ `Forall (fun prev var -> QCheck.Gen.generate1 (forall_body prev var));
-            `Foriter ]))
+       (oneof
+          [ map (fun body -> `Forall body) (int_bound 3); return `Foriter ]))
 
 let arbitrary_pipe_program =
   QCheck.make gen_pipe_program ~print:(fun s -> s)
+
+(* A program is a function of the generator's random state alone, so a
+   failure replays from its seed. *)
+let prop_pipe_programs_replay =
+  QCheck.Test.make ~count:20 ~name:"random pipe programs replay from their seed"
+    QCheck.int (fun seed ->
+      let draw () =
+        QCheck.Gen.generate ~rand:(Random.State.make [| seed |]) ~n:8
+          gen_pipe_program
+      in
+      draw () = draw ())
 
 let prop_random_pipe_programs =
   QCheck.Test.make ~count:25 ~name:"random pipe programs = interpreter"
@@ -680,7 +691,7 @@ let prop_mcf_certificate =
   QCheck.Test.make ~count:200 ~long_factor:50
     ~name:"min-cost flow certifies its own optimality" arb_network
     (fun ((_, n, _) as network) ->
-      let module M = Mcf.Mincost_flow in
+      let module M = Mincost_flow in
       let net = M.create n and source = 0 and sink = n - 1 in
       let arcs =
         List.map
@@ -728,7 +739,9 @@ let prop_balancer_duality =
       let naive =
         Balance.Balancer.buffer_cost g (Balance.Balancer.naive_levels g)
       in
-      optimal = Balance.Balancer.dual_lower_bound g && optimal <= naive)
+      optimal = Test_balance.ssp_bound g
+      && optimal = Balance.Balancer.dual_lower_bound g
+      && optimal <= naive)
 
 (* Balancing LPs given straight as arc sets [(src, dst, weight)] on
    nodes 0..n-1: weights -3..5, so equal slacks tie often; parallel arcs
@@ -750,38 +763,6 @@ let lp_arcs ~acyclic (n, raw) =
       else Some (min u v, max u v, w))
     raw
 
-(* The reference levels, by the other algorithm: the dual transshipment
-   (node balance indegree - outdegree, arc cost -weight) solved by
-   successive shortest paths, then the potentials of its residual
-   network; with the flow's cost. *)
-let reference_levels n arcs =
-  let module M = Mcf.Mincost_flow in
-  let net = M.create (n + 2) and source = n and sink = n + 1 in
-  (* more than any arc can carry: the total supply is at most the arc count *)
-  let capacity = List.length arcs + 1 in
-  List.iter
-    (fun (u, v, w) -> ignore (M.add_arc net ~src:u ~dst:v ~capacity ~cost:(-w)))
-    arcs;
-  let balance = Array.make n 0 in
-  List.iter
-    (fun (u, v, _) ->
-      balance.(v) <- balance.(v) + 1;
-      balance.(u) <- balance.(u) - 1)
-    arcs;
-  Array.iteri
-    (fun v b ->
-      if b > 0 then ignore (M.add_arc net ~src:v ~dst:sink ~capacity:b ~cost:0)
-      else if b < 0 then
-        ignore (M.add_arc net ~src:source ~dst:v ~capacity:(-b) ~cost:0))
-    balance;
-  let solution = M.min_cost_max_flow net ~source ~sink in
-  match M.potentials net with
-  | None -> QCheck.Test.fail_report "reference flow leaves a negative cycle"
-  | Some pi ->
-    let levels = Array.init n (fun v -> -pi.(v)) in
-    let lowest = Array.fold_left min 0 levels in
-    (Array.map (fun l -> l - lowest) levels, solution.M.cost)
-
 let show_levels levels =
   String.concat " " (Array.to_list (Array.map string_of_int levels))
 
@@ -791,7 +772,7 @@ let prop_optimal_levels_reference =
     (fun ((n, _) as lp) ->
       let arcs = lp_arcs ~acyclic:true lp in
       let levels = Balance.Balancer.optimal_levels_arcs n arcs in
-      let expected, flow_cost = reference_levels n arcs in
+      let expected, bound = Test_balance.ssp_reference n arcs in
       if levels <> expected then
         QCheck.Test.fail_reportf "levels %s, reference %s" (show_levels levels)
           (show_levels expected);
@@ -803,8 +784,8 @@ let prop_optimal_levels_reference =
       (* buffer cost = dual lower bound *)
       let buffers =
         List.fold_left (fun acc (u, v, w) -> acc + levels.(v) - levels.(u) - w) 0 arcs
-      and weights = List.fold_left (fun acc (_, _, w) -> acc + w) 0 arcs in
-      buffers = -flow_cost - weights)
+      in
+      buffers = bound)
 
 (* Cycle detection by colouring, independent of the balancer's. *)
 let has_cycle n arcs =
@@ -1017,4 +998,5 @@ let suite =
       prop_optimal_levels_reference;
       prop_cyclic_arc_sets;
       prop_compile_passes;
+      prop_pipe_programs_replay;
     ]
